@@ -41,6 +41,7 @@ from .ergodicity import (  # noqa: E402
     SearchPolicy,
     build_profile,
     diagonal_entropy_growth,
+    growth_sizes,
     initial_state,
 )
 from .hamiltonians import (  # noqa: E402
@@ -62,6 +63,7 @@ from .mps import (  # noqa: E402
 )
 from .operators import random_density, random_hermitian  # noqa: E402
 from .overlaps import (  # noqa: E402
+    family_sizes,
     overlap_bound_check,
     product_state_from_factors,
     verify_epsilon_family,
@@ -520,8 +522,37 @@ def build_config(experiment: str, overrides: dict) -> dict:
             f"allowed: {sorted(config)}"
         )
     config.update({k: v for k, v in overrides.items() if v is not None})
+    _validate(experiment, config)
     config["experiment"] = experiment
     return config
+
+
+def _validate(experiment: str, config: dict) -> None:
+    """Reject values the runners cannot use, before any of them starts.
+
+    Each value goes through the library check that would reject it at run
+    time: lattices, search policies and size grids.  A lattice beyond the
+    index range still raises ResourceGuardError.
+    """
+    try:
+        if experiment == "theorem1":
+            sizes = growth_sizes(config["sizes"])
+        elif experiment == "prop1":
+            sizes = family_sizes(config["sizes"])
+        elif "sites" in config:
+            sizes = (int(config["sites"]),)
+        else:
+            sizes = ()
+        for n in sizes:
+            LatticeSpec(n, int(config.get("local_dim", 2)), config.get("geometry", "chain-open"))
+        if "model" in config and config["model"] not in MODEL_NAMES:
+            raise ConfigError(f"unknown model {config['model']!r}; catalog: {MODEL_NAMES}")
+        if "mode" in config:
+            policy = _policy_from(config)
+            for n in sizes:
+                policy.max_size(n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run(config: dict) -> tuple[int, dict]:
@@ -684,6 +715,9 @@ def main(argv=None) -> int:
         base.pop("experiment", None)
         base.update(overrides)
         config = build_config(args.experiment, base)
+    except ResourceGuardError as exc:
+        print(f"resource guard: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -528,6 +528,14 @@ class EntropyGrowthReport:
     passed: bool
 
 
+def growth_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Chain sizes of a growth trend: at least two, strictly increasing."""
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("need at least two strictly increasing sizes")
+    return sizes
+
+
 def diagonal_entropy_growth(
     sizes: Sequence[int] = (6, 8, 10, 12),
     model: str = "mixed-field-ising",
@@ -549,9 +557,7 @@ def diagonal_entropy_growth(
     populations are checked against exp(-g(e)N/4) with 10x slack at every
     size.  The constant c is reported, never asserted.
     """
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("need at least two strictly increasing sizes")
+    sizes = growth_sizes(sizes)
     policy = policy or SearchPolicy()
     runs = []
     for n in sizes:

@@ -8,7 +8,6 @@ is kept on the model for unit bookkeeping.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np

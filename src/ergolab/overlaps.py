@@ -163,6 +163,17 @@ class EpsilonFamilyReport:
     passed: bool
 
 
+def family_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Chain sizes of the epsilon family: even, and at least three for the
+    slope fit."""
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < 3:
+        raise ValueError("slope fit needs at least three sizes")
+    if any(n % 2 for n in sizes):
+        raise ValueError("epsilon family needs an even number of sites")
+    return sizes
+
+
 def verify_epsilon_family(
     epsilon: float = 0.3,
     sizes: Sequence[int] = (6, 8, 10, 12),
@@ -183,8 +194,7 @@ def verify_epsilon_family(
     shrinks.  The slope window is evaluated on the given grid as stated,
     with no finite-size extrapolation.
     """
-    if len(sizes) < 3:
-        raise ValueError("slope fit needs at least three sizes")
+    sizes = family_sizes(sizes)
     if any(a <= 1 for a in alphas):
         raise ValueError("constant bounds require alpha > 1")
     s1 = []
@@ -209,7 +219,6 @@ def verify_epsilon_family(
         diff = np.abs(spec - ideal)
         top_dev.append(int(np.sum(diff > 10.0 * eps_state.delta)))
         small_dev.append(int(np.sum(diff > 0.5 * eps_state.delta)))
-    sizes = tuple(int(n) for n in sizes)
     slope = float(np.polyfit(sizes, s1, 1)[0])
     target = 0.5 * epsilon * math.log(local_dim)
     window = (slope_window[0] * target, slope_window[1] * target)

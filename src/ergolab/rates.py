@@ -4,18 +4,18 @@ and stability of entanglement scans under quasi-local conjugation."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .ensembles import evolve
 from .ergodicity import SearchPolicy, _batch_renyi2, build_profile
 from .hamiltonians import LocalHamiltonian, SpectralData, diagonalize
 from .operators import embed_operator, hermitian_site_basis, is_hermitian
-from .states import DensityMatrix, PureState, SiteSet, bipartition_matrix, site_set
+from .states import PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
 
 IMAG_RESIDUE = 1e-10
 
@@ -41,10 +41,25 @@ class InteractionDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         da, db = self.dims
-        out = np.zeros((da * db, da * db), dtype=complex)
-        for (c, _, _), a, b in zip(self.terms, self.left_factors, self.right_factors):
-            out += c * np.kron(a, b)
-        return out
+        if not self.terms:
+            return np.zeros((da * db, da * db), dtype=complex)
+        coef = np.array([t[0] for t in self.terms])
+        left = coef[:, None, None] * np.array(self.left_factors)
+        # sum_t c_t a_t (x) b_t, with (a (x) b)[(i,k),(j,l)] = a[i,j] b[k,l]
+        out = np.einsum("tij,tkl->ikjl", left, np.array(self.right_factors), optimize=True)
+        return out.reshape(da * db, da * db)
+
+
+@functools.cache
+def _basis_stack(d: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Labels, a read-only (d*d, d, d) stack and the Hilbert-Schmidt norms
+    tr(a a) of `hermitian_site_basis(d)`, built once per local dimension."""
+    labels, mats = zip(*hermitian_site_basis(d))
+    stack = np.array(mats, dtype=complex)
+    hs = np.einsum("kij,kji->k", stack, stack).real
+    stack.flags.writeable = False
+    hs.flags.writeable = False
+    return labels, stack, hs
 
 
 def decompose_interaction(
@@ -62,42 +77,35 @@ def decompose_interaction(
         raise ValueError("interaction shape does not match the cut")
     if not is_hermitian(v, IMAG_RESIDUE):
         raise ValueError("interaction must be hermitian")
-    left = hermitian_site_basis(da)
-    right = hermitian_site_basis(db)
-    terms = []
-    lfac = []
-    rfac = []
-    max_imag = 0.0
-    for la, a in left:
-        hs_a = float(np.trace(a @ a).real)
-        for lb, b in right:
-            hs_b = float(np.trace(b @ b).real)
-            c = np.trace(np.kron(a, b) @ v) / (hs_a * hs_b)
-            max_imag = max(max_imag, abs(float(c.imag)))
-            if abs(c) <= 1e-14:
-                continue
-            terms.append((float(c.real), la, lb))
-            lfac.append(a)
-            rfac.append(b)
+    labels_a, left, hs_a = _basis_stack(da)
+    labels_b, right, hs_b = _basis_stack(db)
+    # coef[p, q] = tr((a_p (x) b_q) V) / (tr(a_p a_p) tr(b_q b_q)), one side at
+    # a time: V[(i,k),(j,l)] = v4[i,k,j,l] and (a (x) b)[(j,l),(i,k)] = a[j,i] b[l,k]
+    half = np.tensordot(left, v.reshape(da, db, da, db), axes=([1, 2], [2, 0]))
+    coef = np.tensordot(half, right, axes=([1, 2], [2, 1])) / np.outer(hs_a, hs_b)
+    max_imag = float(np.abs(coef.imag).max())
+    flat = coef.ravel()  # left index outer
+    kept = np.flatnonzero(np.abs(flat) > 1e-14)
+    ia, ib = np.divmod(kept, len(labels_b))
+    values = flat.real[kept]
+    terms = tuple(
+        zip(values.tolist(), [labels_a[p] for p in ia.tolist()], [labels_b[q] for q in ib.tolist()])
+    )
     dec = InteractionDecomposition(
         dims=(da, db),
-        terms=tuple(terms),
-        left_factors=tuple(lfac),
-        right_factors=tuple(rfac),
-        l1_norm=float(sum(abs(t[0]) for t in terms)),
+        terms=terms,
+        left_factors=tuple(left[ia]),
+        right_factors=tuple(right[ib]),
+        l1_norm=float(np.abs(values).sum()),
         reconstruction_error=0.0,
         max_imag_residue=max_imag,
         complex_flag=max_imag > IMAG_RESIDUE,
     )
-    err = float(np.abs(dec.reconstruct() - v).max()) if terms else float(np.abs(v).max())
+    err = float(np.abs(dec.reconstruct() - v).max())
     dec = dataclasses.replace(dec, reconstruction_error=err)
     if err > 1e-10:
         raise AssertionError(f"decomposition does not reconstruct V: residual {err}")
     return dec
-
-
-def _as_matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
 
 
 def _cut_views(rho: np.ndarray, dims: tuple[int, int]):
@@ -137,13 +145,18 @@ def entangling_rate_fd(
     """Centered finite difference of S_2 under conjugation by exp(-iVh).
 
     Falls back to Richardson extrapolation (steps h and h/2) when the
-    reduced purity is small and cancellation grows.
+    reduced purity is small and cancellation grows.  V must be hermitian;
+    one eigendecomposition then gives exp(-iVt) exactly for every step.
     """
     rho = _as_matrix(rho_ab)
     da, db = int(dims[0]), int(dims[1])
+    v = np.asarray(v)
+    if not is_hermitian(v, IMAG_RESIDUE):
+        raise ValueError("interaction must be hermitian")
+    w, vecs = np.linalg.eigh(v)
 
     def diff(step: float) -> float:
-        u = expm(-1j * step * v)
+        u = (vecs * np.exp(-1j * step * w)) @ vecs.conj().T
         fwd = _renyi2_left(u @ rho @ u.conj().T, (da, db))
         bwd = _renyi2_left(u.conj().T @ rho @ u, (da, db))
         return (fwd - bwd) / (2.0 * step)

@@ -10,7 +10,7 @@ import pytest
 
 import ergolab
 from ergolab import CATALOG_VERSION
-from ergolab.cli import ConfigError, build_config, run
+from ergolab.cli import ConfigError, build_config, main, run
 
 
 def invoke(args, cwd):
@@ -110,6 +110,28 @@ def test_run_api_rejects_unknown_experiment():
         run({"experiment": "warp"})
     with pytest.raises(ConfigError):
         build_config("gibbs", {"volume": 1})
+    with pytest.raises(ConfigError):
+        run({"experiment": "gibbs", "sites": 0})
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["spectrum", "--sites", "0"], 2),  # lattice size
+        (["spectrum", "--geometry", "ring"], 2),  # lattice geometry
+        (["scan", "--mode", "bogus"], 2),  # search policy
+        (["theorem1", "--sizes", "8,6"], 2),  # growth grid order
+        (["prop1", "--sizes", "7,9,11"], 2),  # family grid parity
+        (["spectrum", "--sites", "70"], 3),  # lattice beyond the index range
+    ],
+)
+def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_api_in_process():

@@ -2,12 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ergolab.circuits import brickwork, haar_unitary, layer_generator
 from ergolab.hamiltonians import LocalHamiltonian, LocalTerm, build_model, diagonalize
-from ergolab.operators import embed_operator, pauli, random_density, random_hermitian
+from ergolab.operators import (
+    embed_operator,
+    hermitian_site_basis,
+    pauli,
+    random_density,
+    random_hermitian,
+)
 from ergolab.rates import (
     QuasiLocalUnitary,
+    _basis_stack,
+    _renyi2_left,
     boundary_rate,
     check_rate_bound,
     decompose_interaction,
@@ -40,6 +49,93 @@ def test_decompose_random_reconstructs(rng):
     dec = decompose_interaction(v, (4, 4))
     assert np.allclose(dec.reconstruct(), v, atol=1e-10)
     assert dec.l1_norm >= abs(np.trace(v).real) / 16 - 1e-12
+
+
+def _reference_terms(v, dims):
+    """The term-by-term kron + trace loop the vectorised kernel replaced."""
+    da, db = dims
+    terms = []
+    for la, a in hermitian_site_basis(da):
+        for lb, b in hermitian_site_basis(db):
+            hs = np.trace(a @ a).real * np.trace(b @ b).real
+            c = np.trace(np.kron(a, b) @ v) / hs
+            if abs(c) > 1e-14:
+                terms.append((float(c.real), la, lb))
+    return terms
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2), (3, 3), (4, 4)])
+def test_decompose_matches_reference_loop(dims, rng):
+    dim = dims[0] * dims[1]
+    cases = [random_hermitian(dim, rng), random_hermitian(dim, rng, norm=3.0).real]
+    sparse = []
+    if dims == (2, 2):
+        zz_x = np.kron(pauli("Z"), pauli("Z")) + 0.3 * np.kron(pauli("X"), np.eye(2))
+        # a round trip through a random rotation leaves rounding-level (~1e-16)
+        # coefficients on the fourteen absent products, which the 1e-14 rule skips
+        u = haar_unitary(4, rng)
+        noisy = u.conj().T @ (u @ zz_x @ u.conj().T) @ u
+        sparse = [zz_x, 0.5 * (noisy + noisy.conj().T)]
+    for v in cases + sparse:
+        dec = decompose_interaction(v, dims)
+        ref = _reference_terms(v, dims)
+        # the skip rule yields the same term list, in the same order
+        assert [t[1:] for t in dec.terms] == [t[1:] for t in ref]
+        got = np.array([t[0] for t in dec.terms])
+        want = np.array([t[0] for t in ref])
+        assert np.abs(got - want).max() <= 1e-12
+        assert dec.l1_norm == pytest.approx(np.abs(want).sum(), abs=1e-12)
+        assert dec.reconstruction_error <= 1e-12
+        assert np.abs(dec.reconstruct() - v).max() <= 1e-12
+    for v in sparse:
+        labels = [t[1:] for t in decompose_interaction(v, dims).terms]
+        assert labels == [("X01", "I"), ("D1", "D1")]
+
+
+def test_basis_stack_is_read_only():
+    for d in (2, 3, 4):
+        labels, stack, hs = _basis_stack(d)
+        assert labels == tuple(label for label, _ in hermitian_site_basis(d))
+        assert _basis_stack(d)[1] is stack
+        for arr in (stack, hs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def _reference_fd(rho, dims, v, h=1e-5):
+    def diff(step):
+        u = expm(-1j * step * v)
+        fwd = _renyi2_left(u @ rho @ u.conj().T, dims)
+        bwd = _renyi2_left(u.conj().T @ rho @ u, dims)
+        return (fwd - bwd) / (2.0 * step)
+
+    rho_a = np.einsum("aibi->ab", rho.reshape(*dims, *dims))
+    if np.trace(rho_a @ rho_a).real < 1e-3:
+        return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+    return diff(h)
+
+
+def test_fd_rate_matches_expm_reference(rng):
+    # a normalised 4x4 rho_A has purity >= 1/4; scaling rho by 1e-2 brings
+    # the purity below 1e-3, where the Richardson branch runs
+    for scale, richardson in ((1.0, False), (1e-2, True)):
+        for _ in range(5):
+            rho = scale * random_density(16, rng)
+            v = random_hermitian(16, rng)
+            assert (np.exp(-_renyi2_left(rho, (4, 4))) < 1e-3) == richardson
+            fd = entangling_rate_fd(rho, (4, 4), v)
+            ref = _reference_fd(rho, (4, 4), v)
+            # relative to |rate|, floored at 1: the difference quotient turns
+            # rounding in S_2 into ~1e-11 (plain) to ~3e-10 (Richardson)
+            # whichever way exp(-iVh) is formed, and these rates are ~1e-2
+            assert abs(fd - ref) <= 1e-9 * max(abs(ref), 1.0)
+
+
+def test_fd_rate_rejects_nonhermitian(rng):
+    v = random_hermitian(16, rng) + 1e-3j * np.eye(16)
+    with pytest.raises(ValueError):
+        entangling_rate_fd(random_density(16, rng), (4, 4), v)
 
 
 def test_decompose_rejects_nonhermitian():
