@@ -38,6 +38,7 @@ from .ensembles import (  # noqa: E402
     variance_sampled,
 )
 from .ergodicity import (  # noqa: E402
+    STATE_RECIPES,
     SearchPolicy,
     build_profile,
     diagonal_entropy_growth,
@@ -51,6 +52,7 @@ from .hamiltonians import (  # noqa: E402
     check_gibbs_identities,
     diagonalize,
     gap_report,
+    inverse_temperature,
     trace_energy_density,
 )
 from .mps import (  # noqa: E402
@@ -61,8 +63,9 @@ from .mps import (  # noqa: E402
     product_overlap_transfer,
     random_injective_spec,
 )
-from .operators import random_density, random_hermitian  # noqa: E402
+from .operators import pauli, random_density, random_hermitian  # noqa: E402
 from .overlaps import (  # noqa: E402
+    family_epsilon,
     family_sizes,
     overlap_bound_check,
     product_state_from_factors,
@@ -76,7 +79,7 @@ from .rates import (  # noqa: E402
     integrated_bound_check,
     stability_experiment,
 )
-from .states import LatticeSpec  # noqa: E402
+from .states import LatticeSpec, SiteSet  # noqa: E402
 from .tolerances import TOL  # noqa: E402
 
 SCOPE_NOTE = (
@@ -531,8 +534,10 @@ def _validate(experiment: str, config: dict) -> None:
     """Reject values the runners cannot use, before any of them starts.
 
     Each value goes through the library check that would reject it at run
-    time: lattices, search policies and size grids.  A lattice beyond the
-    index range still raises ResourceGuardError.
+    time: lattices, search policies, size grids, state recipes, observable
+    axes and sites, the family weight and inverse temperatures.  The
+    sample count of `rates` is checked here, since its loop is the runner's
+    own.  A lattice beyond the index range still raises ResourceGuardError.
     """
     try:
         if experiment == "theorem1":
@@ -543,14 +548,30 @@ def _validate(experiment: str, config: dict) -> None:
             sizes = (int(config["sites"]),)
         else:
             sizes = ()
-        for n in sizes:
+        lattices = [
             LatticeSpec(n, int(config.get("local_dim", 2)), config.get("geometry", "chain-open"))
+            for n in sizes
+        ]
         if "model" in config and config["model"] not in MODEL_NAMES:
             raise ConfigError(f"unknown model {config['model']!r}; catalog: {MODEL_NAMES}")
         if "mode" in config:
             policy = _policy_from(config)
             for n in sizes:
                 policy.max_size(n)
+        if "recipe" in config and config["recipe"] not in STATE_RECIPES:
+            raise ConfigError(
+                f"unknown state recipe {config['recipe']!r}; one of {STATE_RECIPES}"
+            )
+        if "axis" in config:
+            pauli(config["axis"])
+        if config.get("site") is not None:
+            SiteSet(lattices[0], (int(config["site"]),))
+        if "epsilon" in config:
+            family_epsilon(config["epsilon"])
+        for beta in config.get("betas", ()):
+            inverse_temperature(beta)
+        if experiment == "rates" and int(config["samples"]) < 1:
+            raise ConfigError("rates needs at least one sample")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 

@@ -12,6 +12,7 @@ entropies must grow with system size.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -31,8 +32,11 @@ from .states import (
 )
 
 SEARCH_MODES = ("exhaustive", "random-sample", "half-cut-only")
+STATE_RECIPES = ("neel", "all-up", "random-product")
 EXHAUSTIVE_GUARD = 10**6
 ZERO_G = 1e-10
+# bytes of state-major rows per scan block: small enough to stay in L2
+SCAN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,26 @@ def candidate_subsets(lattice: LatticeSpec, policy: SearchPolicy) -> list[tuple[
     return list(pool)
 
 
-def _batch_renyi2(vectors: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
-    """S_2 of the reduced state on `keep`, for every column at once."""
-    d, n = lattice.local_dim, lattice.num_sites
-    nst = vectors.shape[1]
+@functools.cache
+def _subset_order(num_sites: int, d: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Read-only basis-index permutation that puts the `keep` digits first.
+
+    Taking a state-major row at these indices lists its amplitudes with the
+    kept digits most significant, so a reshape to (d**len(keep), -1) gives
+    the bipartition matrix without an N-axis transpose of the state.
+    """
     kept = set(keep)
-    rest = [s for s in range(n) if s not in kept]
-    t = vectors.T.reshape((nst, *([d] * n)))
-    t = t.transpose([0] + [1 + s for s in keep] + [1 + s for s in rest])
-    t = t.reshape(nst, d ** len(keep), -1)
+    rest = [s for s in range(num_sites) if s not in kept]
+    order = np.arange(d**num_sites).reshape((d,) * num_sites)
+    order = np.ascontiguousarray(order.transpose([*keep, *rest])).reshape(-1)
+    order.flags.writeable = False
+    return order
+
+
+def _rows_renyi2(rows: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
+    """S_2 of the reduced state on `keep`, for every state-major row."""
+    order = _subset_order(lattice.num_sites, lattice.local_dim, keep)
+    t = rows.take(order, axis=1).reshape(rows.shape[0], lattice.local_dim ** len(keep), -1)
     if np.iscomplexobj(t):
         g = t @ t.conj().transpose(0, 2, 1)
         purity = np.einsum("nab,nab->n", g, g.conj()).real
@@ -125,6 +140,37 @@ def _batch_renyi2(vectors: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ..
         g = t @ t.transpose(0, 2, 1)
         purity = np.einsum("nab,nab->n", g, g)
     return -np.log(np.clip(purity, 1e-300, 1.0))
+
+
+def _batch_renyi2(vectors: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
+    """S_2 of the reduced state on `keep`, for every column at once."""
+    return _rows_renyi2(vectors.T, lattice, keep)
+
+
+def _scan(
+    vectors: np.ndarray, lattice: LatticeSpec, cands: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest S_2 over `cands` for every column, and the index of the first
+    candidate that reaches it.
+
+    States go in blocks of about SCAN_BLOCK_BYTES: each block is copied once
+    into state-major rows, which stay cache-resident while every candidate
+    is evaluated on them.
+    """
+    nst = vectors.shape[1]
+    best_s2 = np.full(nst, -1.0)
+    best_idx = np.zeros(nst, dtype=int)
+    step = max(1, SCAN_BLOCK_BYTES // (vectors.shape[0] * vectors.itemsize))
+    for start in range(0, nst, step):
+        rows = np.ascontiguousarray(vectors[:, start : start + step].T)
+        block_s2 = best_s2[start : start + step]
+        block_idx = best_idx[start : start + step]
+        for ci, cand in enumerate(cands):
+            s2 = _rows_renyi2(rows, lattice, cand)
+            upd = s2 > block_s2
+            block_s2[upd] = s2[upd]
+            block_idx[upd] = ci
+    return best_s2, best_idx
 
 
 def max_s2_subsystem(
@@ -137,15 +183,9 @@ def max_s2_subsystem(
     """
     policy = policy or SearchPolicy()
     lattice = state.lattice
-    column = state.amplitudes[:, None]
-    best_s2 = -1.0
-    best: tuple[int, ...] | None = None
-    for cand in candidate_subsets(lattice, policy):
-        s2 = float(_batch_renyi2(column, lattice, cand)[0])
-        if s2 > best_s2:
-            best_s2, best = s2, cand
-    assert best is not None
-    return SiteSet(lattice, best), max(best_s2, 0.0)
+    cands = candidate_subsets(lattice, policy)
+    best_s2, best_idx = _scan(state.amplitudes[:, None], lattice, cands)
+    return SiteSet(lattice, cands[best_idx[0]]), max(float(best_s2[0]), 0.0)
 
 
 @dataclass
@@ -267,23 +307,20 @@ def build_profile(
 ) -> ErgodicityProfile:
     """Scan every eigenstate and fit the density-binned lower envelope.
 
-    The scan is batched: each candidate subsystem is evaluated against
-    all eigenvectors in one pass, preserving the real dtype of symmetric
-    Hamiltonians.
+    The scan runs over blocks of eigenstates of about SCAN_BLOCK_BYTES
+    each.  A block is copied once into state-major rows, and every
+    candidate subsystem is then evaluated on it: the rows are gathered into
+    the candidate's bipartition order with one precomputed index, so the
+    eigenvector matrix is read once per profile rather than transposed once
+    per candidate.  Real eigenvectors stay real; ties keep the earlier
+    candidate.
     """
     policy = policy or SearchPolicy()
     lattice = spectral.lattice
     if spectral.e_max <= 0:
         raise ValueError("spectrum has no width; nothing to profile")
     cands = candidate_subsets(lattice, policy)
-    dim = spectral.dim
-    best_s2 = np.full(dim, -1.0)
-    best_idx = np.zeros(dim, dtype=int)
-    for ci, cand in enumerate(cands):
-        s2 = _batch_renyi2(spectral.eigenvectors, lattice, cand)
-        upd = s2 > best_s2
-        best_s2[upd] = s2[upd]
-        best_idx[upd] = ci
+    best_s2, best_idx = _scan(spectral.eigenvectors, lattice, cands)
     best_s2 = np.maximum(best_s2, 0.0)
     values = best_s2 / lattice.num_sites
     densities = spectral.densities
@@ -500,7 +537,7 @@ def initial_state(recipe, lattice: LatticeSpec, seed: int = 0) -> PureState:
         return basis_product_state(lattice, (0,) * lattice.num_sites)
     if recipe == "random-product":
         return random_product_state(lattice, seed)
-    raise ValueError(f"unknown state recipe {recipe!r}")
+    raise ValueError(f"unknown state recipe {recipe!r}; one of {STATE_RECIPES}")
 
 
 @dataclass(frozen=True)

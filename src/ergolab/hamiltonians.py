@@ -260,16 +260,14 @@ class GapReport:
 
 
 def _coincidence_pairs(sorted_vals: np.ndarray, tol: float) -> int:
-    """Number of index pairs within tol of each other, by adjacent runs."""
-    if sorted_vals.size < 2:
-        return 0
+    """Number of index pairs within tol of each other, by adjacent runs.
+
+    A run of L consecutive close neighbours holds L(L+1)/2 such pairs.
+    """
     close = np.diff(sorted_vals) <= tol
-    pairs = 0
-    run = 0
-    for c in close:
-        run = run + 1 if c else 0
-        pairs += run
-    return pairs
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], close, [False])).astype(np.int8)))
+    runs = edges[1::2] - edges[::2]
+    return int(np.sum(runs * (runs + 1) // 2))
 
 
 def gap_report(
@@ -290,19 +288,9 @@ def gap_report(
     dim = energies.size
     tol = 1e-10 * max(s.norm, 1.0) if tolerance is None else tolerance
     # level degeneracies first
-    level_sorted = np.sort(energies)
-    close = np.diff(level_sorted) <= tol
-    degen_levels = 0
-    i = 0
-    while i < close.size:
-        if close[i]:
-            j = i
-            while j < close.size and close[j]:
-                j += 1
-            degen_levels += j - i + 1
-            i = j
-        else:
-            i += 1
+    degen_levels = sum(
+        b - a for a, b in degenerate_groups(np.sort(energies), tol) if b - a > 1
+    )
     exact = dim <= 1024
     if exact:
         diff = energies[:, None] - energies[None, :]
@@ -337,9 +325,15 @@ def degenerate_groups(energies: np.ndarray, tolerance: float) -> list[tuple[int,
     return groups
 
 
-def gibbs_populations(s: SpectralData, beta: float) -> np.ndarray:
+def inverse_temperature(beta: float) -> float:
+    """A beta the Gibbs routines accept: zero or positive."""
     if beta < 0:
         raise ValueError("negative inverse temperature is unsupported")
+    return beta
+
+
+def gibbs_populations(s: SpectralData, beta: float) -> np.ndarray:
+    beta = inverse_temperature(beta)
     logw = -beta * s.energies
     return np.exp(logw - logsumexp(logw))
 

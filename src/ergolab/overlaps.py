@@ -68,6 +68,13 @@ class EpsilonState:
     normalization_defect: float
 
 
+def family_epsilon(epsilon: float) -> float:
+    """Weight of the entangled part of the epsilon family: in [0, 1]."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
+    return epsilon
+
+
 def build_epsilon_state(
     lattice: LatticeSpec,
     epsilon: float,
@@ -83,8 +90,7 @@ def build_epsilon_state(
     n, d = lattice.num_sites, lattice.local_dim
     if n % 2:
         raise ValueError("epsilon family needs an even number of sites")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
+    epsilon = family_epsilon(epsilon)
     if half_cut is None:
         half_cut = tuple(range(n // 2))
     cut = site_set(lattice, half_cut)

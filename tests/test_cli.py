@@ -10,6 +10,7 @@ import pytest
 
 import ergolab
 from ergolab import CATALOG_VERSION
+from ergolab import cli
 from ergolab.cli import ConfigError, build_config, main, run
 
 
@@ -123,9 +124,19 @@ def test_run_api_rejects_unknown_experiment():
         (["theorem1", "--sizes", "8,6"], 2),  # growth grid order
         (["prop1", "--sizes", "7,9,11"], 2),  # family grid parity
         (["spectrum", "--sites", "70"], 3),  # lattice beyond the index range
+        (["prop1", "--epsilon", "2"], 2),  # family weight
+        (["equilibrate", "--recipe", "bogus"], 2),  # state recipe
+        (["equilibrate", "--axis", "Q"], 2),  # observable axis
+        (["equilibrate", "--site", "99"], 2),  # observable site
+        (["gibbs", "--betas", "-1"], 2),  # inverse temperature
+        (["rates", "--samples", "0"], 2),  # sample count
     ],
 )
-def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys):
+def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):
+    def runner_started(config):
+        raise AssertionError("a runner started on an invalid config")
+
+    monkeypatch.setattr(cli, "RUNNERS", dict.fromkeys(cli.RUNNERS, runner_started))
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == code
     err = capsys.readouterr().err

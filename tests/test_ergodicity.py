@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from ergolab import ergodicity, rates
 from ergolab.ensembles import DiagonalEnsemble
 from ergolab.ergodicity import (
+    SEARCH_MODES,
     SearchPolicy,
+    _scan,
+    _subset_order,
     build_profile,
     bulk_check,
     candidate_subsets,
@@ -20,7 +24,14 @@ from ergolab.ergodicity import (
 )
 from ergolab.hamiltonians import LocalHamiltonian, LocalTerm, build_model, diagonalize
 from ergolab.operators import pauli
-from ergolab.states import LatticeSpec, ResourceGuardError, maximally_entangled, random_product_state
+from ergolab.rates import integrated_bound_check
+from ergolab.states import (
+    LatticeSpec,
+    PureState,
+    ResourceGuardError,
+    maximally_entangled,
+    random_product_state,
+)
 
 
 def test_policy_validation():
@@ -209,3 +220,128 @@ def test_variance_trend_gap_exclusion():
     assert len(rep.excluded) == 2
     assert not rep.passed
     assert "excluded" in rep.note
+
+
+def _reference_renyi2(vectors, lattice, keep):
+    # the former kernel: one N-axis transpose of all columns per candidate
+    d, n = lattice.local_dim, lattice.num_sites
+    nst = vectors.shape[1]
+    kept = set(keep)
+    rest = [s for s in range(n) if s not in kept]
+    t = vectors.T.reshape((nst, *([d] * n)))
+    t = t.transpose([0] + [1 + s for s in keep] + [1 + s for s in rest])
+    t = t.reshape(nst, d ** len(keep), -1)
+    if np.iscomplexobj(t):
+        g = t @ t.conj().transpose(0, 2, 1)
+        purity = np.einsum("nab,nab->n", g, g.conj()).real
+    else:
+        g = t @ t.transpose(0, 2, 1)
+        purity = np.einsum("nab,nab->n", g, g)
+    return -np.log(np.clip(purity, 1e-300, 1.0))
+
+
+def _assert_matches_reference(vectors, lattice, cands, best_s2, best_idx):
+    """best_s2 agrees with the old candidate loop to 1e-12; a different
+    subset is picked only where the two subsets' S2 agree to 1e-12."""
+    table = np.stack([_reference_renyi2(vectors, lattice, c) for c in cands])
+    ref_s2 = np.full(vectors.shape[1], -1.0)
+    ref_idx = np.zeros(vectors.shape[1], dtype=int)
+    for ci, s2 in enumerate(table):
+        upd = s2 > ref_s2
+        ref_s2[upd] = s2[upd]
+        ref_idx[upd] = ci
+    np.testing.assert_allclose(best_s2, ref_s2, rtol=0, atol=1e-12)
+    cols = np.arange(vectors.shape[1])
+    np.testing.assert_allclose(
+        table[best_idx, cols], table[ref_idx, cols], rtol=0, atol=1e-12
+    )
+
+
+def _unit_columns(dim, count, seed, complex_=True):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(dim, count))
+    if complex_:
+        v = v + 1j * rng.normal(size=(dim, count))
+    return v / np.linalg.norm(v, axis=0)
+
+
+def _periodic8():
+    lat = LatticeSpec(8, 2, "chain-periodic")
+    return diagonalize(build_model("mixed-field-ising", lat))
+
+
+SCAN_CASES = {
+    "real-mfi8": lambda spec8: (spec8.lattice, spec8.eigenvectors),
+    "complex-columns": lambda spec8: (LatticeSpec(7, 2), _unit_columns(2**7, 53, 1)),
+    "local-dim-3": lambda spec8: (LatticeSpec(5, 3), _unit_columns(3**5, 41, 2)),
+    "local-dim-3-real": lambda spec8: (LatticeSpec(5, 3), _unit_columns(3**5, 30, 3, False)),
+    "chain-periodic": lambda spec8: (LatticeSpec(8, 2, "chain-periodic"), _periodic8().eigenvectors),
+}
+
+
+@pytest.mark.parametrize("block_rows", [None, 7, 1])
+@pytest.mark.parametrize("mode", SEARCH_MODES)
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_scan_matches_transpose_reference(case, mode, block_rows, spec8, monkeypatch):
+    lattice, vectors = SCAN_CASES[case](spec8)
+    if block_rows is not None:
+        # blocks of 7 leave a remainder on every case; 1 is one state per block
+        row_bytes = vectors.shape[0] * vectors.itemsize
+        monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", block_rows * row_bytes)
+        assert vectors.shape[1] % block_rows or block_rows == 1
+    cands = candidate_subsets(lattice, SearchPolicy(mode=mode, budget=60, seed=3))
+    best_s2, best_idx = _scan(vectors, lattice, cands)
+    _assert_matches_reference(vectors, lattice, cands, best_s2, best_idx)
+
+
+@pytest.mark.parametrize("mode", SEARCH_MODES)
+def test_profile_matches_transpose_reference(mode, spec8, monkeypatch):
+    row_bytes = spec8.eigenvectors[:, 0].nbytes
+    monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", 13 * row_bytes)
+    policy = SearchPolicy(mode=mode, budget=80, seed=1)
+    prof = build_profile(spec8, policy)
+    cands = candidate_subsets(spec8.lattice, policy)
+    n = spec8.lattice.num_sites
+    best_idx = np.array([cands.index(sub) for sub in prof.best_subsets])
+    _assert_matches_reference(
+        spec8.eigenvectors, spec8.lattice, cands, prof.s2_over_n * n, best_idx
+    )
+
+
+def test_max_s2_subsystem_matches_transpose_reference(spec8):
+    mixed = (spec8.eigenvectors[:, :3] @ [0.6, 0.64, 0.48]).astype(complex)
+    policy = SearchPolicy(mode="exhaustive")
+    cands = candidate_subsets(spec8.lattice, policy)
+    for state in (random_product_state(spec8.lattice, 4), PureState(spec8.lattice, mixed)):
+        best, s2 = max_s2_subsystem(state, policy)
+        _assert_matches_reference(
+            state.amplitudes[:, None],
+            spec8.lattice,
+            cands,
+            np.array([s2]),
+            np.array([cands.index(best.sites)]),
+        )
+
+
+@pytest.mark.parametrize("n, d, keep", [(6, 2, (1, 4)), (5, 3, (4, 0, 2)), (4, 2, (0, 1))])
+def test_subset_order_is_read_only_permutation(n, d, keep):
+    order = _subset_order(n, d, keep)
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 0
+    assert np.array_equal(np.sort(order), np.arange(d**n))
+    assert _subset_order(n, d, keep) is order
+    # gathering a row at the order puts the kept digits first
+    x = np.random.default_rng(0).normal(size=d**n)
+    rest = [s for s in range(n) if s not in keep]
+    expected = x.reshape((d,) * n).transpose([*keep, *rest]).reshape(-1)
+    assert np.array_equal(x[order], expected)
+
+
+def test_integrated_bound_s2_unchanged(spec6, monkeypatch):
+    psi = random_product_state(spec6.lattice, 7)
+    t = np.linspace(0.0, 2.0, 9)
+    new = integrated_bound_check(psi, spec6.hamiltonian, (0, 1, 2), t)
+    monkeypatch.setattr(rates, "_batch_renyi2", _reference_renyi2)
+    old = integrated_bound_check(psi, spec6.hamiltonian, (0, 1, 2), t)
+    np.testing.assert_allclose(new.s2_values, old.s2_values, rtol=0, atol=1e-12)

@@ -1,5 +1,6 @@
 """Model catalog, diagonalization, gap scans, thermal identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from ergolab.hamiltonians import (
     LocalHamiltonian,
     LocalTerm,
     ResourceGuardError,
+    _coincidence_pairs,
     build_model,
     check_gibbs_identities,
     degenerate_groups,
@@ -150,6 +152,67 @@ def test_gap_report_sampling_path():
     rep = gap_report(spec, sample_budget=50_000, seed=0)
     assert rep.sampled
     assert rep.gaps_scanned <= 50_000
+
+
+def _reference_coincidence_pairs(sorted_vals, tol):
+    # the former per-element loop of _coincidence_pairs
+    if sorted_vals.size < 2:
+        return 0
+    close = np.diff(sorted_vals) <= tol
+    pairs = 0
+    run = 0
+    for c in close:
+        run = run + 1 if c else 0
+        pairs += run
+    return pairs
+
+
+def _reference_degenerate_levels(energies, tol):
+    # the former hand-rolled level loop of gap_report
+    close = np.diff(np.sort(energies)) <= tol
+    degen_levels = 0
+    i = 0
+    while i < close.size:
+        if close[i]:
+            j = i
+            while j < close.size and close[j]:
+                j += 1
+            degen_levels += j - i + 1
+            i = j
+        else:
+            i += 1
+    return degen_levels
+
+
+GAP_PIN_VALUES = {
+    "size-0": [],
+    "size-1": [0.5],
+    "size-2-apart": [0.0, 1.0],
+    "size-2-tied": [0.3, 0.3],
+    "no-ties": [0.0, 0.5, 1.25, 2.0, 3.5],
+    "all-ties": [0.7] * 9,
+    "runs-at-both-ends": [0.0, 0.0, 1e-13, 0.4, 0.9, 1.3, 2.0, 2.0, 2.0, 2.0],
+    "interior-runs": [0.0, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0, 3.0],
+    "rounded-normal": list(np.round(np.random.default_rng(5).normal(size=200), 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(GAP_PIN_VALUES))
+def test_gap_counts_match_reference_loops(name, spec6):
+    tol = 1e-10
+    vals = np.sort(np.asarray(GAP_PIN_VALUES[name], dtype=float))
+    assert _coincidence_pairs(vals, tol) == _reference_coincidence_pairs(vals, tol)
+    rep = gap_report(dataclasses.replace(spec6, energies=vals), tolerance=tol)
+    gaps = np.sort((vals[:, None] - vals[None, :])[~np.eye(vals.size, dtype=bool)])
+    assert rep.degenerate_gap_pairs == _reference_coincidence_pairs(gaps, tol)
+    assert rep.degenerate_levels == _reference_degenerate_levels(vals, tol)
+
+
+def test_coincidence_pairs_match_reference_loop_at_scale():
+    # sampled-path size: long sorted arrays with many runs of ties
+    vals = np.sort(np.round(np.random.default_rng(6).normal(size=100_000), 3))
+    pairs = _coincidence_pairs(vals, 1e-10)
+    assert pairs == _reference_coincidence_pairs(vals, 1e-10) > 0
 
 
 def test_degenerate_groups():
