@@ -31,6 +31,7 @@ from . import CATALOG_VERSION, __version__  # noqa: E402
 from .circuits import brickwork, haar_unitary, layer_generator  # noqa: E402
 from .ensembles import (  # noqa: E402
     DiagonalEnsemble,
+    check_sampling,
     check_variance_bounds,
     expectation_trajectory,
     site_observable,
@@ -42,6 +43,7 @@ from .ergodicity import (  # noqa: E402
     SearchPolicy,
     build_profile,
     diagonal_entropy_growth,
+    envelope_bins,
     growth_sizes,
     initial_state,
 )
@@ -57,6 +59,7 @@ from .hamiltonians import (  # noqa: E402
 )
 from .mps import (  # noqa: E402
     MPSSpec,
+    decay_sizes,
     ghz_spec,
     mps_overlap_decay,
     mps_to_dense,
@@ -65,7 +68,7 @@ from .mps import (  # noqa: E402
 )
 from .operators import pauli, random_density, random_hermitian  # noqa: E402
 from .overlaps import (  # noqa: E402
-    family_epsilon,
+    constant_entropy_bound,
     family_sizes,
     overlap_bound_check,
     product_state_from_factors,
@@ -534,10 +537,12 @@ def _validate(experiment: str, config: dict) -> None:
     """Reject values the runners cannot use, before any of them starts.
 
     Each value goes through the library check that would reject it at run
-    time: lattices, search policies, size grids, state recipes, observable
-    axes and sites, the family weight and inverse temperatures.  The
-    sample count of `rates` is checked here, since its loop is the runner's
-    own.  A lattice beyond the index range still raises ResourceGuardError.
+    time: lattices, search policies, envelope bins, size grids, state
+    recipes, observable axes and sites, time sampling, overlap regions, the
+    family weight and inverse temperatures.  The sample count and time
+    grid of `rates` are checked here, since its loop and grid are the
+    runner's own.  A lattice beyond the index range still raises
+    ResourceGuardError.
     """
     try:
         if experiment == "theorem1":
@@ -558,6 +563,10 @@ def _validate(experiment: str, config: dict) -> None:
             policy = _policy_from(config)
             for n in sizes:
                 policy.max_size(n)
+        if "bins" in config:
+            envelope_bins(config["bins"])
+        if experiment == "mps":
+            decay_sizes(config["sizes"])
         if "recipe" in config and config["recipe"] not in STATE_RECIPES:
             raise ConfigError(
                 f"unknown state recipe {config['recipe']!r}; one of {STATE_RECIPES}"
@@ -566,12 +575,19 @@ def _validate(experiment: str, config: dict) -> None:
             pauli(config["axis"])
         if config.get("site") is not None:
             SiteSet(lattices[0], (int(config["site"]),))
+        if experiment == "equilibrate":
+            check_sampling(config["samples"], config["horizon"], 2)
+            check_sampling(config["subsystem_samples"], None, 1)
+        if config.get("region"):
+            SiteSet(lattices[0], tuple(int(s) for s in config["region"]))
         if "epsilon" in config:
-            family_epsilon(config["epsilon"])
+            constant_entropy_bound(config["epsilon"], float("inf"))
         for beta in config.get("betas", ()):
             inverse_temperature(beta)
-        if experiment == "rates" and int(config["samples"]) < 1:
-            raise ConfigError("rates needs at least one sample")
+        if experiment == "rates" and min(int(config["samples"]), int(config["t_points"])) < 1:
+            raise ConfigError("rates needs at least one sample and one time point")
+        if experiment == "rates" and not np.isfinite(float(config["t_max"])):
+            raise ConfigError("rates needs a finite t_max")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -10,7 +11,8 @@ import numpy as np
 from .entropy import renyi_entropy
 from .hamiltonians import SpectralData, degenerate_groups
 from .operators import embed_operator, is_hermitian, operator_norm, pauli, random_hermitian
-from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, partial_trace, site_set, trace_distance
+from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _sublattice, bipartition_matrix, site_set
+from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
 
@@ -59,7 +61,7 @@ class DiagonalEnsemble:
     """Time-averaged (dephased) state of a pure state under a spectrum.
 
     Populations are aggregated over degenerate energy blocks, so entropies
-    and the dense matrix are exact even when the spectrum has coincident
+    and reduced states are exact even when the spectrum has coincident
     levels.
     """
 
@@ -108,21 +110,30 @@ class DiagonalEnsemble:
         cols = [v[:, a:b] @ self.coefficients[a:b] for a, b in self.blocks]
         return np.stack(cols, axis=1)
 
-    def matrix(self) -> DensityMatrix:
-        w = self.block_vectors()
-        m = w @ w.conj().T
-        return DensityMatrix(self.spectral.lattice, 0.5 * (m + m.conj().T))
-
     def reduced(self, region: SiteSet | tuple[int, ...]) -> DensityMatrix:
-        keep = site_set(self.spectral.lattice, region)
-        full = self.matrix()
-        return partial_trace(full, keep)
+        """Dephased state on `region`: sum_k M_k M_k^dag over the block
+        vectors' bipartition matrices, without the dim x dim state."""
+        lattice = self.spectral.lattice
+        keep = site_set(lattice, region)
+        m = bipartition_matrix(self.block_vectors().T, keep.sites, lattice)
+        rho = np.tensordot(m, m.conj(), axes=([0, 2], [0, 2]))
+        return DensityMatrix(_sublattice(lattice, len(keep)), 0.5 * (rho + rho.conj().T))
+
+
+def evolve_rows(spectral: SpectralData, state: PureState, times) -> np.ndarray:
+    """Amplitudes V (exp(-iEt) c) at every time, as one product: one
+    state-major row per time, each norm checked against TOL.normalization."""
+    c = spectral.coefficients(state.amplitudes)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), spectral.energies))
+    rows = (phases * c) @ spectral.eigenvectors.T
+    drift = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
+    if not np.all(drift <= TOL.normalization):
+        raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
+    return rows
 
 
 def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
-    c = spectral.coefficients(state.amplitudes)
-    amps = spectral.eigenvectors @ (np.exp(-1j * spectral.energies * time) * c)
-    return PureState(spectral.lattice, amps)
+    return PureState(spectral.lattice, evolve_rows(spectral, state, [time])[0])
 
 
 def expectation_trajectory(
@@ -141,7 +152,7 @@ def expectation_trajectory(
 
 def ensemble_expectation(ens: DiagonalEnsemble, observable: Observable) -> float:
     w = ens.block_vectors()
-    return float(np.real(np.einsum("ik,ij,jk->", w.conj(), observable.matrix, w)))
+    return float(np.real(np.vdot(w, observable.matrix @ w)))
 
 
 def variance_exact(
@@ -158,6 +169,15 @@ def variance_exact(
     off = np.abs(m) ** 2
     np.fill_diagonal(off, 0.0)
     return float(off.sum())
+
+
+def check_sampling(samples: int, horizon: float | None, minimum: int) -> None:
+    """Reject a time average over fewer than `minimum` samples, or over a
+    horizon that is not positive and finite (None picks the default)."""
+    if int(samples) < minimum:
+        raise ValueError(f"need at least {minimum} time samples, got {samples}")
+    if horizon is not None and not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -180,8 +200,10 @@ def variance_sampled(
 
     Times are uniform on [0, horizon].  The default horizon is
     1e4 * dim / ||H||: dephasing between the closest typical levels needs
-    times of order dim / (spectral width), well beyond 1 / ||H||.
+    times of order dim / (spectral width), well beyond 1 / ||H||.  The
+    standard error needs at least two samples.
     """
+    check_sampling(samples, horizon, 2)
     if horizon is None:
         horizon = 1e4 * spectral.dim / max(spectral.norm, 1e-12)
     rng = np.random.default_rng(seed)
@@ -273,8 +295,10 @@ def subsystem_equilibration(
 
     The left side is a Monte-Carlo mean over uniform times, so it sits
     strictly below the rigorous bound with the margin expected from the
-    derivation, not within floating-point tolerance of it.
+    derivation, not within floating-point tolerance of it.  Each
+    rho_S(t) = M M^dag is PSD by construction, with trace the checked norm^2.
     """
+    check_sampling(samples, horizon, 1)
     keep = site_set(spectral.lattice, region)
     ens = DiagonalEnsemble(spectral, state)
     omega_s = ens.reduced(keep)
@@ -282,10 +306,9 @@ def subsystem_equilibration(
         horizon = 1e4 * spectral.dim / max(spectral.norm, 1e-12)
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, horizon, size=samples)
-    dists = np.empty(samples)
-    for i, t in enumerate(times):
-        rho_s = partial_trace(evolve(spectral, state, float(t)), keep)
-        dists[i] = trace_distance(rho_s, omega_s)
+    m = bipartition_matrix(evolve_rows(spectral, state, times), keep.sites, spectral.lattice)
+    rho_s = m @ m.conj().transpose(0, 2, 1)
+    dists = np.abs(np.linalg.eigvalsh(rho_s - omega_s.matrix)).sum(axis=1)
     s2 = ens.entropy(2.0)
     bound = 2.0 * keep.dim * float(np.exp(-0.5 * s2))
     mean = float(dists.mean())

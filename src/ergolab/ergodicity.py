@@ -12,7 +12,6 @@ entropies must grow with system size.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ensembles import DiagonalEnsemble, site_observable, variance_exact
+from .fits import fit_line
 from .hamiltonians import SpectralData, build_model, diagonalize, gap_report
 from .states import (
     LatticeSpec,
@@ -28,6 +28,7 @@ from .states import (
     ResourceGuardError,
     SiteSet,
     basis_product_state,
+    bipartition_matrix,
     random_product_state,
 )
 
@@ -113,38 +114,13 @@ def candidate_subsets(lattice: LatticeSpec, policy: SearchPolicy) -> list[tuple[
     return list(pool)
 
 
-@functools.cache
-def _subset_order(num_sites: int, d: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Read-only basis-index permutation that puts the `keep` digits first.
-
-    Taking a state-major row at these indices lists its amplitudes with the
-    kept digits most significant, so a reshape to (d**len(keep), -1) gives
-    the bipartition matrix without an N-axis transpose of the state.
-    """
-    kept = set(keep)
-    rest = [s for s in range(num_sites) if s not in kept]
-    order = np.arange(d**num_sites).reshape((d,) * num_sites)
-    order = np.ascontiguousarray(order.transpose([*keep, *rest])).reshape(-1)
-    order.flags.writeable = False
-    return order
-
-
 def _rows_renyi2(rows: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
     """S_2 of the reduced state on `keep`, for every state-major row."""
-    order = _subset_order(lattice.num_sites, lattice.local_dim, keep)
-    t = rows.take(order, axis=1).reshape(rows.shape[0], lattice.local_dim ** len(keep), -1)
-    if np.iscomplexobj(t):
-        g = t @ t.conj().transpose(0, 2, 1)
-        purity = np.einsum("nab,nab->n", g, g.conj()).real
-    else:
-        g = t @ t.transpose(0, 2, 1)
-        purity = np.einsum("nab,nab->n", g, g)
+    t = bipartition_matrix(rows, keep, lattice)
+    # conj() and .real return real input itself, so real rows stay real
+    g = t @ t.conj().transpose(0, 2, 1)
+    purity = np.einsum("nab,nab->n", g, g.conj()).real
     return -np.log(np.clip(purity, 1e-300, 1.0))
-
-
-def _batch_renyi2(vectors: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
-    """S_2 of the reduced state on `keep`, for every column at once."""
-    return _rows_renyi2(vectors.T, lattice, keep)
 
 
 def _scan(
@@ -300,6 +276,15 @@ def _fit_envelope(
     return edges, minima, kx, ky, lipschitz
 
 
+def envelope_bins(num_bins: int) -> int:
+    """Density bins of an envelope fit: at least three, the fewest populated
+    bins the fit accepts."""
+    num_bins = int(num_bins)
+    if num_bins < 3:
+        raise ValueError(f"envelope fit needs at least 3 density bins, got {num_bins}")
+    return num_bins
+
+
 def build_profile(
     spectral: SpectralData,
     policy: SearchPolicy | None = None,
@@ -315,6 +300,7 @@ def build_profile(
     per candidate.  Real eigenvectors stay real; ties keep the earlier
     candidate.
     """
+    num_bins = envelope_bins(num_bins)
     policy = policy or SearchPolicy()
     lattice = spectral.lattice
     if spectral.e_max <= 0:
@@ -388,46 +374,26 @@ def tail_check(
             skipped.append(f"N={n}: tail populations vanish")
             continue
         points.append((n, ctr, delta**2 * n, top))
-    if not points:
-        return TailReport(
-            m=None,
-            intercept=None,
-            r_squared=None,
-            delta=delta,
-            points=(),
-            skipped=tuple(skipped),
-            note="no usable tail points",
-            passed=False,
-        )
-    x = np.array([p[2] for p in points])
-    y = np.log(np.array([p[3] for p in points]))
-    if len(points) == 1:
-        m = float(-y[0] / x[0])
-        return TailReport(
-            m=m,
-            intercept=0.0,
-            r_squared=None,
-            delta=delta,
-            points=tuple(points),
-            skipped=tuple(skipped),
-            note="single ensemble: direct solve, no regression",
-            passed=m > 0,
-        )
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    m = float(-slope)
+    m = intercept = r2 = None
+    note = "no usable tail points"
+    if points:
+        x = np.array([p[2] for p in points])
+        y = np.log(np.array([p[3] for p in points]))
+        if len(points) == 1:
+            m, intercept = float(-y[0] / x[0]), 0.0
+            note = "single ensemble: direct solve, no regression"
+        else:
+            slope, intercept, r2 = fit_line(x, y)
+            m, note = -slope, ""
     return TailReport(
         m=m,
-        intercept=float(intercept),
+        intercept=intercept,
         r_squared=r2,
         delta=delta,
         points=tuple(points),
         skipped=tuple(skipped),
-        note="",
-        passed=m > 0,
+        note=note,
+        passed=m is not None and m > 0,
     )
 
 
@@ -628,7 +594,7 @@ def diagonal_entropy_growth(
         bulk_check(ens, prof, e_c)
         for (n, _, ens, prof), e_c in zip(runs, e_centers)
     )
-    slope, intercept = (float(v) for v in np.polyfit(sizes, s_inf, 1))
+    slope, intercept, _ = fit_line(sizes, s_inf)
     increasing = all(b > a for a, b in zip(s_inf, s_inf[1:]))
     if applicable and tail.m is not None:
         k_of_e = top_prof.k_at(e_star)
@@ -737,52 +703,17 @@ def variance_decay_trend(
             pointwise_ok = False
         included.append(n)
         variances.append(var)
-    if not variances:
-        return VarianceTrendReport(
-            model=model,
-            recipe=recipe if isinstance(recipe, str) else "custom",
-            observable=f"{observable_axis.lower()}[mid]",
-            sizes=sizes,
-            included=(),
-            excluded=tuple(excluded),
-            variances=(),
-            slope=None,
-            intercept=None,
-            negative_slope=None,
-            k_of_e=k_of_e,
-            k_consistent=None,
-            pointwise_ok=True,
-            note="every size excluded by the gap scan",
-            passed=False,
-        )
+    slope = intercept = negative = k_ok = None
     note = ""
-    if max(variances) < 1e-25:
-        return VarianceTrendReport(
-            model=model,
-            recipe=recipe if isinstance(recipe, str) else "custom",
-            observable=f"{observable_axis.lower()}[mid]",
-            sizes=sizes,
-            included=tuple(included),
-            excluded=tuple(excluded),
-            variances=tuple(variances),
-            slope=None,
-            intercept=None,
-            negative_slope=None,
-            k_of_e=k_of_e,
-            k_consistent=None,
-            pointwise_ok=pointwise_ok,
-            note="variance identically zero; state is stationary",
-            passed=True,
-        )
-    if len(variances) < 2:
-        note = "single included size; no trend fit"
-        slope = intercept = None
-        negative = None
-        k_ok = None
-        passed = False
+    if not variances:
+        note, passed = "every size excluded by the gap scan", False
+    elif max(variances) < 1e-25:
+        note, passed = "variance identically zero; state is stationary", True
+    elif len(variances) < 2:
+        note, passed = "single included size; no trend fit", False
     else:
         logv = np.log(np.maximum(variances, 1e-300))
-        slope, intercept = (float(v) for v in np.polyfit(included, logv, 1))
+        slope, intercept, _ = fit_line(included, logv)
         negative = slope < 0
         k_ok = None if k_of_e is None else slope <= -k_of_e + fit_tolerance
         passed = bool(negative and pointwise_ok and k_ok is not False)

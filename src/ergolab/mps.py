@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from .fits import fit_line
 from .hamiltonians import DENSE_DIM_GUARD, ResourceGuardError
 from .states import LatticeSpec, PureState
 
@@ -228,6 +229,14 @@ class DecayReport:
             yield n, v, math.log(v) if v > 0 else -math.inf
 
 
+def decay_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Ring sizes of a decay fit: at least two distinct ones."""
+    sizes = tuple(int(n) for n in sizes)
+    if len(set(sizes)) < 2:
+        raise ValueError("a decay fit needs at least two distinct sizes")
+    return sizes
+
+
 def mps_overlap_decay(
     spec: MPSSpec,
     sizes: Sequence[int] = tuple(range(8, 65, 4)),
@@ -243,12 +252,13 @@ def mps_overlap_decay(
     before any fit; a product MPS comes out as the flat branch with
     overlap one at every size.
     """
+    sizes = decay_sizes(sizes)
     inj = injectivity(spec)
     if not inj.injective:
         return DecayReport(
             branch="non-injective",
             injectivity=inj,
-            sizes=tuple(int(n) for n in sizes),
+            sizes=sizes,
             max_overlaps=(),
             kappa=None,
             intercept=None,
@@ -259,7 +269,6 @@ def mps_overlap_decay(
     if spec.local_dim != 2:
         raise NotImplementedError("overlap optimizer implemented for local_dim 2")
     spec = normalized(spec)
-    sizes = tuple(int(n) for n in sizes)
     a0, a1 = spec.tensors[0], spec.tensors[1]
     na, nb = grid_shape
     theta = np.pi * (np.arange(na) + 0.5) / na
@@ -311,20 +320,16 @@ def mps_overlap_decay(
             passed=True,
         )
     y = np.log(np.maximum(best, 1e-300))
-    slope, intercept = np.polyfit(sizes, y, 1)
-    pred = slope * np.asarray(sizes) + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    kappa = float(-slope)
+    slope, intercept, r2 = fit_line(sizes, y)
+    kappa = -slope
     return DecayReport(
         branch="decay",
         injectivity=inj,
         sizes=sizes,
         max_overlaps=tuple(best),
         kappa=kappa,
-        intercept=float(intercept),
-        r_squared=float(r2),
+        intercept=intercept,
+        r_squared=r2,
         refined=refined_any,
         passed=bool(kappa > 0 and r2 >= 0.99),
     )

@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import renyi_entropy
+from .fits import fit_line
 from .states import (
     DensityMatrix,
     LatticeSpec,
@@ -68,13 +69,6 @@ class EpsilonState:
     normalization_defect: float
 
 
-def family_epsilon(epsilon: float) -> float:
-    """Weight of the entangled part of the epsilon family: in [0, 1]."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    return epsilon
-
-
 def build_epsilon_state(
     lattice: LatticeSpec,
     epsilon: float,
@@ -90,7 +84,8 @@ def build_epsilon_state(
     n, d = lattice.num_sites, lattice.local_dim
     if n % 2:
         raise ValueError("epsilon family needs an even number of sites")
-    epsilon = family_epsilon(epsilon)
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
     if half_cut is None:
         half_cut = tuple(range(n // 2))
     cut = site_set(lattice, half_cut)
@@ -140,9 +135,11 @@ def model_entropy(epsilon: float, dim_a: int, order: float) -> float:
 
 def constant_entropy_bound(epsilon: float, order: float) -> float:
     """(alpha/(alpha-1)) log(1/(1-eps)); the alpha -> inf limit is
-    log(1/(1-eps))."""
+    log(1/(1-eps)).  The bound is finite only for eps in [0, 1)."""
     if order <= 1:
         raise ValueError("bound requires order > 1")
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError("constant entropy bound needs epsilon in [0, 1)")
     val = math.log(1.0 / (1.0 - epsilon))
     if order == INF:
         return val
@@ -170,11 +167,11 @@ class EpsilonFamilyReport:
 
 
 def family_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
-    """Chain sizes of the epsilon family: even, and at least three for the
-    slope fit."""
+    """Chain sizes of the epsilon family: even, and at least three distinct
+    ones for the slope fit."""
     sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < 3:
-        raise ValueError("slope fit needs at least three sizes")
+    if len(set(sizes)) < 3:
+        raise ValueError("slope fit needs at least three distinct sizes")
     if any(n % 2 for n in sizes):
         raise ValueError("epsilon family needs an even number of sites")
     return sizes
@@ -203,6 +200,7 @@ def verify_epsilon_family(
     sizes = family_sizes(sizes)
     if any(a <= 1 for a in alphas):
         raise ValueError("constant bounds require alpha > 1")
+    limits = {a: constant_entropy_bound(epsilon, a) + slack for a in alphas}
     s1 = []
     s2 = []
     overlaps_sq = []
@@ -225,7 +223,7 @@ def verify_epsilon_family(
         diff = np.abs(spec - ideal)
         top_dev.append(int(np.sum(diff > 10.0 * eps_state.delta)))
         small_dev.append(int(np.sum(diff > 0.5 * eps_state.delta)))
-    slope = float(np.polyfit(sizes, s1, 1)[0])
+    slope = fit_line(sizes, s1)[0]
     target = 0.5 * epsilon * math.log(local_dim)
     window = (slope_window[0] * target, slope_window[1] * target)
     slope_ok = window[0] <= slope <= window[1]
@@ -236,8 +234,8 @@ def verify_epsilon_family(
         (
             float(a),
             float(alpha_max[a]),
-            constant_entropy_bound(epsilon, a) + slack,
-            bool(alpha_max[a] <= constant_entropy_bound(epsilon, a) + slack),
+            limits[a],
+            bool(alpha_max[a] <= limits[a]),
         )
         for a in alphas
     )

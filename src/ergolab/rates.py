@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import evolve
-from .ergodicity import SearchPolicy, _batch_renyi2, build_profile
+from .ensembles import evolve_rows
+from .ergodicity import SearchPolicy, _rows_renyi2, build_profile
 from .hamiltonians import LocalHamiltonian, SpectralData, diagonalize
 from .operators import embed_operator, hermitian_site_basis, is_hermitian
 from .states import PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
@@ -213,12 +213,12 @@ def _pure_region_rate(state: PureState, keep: SiteSet, op_full: np.ndarray) -> f
     bipartition matrices instead of the full density matrix.
     """
     lat = state.lattice
-    m_psi = bipartition_matrix(state.amplitudes, keep, lat)
+    m_psi = bipartition_matrix(state.amplitudes, keep.sites, lat)
     rho_a = m_psi @ m_psi.conj().T
     purity = float(np.trace(rho_a @ rho_a).real)
     if purity <= 1e-12:
         raise ValueError("reduced purity underflow")
-    m_op = bipartition_matrix(op_full @ state.amplitudes, keep, lat)
+    m_op = bipartition_matrix(op_full @ state.amplitudes, keep.sites, lat)
     k = m_op @ m_psi.conj().T
     raw = 2.0j * np.trace(rho_a @ (k - k.conj().T)) / purity
     if abs(raw.imag) > IMAG_RESIDUE:
@@ -290,22 +290,18 @@ def integrated_bound_check(
 ) -> IntegratedBoundReport:
     """|S_2(t) - S_2(0)| of the region against the linear envelope
     4 t |boundary| max_x ||C_x||_1 on every grid time."""
+    times = [float(t) for t in t_grid]
+    if not times:
+        raise ValueError("time grid is empty")
     keep = site_set(psi0.lattice, region)
     spectral = diagonalize(h)
     region_set = set(keep.sites)
     straddle = h.boundary_terms(tuple(keep.sites))
     max_l1 = max((_term_split_l1(t, region_set) for t in straddle), default=0.0)
-    times = [float(t) for t in t_grid]
-    cols = np.stack(
-        [evolve(spectral, psi0, t).amplitudes for t in times], axis=1
-    )
-    s2 = _batch_renyi2(cols, psi0.lattice, tuple(keep.sites))
-    base = float(
-        _batch_renyi2(psi0.amplitudes[:, None], psi0.lattice, tuple(keep.sites))[0]
-    )
+    s2 = _rows_renyi2(evolve_rows(spectral, psi0, times), psi0.lattice, keep.sites)
+    base = float(_rows_renyi2(psi0.amplitudes[None, :], psi0.lattice, keep.sites)[0])
     bounds = [4.0 * abs(t) * len(straddle) * max_l1 for t in times]
-    excess = [abs(v - base) - b for v, b in zip(s2, bounds)]
-    max_excess = max(excess) if excess else 0.0
+    max_excess = max(abs(v - base) - b for v, b in zip(s2, bounds))
     return IntegratedBoundReport(
         region=tuple(keep.sites),
         times=tuple(times),
@@ -383,8 +379,8 @@ def stability_experiment(
     spectral = diagonalize(h)
     u = u_prime.matrix()
     conj_vecs = u @ spectral.eigenvectors
-    before = _batch_renyi2(spectral.eigenvectors, lattice, tuple(keep.sites))
-    after = _batch_renyi2(conj_vecs, lattice, tuple(keep.sites))
+    before = _rows_renyi2(spectral.eigenvectors.T, lattice, keep.sites)
+    after = _rows_renyi2(conj_vecs.T, lattice, keep.sites)
     shift = np.abs(after - before)
     region_set = set(keep.sites)
     straddle = u_prime.generator.boundary_terms(tuple(keep.sites))

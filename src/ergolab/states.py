@@ -8,6 +8,7 @@ relies on this single convention.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -176,60 +177,57 @@ def _sublattice(lattice: LatticeSpec, num_sites: int) -> LatticeSpec:
     return LatticeSpec(num_sites, lattice.local_dim, "chain-open")
 
 
-def bipartition_matrix(
-    amplitudes: np.ndarray, keep: tuple[int, ...], lattice: LatticeSpec
-) -> np.ndarray:
-    """Reshape an amplitude vector into a (kept, traced) matrix M.
+@functools.cache
+def _subset_order(num_sites: int, d: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Read-only basis-index permutation that puts the `keep` digits first.
 
-    The reduced state on the kept sites is ``M @ M.conj().T``; the kept
-    axes are ordered by ascending site index.  The full density matrix is
-    never materialised.
+    Taking a state-major row at these indices lists its amplitudes with the
+    kept digits most significant, so a reshape to (d**len(keep), -1) gives
+    the bipartition matrix without an N-axis transpose of the state.
     """
-    d, n = lattice.local_dim, lattice.num_sites
-    rest = [s for s in range(n) if s not in set(keep)]
-    t = np.asarray(amplitudes).reshape([d] * n)
-    t = np.transpose(t, list(keep) + rest)
-    return np.ascontiguousarray(t).reshape(d ** len(keep), -1)
+    kept = set(keep)
+    rest = [s for s in range(num_sites) if s not in kept]
+    order = np.arange(d**num_sites).reshape((d,) * num_sites)
+    order = np.ascontiguousarray(order.transpose([*keep, *rest])).reshape(-1)
+    order.flags.writeable = False
+    return order
 
 
-def _ptrace_dense(
-    matrix: np.ndarray, keep: tuple[int, ...], lattice: LatticeSpec
+def bipartition_matrix(
+    amplitudes: np.ndarray, keep: Iterable[int], lattice: LatticeSpec
 ) -> np.ndarray:
-    """Partial trace of an arbitrary (not necessarily unit-trace) matrix."""
-    d, n = lattice.local_dim, lattice.num_sites
-    rest = [s for s in range(n) if s not in set(keep)]
-    t = matrix.reshape([d] * (2 * n))
-    order = list(keep) + rest
-    t = np.transpose(t, order + [n + a for a in order])
-    dk, dr = d ** len(keep), d ** len(rest)
-    t = np.ascontiguousarray(t).reshape(dk, dr, dk, dr)
-    return np.einsum("arbr->ab", t)
+    """Reshape amplitudes into (kept, traced) matrices M.
+
+    `amplitudes` is one vector or a stack of state-major rows of shape
+    (..., dim); the result has shape (..., d**k, d**(n-k)).  The reduced
+    state of a row on the kept sites is ``M @ M.conj().T``; the kept axes
+    are ordered as given, which every caller passes ascending.  The full
+    density matrix is never materialised.
+    """
+    keep = tuple(keep)
+    a = np.asarray(amplitudes)
+    order = _subset_order(lattice.num_sites, lattice.local_dim, keep)
+    return a.take(order, axis=-1).reshape(*a.shape[:-1], lattice.local_dim ** len(keep), -1)
 
 
-def partial_trace(state: PureState | DensityMatrix, keep: SiteSet | Iterable[int]) -> DensityMatrix:
-    """Reduce a state to the given sites (contiguous or not).
+def partial_trace(state: PureState, keep: SiteSet | Iterable[int]) -> DensityMatrix:
+    """Reduce a pure state to the given sites (contiguous or not).
 
     Parameters
     ----------
     state
-        Pure state or density matrix on the full lattice.
+        Pure state on the full lattice.
     keep
         Sites to retain.  Output axes are ordered by ascending site index.
     """
     keep = site_set(state.lattice, keep)
-    kept = keep.sites
-    if len(kept) == state.lattice.num_sites:
-        if isinstance(state, PureState):
-            return density_from_pure(state)
-        return state
-    if isinstance(state, PureState):
-        m = bipartition_matrix(state.amplitudes, kept, state.lattice)
-        rho = m @ m.conj().T
-    else:
-        rho = _ptrace_dense(state.matrix, kept, state.lattice)
+    if len(keep) == state.lattice.num_sites:
+        return density_from_pure(state)
+    m = bipartition_matrix(state.amplitudes, keep.sites, state.lattice)
+    rho = m @ m.conj().T
     # guard against accumulated round-off before validation
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(_sublattice(state.lattice, len(kept)), rho)
+    return DensityMatrix(_sublattice(state.lattice, len(keep)), rho)
 
 
 def overlap(a: PureState, b: PureState) -> complex:

@@ -130,6 +130,16 @@ def test_run_api_rejects_unknown_experiment():
         (["equilibrate", "--site", "99"], 2),  # observable site
         (["gibbs", "--betas", "-1"], 2),  # inverse temperature
         (["rates", "--samples", "0"], 2),  # sample count
+        (["prop1", "--epsilon", "1"], 2),  # family weight with a divergent bound
+        (["equilibrate", "--samples", "1"], 2),  # sampled variance needs a stderr
+        (["equilibrate", "--subsystem-samples", "0"], 2),  # subsystem sample count
+        (["equilibrate", "--horizon", "-1"], 2),  # time horizon
+        (["overlap", "--region", "99"], 2),  # overlap region
+        (["rates", "--t-points", "0"], 2),  # time grid
+        (["rates", "--t-max", "nan"], 2),  # time grid end
+        (["scan", "--bins", "0"], 2),  # envelope bins
+        (["mps", "--sizes", "8"], 2),  # decay fit over one size
+        (["prop1", "--sizes", "6,6,6"], 2),  # family grid of one distinct size
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):

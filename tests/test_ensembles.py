@@ -1,5 +1,6 @@
 """Diagonal ensembles, variance identities, equilibration bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ergolab.ensembles import (
     check_variance_bounds,
     ensemble_expectation,
     evolve,
+    evolve_rows,
     expectation_trajectory,
     random_local_observable,
     site_observable,
@@ -21,7 +23,14 @@ from ergolab.ensembles import (
 )
 from ergolab.hamiltonians import LocalHamiltonian, LocalTerm, diagonalize
 from ergolab.operators import pauli
-from ergolab.states import LatticeSpec, PureState, basis_product_state, random_product_state
+from ergolab.states import (
+    LatticeSpec,
+    PureState,
+    basis_product_state,
+    partial_trace,
+    random_product_state,
+    trace_distance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +62,49 @@ def test_eigenstate_gives_pure_ensemble(spec6_module):
     assert variance_exact(ens, a) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ensemble_matrix_is_dephased_state(ens6, spec6_module):
+def _reference_ptrace_dense(matrix, keep, lattice):
+    # the former dense route: a 2N-axis transpose of a dim x dim matrix
+    d, n = lattice.local_dim, lattice.num_sites
+    rest = [s for s in range(n) if s not in set(keep)]
+    order = list(keep) + rest
+    t = np.transpose(matrix.reshape([d] * (2 * n)), order + [n + a for a in order])
+    dk, dr = d ** len(keep), d ** len(rest)
+    return np.einsum("arbr->ab", np.ascontiguousarray(t).reshape(dk, dr, dk, dr))
+
+
+def _reference_evolve(spectral, state, time):
+    # the former single-time kernel
+    c = spectral.coefficients(state.amplitudes)
+    return spectral.eigenvectors @ (np.exp(-1j * spectral.energies * time) * c)
+
+
+def test_reduced_is_partial_trace_of_dephased_state(ens6, spec6_module):
     v = spec6_module.eigenvectors
-    want = (v * ens6.populations) @ v.conj().T
-    assert np.allclose(ens6.matrix().matrix, want, atol=1e-10)
+    dense = (v * ens6.populations) @ v.conj().T
+    for region in [(0,), (3,), (1, 4), (0, 2, 5)]:
+        want = _reference_ptrace_dense(dense, region, spec6_module.lattice)
+        got = ens6.reduced(region)
+        assert got.lattice.num_sites == len(region)
+        np.testing.assert_allclose(got.matrix, want, rtol=0, atol=1e-12)
+
+
+def test_reduced_exact_on_degenerate_blocks():
+    # H = sum_i Z_i on 4 sites: levels -4, -2 (x4), 0 (x6), 2 (x4), 4, so the
+    # dephased state keeps coherences inside each block: sum_k P_k psi psi^dag P_k
+    lat = LatticeSpec(4, 2)
+    terms = [LocalTerm((i,), pauli("Z"), f"z{i}") for i in range(4)]
+    spec = diagonalize(LocalHamiltonian(lat, terms))
+    psi = random_product_state(lat, 6)
+    ens = DiagonalEnsemble(spec, psi)
+    assert [b - a for a, b in ens.blocks] == [1, 4, 6, 4, 1]
+    v = spec.eigenvectors
+    dense = np.zeros((lat.dim, lat.dim), dtype=complex)
+    for a, b in ens.blocks:
+        w = v[:, a:b] @ (v[:, a:b].conj().T @ psi.amplitudes)
+        dense += np.outer(w, w.conj())
+    for region in [(0,), (1, 3), (0, 1, 2)]:
+        want = _reference_ptrace_dense(dense, region, lat)
+        np.testing.assert_allclose(ens.reduced(region).matrix, want, rtol=0, atol=1e-12)
 
 
 def test_effective_dimension_identity(ens6):
@@ -138,6 +186,19 @@ def test_trajectory_endpoints(spec6_module):
     assert vals[1] == pytest.approx(direct_t, abs=1e-12)
 
 
+def test_ensemble_expectation_matches_einsum_reference(ens6, spec6_module):
+    # degenerate blocks too, where w_k carries coherences between levels
+    lat4 = LatticeSpec(4, 2)
+    zsum = LocalHamiltonian(lat4, [LocalTerm((i,), pauli("Z"), f"z{i}") for i in range(4)])
+    degenerate = DiagonalEnsemble(diagonalize(zsum), random_product_state(lat4, 6))
+    for ens, sites in ((ens6, (1, 4)), (degenerate, (1, 2))):
+        w = ens.block_vectors()
+        lat = ens.spectral.lattice
+        for obs in (site_observable(lat, 2, "X"), random_local_observable(lat, sites, seed=5)):
+            want = float(np.real(np.einsum("ik,ij,jk->", w.conj(), obs.matrix, w)))
+            assert ensemble_expectation(ens, obs) == pytest.approx(want, rel=0, abs=1e-14)
+
+
 def test_ensemble_expectation_is_population_average(ens6, spec6_module):
     a = site_observable(spec6_module.lattice, 0)
     v = spec6_module.eigenvectors
@@ -164,6 +225,57 @@ def test_subsystem_equilibration_bound(spec6_module):
     assert rep.mean_distance <= rep.bound + 1e-12
     assert rep.subsystem_dim == 2
     assert rep.max_distance >= rep.mean_distance
+
+
+def _reference_subsystem_distances(spectral, state, region, times):
+    # the former route: one evolve + partial_trace + trace_distance per time
+    # against the partial trace of the dense dephased state
+    ens = DiagonalEnsemble(spectral, state)
+    w = ens.block_vectors()
+    omega = _reference_ptrace_dense(w @ w.conj().T, region, spectral.lattice)
+    dists = []
+    for t in times:
+        psi_t = PureState(spectral.lattice, _reference_evolve(spectral, state, float(t)))
+        dists.append(trace_distance(partial_trace(psi_t, region).matrix, omega))
+    return np.array(dists)
+
+
+@pytest.mark.parametrize("region", [(3,), (1, 4)])
+def test_subsystem_equilibration_matches_time_loop(spec6_module, region):
+    psi = random_product_state(spec6_module.lattice, 5)
+    rep = subsystem_equilibration(spec6_module, psi, region, samples=60, seed=2)
+    times = np.random.default_rng(2).uniform(0.0, rep.horizon, size=60)
+    want = _reference_subsystem_distances(spec6_module, psi, region, times)
+    assert rep.mean_distance == pytest.approx(float(want.mean()), rel=0, abs=1e-12)
+    assert rep.max_distance == pytest.approx(float(want.max()), rel=0, abs=1e-12)
+
+
+def test_evolve_rows_matches_single_time_kernel(spec6_module):
+    psi = random_product_state(spec6_module.lattice, 9)
+    times = np.array([0.0, 0.3, 7.5, 1e3])
+    rows = evolve_rows(spectral=spec6_module, state=psi, times=times)
+    assert rows.shape == (4, spec6_module.dim)
+    for row, t in zip(rows, times):
+        np.testing.assert_allclose(row, _reference_evolve(spec6_module, psi, t), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(evolve(spec6_module, psi, t).amplitudes, row, rtol=0, atol=1e-15)
+    # eigenvectors that are not orthonormal break the norm of every row
+    skewed = dataclasses.replace(spec6_module, eigenvectors=1.01 * spec6_module.eigenvectors)
+    with pytest.raises(ValueError, match="norm"):
+        evolve_rows(skewed, psi, times)
+    with pytest.raises(ValueError, match="norm"):
+        evolve_rows(spec6_module, psi, [math.nan])
+
+
+def test_time_sampling_validated(spec6_module):
+    psi = random_product_state(spec6_module.lattice, 1)
+    a = site_observable(spec6_module.lattice, 0)
+    with pytest.raises(ValueError, match="at least 2"):
+        variance_sampled(spec6_module, psi, a, samples=1)
+    with pytest.raises(ValueError, match="at least 1"):
+        subsystem_equilibration(spec6_module, psi, (0,), samples=0)
+    for horizon in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            subsystem_equilibration(spec6_module, psi, (0,), horizon=horizon)
 
 
 def test_observable_helpers(spec6_module):

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from ergolab import ergodicity, rates
+from ergolab import ergodicity
 from ergolab.ensembles import DiagonalEnsemble
 from ergolab.ergodicity import (
     SEARCH_MODES,
     SearchPolicy,
     _scan,
-    _subset_order,
     build_profile,
     bulk_check,
     candidate_subsets,
@@ -29,6 +28,7 @@ from ergolab.states import (
     LatticeSpec,
     PureState,
     ResourceGuardError,
+    _subset_order,
     maximally_entangled,
     random_product_state,
 )
@@ -338,10 +338,17 @@ def test_subset_order_is_read_only_permutation(n, d, keep):
     assert np.array_equal(x[order], expected)
 
 
-def test_integrated_bound_s2_unchanged(spec6, monkeypatch):
+def test_integrated_bound_s2_unchanged(spec6):
+    # the former route: one evolve per grid time, then the transpose kernel
     psi = random_product_state(spec6.lattice, 7)
     t = np.linspace(0.0, 2.0, 9)
-    new = integrated_bound_check(psi, spec6.hamiltonian, (0, 1, 2), t)
-    monkeypatch.setattr(rates, "_batch_renyi2", _reference_renyi2)
-    old = integrated_bound_check(psi, spec6.hamiltonian, (0, 1, 2), t)
-    np.testing.assert_allclose(new.s2_values, old.s2_values, rtol=0, atol=1e-12)
+    c = spec6.coefficients(psi.amplitudes)
+    cols = np.stack(
+        [spec6.eigenvectors @ (np.exp(-1j * spec6.energies * ti) * c) for ti in t], axis=1
+    )
+    for region in [(0, 1, 2), (1, 4)]:
+        new = integrated_bound_check(psi, spec6.hamiltonian, region, t)
+        old = _reference_renyi2(cols, spec6.lattice, region)
+        np.testing.assert_allclose(new.s2_values, old, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="empty"):
+        integrated_bound_check(psi, spec6.hamiltonian, (0, 1, 2), [])

@@ -116,6 +116,9 @@ def test_decay_branches():
     assert rej.branch == "non-injective"
     assert not rej.passed
     assert rej.kappa is None
+    for sizes in ((8,), (12, 12)):
+        with pytest.raises(ValueError, match="two distinct"):
+            mps_overlap_decay(product_spec([1.0, 1.0]), sizes)
 
 
 def test_decay_cluster_state():

@@ -46,6 +46,9 @@ def test_constant_entropy_bounds():
     # model entropies converge below the constant as d_A grows
     for da in (4, 16, 64):
         assert model_entropy(eps, da, 2.0) <= constant_entropy_bound(eps, 2.0)
+    # the bound diverges at eps = 1
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        constant_entropy_bound(1.0, 2.0)
 
 
 def test_epsilon_state_limits():

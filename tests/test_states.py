@@ -82,6 +82,32 @@ def test_bipartition_matrix_schmidt():
     assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-12)
 
 
+def _reference_bipartition(amplitudes, keep, lattice):
+    # the former kernel: an N-axis transpose of one amplitude vector
+    d, n = lattice.local_dim, lattice.num_sites
+    rest = [s for s in range(n) if s not in set(keep)]
+    t = np.transpose(np.asarray(amplitudes).reshape([d] * n), list(keep) + rest)
+    return np.ascontiguousarray(t).reshape(d ** len(keep), -1)
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (4, 3)])
+@pytest.mark.parametrize("keep", [(0,), (1, 2), (0, 2), (0, 1, 3), (1, 3)])
+def test_bipartition_matrix_matches_transpose_reference(n, d, keep):
+    lat = LatticeSpec(n, d)
+    rng = np.random.default_rng(n + d)
+    rows = rng.normal(size=(7, lat.dim)) + 1j * rng.normal(size=(7, lat.dim))
+    want = np.stack([_reference_bipartition(r, keep, lat) for r in rows])
+    assert np.array_equal(bipartition_matrix(rows[0], keep, lat), want[0])
+    assert np.array_equal(bipartition_matrix(rows, keep, lat), want)
+    # a transposed view of columns, as the scan and the ensembles pass it
+    assert np.array_equal(bipartition_matrix(rows.T.copy().T, keep, lat), want)
+    stacked = rows.real.reshape(7, 1, lat.dim)
+    assert np.array_equal(
+        bipartition_matrix(stacked, keep, lat)[:, 0],
+        np.stack([_reference_bipartition(r, keep, lat) for r in rows.real]),
+    )
+
+
 def test_partial_trace_product_state(rng):
     lat = LatticeSpec(4, 2)
     psi = random_product_state(lat, rng)
