@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable, Mapping
 from pathlib import Path
 
 
@@ -54,6 +55,7 @@ from .hamiltonians import (  # noqa: E402
     check_gibbs_identities,
     diagonalize,
     gap_report,
+    gap_tolerance,
     inverse_temperature,
     trace_energy_density,
 )
@@ -82,7 +84,7 @@ from .rates import (  # noqa: E402
     integrated_bound_check,
     stability_experiment,
 )
-from .states import LatticeSpec, SiteSet  # noqa: E402
+from .states import LatticeSpec, PureState, SiteSet  # noqa: E402
 from .tolerances import TOL  # noqa: E402
 
 SCOPE_NOTE = (
@@ -90,116 +92,9 @@ SCOPE_NOTE = (
     "quantitative tolerances are stated per check"
 )
 
-EXPERIMENTS = (
-    "spectrum",
-    "scan",
-    "equilibrate",
-    "theorem1",
-    "prop1",
-    "overlap",
-    "rates",
-    "stability",
-    "mps",
-    "gibbs",
-)
-
 
 class ConfigError(ValueError):
     pass
-
-
-DEFAULTS: dict[str, dict] = {
-    "spectrum": {
-        "model": "mixed-field-ising",
-        "sites": 8,
-        "seed": 0,
-        "geometry": "chain-open",
-        "gap_tolerance": None,
-    },
-    "scan": {
-        "model": "mixed-field-ising",
-        "sites": 8,
-        "seed": 0,
-        "geometry": "chain-open",
-        "mode": "random-sample",
-        "budget": 500,
-        "max_fraction": 0.5,
-        "policy_seed": 0,
-        "bins": 20,
-    },
-    "equilibrate": {
-        "model": "mixed-field-ising",
-        "sites": 8,
-        "seed": 0,
-        "geometry": "chain-open",
-        "recipe": "random-product",
-        "site": None,
-        "axis": "Z",
-        "samples": 2000,
-        "horizon": None,
-        "subsystem_samples": 200,
-    },
-    "theorem1": {
-        "model": "mixed-field-ising",
-        "sizes": [6, 8, 10, 12],
-        "recipe": "neel",
-        "seed": 0,
-        "geometry": "chain-open",
-        "mode": "random-sample",
-        "budget": 500,
-        "max_fraction": 0.5,
-        "policy_seed": 0,
-        "bins": 20,
-    },
-    "prop1": {
-        "epsilon": 0.3,
-        "sizes": [6, 8, 10, 12],
-        "local_dim": 2,
-        "seed": 0,
-    },
-    "overlap": {
-        "model": "mixed-field-ising",
-        "sites": 8,
-        "seed": 0,
-        "geometry": "chain-open",
-        "state_index": None,
-        "region": None,
-        "samples": 200,
-        "alphas": [2.0, 3.0, "inf"],
-    },
-    "rates": {
-        "samples": 2000,
-        "seed": 0,
-        "model": "mixed-field-ising",
-        "sites": 8,
-        "geometry": "chain-open",
-        "recipe": "random-product",
-        "t_max": 5.0,
-        "t_points": 11,
-    },
-    "stability": {
-        "model": "mixed-field-ising",
-        "sites": 10,
-        "seed": 0,
-        "geometry": "chain-open",
-        "generator": "layer",
-        "time": None,
-    },
-    "mps": {
-        "spec_json": None,
-        "ghz": False,
-        "seed": 0,
-        "sizes": list(range(8, 65, 4)),
-        "refine": True,
-    },
-    "gibbs": {
-        "model": "mixed-field-ising",
-        "sites": 8,
-        "seed": 0,
-        "geometry": "chain-open",
-        "betas": [0.2, 1.0, 5.0],
-    },
-}
 
 
 def _clean(obj):
@@ -229,16 +124,6 @@ def _policy_from(config: dict) -> SearchPolicy:
         budget=int(config["budget"]),
         seed=int(config["policy_seed"]),
     )
-
-
-def _alphas_from(values) -> tuple[float, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, str) and v.lower() in ("inf", "infinity"):
-            out.append(float("inf"))
-        else:
-            out.append(float(v))
-    return tuple(out)
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -316,6 +201,7 @@ def _run_equilibrate(config: dict):
         psi,
         (int(target),),
         samples=int(config["subsystem_samples"]),
+        horizon=config["horizon"],
         seed=config["seed"],
     )
     t_grid = np.linspace(0.0, 10.0 * spec.dim / max(spec.norm, 1e-12), 201)
@@ -346,11 +232,7 @@ def _run_theorem1(config: dict):
         _materials=materials,
     )
     csv = _csv_text(
-        ["N", "s_inf", "e_center"],
-        (
-            (n, s, e)
-            for n, s, e in zip(report.sizes, report.s_inf, report.e_centers)
-        ),
+        ["N", "s_inf", "e_center"], zip(report.sizes, report.s_inf, report.e_centers)
     )
     files = {"trend.csv": csv}
     if materials:
@@ -366,8 +248,7 @@ def _run_prop1(config: dict):
         seed=config["seed"],
     )
     csv = _csv_text(
-        ["N", "s1", "overlap_sq"],
-        ((n, s, o) for n, s, o in zip(report.sizes, report.s1, report.overlap_sq)),
+        ["N", "s1", "overlap_sq"], zip(report.sizes, report.s1, report.overlap_sq)
     )
     return _clean(report), report.passed, {"family.csv": csv}
 
@@ -377,16 +258,12 @@ def _run_overlap(config: dict):
     spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
     idx = config["state_index"]
     idx = spec.dim // 2 if idx is None else int(idx)
-    if not 0 <= idx < spec.dim:
-        raise ConfigError(f"state index {idx} outside spectrum")
-    from .states import PureState
-
     state = PureState(lat, spec.eigenvectors[:, idx].astype(complex))
     region = config["region"] or tuple(range(lat.num_sites // 2))
     report = overlap_bound_check(
         state,
         tuple(int(s) for s in region),
-        alphas=_alphas_from(config["alphas"]),
+        alphas=tuple(float(a) for a in config["alphas"]),
         samples=int(config["samples"]),
         seed=config["seed"],
     )
@@ -430,13 +307,7 @@ def _run_rates(config: dict):
         "integrated": _clean(integ),
         "boundary": _clean(bnd),
     }
-    csv = _csv_text(
-        ["t", "s2", "bound"],
-        (
-            (t, s, b)
-            for t, s, b in zip(integ.times, integ.s2_values, integ.bounds)
-        ),
-    )
+    csv = _csv_text(["t", "s2", "bound"], zip(integ.times, integ.s2_values, integ.bounds))
     return result, passed, {"rates.csv": csv}
 
 
@@ -450,11 +321,9 @@ def _run_stability(config: dict):
         qlu = layer_generator(layer)
         if config["time"] is not None:
             qlu = QuasiLocalUnitary(qlu.generator, float(config["time"]))
-    elif gen in MODEL_NAMES:
+    else:
         t = 1.0 if config["time"] is None else float(config["time"])
         qlu = QuasiLocalUnitary(build_model(gen, lat, seed=config["seed"] + 1), t)
-    else:
-        raise ConfigError(f"generator must be 'layer' or one of {MODEL_NAMES}")
     report = stability_experiment(ham, qlu)
     return _clean(report), report.passed, {}
 
@@ -496,31 +365,129 @@ def _run_mps(config: dict):
 def _run_gibbs(config: dict):
     lat = LatticeSpec(config["sites"], 2, config["geometry"])
     spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
-    reports = [
-        check_gibbs_identities(spec, float(b)) for b in config["betas"]
-    ]
+    reports = [check_gibbs_identities(spec, float(b)) for b in config["betas"]]
     passed = all(r.passed for r in reports)
     return {"identities": [_clean(r) for r in reports]}, passed, {}
 
 
-RUNNERS = {
-    "spectrum": _run_spectrum,
-    "scan": _run_scan,
-    "equilibrate": _run_equilibrate,
-    "theorem1": _run_theorem1,
-    "prop1": _run_prop1,
-    "overlap": _run_overlap,
-    "rates": _run_rates,
-    "stability": _run_stability,
-    "mps": _run_mps,
-    "gibbs": _run_gibbs,
+def _mps_rings(config: dict) -> tuple[int, ...]:
+    # ring sizes of the decay fit, in the spec's local dimension: no lattice
+    decay_sizes(config["sizes"])
+    return ()
+
+
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its help line, runner and default config.
+
+    `chains` checks the size grid and returns the chain sizes the runner
+    builds lattices for; `aliases` adds flag spellings for a config key.
+    """
+
+    help: str
+    runner: Callable[[dict], tuple[dict, bool, dict]]
+    defaults: dict
+    chains: Callable[[dict], tuple[int, ...]] = lambda config: (int(config["sites"]),)
+    aliases: Mapping[str, tuple[str, ...]] = dataclasses.field(default_factory=dict)
+
+
+_MODEL = {"model": "mixed-field-ising", "seed": 0, "geometry": "chain-open"}
+_LATTICE = {**_MODEL, "sites": 8}
+_POLICY = {
+    "mode": "random-sample", "budget": 500, "max_fraction": 0.5, "policy_seed": 0, "bins": 20
+}
+_N_GRID = {"sizes": ("--N-grid",)}
+
+EXPERIMENT_TABLE: dict[str, Experiment] = {
+    "spectrum": Experiment(
+        "diagonalize a catalog model", _run_spectrum, {**_LATTICE, "gap_tolerance": None}
+    ),
+    "scan": Experiment("per-eigenstate entanglement scan", _run_scan, {**_LATTICE, **_POLICY}),
+    "equilibrate": Experiment(
+        "variance and subsystem bounds",
+        _run_equilibrate,
+        {**_LATTICE, "recipe": "random-product", "site": None, "axis": "Z", "samples": 2000,
+         "horizon": None, "subsystem_samples": 200},
+    ),
+    "theorem1": Experiment(
+        "min-entropy growth trend",
+        _run_theorem1,
+        {**_MODEL, "sizes": [6, 8, 10, 12], "recipe": "neel", **_POLICY},
+        chains=lambda config: growth_sizes(config["sizes"]),
+        aliases=_N_GRID,
+    ),
+    "prop1": Experiment(
+        "interpolation family profile",
+        _run_prop1,
+        {"epsilon": 0.3, "sizes": [6, 8, 10, 12], "local_dim": 2, "seed": 0},
+        chains=lambda config: family_sizes(config["sizes"]),
+        aliases=_N_GRID,
+    ),
+    "overlap": Experiment(
+        "product-overlap bound check",
+        _run_overlap,
+        {**_LATTICE, "state_index": None, "region": None, "samples": 200,
+         "alphas": [2.0, 3.0, "inf"]},
+    ),
+    "rates": Experiment(
+        "entangling-rate bounds",
+        _run_rates,
+        {**_LATTICE, "samples": 2000, "recipe": "random-product", "t_max": 5.0, "t_points": 11},
+    ),
+    "stability": Experiment(
+        "scan stability under conjugation",
+        _run_stability,
+        {**_LATTICE, "sites": 10, "generator": "layer", "time": None},
+    ),
+    "mps": Experiment(
+        "product-overlap decay of a TI MPS",
+        _run_mps,
+        {"spec_json": None, "ghz": False, "seed": 0, "sizes": list(range(8, 65, 4)),
+         "refine": True},
+        chains=_mps_rings,
+    ),
+    "gibbs": Experiment(
+        "thermal identities", _run_gibbs, {**_LATTICE, "betas": [0.2, 1.0, 5.0]}
+    ),
+}
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+# Flag of each config key, spelled --key-with-dashes unless "flag" says
+# otherwise; a key missing here (alphas) is set from a config file only.
+FLAGS: dict[str, dict] = {
+    **dict.fromkeys(
+        ("sites", "seed", "budget", "policy_seed", "bins", "site", "samples",
+         "subsystem_samples", "local_dim", "state_index", "t_points"),
+        {"type": int},
+    ),
+    **dict.fromkeys(
+        ("gap_tolerance", "max_fraction", "horizon", "epsilon", "t_max", "time"),
+        {"type": float},
+    ),
+    **dict.fromkeys(
+        ("geometry", "mode", "recipe", "axis", "generator", "spec_json"), {"type": str}
+    ),
+    "model": {"type": str, "choices": MODEL_NAMES},
+    "sizes": {"type": _int_list, "metavar": "N1,N2,..."},
+    "region": {"type": _int_list, "metavar": "s1,s2,..."},
+    "betas": {"type": _float_list, "metavar": "b1,b2,..."},
+    "ghz": {"action": "store_const", "const": True},
+    "refine": {"flag": "--no-refine", "action": "store_const", "const": False},
 }
 
 
 def build_config(experiment: str, overrides: dict) -> dict:
-    if experiment not in DEFAULTS:
+    if experiment not in EXPERIMENT_TABLE:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    config = dict(DEFAULTS[experiment])
+    config = dict(EXPERIMENT_TABLE[experiment].defaults)
     unknown = set(overrides) - set(config)
     if unknown:
         raise ConfigError(
@@ -537,22 +504,12 @@ def _validate(experiment: str, config: dict) -> None:
     """Reject values the runners cannot use, before any of them starts.
 
     Each value goes through the library check that would reject it at run
-    time: lattices, search policies, envelope bins, size grids, state
-    recipes, observable axes and sites, time sampling, overlap regions, the
-    family weight and inverse temperatures.  The sample count and time
-    grid of `rates` are checked here, since its loop and grid are the
-    runner's own.  A lattice beyond the index range still raises
-    ResourceGuardError.
+    time; the sample loop and time grid of `rates` and the conjugation of
+    `stability` are the runners' own, so they are checked here.  A lattice
+    beyond the index range still raises ResourceGuardError.
     """
     try:
-        if experiment == "theorem1":
-            sizes = growth_sizes(config["sizes"])
-        elif experiment == "prop1":
-            sizes = family_sizes(config["sizes"])
-        elif "sites" in config:
-            sizes = (int(config["sites"]),)
-        else:
-            sizes = ()
+        sizes = EXPERIMENT_TABLE[experiment].chains(config)
         lattices = [
             LatticeSpec(n, int(config.get("local_dim", 2)), config.get("geometry", "chain-open"))
             for n in sizes
@@ -565,8 +522,6 @@ def _validate(experiment: str, config: dict) -> None:
                 policy.max_size(n)
         if "bins" in config:
             envelope_bins(config["bins"])
-        if experiment == "mps":
-            decay_sizes(config["sizes"])
         if "recipe" in config and config["recipe"] not in STATE_RECIPES:
             raise ConfigError(
                 f"unknown state recipe {config['recipe']!r}; one of {STATE_RECIPES}"
@@ -575,20 +530,36 @@ def _validate(experiment: str, config: dict) -> None:
             pauli(config["axis"])
         if config.get("site") is not None:
             SiteSet(lattices[0], (int(config["site"]),))
-        if experiment == "equilibrate":
+        if "horizon" in config:  # equilibrate: both time averages use it
             check_sampling(config["samples"], config["horizon"], 2)
-            check_sampling(config["subsystem_samples"], None, 1)
+            check_sampling(config["subsystem_samples"], config["horizon"], 1)
         if config.get("region"):
             SiteSet(lattices[0], tuple(int(s) for s in config["region"]))
+        if config.get("state_index") is not None:
+            idx = int(config["state_index"])
+            if not 0 <= idx < lattices[0].dim:
+                raise ConfigError(f"state index {idx} outside spectrum")
+        if any(float(a) <= 1 for a in config.get("alphas", ())):
+            raise ConfigError("the overlap bound holds for alpha > 1 only")
         if "epsilon" in config:
             constant_entropy_bound(config["epsilon"], float("inf"))
         for beta in config.get("betas", ()):
             inverse_temperature(beta)
-        if experiment == "rates" and min(int(config["samples"]), int(config["t_points"])) < 1:
-            raise ConfigError("rates needs at least one sample and one time point")
-        if experiment == "rates" and not np.isfinite(float(config["t_max"])):
-            raise ConfigError("rates needs a finite t_max")
-    except (TypeError, ValueError) as exc:
+        if "gap_tolerance" in config:
+            gap_tolerance(config["gap_tolerance"])
+        if "t_points" in config:  # rates
+            if min(int(config["samples"]), int(config["t_points"])) < 1:
+                raise ConfigError("rates needs at least one sample and one time point")
+            if not np.isfinite(float(config["t_max"])):
+                raise ConfigError("rates needs a finite t_max")
+        if "generator" in config:  # stability
+            if config["generator"] not in ("layer", *MODEL_NAMES):
+                raise ConfigError(f"generator must be 'layer' or one of {MODEL_NAMES}")
+            if config["time"] is not None and not np.isfinite(float(config["time"])):
+                raise ConfigError("conjugation time must be finite")
+        if config.get("spec_json") and not config.get("ghz"):
+            MPSSpec.from_json(Path(config["spec_json"]).read_text())
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -596,34 +567,25 @@ def run(config: dict) -> tuple[int, dict]:
     """Execute one experiment; deterministic under (config, seed)."""
     config = dict(config)
     experiment = config.pop("experiment", None)
-    if experiment not in RUNNERS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
+    if experiment not in EXPERIMENT_TABLE:
+        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENT_TABLE)}")
     config = build_config(experiment, config)
-    experiment_name = config.pop("experiment")
+    del config["experiment"]
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    result, passed, files = RUNNERS[experiment_name](config)
-    result = _clean(result)
+    result, passed, files = EXPERIMENT_TABLE[experiment].runner(config)
     report = {
-        "experiment": experiment_name,
+        "experiment": experiment,
         "config": config,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "catalog_version": CATALOG_VERSION,
         "package_version": __version__,
         "tolerances": TOL.as_dict(),
         "scope": SCOPE_NOTE,
-        "result": result,
+        "result": _clean(result),
         "passed": bool(passed),
+        "_files": files,
     }
-    report["_files"] = files
     return (0 if passed else 1), report
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,111 +595,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def common(p):
+    for name, entry in EXPERIMENT_TABLE.items():
+        p = sub.add_parser(name, help=entry.help)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default="ergolab-out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("spectrum", help="diagonalize a catalog model")
-    common(p)
-    p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--gap-tolerance", dest="gap_tolerance", type=float, default=None)
-
-    p = sub.add_parser("scan", help="per-eigenstate entanglement scan")
-    common(p)
-    p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--mode", default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--max-fraction", dest="max_fraction", type=float, default=None)
-    p.add_argument("--policy-seed", dest="policy_seed", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-
-    p = sub.add_parser("equilibrate", help="variance and subsystem bounds")
-    common(p)
-    p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--recipe", default=None)
-    p.add_argument("--site", type=int, default=None)
-    p.add_argument("--axis", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument(
-        "--subsystem-samples", dest="subsystem_samples", type=int, default=None
-    )
-
-    p = sub.add_parser("theorem1", help="min-entropy growth trend")
-    common(p)
-    p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--sizes", dest="sizes", type=_int_list, default=None, metavar="N1,N2,...")
-    p.add_argument("--N-grid", dest="sizes", type=_int_list, default=None, metavar="N1,N2,...")
-    p.add_argument("--recipe", default=None)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--mode", default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--max-fraction", dest="max_fraction", type=float, default=None)
-    p.add_argument("--policy-seed", dest="policy_seed", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-
-    p = sub.add_parser("prop1", help="interpolation family profile")
-    common(p)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--sizes", dest="sizes", type=_int_list, default=None, metavar="N1,N2,...")
-    p.add_argument("--N-grid", dest="sizes", type=_int_list, default=None, metavar="N1,N2,...")
-    p.add_argument("--local-dim", dest="local_dim", type=int, default=None)
-
-    p = sub.add_parser("overlap", help="product-overlap bound check")
-    common(p)
-    p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--state-index", dest="state_index", type=int, default=None)
-    p.add_argument("--region", type=_int_list, default=None, metavar="s1,s2,...")
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("rates", help="entangling-rate bounds")
-    common(p)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--recipe", default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--t-points", dest="t_points", type=int, default=None)
-
-    p = sub.add_parser("stability", help="scan stability under conjugation")
-    common(p)
-    p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--generator", default=None)
-    p.add_argument("--time", type=float, default=None)
-
-    p = sub.add_parser("mps", help="product-overlap decay of a TI MPS")
-    common(p)
-    p.add_argument("--spec-json", dest="spec_json", type=str, default=None)
-    p.add_argument("--ghz", action="store_const", const=True, default=None)
-    p.add_argument("--sizes", dest="sizes", type=_int_list, default=None, metavar="N1,N2,...")
-    p.add_argument("--no-refine", dest="refine", action="store_const", const=False, default=None)
-
-    p = sub.add_parser("gibbs", help="thermal identities")
-    common(p)
-    p.add_argument("--model", choices=MODEL_NAMES, default=None)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--betas", type=_float_list, default=None, metavar="b1,b2,...")
-
+        for key in (k for k in entry.defaults if k in FLAGS):
+            kwargs = dict(FLAGS[key])
+            flag = kwargs.pop("flag", "--" + key.replace("_", "-"))
+            p.add_argument(flag, *entry.aliases.get(key, ()), dest=key, default=None, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     overrides = {
         k: v
         for k, v in vars(args).items()
@@ -763,9 +633,6 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     files = report.pop("_files", {})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

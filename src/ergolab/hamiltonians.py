@@ -270,6 +270,14 @@ def _coincidence_pairs(sorted_vals: np.ndarray, tol: float) -> int:
     return int(np.sum(runs * (runs + 1) // 2))
 
 
+def gap_tolerance(tolerance: float | None) -> float | None:
+    """A coincidence tolerance gap_report accepts: None (scaled to the
+    norm) or a non-negative number."""
+    if tolerance is not None and not tolerance >= 0:
+        raise ValueError(f"gap tolerance must be non-negative, got {tolerance!r}")
+    return tolerance
+
+
 def gap_report(
     s: SpectralData,
     tolerance: float | None = None,
@@ -286,7 +294,7 @@ def gap_report(
     """
     energies = s.energies
     dim = energies.size
-    tol = 1e-10 * max(s.norm, 1.0) if tolerance is None else tolerance
+    tol = 1e-10 * max(s.norm, 1.0) if tolerance is None else gap_tolerance(tolerance)
     # level degeneracies first
     degen_levels = sum(
         b - a for a, b in degenerate_groups(np.sort(energies), tol) if b - a > 1
@@ -326,9 +334,9 @@ def degenerate_groups(energies: np.ndarray, tolerance: float) -> list[tuple[int,
 
 
 def inverse_temperature(beta: float) -> float:
-    """A beta the Gibbs routines accept: zero or positive."""
-    if beta < 0:
-        raise ValueError("negative inverse temperature is unsupported")
+    """A beta the Gibbs routines accept: zero or positive, and finite."""
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"inverse temperature must be finite and non-negative, got {beta!r}")
     return beta
 
 

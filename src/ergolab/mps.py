@@ -55,6 +55,9 @@ class MPSSpec:
     @staticmethod
     def from_json(text: str) -> "MPSSpec":
         data = json.loads(text)
+        missing = {"local_dim", "bond_dim", "tensors"} - set(data)
+        if missing:
+            raise ValueError(f"spec JSON lacks {sorted(missing)}")
         d, bd = int(data["local_dim"]), int(data["bond_dim"])
         tensors = np.array(
             [

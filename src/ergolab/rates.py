@@ -16,6 +16,7 @@ from .ergodicity import SearchPolicy, _rows_renyi2, build_profile
 from .hamiltonians import LocalHamiltonian, SpectralData, diagonalize
 from .operators import embed_operator, hermitian_site_basis, is_hermitian
 from .states import PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
+from .tolerances import TOL
 
 IMAG_RESIDUE = 1e-10
 
@@ -144,28 +145,22 @@ def entangling_rate_fd(
 ) -> float:
     """Centered finite difference of S_2 under conjugation by exp(-iVh).
 
-    Falls back to Richardson extrapolation (steps h and h/2) when the
-    reduced purity is small and cancellation grows.  V must be hermitian;
-    one eigendecomposition then gives exp(-iVt) exactly for every step.
+    rho must have unit trace, so the reduced purity is at least 1/d_A and
+    the difference quotient needs no extrapolation.  V must be hermitian;
+    one eigendecomposition then gives exp(-iVh) exactly.
     """
     rho = _as_matrix(rho_ab)
-    da, db = int(dims[0]), int(dims[1])
+    dims = (int(dims[0]), int(dims[1]))
+    if abs(np.trace(rho) - 1.0) > TOL.normalization:
+        raise ValueError("density matrix must have unit trace")
     v = np.asarray(v)
     if not is_hermitian(v, IMAG_RESIDUE):
         raise ValueError("interaction must be hermitian")
     w, vecs = np.linalg.eigh(v)
-
-    def diff(step: float) -> float:
-        u = (vecs * np.exp(-1j * step * w)) @ vecs.conj().T
-        fwd = _renyi2_left(u @ rho @ u.conj().T, (da, db))
-        bwd = _renyi2_left(u.conj().T @ rho @ u, (da, db))
-        return (fwd - bwd) / (2.0 * step)
-
-    rho_a = np.einsum("aibi->ab", _cut_views(rho, (da, db)))
-    purity = float(np.trace(rho_a @ rho_a).real)
-    if purity < 1e-3:
-        return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-    return diff(h)
+    u = (vecs * np.exp(-1j * h * w)) @ vecs.conj().T
+    fwd = _renyi2_left(u @ rho @ u.conj().T, dims)
+    bwd = _renyi2_left(u.conj().T @ rho @ u, dims)
+    return (fwd - bwd) / (2.0 * h)
 
 
 @dataclass(frozen=True)

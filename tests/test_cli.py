@@ -1,5 +1,8 @@
 """CLI plumbing: determinism, exit codes, report structure."""
 
+import argparse
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +14,7 @@ import pytest
 import ergolab
 from ergolab import CATALOG_VERSION
 from ergolab import cli
-from ergolab.cli import ConfigError, build_config, main, run
+from ergolab.cli import ConfigError, build_config, build_parser, main, run
 
 
 def invoke(args, cwd):
@@ -113,6 +116,8 @@ def test_run_api_rejects_unknown_experiment():
         build_config("gibbs", {"volume": 1})
     with pytest.raises(ConfigError):
         run({"experiment": "gibbs", "sites": 0})
+    with pytest.raises(ConfigError):  # alphas has no flag, only a config key
+        build_config("overlap", {"alphas": [1.0, "inf"]})
 
 
 @pytest.mark.parametrize(
@@ -140,19 +145,116 @@ def test_run_api_rejects_unknown_experiment():
         (["scan", "--bins", "0"], 2),  # envelope bins
         (["mps", "--sizes", "8"], 2),  # decay fit over one size
         (["prop1", "--sizes", "6,6,6"], 2),  # family grid of one distinct size
+        (["overlap", "--state-index", "999"], 2),  # eigenstate index
+        (["stability", "--generator", "bogus"], 2),  # conjugation generator
+        (["stability", "--time", "nan"], 2),  # conjugation time
+        (["mps", "--spec-json", str(Path(__file__).with_name("no-such-spec.json"))], 2),  # missing spec
+        (["mps", "--spec-json", __file__], 2),  # spec file that is not JSON
+        (["gibbs", "--betas", "nan"], 2),  # inverse temperature
+        (["gibbs", "--betas", "inf"], 2),  # inverse temperature
+        (["spectrum", "--gap-tolerance", "nan"], 2),  # gap tolerance
+        (["spectrum", "--gap-tolerance", "-1"], 2),  # gap tolerance
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):
     def runner_started(config):
         raise AssertionError("a runner started on an invalid config")
 
-    monkeypatch.setattr(cli, "RUNNERS", dict.fromkeys(cli.RUNNERS, runner_started))
+    table = {
+        name: dataclasses.replace(entry, runner=runner_started)
+        for name, entry in cli.EXPERIMENT_TABLE.items()
+    }
+    monkeypatch.setattr(cli, "EXPERIMENT_TABLE", table)
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+_COMMON = {"--config": "config", "--out": "out", "--seed": "seed"}
+# Every subcommand's flags and their config keys, copied from the parser
+# as it was written by hand before it was generated from the table.
+CLI_SURFACE = {
+    "spectrum": {
+        **_COMMON, "--gap-tolerance": "gap_tolerance", "--geometry": "geometry",
+        "--model": "model", "--sites": "sites",
+    },
+    "scan": {
+        **_COMMON, "--bins": "bins", "--budget": "budget", "--geometry": "geometry",
+        "--max-fraction": "max_fraction", "--mode": "mode", "--model": "model",
+        "--policy-seed": "policy_seed", "--sites": "sites",
+    },
+    "equilibrate": {
+        **_COMMON, "--axis": "axis", "--geometry": "geometry", "--horizon": "horizon",
+        "--model": "model", "--recipe": "recipe", "--samples": "samples", "--site": "site",
+        "--sites": "sites", "--subsystem-samples": "subsystem_samples",
+    },
+    "theorem1": {
+        **_COMMON, "--N-grid": "sizes", "--bins": "bins", "--budget": "budget",
+        "--geometry": "geometry", "--max-fraction": "max_fraction", "--mode": "mode",
+        "--model": "model", "--policy-seed": "policy_seed", "--recipe": "recipe",
+        "--sizes": "sizes",
+    },
+    "prop1": {
+        **_COMMON, "--N-grid": "sizes", "--epsilon": "epsilon", "--local-dim": "local_dim",
+        "--sizes": "sizes",
+    },
+    "overlap": {
+        **_COMMON, "--geometry": "geometry", "--model": "model", "--region": "region",
+        "--samples": "samples", "--sites": "sites", "--state-index": "state_index",
+    },
+    "rates": {
+        **_COMMON, "--geometry": "geometry", "--model": "model", "--recipe": "recipe",
+        "--samples": "samples", "--sites": "sites", "--t-max": "t_max",
+        "--t-points": "t_points",
+    },
+    "stability": {
+        **_COMMON, "--generator": "generator", "--geometry": "geometry", "--model": "model",
+        "--sites": "sites", "--time": "time",
+    },
+    "mps": {
+        **_COMMON, "--ghz": "ghz", "--no-refine": "refine", "--sizes": "sizes",
+        "--spec-json": "spec_json",
+    },
+    "gibbs": {
+        **_COMMON, "--betas": "betas", "--geometry": "geometry", "--model": "model",
+        "--sites": "sites",
+    },
+}
+# config_sha256 of each experiment's default config
+CONFIG_SHA256 = {
+    "spectrum": "831f71edf57a07da699e2ea240eef69e2b6e756cc8ec08e317cc65194e9396f9",
+    "scan": "3e0da45aed857038bdaaf49c368bae3b7645ae2cd0d818fac27445946f406a44",
+    "equilibrate": "b34292adc5795bd0649e8f201289f35351f6ce00630bdc3dbad80a72a5095684",
+    "theorem1": "d2c853accf94a20a0d41ad26686882421001eb69122a47a15c62e71b58979c33",
+    "prop1": "e5b899d5c9d62dada0e8c3354b1a7e707dbe37c193e1bce4adfcc8aeb8128339",
+    "overlap": "a5059592dbae5d0331bc9aa5fc119864fbd8d08b80aef03d1464211ec936063c",
+    "rates": "bc137cec0d1f985fc81acf34fae8bfa906debff07a2499fbcd1557e0293536e6",
+    "stability": "da100574766c5d2c3c1040068f0853e04950c265d14742f42332303301df0245",
+    "mps": "cc072dc12a6d3588e4dabda34f889489212db3db904a5b4035425d0f6d0bcc1b",
+    "gibbs": "67dfe174f8bd40311b5e364633c076a4edf9105aafa78b4dae2e701421815a32",
+}
+
+
+def test_cli_surface_and_defaults_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CLI_SURFACE) == set(CONFIG_SHA256)
+    for name, p in sub.choices.items():
+        flags = {s: a.dest for a in p._actions if a.dest != "help" for s in a.option_strings}
+        assert flags == CLI_SURFACE[name], name
+        config = build_config(name, {})
+        del config["experiment"]
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == CONFIG_SHA256[name], name
+
+
+def test_horizon_reaches_both_time_averages():
+    _, rep = run({"experiment": "equilibrate", "sites": 6, "horizon": 5.0})
+    result = rep["result"]
+    assert result["subsystem"]["horizon"] == result["variance_sampled"]["horizon"] == 5.0
 
 
 def test_run_api_in_process():

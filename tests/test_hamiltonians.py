@@ -20,6 +20,7 @@ from ergolab.hamiltonians import (
     gap_report,
     gibbs_populations,
     gibbs_state,
+    inverse_temperature,
     log_partition,
     trace_energy_density,
 )
@@ -215,6 +216,13 @@ def test_coincidence_pairs_match_reference_loop_at_scale():
     assert pairs == _reference_coincidence_pairs(vals, 1e-10) > 0
 
 
+def test_gap_report_refuses_nan_or_negative_tolerance(spec6):
+    for tol in (math.nan, -1e-3):
+        with pytest.raises(ValueError):
+            gap_report(spec6, tolerance=tol)
+    assert gap_report(spec6, tolerance=0.0).tolerance == 0.0
+
+
 def test_degenerate_groups():
     e = np.array([0.0, 0.0, 1.0, 1.0 + 1e-12, 2.0])
     groups = degenerate_groups(e, 1e-10)
@@ -243,6 +251,15 @@ def test_gibbs_beta_zero_branch(spec6):
     assert rep.log_z == pytest.approx(math.log(spec6.dim), abs=1e-12)
     p = gibbs_populations(spec6, 0.0)
     assert np.allclose(p, 1.0 / spec6.dim, atol=1e-15)
+
+
+def test_inverse_temperature_refuses_non_finite(spec6):
+    for beta in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            inverse_temperature(beta)
+        with pytest.raises(ValueError):
+            gibbs_populations(spec6, beta)
+    assert inverse_temperature(0.0) == 0.0
 
 
 def test_free_energy_consistency(spec6):

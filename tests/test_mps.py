@@ -1,5 +1,7 @@
 """Transfer operators, injectivity, and product-overlap decay."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,10 @@ def test_json_round_trip():
     back = MPSSpec.from_json(spec.to_json())
     assert np.array_equal(back.tensors, spec.tensors)
     assert back.to_json() == spec.to_json()
+    payload = json.loads(spec.to_json())
+    for broken in ({k: v for k, v in payload.items() if k != "tensors"}, {**payload, "bond_dim": 3}):
+        with pytest.raises(ValueError):
+            MPSSpec.from_json(json.dumps(broken))
 
 
 def test_transfer_operator_shape_and_normalization():

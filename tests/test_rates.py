@@ -104,32 +104,25 @@ def test_basis_stack_is_read_only():
 
 
 def _reference_fd(rho, dims, v, h=1e-5):
-    def diff(step):
-        u = expm(-1j * step * v)
-        fwd = _renyi2_left(u @ rho @ u.conj().T, dims)
-        bwd = _renyi2_left(u.conj().T @ rho @ u, dims)
-        return (fwd - bwd) / (2.0 * step)
-
-    rho_a = np.einsum("aibi->ab", rho.reshape(*dims, *dims))
-    if np.trace(rho_a @ rho_a).real < 1e-3:
-        return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-    return diff(h)
+    u = expm(-1j * h * v)
+    fwd = _renyi2_left(u @ rho @ u.conj().T, dims)
+    bwd = _renyi2_left(u.conj().T @ rho @ u, dims)
+    return (fwd - bwd) / (2.0 * h)
 
 
 def test_fd_rate_matches_expm_reference(rng):
-    # a normalised 4x4 rho_A has purity >= 1/4; scaling rho by 1e-2 brings
-    # the purity below 1e-3, where the Richardson branch runs
-    for scale, richardson in ((1.0, False), (1e-2, True)):
-        for _ in range(5):
-            rho = scale * random_density(16, rng)
-            v = random_hermitian(16, rng)
-            assert (np.exp(-_renyi2_left(rho, (4, 4))) < 1e-3) == richardson
-            fd = entangling_rate_fd(rho, (4, 4), v)
-            ref = _reference_fd(rho, (4, 4), v)
-            # relative to |rate|, floored at 1: the difference quotient turns
-            # rounding in S_2 into ~1e-11 (plain) to ~3e-10 (Richardson)
-            # whichever way exp(-iVh) is formed, and these rates are ~1e-2
-            assert abs(fd - ref) <= 1e-9 * max(abs(ref), 1.0)
+    for _ in range(5):
+        rho = random_density(16, rng)
+        v = random_hermitian(16, rng)
+        fd = entangling_rate_fd(rho, (4, 4), v)
+        ref = _reference_fd(rho, (4, 4), v)
+        # relative to |rate|, floored at 1: the difference quotient turns
+        # rounding in S_2 into ~1e-11 whichever way exp(-iVh) is formed,
+        # and these rates are ~1e-2
+        assert abs(fd - ref) <= 1e-9 * max(abs(ref), 1.0)
+    # an unnormalised rho is refused rather than differentiated
+    with pytest.raises(ValueError):
+        entangling_rate_fd(1e-2 * rho, (4, 4), v)
 
 
 def test_fd_rate_rejects_nonhermitian(rng):
