@@ -1,5 +1,5 @@
-"""Finite-depth local circuits: construction, application, light cones,
-and extensivity of entanglement on spaced sublattices."""
+"""Finite-depth local circuits: construction, application, layer
+generators, and extensivity of entanglement on spaced sublattices."""
 
 from __future__ import annotations
 
@@ -11,17 +11,9 @@ from scipy.linalg import logm
 
 from .entropy import renyi_entropy
 from .hamiltonians import LocalHamiltonian, LocalTerm
-from .operators import pauli
 from .overlaps import max_product_overlap
 from .rates import QuasiLocalUnitary
-from .states import (
-    LatticeSpec,
-    PureState,
-    partial_trace,
-    random_product_state,
-    site_set,
-    trace_distance,
-)
+from .states import LatticeSpec, PureState, partial_trace, site_set, trace_distance
 
 UNITARITY_TOL = 1e-10
 
@@ -107,58 +99,6 @@ def apply_circuit(psi: PureState, layers: list[CircuitLayer]) -> PureState:
             t = np.tensordot(g, t, axes=(list(range(m, 2 * m)), list(sites)))
             t = np.moveaxis(t, range(m), sites)
     return PureState(psi.lattice, t.reshape(-1))
-
-
-def circuit_depth_range(layers: list[CircuitLayer]) -> tuple[int, int]:
-    depth = len(layers)
-    k = max((layer.gate_range for layer in layers), default=1)
-    return depth, k
-
-
-@dataclass(frozen=True)
-class LightConeReport:
-    radius: int
-    pairs_checked: int
-    max_far_correlator: float
-    passed: bool
-
-
-def light_cone_check(
-    layers: list[CircuitLayer], seed: int = 0, tolerance: float = 1e-10
-) -> LightConeReport:
-    """Connected two-point correlators from a random product input must
-    vanish beyond distance 2 k D, the strict spreading radius of a
-    depth-D range-k circuit."""
-    if not layers:
-        raise ValueError("no layers given")
-    lattice = layers[0].lattice
-    depth, k = circuit_depth_range(layers)
-    radius = 2 * k * depth
-    psi = apply_circuit(random_product_state(lattice, seed), layers)
-    n = lattice.num_sites
-    singles = {}
-    for i in range(n):
-        rho = partial_trace(psi, site_set(lattice, (i,))).matrix
-        singles[i] = {ax: float(np.trace(rho @ pauli(ax)).real) for ax in ("X", "Z")}
-    worst = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if lattice.distance(i, j) <= radius:
-                continue
-            pairs += 1
-            rho2 = partial_trace(psi, site_set(lattice, (i, j))).matrix
-            for ax in ("X", "Z"):
-                op = np.kron(pauli(ax), pauli(ax))
-                joint = float(np.trace(rho2 @ op).real)
-                conn = abs(joint - singles[i][ax] * singles[j][ax])
-                worst = max(worst, conn)
-    return LightConeReport(
-        radius=radius,
-        pairs_checked=pairs,
-        max_far_correlator=worst,
-        passed=worst <= tolerance,
-    )
 
 
 @dataclass(frozen=True)

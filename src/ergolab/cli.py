@@ -514,6 +514,8 @@ def _validate(experiment: str, config: dict) -> None:
             LatticeSpec(n, int(config.get("local_dim", 2)), config.get("geometry", "chain-open"))
             for n in sizes
         ]
+        if int(config["seed"]) < 0:
+            raise ConfigError("seed must be non-negative")
         if "model" in config and config["model"] not in MODEL_NAMES:
             raise ConfigError(f"unknown model {config['model']!r}; catalog: {MODEL_NAMES}")
         if "mode" in config:
@@ -606,6 +608,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_file(path: str | None) -> dict:
+    """The JSON object held in a config file; empty without a file."""
+    if not path:
+        return {}
+    try:
+        config = json.loads(Path(path).read_text())
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from None
+    if not isinstance(config, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return config
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
@@ -614,25 +629,15 @@ def main(argv=None) -> int:
         if k not in ("experiment", "config", "out") and v is not None
     }
     try:
-        base: dict = {}
-        if args.config:
-            base = json.loads(Path(args.config).read_text())
-            if not isinstance(base, dict):
-                raise ConfigError("config file must hold a JSON object")
-        base.pop("experiment", None)
-        base.update(overrides)
-        config = build_config(args.experiment, base)
+        code, report = run(
+            {**_config_file(args.config), **overrides, "experiment": args.experiment}
+        )
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        code, report = run(config)
-    except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 3
     files = report.pop("_files", {})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

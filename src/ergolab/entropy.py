@@ -107,26 +107,3 @@ def check_renyi_ordering(
         passed=ok,
         spectrum=() if ok else tuple(float(v) for v in q),
     )
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    alpha_grid: tuple[float, ...]
-    entropies: tuple[float, ...]
-    passed: bool
-
-
-def entropy_monotone_in_alpha(
-    state: DensityMatrix | np.ndarray | Sequence[float],
-    alpha_grid: Iterable[float],
-    tolerance: float | None = None,
-) -> MonotoneReport:
-    """S_alpha must be non-increasing along an ascending order grid."""
-    grid = tuple(alpha_grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be strictly ascending")
-    tol = TOL.structural if tolerance is None else tolerance
-    q = spectrum_of(state)
-    vals = tuple(renyi_entropy(q, a) for a in grid)
-    ok = all(vals[i + 1] <= vals[i] + tol for i in range(len(vals) - 1))
-    return MonotoneReport(grid, vals, ok)

@@ -61,6 +61,8 @@ class SearchPolicy:
             raise ValueError("max_fraction must lie in (0, 1/2]")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def max_size(self, num_sites: int) -> int:
         k = math.floor(num_sites * self.max_fraction)
@@ -147,21 +149,6 @@ def _scan(
             block_s2[upd] = s2[upd]
             block_idx[upd] = ci
     return best_s2, best_idx
-
-
-def max_s2_subsystem(
-    state: PureState, policy: SearchPolicy | None = None
-) -> tuple[SiteSet, float]:
-    """Best subsystem found for one state and its Renyi-2 entropy.
-
-    Exhaustive mode returns the true maximum over all subsets up to the
-    size cap; sampling modes return the best over their candidate pool.
-    """
-    policy = policy or SearchPolicy()
-    lattice = state.lattice
-    cands = candidate_subsets(lattice, policy)
-    best_s2, best_idx = _scan(state.amplitudes[:, None], lattice, cands)
-    return SiteSet(lattice, cands[best_idx[0]]), max(float(best_s2[0]), 0.0)
 
 
 @dataclass

@@ -159,34 +159,10 @@ def product_overlap_transfer(
     return float(num / math.sqrt(z))
 
 
-def blocked_product_overlap(
-    spec: MPSSpec, factors: Sequence[np.ndarray], num_sites: int
-) -> float:
-    """|overlap| with a period-p product state, p = number of factors."""
-    p = len(factors)
-    if num_sites % p:
-        raise ValueError("period must divide the chain length")
-    block = np.eye(spec.bond_dim, dtype=complex)
-    for f in factors:
-        f = np.asarray(f, dtype=complex)
-        f = f / np.linalg.norm(f)
-        block = block @ np.tensordot(f.conj(), spec.tensors, axes=(0, 0))
-    lam = np.linalg.eigvals(block)
-    num = abs(np.sum(lam ** (num_sites // p)))
-    z = _z_values(spec, [num_sites])[0]
-    return float(num / math.sqrt(z))
-
-
 def ghz_spec() -> MPSSpec:
     a0 = np.diag([1.0, 0.0])
     a1 = np.diag([0.0, 1.0])
     return MPSSpec(np.stack([a0, a1]))
-
-
-def product_spec(phi: Sequence[complex]) -> MPSSpec:
-    phi = np.asarray(phi, dtype=complex)
-    phi = phi / np.linalg.norm(phi)
-    return MPSSpec(phi.reshape(-1, 1, 1))
 
 
 def random_injective_spec(

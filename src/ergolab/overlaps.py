@@ -12,7 +12,6 @@ import numpy as np
 from .entropy import renyi_entropy
 from .fits import fit_line
 from .states import (
-    DensityMatrix,
     LatticeSpec,
     PureState,
     SiteSet,

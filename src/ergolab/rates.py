@@ -13,7 +13,7 @@ import numpy as np
 
 from .ensembles import evolve_rows
 from .ergodicity import SearchPolicy, _rows_renyi2, build_profile
-from .hamiltonians import LocalHamiltonian, SpectralData, diagonalize
+from .hamiltonians import LocalHamiltonian, diagonalize
 from .operators import embed_operator, hermitian_site_basis, is_hermitian
 from .states import PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
 from .tolerances import TOL

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import struct
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,8 +22,6 @@ class ResourceGuardError(RuntimeError):
     """Raised when a request exceeds the dense-representation budget."""
 
 GEOMETRIES = ("chain-open", "chain-periodic")
-
-_MAGIC = b"ERGS"
 
 
 @dataclass(frozen=True)
@@ -52,13 +49,6 @@ class LatticeSpec:
     @property
     def dim(self) -> int:
         return self.local_dim**self.num_sites
-
-    def distance(self, i: int, j: int) -> int:
-        """Lattice distance between two sites, ring-aware."""
-        d = abs(i - j)
-        if self.geometry == "chain-periodic":
-            d = min(d, self.num_sites - d)
-        return d
 
 
 @dataclass(frozen=True)
@@ -97,18 +87,6 @@ class SiteSet:
         for s in self.sites:
             mask |= 1 << s
         return mask
-
-    def is_contiguous(self) -> bool:
-        n = self.lattice.num_sites
-        span = self.sites[-1] - self.sites[0] + 1
-        if span == len(self.sites):
-            return True
-        if self.lattice.geometry == "chain-periodic":
-            # a contiguous ring window wrapped around the origin has a
-            # contiguous complement
-            comp = sorted(set(range(n)) - set(self.sites))
-            return comp[-1] - comp[0] + 1 == len(comp)
-        return False
 
 
 def site_set(lattice: LatticeSpec, sites: SiteSet | Iterable[int]) -> SiteSet:
@@ -236,31 +214,6 @@ def overlap(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(matrix)
-    vals = np.where(vals < 0.0, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def fidelity(rho: DensityMatrix | PureState, sigma: DensityMatrix | PureState) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
-
-    For two pure states this reduces to |<a|b>|.
-    """
-    if isinstance(rho, PureState) and isinstance(sigma, PureState):
-        return abs(overlap(rho, sigma))
-    r = density_from_pure(rho) if isinstance(rho, PureState) else rho
-    s = density_from_pure(sigma) if isinstance(sigma, PureState) else sigma
-    if r.lattice.dim != s.lattice.dim:
-        raise ValueError("dimension mismatch")
-    root = _psd_sqrt(r.matrix)
-    inner = root @ s.matrix @ root
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    vals = np.where(vals < 0.0, 0.0, vals)
-    f = float(np.sum(np.sqrt(vals)))
-    return min(f, 1.0)
-
-
 def _as_matrix(state) -> np.ndarray:
     if isinstance(state, PureState):
         return density_from_pure(state).matrix
@@ -338,39 +291,6 @@ def maximally_entangled(lattice: LatticeSpec, region: SiteSet | Iterable[int]) -
     return PureState(lattice, amps)
 
 
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Concatenate two chains; the second state's sites are appended."""
-    if a.lattice.local_dim != b.lattice.local_dim:
-        raise ValueError("local dimensions differ")
-    lat = LatticeSpec(
-        a.lattice.num_sites + b.lattice.num_sites, a.lattice.local_dim, "chain-open"
-    )
-    return PureState(lat, np.kron(a.amplitudes, b.amplitudes))
-
-
-def save_state(path: str, state: PureState) -> None:
-    """Binary dump: magic, sites, local dim, little-endian re/im pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", state.lattice.num_sites, state.lattice.local_dim))
-        inter = np.empty(2 * state.lattice.dim, dtype="<f8")
-        inter[0::2] = state.amplitudes.real
-        inter[1::2] = state.amplitudes.imag
-        fh.write(inter.tobytes())
-
-
-def load_state(path: str, geometry: str = "chain-open") -> PureState:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a state file")
-        n, d = struct.unpack("<II", fh.read(8))
-        lat = LatticeSpec(n, d, geometry)
-        inter = np.frombuffer(fh.read(), dtype="<f8")
-        if inter.size != 2 * lat.dim:
-            raise ValueError("truncated state file")
-        return PureState(lat, inter[0::2] + 1j * inter[1::2])
-
-
 def state_to_json(state: PureState) -> str:
     pairs = [[float(a.real), float(a.imag)] for a in state.amplitudes]
     return json.dumps(
@@ -381,10 +301,3 @@ def state_to_json(state: PureState) -> str:
             "amplitudes": pairs,
         }
     )
-
-
-def state_from_json(text: str) -> PureState:
-    doc = json.loads(text)
-    lat = LatticeSpec(doc["num_sites"], doc["local_dim"], doc.get("geometry", "chain-open"))
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    return PureState(lat, amps)

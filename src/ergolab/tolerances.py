@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # unitarity, operator reconstruction, light cones, exact identities
+    # unitarity, operator reconstruction, exact identities
     structural: float = 1e-10
     # state norms, trace-one, hermiticity
     normalization: float = 1e-12

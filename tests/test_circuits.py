@@ -1,4 +1,4 @@
-"""Brickwork circuits, light cones, sublattice extensivity."""
+"""Brickwork circuits, layer generators, sublattice extensivity."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from ergolab.circuits import (
     CircuitLayer,
     apply_circuit,
     brickwork,
-    circuit_depth_range,
     circuit_extensivity_check,
     haar_unitary,
     layer_generator,
-    light_cone_check,
 )
 from ergolab.operators import embed_operator
 from ergolab.overlaps import product_state_from_factors
@@ -42,7 +40,7 @@ def test_brickwork_pattern(rng):
     layers = brickwork(lat, 2, haar_unitary(4, rng))
     assert [g[0] for g in layers[0].gates] == [(0, 1), (2, 3), (4, 5)]
     assert [g[0] for g in layers[1].gates] == [(1, 2), (3, 4)]
-    assert circuit_depth_range(layers) == (2, 2)
+    assert [layer.gate_range for layer in layers] == [2, 2]
 
 
 def test_brickwork_period_three(rng):
@@ -70,16 +68,6 @@ def test_identity_circuit_is_identity():
     psi = basis_product_state(lat, (0, 1, 0, 1, 1))
     out = apply_circuit(psi, layers)
     assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
-
-
-def test_light_cone_depth_one(rng):
-    lat = LatticeSpec(8, 2)
-    layers = brickwork(lat, 1, lambda i: haar_unitary(4, rng))
-    rep = light_cone_check(layers, seed=2)
-    assert rep.radius == 4
-    assert rep.pairs_checked > 0
-    assert rep.passed
-    assert rep.max_far_correlator <= 1e-10
 
 
 def test_extensivity_translation_invariant(rng):

@@ -154,6 +154,10 @@ def test_run_api_rejects_unknown_experiment():
         (["gibbs", "--betas", "inf"], 2),  # inverse temperature
         (["spectrum", "--gap-tolerance", "nan"], 2),  # gap tolerance
         (["spectrum", "--gap-tolerance", "-1"], 2),  # gap tolerance
+        (["mps", "--seed", "-1"], 2),  # seed of the random spec
+        (["scan", "--sites", "6", "--policy-seed", "-1"], 2),  # candidate pool seed
+        (["spectrum", "--sites", "4", "--model", "xxz-disordered", "--seed", "-1"], 2),  # field seed
+        (["spectrum", "--sites", "4", "--seed", "-1"], 2),  # seed a model draws nothing from
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):
@@ -249,6 +253,34 @@ def test_cli_surface_and_defaults_pinned():
         del config["experiment"]
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(canonical.encode()).hexdigest() == CONFIG_SHA256[name], name
+
+
+def test_each_run_validated_once(tmp_path, monkeypatch):
+    calls = []
+    validate = cli._validate
+
+    def counting(experiment, config):
+        calls.append(experiment)
+        validate(experiment, config)
+
+    monkeypatch.setattr(cli, "_validate", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sites": 4}))
+    args = ["gibbs", "--config", str(cfg), "--betas", "1.0", "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    assert calls == ["gibbs"]
+
+
+def test_runner_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def runner_fails(config):
+        raise ValueError("raised inside the runner")
+
+    table = dict(cli.EXPERIMENT_TABLE)
+    table["gibbs"] = dataclasses.replace(table["gibbs"], runner=runner_fails)
+    monkeypatch.setattr(cli, "EXPERIMENT_TABLE", table)
+    # main lets it through, so the command prints a traceback and exits 1
+    with pytest.raises(ValueError, match="inside the runner"):
+        main(["gibbs", "--sites", "4", "--out", str(tmp_path / "out")])
 
 
 def test_horizon_reaches_both_time_averages():

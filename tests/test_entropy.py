@@ -11,7 +11,6 @@ from ergolab.entropy import (
     INF,
     check_renyi_ordering,
     clean_spectrum,
-    entropy_monotone_in_alpha,
     renyi_entropy,
     spectrum_of,
 )
@@ -78,8 +77,9 @@ def test_ordering_property(raw):
 def test_monotone_property(raw):
     p = np.array(raw)
     p /= p.sum()
-    rep = entropy_monotone_in_alpha(p, (0.5, 1.0, 1.5, 2.0, 3.0, 8.0, INF))
-    assert rep.passed
+    # S_alpha is non-increasing in the order alpha
+    vals = [renyi_entropy(p, a) for a in (0.5, 1.0, 1.5, 2.0, 3.0, 8.0, INF)]
+    assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
 def test_ordering_report_fields():

@@ -17,7 +17,6 @@ from ergolab.ergodicity import (
     candidate_subsets,
     diagonal_entropy_growth,
     initial_state,
-    max_s2_subsystem,
     tail_check,
     variance_decay_trend,
 )
@@ -26,7 +25,6 @@ from ergolab.operators import pauli
 from ergolab.rates import integrated_bound_check
 from ergolab.states import (
     LatticeSpec,
-    PureState,
     ResourceGuardError,
     _subset_order,
     maximally_entangled,
@@ -43,6 +41,8 @@ def test_policy_validation():
         SearchPolicy(max_fraction=1.5)
     with pytest.raises(ValueError):
         SearchPolicy(budget=0)
+    with pytest.raises(ValueError, match="seed"):
+        SearchPolicy(seed=-1)
     assert SearchPolicy().max_size(8) == 4
 
 
@@ -74,22 +74,26 @@ def test_random_sample_budget_and_determinism():
     assert all(1 <= len(sub) <= 5 for sub in a)
 
 
-def test_max_s2_subsystem_on_paired_state():
+def _best_subsystem(amplitudes, lattice, policy):
+    cands = candidate_subsets(lattice, policy)
+    best_s2, best_idx = _scan(amplitudes[:, None], lattice, cands)
+    return cands[best_idx[0]], float(best_s2[0])
+
+
+def test_exhaustive_scan_on_paired_state():
     # two fully mixed sites: the best subsystem reaches S2 = 2 log 2
     lat = LatticeSpec(6, 2)
     psi = maximally_entangled(lat, (0, 1))
-    best, s2 = max_s2_subsystem(psi, SearchPolicy(mode="exhaustive"))
+    best, s2 = _best_subsystem(psi.amplitudes, lat, SearchPolicy(mode="exhaustive"))
     assert s2 == pytest.approx(2 * math.log(2), abs=1e-10)
-    assert set(best.sites) in ({0, 1}, {2, 3})
+    assert set(best) in ({0, 1}, {2, 3})
 
 
 def test_random_sample_close_to_exhaustive(spec8):
-    k = spec8.dim // 3
-    from ergolab.states import PureState
-
-    psi = PureState(spec8.lattice, spec8.eigenvectors[:, k].astype(complex))
-    _, s_ex = max_s2_subsystem(psi, SearchPolicy(mode="exhaustive"))
-    _, s_rand = max_s2_subsystem(psi, SearchPolicy(mode="random-sample", budget=500, seed=0))
+    psi = spec8.eigenvectors[:, spec8.dim // 3]
+    _, s_ex = _best_subsystem(psi, spec8.lattice, SearchPolicy(mode="exhaustive"))
+    policy = SearchPolicy(mode="random-sample", budget=500, seed=0)
+    _, s_rand = _best_subsystem(psi, spec8.lattice, policy)
     assert s_rand >= 0.95 * s_ex
 
 
@@ -306,21 +310,6 @@ def test_profile_matches_transpose_reference(mode, spec8, monkeypatch):
     _assert_matches_reference(
         spec8.eigenvectors, spec8.lattice, cands, prof.s2_over_n * n, best_idx
     )
-
-
-def test_max_s2_subsystem_matches_transpose_reference(spec8):
-    mixed = (spec8.eigenvectors[:, :3] @ [0.6, 0.64, 0.48]).astype(complex)
-    policy = SearchPolicy(mode="exhaustive")
-    cands = candidate_subsets(spec8.lattice, policy)
-    for state in (random_product_state(spec8.lattice, 4), PureState(spec8.lattice, mixed)):
-        best, s2 = max_s2_subsystem(state, policy)
-        _assert_matches_reference(
-            state.amplitudes[:, None],
-            spec8.lattice,
-            cands,
-            np.array([s2]),
-            np.array([cands.index(best.sites)]),
-        )
 
 
 @pytest.mark.parametrize("n, d, keep", [(6, 2, (1, 4)), (5, 3, (4, 0, 2)), (4, 2, (0, 1))])

@@ -7,14 +7,12 @@ import pytest
 
 from ergolab.mps import (
     MPSSpec,
-    blocked_product_overlap,
     ghz_spec,
     injectivity,
     mps_overlap_decay,
     mps_to_dense,
     normalized,
     product_overlap_transfer,
-    product_spec,
     random_injective_spec,
     transfer_operator,
 )
@@ -59,7 +57,7 @@ def test_transfer_operator_shape_and_normalization():
 def test_injectivity_classification():
     assert not injectivity(ghz_spec()).injective
     assert injectivity(random_injective_spec(seed=0)).injective
-    assert injectivity(product_spec([0.6, 0.8])).injective
+    assert injectivity(MPSSpec(np.reshape([0.6, 0.8], (2, 1, 1)))).injective
     assert injectivity(cluster_spec()).injective
     rep = injectivity(ghz_spec())
     assert rep.relative_gap <= 1e-6
@@ -73,9 +71,9 @@ def test_ghz_dense_form():
     assert np.abs(amps[1:-1]).max() <= 1e-12
 
 
-def test_product_spec_dense_form():
+def test_product_mps_dense_form():
     phi = np.array([0.6, 0.8j])
-    psi = mps_to_dense(product_spec(phi), 5)
+    psi = mps_to_dense(MPSSpec(phi.reshape(2, 1, 1)), 5)
     want = product_state_from_factors(psi.lattice, [phi] * 5)
     assert abs(np.vdot(want.amplitudes, psi.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
@@ -94,28 +92,10 @@ def test_dense_transfer_overlap_agreement():
             assert abs(via_t - via_d) <= 1e-9
 
 
-def test_blocked_overlap_reduces_to_uniform():
-    spec = random_injective_spec(seed=5)
-    f = np.array([0.8, 0.6], dtype=complex)
-    a = blocked_product_overlap(spec, [f], 12)
-    b = product_overlap_transfer(spec, f, 12)
-    assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_blocked_overlap_period_two():
-    spec = cluster_spec()
-    f0 = np.array([1.0, 0.0], dtype=complex)
-    f1 = np.array([0.0, 1.0], dtype=complex)
-    n = 8
-    got = blocked_product_overlap(spec, [f0, f1], n)
-    dense = mps_to_dense(spec, n)
-    prod = product_state_from_factors(dense.lattice, [f0, f1] * (n // 2))
-    want = abs(np.vdot(prod.amplitudes, dense.amplitudes))
-    assert got == pytest.approx(want, abs=1e-10)
-
-
 def test_decay_branches():
-    prod = mps_overlap_decay(product_spec([1.0, 1.0]), (8, 12, 16))
+    # bond dimension 1: the product state with factor (1, 1)/sqrt(2) on every site
+    product = MPSSpec(np.full((2, 1, 1), 1.0 / np.sqrt(2.0)))
+    prod = mps_overlap_decay(product, (8, 12, 16))
     assert prod.branch == "product"
     assert prod.passed
     rej = mps_overlap_decay(ghz_spec(), (8, 12))
@@ -124,7 +104,7 @@ def test_decay_branches():
     assert rej.kappa is None
     for sizes in ((8,), (12, 12)):
         with pytest.raises(ValueError, match="two distinct"):
-            mps_overlap_decay(product_spec([1.0, 1.0]), sizes)
+            mps_overlap_decay(product, sizes)
 
 
 def test_decay_cluster_state():
