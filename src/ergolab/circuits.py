@@ -13,7 +13,7 @@ from .entropy import renyi_entropy
 from .hamiltonians import LocalHamiltonian, LocalTerm
 from .overlaps import max_product_overlap
 from .rates import QuasiLocalUnitary
-from .states import LatticeSpec, PureState, partial_trace, site_set, trace_distance
+from .states import LatticeSpec, PureState, _subset_order, partial_trace, site_set, trace_distance
 
 UNITARITY_TOL = 1e-10
 
@@ -88,17 +88,15 @@ def brickwork(
 
 def apply_circuit(psi: PureState, layers: list[CircuitLayer]) -> PureState:
     """Apply the layers in order; composition of unitaries keeps the norm."""
-    d = psi.lattice.local_dim
-    t = psi.tensor().copy()
+    d, n = psi.lattice.local_dim, psi.lattice.num_sites
+    a = psi.amplitudes.copy()
     for layer in layers:
         if layer.lattice != psi.lattice:
             raise ValueError("layer lattice mismatch")
         for sites, mat in layer.gates:
-            m = len(sites)
-            g = mat.reshape([d] * (2 * m))
-            t = np.tensordot(g, t, axes=(list(range(m, 2 * m)), list(sites)))
-            t = np.moveaxis(t, range(m), sites)
-    return PureState(psi.lattice, t.reshape(-1))
+            o = _subset_order(n, d, sites).reshape(len(mat), -1)
+            a[o] = mat @ a[o]
+    return PureState(psi.lattice, a)
 
 
 @dataclass(frozen=True)

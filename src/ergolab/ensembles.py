@@ -90,10 +90,6 @@ class DiagonalEnsemble:
         )
 
     @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
     def is_pure(self) -> bool:
         return bool(np.max(self.populations) > 1.0 - 1e-12)
 
@@ -229,9 +225,6 @@ class VarianceBoundReport:
     bound_trimmed: float
     fully_equilibrated: bool
     passed: bool
-
-    def margin(self) -> float:
-        return self.variance / min(self.bound_s2, self.bound_trimmed) if self.variance else 0.0
 
 
 def check_variance_bounds(

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .entropy import renyi_entropy
-from .operators import embed_operator, is_hermitian, operator_norm, pauli
+from .operators import _support_index, is_hermitian, operator_norm, pauli
 from .states import DensityMatrix, LatticeSpec, ResourceGuardError
 from .tolerances import TOL
 
@@ -55,14 +55,15 @@ class LocalHamiltonian:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        d = self.lattice.local_dim
+        d, n = self.lattice.local_dim, self.lattice.num_sites
         for t in self.terms:
+            s = t.sites
+            if not s or min(s) < 0 or max(s) >= n or len(set(s)) != len(s):
+                raise ValueError(f"term {t.label!r} sites {s} are not distinct lattice sites")
             if self._term_diameter(t) > self.locality:
                 raise ValueError(f"term {t.label!r} exceeds declared locality")
             if t.matrix.shape != (d ** len(t.sites),) * 2:
                 raise ValueError(f"term {t.label!r} shape mismatch")
-            if max(t.sites) >= self.lattice.num_sites:
-                raise ValueError(f"term {t.label!r} outside lattice")
 
     def _term_diameter(self, t: LocalTerm) -> int:
         # on a ring the wrap bond spans 2 sites, not the whole chain
@@ -84,7 +85,8 @@ class LocalHamiltonian:
         h = np.zeros((self.lattice.dim, self.lattice.dim), dtype=dtype)
         for t in self.terms:
             block = t.matrix.real if real and np.iscomplexobj(t.matrix) else t.matrix
-            h += embed_operator(block.astype(dtype), t.sites, self.lattice)
+            rows, cols = _support_index(t.sites, self.lattice)
+            h[rows, cols] += block[:, :, None]
         if shifted:
             if self.ground_shift is None:
                 raise ValueError("ground shift unknown; diagonalize first")

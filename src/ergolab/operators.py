@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import LatticeSpec
+from .states import LatticeSpec, _subset_order
 from .tolerances import TOL
 
 PAULI = {
@@ -34,6 +34,19 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _support_index(sites, lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column basis indices of a local operator in the full chain.
+
+    ``full[rows, cols] = op[:, :, None]`` embeds `op`, whose axes follow
+    ascending site order; every (rows, cols) pair is distinct, so ``+=``
+    through the same indices adds a term exactly.
+    """
+    sites = tuple(sorted(sites))
+    d = lattice.local_dim
+    o = _subset_order(lattice.num_sites, d, sites).reshape(d ** len(sites), -1)
+    return o[:, None, :], o[None, :, :]
+
+
 def embed_operator(op: np.ndarray, sites, lattice: LatticeSpec) -> np.ndarray:
     """Embed an operator acting on the given sites into the full chain.
 
@@ -46,24 +59,13 @@ def embed_operator(op: np.ndarray, sites, lattice: LatticeSpec) -> np.ndarray:
         raise ValueError("duplicate sites in support")
     if sites and (sites[0] < 0 or sites[-1] >= lattice.num_sites):
         raise ValueError("support outside lattice")
-    d, n = lattice.local_dim, lattice.num_sites
     m = len(sites)
-    if op.shape != (d**m, d**m):
+    if op.shape != (lattice.local_dim**m,) * 2:
         raise ValueError(f"operator shape {op.shape} does not fit {m} sites")
-    if m == n:
-        return op
-    # contiguous supports embed without any axis shuffle
-    if m > 0 and sites[-1] - sites[0] + 1 == m:
-        left, right = sites[0], n - sites[-1] - 1
-        out = np.kron(np.kron(np.eye(d**left), op), np.eye(d**right))
-        return out
-    rest = [s for s in range(n) if s not in sites]
-    full = np.kron(op, np.eye(d ** (n - m)))
-    order = list(sites) + rest  # axis p of `full` carries site order[p]
-    perm = np.argsort(order)
-    t = full.reshape([d] * (2 * n))
-    t = np.transpose(t, list(perm) + [n + p for p in perm])
-    return np.ascontiguousarray(t).reshape(lattice.dim, lattice.dim)
+    out = np.zeros((lattice.dim, lattice.dim), dtype=np.result_type(op, float))
+    rows, cols = _support_index(sites, lattice)
+    out[rows, cols] = op[:, :, None]
+    return out
 
 
 def hermitian_site_basis(d: int) -> list[tuple[str, np.ndarray]]:

@@ -2,8 +2,10 @@
 
 Index convention: site 0 is the most significant digit of the base-d
 computational index, so ``amplitudes.reshape([d] * num_sites)`` exposes
-site ``s`` on axis ``s``.  Every reduction and embedding in the package
-relies on this single convention.
+site ``s`` on axis ``s``.  ``_subset_order`` is the one implementation of
+this convention: bipartitions, operator embedding, Hamiltonian assembly,
+gate application and the maximally entangled state all take their basis
+indices from it.
 """
 
 from __future__ import annotations
@@ -279,15 +281,11 @@ def maximally_entangled(lattice: LatticeSpec, region: SiteSet | Iterable[int]) -
         raise ValueError("region larger than half the lattice is unsupported")
     d, n = lattice.local_dim, lattice.num_sites
     d_a = d**m
-    place = d ** (n - 1 - np.arange(n, dtype=np.int64))
-    k = np.arange(d_a, dtype=np.int64)
-    idx = np.zeros(d_a, dtype=np.int64)
-    for pos in range(m):
-        digit = (k // d ** (m - 1 - pos)) % d
-        idx += digit * place[region.sites[pos]]
-        idx += digit * place[comp.sites[pos]]
+    # column k * d**(n - 2m) gives the first m complement sites the digits of k, the rest 0
+    o = _subset_order(n, d, region.sites).reshape(d_a, -1)
+    k = np.arange(d_a)
     amps = np.zeros(lattice.dim, dtype=complex)
-    amps[idx] = 1.0 / np.sqrt(d_a)
+    amps[o[k, k * d ** (n - 2 * m)]] = 1.0 / np.sqrt(d_a)
     return PureState(lattice, amps)
 
 

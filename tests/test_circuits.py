@@ -62,6 +62,34 @@ def test_apply_circuit_against_dense(rng):
     assert np.allclose(got.amplitudes, want, atol=1e-12)
 
 
+def _reference_apply(psi, layers):
+    """The tensordot/moveaxis loop that index gathering replaced."""
+    d = psi.lattice.local_dim
+    t = psi.tensor().copy()
+    for layer in layers:
+        for sites, mat in layer.gates:
+            m = len(sites)
+            g = mat.reshape([d] * (2 * m))
+            t = np.tensordot(g, t, axes=(list(range(m, 2 * m)), list(sites)))
+            t = np.moveaxis(t, range(m), sites)
+    return t.reshape(-1)
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (5, 3)])
+def test_apply_circuit_matches_tensordot_reference(n, d):
+    rng = np.random.default_rng(n + d)
+    lat = LatticeSpec(n, d)
+    layers = brickwork(lat, 3, lambda i: haar_unitary(d**2, rng))
+    layers.append(CircuitLayer(lat, [((n - 1, 0), haar_unitary(d**2, rng))]))
+    gates = [((0, 2, 4), haar_unitary(d**3, rng)), ((1,), haar_unitary(d, rng))]
+    layers.append(CircuitLayer(lat, gates))
+    psi = random_product_state(lat, rng)
+    got = apply_circuit(psi, layers)
+    want = _reference_apply(psi, layers)
+    assert got.amplitudes.dtype == want.dtype
+    assert np.array_equal(got.amplitudes, want)
+
+
 def test_identity_circuit_is_identity():
     lat = LatticeSpec(5, 2)
     layers = brickwork(lat, 3, np.eye(4))

@@ -48,7 +48,7 @@ def spec6_module():
 
 def test_populations_sum_to_one(ens6):
     assert ens6.populations.sum() == pytest.approx(1.0, abs=1e-10)
-    assert ens6.num_blocks == 64  # generic spectrum: every level its own block
+    assert len(ens6.blocks) == 64  # generic spectrum: every level its own block
 
 
 def test_eigenstate_gives_pure_ensemble(spec6_module):
@@ -134,7 +134,7 @@ def test_variance_degenerate_blocks_excluded():
     spec = diagonalize(LocalHamiltonian(lat, terms))
     amps = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
     ens = DiagonalEnsemble(spec, PureState(lat, amps))
-    assert ens.num_blocks == 3
+    assert len(ens.blocks) == 3
     a = Observable(lat, np.kron(pauli("X"), np.eye(2)), "X0")
     got = variance_exact(ens, a)
     # dense oracle over blocks

@@ -80,6 +80,13 @@ def test_term_hermiticity_enforced():
         LocalTerm((0,), np.array([[0.0, 1.0], [0.0, 0.0]]), "bad")
 
 
+@pytest.mark.parametrize("sites", [(0, 0), (-1, 0), (3, 4)])
+def test_term_sites_checked_at_construction(sites):
+    lat = LatticeSpec(4, 2)
+    with pytest.raises(ValueError, match="bad-term"):
+        LocalHamiltonian(lat, [LocalTerm(sites, np.eye(4), "bad-term")])
+
+
 def test_build_model_catalog(lat6):
     for name in ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field"):
         h = build_model(name, lat6, seed=3)

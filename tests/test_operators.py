@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ergolab.hamiltonians import MODEL_NAMES, LocalHamiltonian, LocalTerm, build_model
 from ergolab.operators import (
     embed_operator,
     hermitian_site_basis,
@@ -56,6 +57,77 @@ def test_embed_site_order_is_canonicalized(rng):
     assert np.allclose(embed_operator(op, (2, 0), lat), embed_operator(op, (0, 2), lat), atol=1e-12)
     with pytest.raises(ValueError):
         embed_operator(op, (0, 0), lat)
+
+
+def _reference_embed(op, sites, lattice):
+    """The kron-with-identities embedding that index scattering replaced."""
+    sites = tuple(sorted(int(s) for s in sites))
+    d, n = lattice.local_dim, lattice.num_sites
+    m = len(sites)
+    if m == n:
+        return op
+    if m > 0 and sites[-1] - sites[0] + 1 == m:
+        left, right = sites[0], n - sites[-1] - 1
+        return np.kron(np.kron(np.eye(d**left), op), np.eye(d**right))
+    rest = [s for s in range(n) if s not in sites]
+    full = np.kron(op, np.eye(d ** (n - m)))
+    perm = np.argsort(list(sites) + rest)
+    t = full.reshape([d] * (2 * n))
+    t = np.transpose(t, list(perm) + [n + p for p in perm])
+    return np.ascontiguousarray(t).reshape(lattice.dim, lattice.dim)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("support", ["single", "contiguous", "noncontiguous", "full"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_embed_matches_kron_reference(d, n, support, dtype):
+    lat = LatticeSpec(n, d)
+    sites = {
+        "single": (n - 2,),
+        "contiguous": (1, 2),
+        "noncontiguous": (0, n - 1) if n < 5 else (0, 2, 4),
+        "full": tuple(range(n)),
+    }[support]
+    dim = d ** len(sites)
+    rng = np.random.default_rng(n * d)
+    op = rng.normal(size=(dim, dim))
+    if dtype is complex:
+        op = op + 1j * rng.normal(size=(dim, dim))
+    got = embed_operator(op, sites, lat)
+    want = _reference_embed(op, sites, lat)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("n", [6, 7])
+def test_assemble_matches_kron_reference(name, geometry, n):
+    lat = LatticeSpec(n, 2, geometry)
+    ham = build_model(name, lat, seed=3)
+    want = np.zeros((lat.dim, lat.dim))
+    for t in ham.terms:
+        want += _reference_embed(t.matrix.astype(float), t.sites, lat)
+    got = ham.assemble(shifted=False)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_assemble_complex_terms_match_kron_reference(rng):
+    # mixed real and complex terms, one of them on the wrap bond
+    lat = LatticeSpec(5, 3, "chain-periodic")
+    terms = [
+        LocalTerm((4, 0), random_hermitian(9, rng), "wrap"),
+        LocalTerm((1, 2), random_hermitian(9, rng).real, "real"),
+        LocalTerm((3,), random_hermitian(3, rng), "site"),
+    ]
+    want = np.zeros((lat.dim, lat.dim), dtype=complex)
+    for t in terms:
+        want += _reference_embed(t.matrix.astype(complex), t.sites, lat)
+    got = LocalHamiltonian(lat, terms).assemble(shifted=False)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_operator_norm_matches_svd(rng):

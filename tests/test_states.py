@@ -142,6 +142,42 @@ def test_maximally_entangled_marginal():
     assert np.allclose(rho.matrix, np.eye(4) / 4, atol=1e-12)
 
 
+def _reference_maximally_entangled(lattice, region):
+    """The place-value loop that the subset index order replaced."""
+    comp = [s for s in range(lattice.num_sites) if s not in region]
+    d, n, m = lattice.local_dim, lattice.num_sites, len(region)
+    d_a = d**m
+    place = d ** (n - 1 - np.arange(n, dtype=np.int64))
+    k = np.arange(d_a, dtype=np.int64)
+    idx = np.zeros(d_a, dtype=np.int64)
+    for pos in range(m):
+        digit = (k // d ** (m - 1 - pos)) % d
+        idx += digit * place[region[pos]]
+        idx += digit * place[comp[pos]]
+    amps = np.zeros(lattice.dim, dtype=complex)
+    amps[idx] = 1.0 / np.sqrt(d_a)
+    return amps
+
+
+@pytest.mark.parametrize(
+    "n, d, region",
+    [
+        (4, 2, (0, 1)),
+        (6, 2, (1, 4)),
+        (7, 2, (0, 3, 5)),
+        (5, 3, (2,)),
+        (5, 3, (0, 4)),
+        (6, 3, (1, 2, 5)),
+    ],
+)
+def test_maximally_entangled_matches_place_value_reference(n, d, region):
+    lat = LatticeSpec(n, d)
+    got = maximally_entangled(lat, region).amplitudes
+    want = _reference_maximally_entangled(lat, region)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_overlap_trace_distance(rng):
     lat = LatticeSpec(3, 2)
     a = random_product_state(lat, rng)
