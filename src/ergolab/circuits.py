@@ -30,8 +30,10 @@ class CircuitLayer:
         seen: set[int] = set()
         d = self.lattice.local_dim
         norm_gates = []
-        for sites, mat in self.gates:
+        for i, (sites, mat) in enumerate(self.gates):
             sites = tuple(sorted(int(s) for s in sites))
+            if len(set(sites)) != len(sites):
+                raise ValueError(f"gate {i} sites {sites} are not distinct")
             if any(s < 0 or s >= self.lattice.num_sites for s in sites):
                 raise ValueError("gate support outside lattice")
             if seen & set(sites):

@@ -543,6 +543,8 @@ def _validate(experiment: str, config: dict) -> None:
                 raise ConfigError(f"state index {idx} outside spectrum")
         if any(float(a) <= 1 for a in config.get("alphas", ())):
             raise ConfigError("the overlap bound holds for alpha > 1 only")
+        if "alphas" in config and int(config["samples"]) < 0:  # overlap
+            raise ConfigError("overlap needs a non-negative sample count")
         if "epsilon" in config:
             constant_entropy_bound(config["epsilon"], float("inf"))
         for beta in config.get("betas", ()):

@@ -36,25 +36,28 @@ class Observable:
         return operator_norm(self.matrix)
 
 
+def _local_observable(lattice: LatticeSpec, block: np.ndarray, sites, label: str) -> Observable:
+    """Embed a local block; its norm is the block's, not a dense eigvalsh."""
+    obs = Observable(lattice, embed_operator(block, sites, lattice), label)
+    obs.__dict__["norm"] = operator_norm(block)  # fills the cached property
+    return obs
+
+
 def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> Observable:
-    op = embed_operator(pauli(axis), (site,), lattice)
-    return Observable(lattice, op, f"{axis.lower()}[{site}]")
+    return _local_observable(lattice, pauli(axis), (site,), f"{axis.lower()}[{site}]")
 
 
 def bond_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> Observable:
-    op = embed_operator(
-        np.kron(pauli(axis), pauli(axis)).real, (site, site + 1), lattice
-    )
-    return Observable(lattice, op, f"{axis.lower()}{axis.lower()}[{site},{site + 1}]")
+    op = np.kron(pauli(axis), pauli(axis)).real
+    label = f"{axis.lower()}{axis.lower()}[{site},{site + 1}]"
+    return _local_observable(lattice, op, (site, site + 1), label)
 
 
 def random_local_observable(
     lattice: LatticeSpec, sites: tuple[int, ...], seed: int = 0
 ) -> Observable:
-    d = lattice.local_dim ** len(sites)
-    block = random_hermitian(d, np.random.default_rng(seed), norm=1.0)
-    op = embed_operator(block, sites, lattice)
-    return Observable(lattice, op, f"rand{list(sites)}")
+    block = random_hermitian(lattice.local_dim ** len(sites), np.random.default_rng(seed), norm=1.0)
+    return _local_observable(lattice, block, sites, f"rand{list(sites)}")
 
 
 class DiagonalEnsemble:

@@ -15,6 +15,10 @@ from .states import (
     LatticeSpec,
     PureState,
     SiteSet,
+    _product_rows,
+    _random_factors,
+    _row_norms,
+    bipartition_matrix,
     maximally_entangled,
     overlap,
     partial_trace,
@@ -30,22 +34,10 @@ def product_state_from_factors(
 ) -> PureState:
     if len(factors) != lattice.num_sites:
         raise ValueError("one single-site factor per site required")
-    amps = np.array([1.0 + 0.0j])
-    for f in factors:
-        f = np.asarray(f, dtype=complex)
-        if f.shape != (lattice.local_dim,):
-            raise ValueError("factor dimension mismatch")
-        amps = np.kron(amps, f / np.linalg.norm(f))
-    return PureState(lattice, amps)
-
-
-def _random_factors(lattice: LatticeSpec, rng: np.random.Generator) -> list[np.ndarray]:
-    d = lattice.local_dim
-    out = []
-    for _ in range(lattice.num_sites):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        out.append(v / np.linalg.norm(v))
-    return out
+    if any(np.shape(f) != (lattice.local_dim,) for f in factors):
+        raise ValueError("factor dimension mismatch")
+    f = np.asarray(factors, dtype=complex)
+    return PureState(lattice, _product_rows(f / _row_norms(f)[:, None]))
 
 
 @dataclass(frozen=True)
@@ -90,19 +82,16 @@ def build_epsilon_state(
     cut = site_set(lattice, half_cut)
     if len(cut) != n // 2:
         raise ValueError("cut must cover exactly half the sites")
-    rng = np.random.default_rng(seed)
-    factors = _random_factors(lattice, rng)
+    factors = _random_factors(lattice, np.random.default_rng(seed), 1)[0]
     psi = product_state_from_factors(lattice, factors)
     omega = maximally_entangled(lattice, cut)
     raw = math.sqrt(1.0 - epsilon) * psi.amplitudes + math.sqrt(epsilon) * omega.amplitudes
     norm = float(np.linalg.norm(raw))
     defect = abs(norm - 1.0)
-    # overlap norm of the entangled part with the product factors off the cut;
-    # removing axes in descending site order keeps remaining indices stable
-    contracted = omega.tensor()
-    for s in sorted(cut.complement().sites, reverse=True):
-        contracted = np.tensordot(contracted, factors[s].conj(), axes=(s, 0))
-    delta = float(np.linalg.norm(contracted))
+    # overlap norm of the entangled part with the product factors off the cut
+    entangled = bipartition_matrix(omega.amplitudes, cut.sites, lattice)
+    off_cut = _product_rows(factors[list(cut.complement().sites)]).conj()
+    delta = float(np.linalg.norm(entangled @ off_cut))
     cap = d ** (-len(cut) / 2.0)
     if delta > cap + 1e-12:
         raise AssertionError(f"entangled-part overlap norm {delta} exceeds {cap}")
@@ -271,6 +260,41 @@ def verify_epsilon_family(
     )
 
 
+def _sweep_factors(
+    rows: np.ndarray, factors: np.ndarray, sweeps: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating single-site maximisation of |<prod|row>|^2 for state
+    rows (S, d**N) from starting factors (S, N, d); returns the final
+    factors and the value of each row.
+
+    With the other factors fixed, the best factor at a site is the row
+    contracted against them, normalised, and its squared norm is the new
+    value, so no update lowers it.  A row stops after the first sweep that
+    gains less than tol; a zero contraction leaves its factor and value.
+    """
+    factors = np.array(factors, dtype=complex)
+    s, n, d = factors.shape
+    values = np.full(s, -1.0)
+    active = np.arange(s)
+    for _ in range(sweeps):
+        f, r, val = factors[active], rows[active], values[active]
+        for k in range(n):
+            left = _product_rows(f[:, :k]).conj()
+            right = _product_rows(f[:, k + 1 :]).conj()
+            env = np.einsum("sa,sabc,sc->sb", left, r.reshape(len(active), d**k, d, -1), right)
+            nv = _row_norms(env)
+            moved = nv != 0.0
+            f[moved, k] = env[moved] / nv[moved, None]
+            val[moved] = nv[moved] ** 2
+        factors[active] = f
+        gained = val - values[active] >= tol
+        values[active] = val
+        active = active[gained]
+        if not active.size:
+            break
+    return factors, values
+
+
 def max_product_overlap(
     phi: PureState,
     restarts: int = 8,
@@ -281,46 +305,19 @@ def max_product_overlap(
     """Best product state found for |<prod|phi>|^2, by alternating
     single-site updates.
 
-    With all other factors fixed, the optimal factor at a site is the
-    contraction of the state against the rest, normalized; each update
-    can only increase the objective, so sweeps terminate when the gain
-    drops below tol.  Restarts guard against local optima but global
-    optimality is not guaranteed.
+    The restarts start from one draw of `default_rng(seed)` and are swept
+    together; sweeps stop when the gain drops below tol.  Restarts guard
+    against local optima but global optimality is not guaranteed; the
+    first best restart is returned.
     """
     if restarts < 1 or sweeps < 1:
         raise ValueError("restarts and sweeps must be positive")
     lattice = phi.lattice
-    n = lattice.num_sites
-    tensor = phi.tensor()
-    rng = np.random.default_rng(seed)
-    best_val = -1.0
-    best_factors: list[np.ndarray] | None = None
-    for _ in range(restarts):
-        factors = _random_factors(lattice, rng)
-        prev = -1.0
-        for _ in range(sweeps):
-            val = prev
-            for k in range(n):
-                # contract every other site; removing axes in descending
-                # order keeps the remaining axis indices unchanged
-                env = tensor
-                for j in range(n - 1, -1, -1):
-                    if j != k:
-                        env = np.tensordot(env, factors[j].conj(), axes=(j, 0))
-                nv = float(np.linalg.norm(env))
-                if nv == 0.0:
-                    continue
-                factors[k] = env / nv
-                val = nv * nv
-            if val - prev < tol:
-                prev = val
-                break
-            prev = val
-        if prev > best_val:
-            best_val = prev
-            best_factors = [f.copy() for f in factors]
-    assert best_factors is not None
-    return product_state_from_factors(lattice, best_factors), best_val
+    start = _random_factors(lattice, np.random.default_rng(seed), restarts)
+    rows = np.broadcast_to(phi.amplitudes, (restarts, lattice.dim))
+    factors, values = _sweep_factors(rows, start, sweeps, tol)
+    best = int(np.argmax(values))
+    return product_state_from_factors(lattice, factors[best]), float(values[best])
 
 
 @dataclass(frozen=True)
@@ -364,44 +361,29 @@ def overlap_bound_check(
         factor = 1.0 if a == INF else (a - 1.0) / a
         bounds.append(math.exp(-factor * s))
     limit = min(bounds)
-    rng = np.random.default_rng(seed)
-    candidates: list[tuple[str, PureState]] = []
-    for i in range(samples):
-        candidates.append(
-            (f"random[{i}]", product_state_from_factors(phi.lattice, _random_factors(phi.lattice, rng)))
-        )
-    opt_state, opt_val = max_product_overlap(
-        phi, restarts=restarts, sweeps=sweeps, seed=seed
-    )
-    candidates.append(("optimized", opt_state))
-    max_sq = -1.0
-    max_ratio = 0.0
-    tightest = ""
-    violations = 0
+    randoms = _product_rows(_random_factors(phi.lattice, np.random.default_rng(seed), samples))
+    opt_state, _ = max_product_overlap(phi, restarts=restarts, sweeps=sweeps, seed=seed)
+    candidates = np.vstack([randoms, opt_state.amplitudes])  # the optimum is the last row
+    sq = np.abs(candidates.conj() @ phi.amplitudes) ** 2
+    ratios = sq / limit if limit > 0 else np.full(len(sq), math.inf)
+    # the first maximal ratio names the tightest case; all-zero ratios name none
+    top = int(np.argmax(ratios))
+    tightest = "" if ratios[top] == 0 else f"random[{top}]" if top < samples else "optimized"
+    violators = np.flatnonzero(sq > limit + 1e-12)
     offender = None
-    for name, cand in candidates:
-        sq = float(abs(overlap(cand, phi)) ** 2)
-        ratio = sq / limit if limit > 0 else math.inf
-        if sq > max_sq:
-            max_sq = sq
-        if ratio > max_ratio:
-            max_ratio = ratio
-            tightest = name
-        if sq > limit + 1e-12:
-            violations += 1
-            if offender is None:
-                offender = state_to_json(cand)
+    if violators.size:
+        offender = state_to_json(PureState(phi.lattice, candidates[violators[0]]))
     return OverlapBoundReport(
         region=tuple(keep.sites),
         alphas=tuple(float(a) for a in alphas),
         bounds=tuple(bounds),
         num_checked=len(candidates),
-        max_overlap_sq=max_sq,
-        max_ratio=max_ratio,
+        max_overlap_sq=float(sq.max()),
+        max_ratio=float(ratios[top]),
         tightest_case=tightest,
-        violations=violations,
+        violations=int(violators.size),
         offender_json=offender,
-        passed=violations == 0,
+        passed=violators.size == 0,
     )
 
 
@@ -428,37 +410,27 @@ def eigenstate_overlap_audit(
     product states against exp(-S_2(best found subsystem)/2).
 
     The random candidates are shared across eigenstates and evaluated as
-    one matrix product; the optimizer runs per eigenstate.
+    one matrix product.  The optimiser sweeps every eigenstate's restarts
+    as one stack; eigenstate i starts from `default_rng(seed + i)`, as
+    `max_product_overlap(..., seed=seed + i)` would.
     """
     lattice = spectral.lattice
-    rng = np.random.default_rng(seed)
-    prods = np.stack(
-        [
-            product_state_from_factors(lattice, _random_factors(lattice, rng)).amplitudes
-            for _ in range(samples)
-        ],
-        axis=1,
-    )
-    sq = np.abs(spectral.eigenvectors.conj().T @ prods) ** 2  # (states, samples)
+    prods = _product_rows(_random_factors(lattice, np.random.default_rng(seed), samples))
+    sq = np.abs(spectral.eigenvectors.conj().T @ prods.T) ** 2  # (states, samples)
     limits = np.exp(-0.5 * profile.s2_over_n * lattice.num_sites)
-    max_ratio = 0.0
-    worst = -1
-    violations = int(np.sum(sq > limits[:, None] + 1e-12))
-    ratios = sq.max(axis=1) / np.maximum(limits, 1e-300)
-    for i in range(spectral.dim):
-        state = PureState(lattice, spectral.eigenvectors[:, i].astype(complex))
-        _, val = max_product_overlap(state, restarts=restarts, sweeps=sweeps, seed=seed + i)
-        if val > limits[i] + 1e-12:
-            violations += 1
-        r = max(ratios[i], val / max(limits[i], 1e-300))
-        if r > max_ratio:
-            max_ratio = float(r)
-            worst = i
+    rngs = (np.random.default_rng(seed + i) for i in range(spectral.dim))
+    start = np.concatenate([_random_factors(lattice, rng, restarts) for rng in rngs])
+    rows = np.repeat(spectral.eigenvectors.T, restarts, axis=0)
+    values = _sweep_factors(rows, start, sweeps, 1e-12)[1]  # max_product_overlap's default tol
+    best = values.reshape(spectral.dim, restarts).max(axis=1)
+    violations = int(np.sum(sq > limits[:, None] + 1e-12) + np.sum(best > limits + 1e-12))
+    ratios = np.maximum(sq.max(axis=1), best) / np.maximum(limits, 1e-300)
+    worst = int(np.argmax(ratios))
     return OverlapAuditReport(
         model=spectral.hamiltonian.name,
         num_states=spectral.dim,
         samples=samples,
-        max_ratio=max_ratio,
+        max_ratio=float(ratios[worst]),
         worst_index=worst,
         violations=violations,
         passed=violations == 0,

@@ -5,7 +5,9 @@ computational index, so ``amplitudes.reshape([d] * num_sites)`` exposes
 site ``s`` on axis ``s``.  ``_subset_order`` is the one implementation of
 this convention: bipartitions, operator embedding, Hamiltonian assembly,
 gate application and the maximally entangled state all take their basis
-indices from it.
+indices from it.  ``_product_rows`` is the one product-state factory:
+random, basis and factor-built product states, and the product vectors an
+overlap optimisation contracts against, are all built by it.
 """
 
 from __future__ import annotations
@@ -236,18 +238,39 @@ def trace_distance(rho, sigma) -> float:
     return float(np.abs(np.linalg.eigvalsh(r - s)).sum())
 
 
+def _product_rows(factors: np.ndarray) -> np.ndarray:
+    """Amplitude rows (..., d**N) of the product states of single-site
+    factors (..., N, d); multiplying sites in left to right gives the bits
+    of a chain of ``np.kron``, and N = 0 gives rows of one amplitude 1."""
+    *lead, n, d = factors.shape
+    amps = np.ones((*lead, 1), dtype=factors.dtype)
+    for k in range(n):
+        amps = (amps[..., :, None] * factors[..., k, None, :]).reshape(*lead, d ** (k + 1))
+    return amps
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """2-norms over the last axis, summed as ``np.linalg.norm`` sums one
+    complex vector, so a stack normalises to the bits of a loop over it."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _random_factors(lattice: LatticeSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` stacks (count, N, d) of normalised Gaussian factors from one
+    draw; row i is the i-th of successive per-site draws (d real parts,
+    then d imaginary parts)."""
+    g = rng.normal(size=(count, lattice.num_sites, 2, lattice.local_dim))
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    return v / _row_norms(v)[..., None]
+
+
 def random_product_state(
     lattice: LatticeSpec, seed: int | np.random.Generator = 0
 ) -> PureState:
     """Haar-random single-site factors, deterministic under the seed."""
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    d = lattice.local_dim
-    amps = None
-    for _ in range(lattice.num_sites):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        amps = v if amps is None else np.kron(amps, v)
-    return PureState(lattice, amps)
+    return PureState(lattice, _product_rows(_random_factors(lattice, rng, 1)[0]))
 
 
 def basis_product_state(lattice: LatticeSpec, digits: Iterable[int]) -> PureState:
@@ -256,14 +279,10 @@ def basis_product_state(lattice: LatticeSpec, digits: Iterable[int]) -> PureStat
     if len(digits) != lattice.num_sites:
         raise ValueError("one digit per site required")
     d = lattice.local_dim
-    idx = 0
     for g in digits:
         if not 0 <= g < d:
             raise ValueError(f"digit {g} outside local dimension {d}")
-        idx = idx * d + g
-    amps = np.zeros(lattice.dim, dtype=complex)
-    amps[idx] = 1.0
-    return PureState(lattice, amps)
+    return PureState(lattice, _product_rows(np.eye(d)[digits]))
 
 
 def maximally_entangled(lattice: LatticeSpec, region: SiteSet | Iterable[int]) -> PureState:

@@ -26,6 +26,8 @@ def test_layer_validation(rng):
         CircuitLayer(lat, [((3, 4), u)])  # out of range
     with pytest.raises(ValueError):
         CircuitLayer(lat, [((0, 1), np.ones((4, 4)))])  # not unitary
+    with pytest.raises(ValueError, match=r"gate 1 sites \(1, 1\) are not distinct"):
+        CircuitLayer(lat, [((2, 3), u), ((1, 1), u)])
 
 
 def test_haar_unitary_deterministic():

@@ -158,6 +158,7 @@ def test_run_api_rejects_unknown_experiment():
         (["scan", "--sites", "6", "--policy-seed", "-1"], 2),  # candidate pool seed
         (["spectrum", "--sites", "4", "--model", "xxz-disordered", "--seed", "-1"], 2),  # field seed
         (["spectrum", "--sites", "4", "--seed", "-1"], 2),  # seed a model draws nothing from
+        (["overlap", "--samples", "-1"], 2),  # random product-state count
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from ergolab.ensembles import (
     variance_sampled,
 )
 from ergolab.hamiltonians import LocalHamiltonian, LocalTerm, diagonalize
-from ergolab.operators import pauli
+from ergolab.operators import operator_norm, pauli
 from ergolab.states import (
     LatticeSpec,
     PureState,
@@ -288,3 +288,15 @@ def test_observable_helpers(spec6_module):
     r1 = random_local_observable(lat, (1, 4), seed=3)
     r2 = random_local_observable(lat, (1, 4), seed=3)
     assert np.array_equal(r1.matrix, r2.matrix)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_observable_norm_is_dense_norm(d):
+    # the factories record the block's norm; the dense route is the reference
+    lat = LatticeSpec(4, d)
+    observables = [random_local_observable(lat, sites, seed=s) for s, sites in enumerate([(0,), (1, 3), (0, 1, 2)])]
+    if d == 2:
+        observables += [site_observable(lat, 1, axis) for axis in "XYZ"]
+        observables += [bond_observable(lat, 2, axis) for axis in "XYZ"]
+    for obs in observables:
+        assert obs.norm == pytest.approx(operator_norm(obs.matrix), abs=1e-12)

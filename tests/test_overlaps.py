@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ergolab.entropy import INF, renyi_entropy
+from ergolab.ergodicity import SearchPolicy, build_profile
+from ergolab.hamiltonians import MODEL_NAMES, build_model, diagonalize
 from ergolab.overlaps import (
     build_epsilon_state,
     constant_entropy_bound,
@@ -26,6 +28,61 @@ from ergolab.states import (
     partial_trace,
     random_product_state,
 )
+
+
+# The loops the stacked optimiser and the product-state factory replaced,
+# kept as references.
+
+
+def _reference_factors(lattice, rng):
+    out = []
+    for _ in range(lattice.num_sites):
+        v = rng.normal(size=lattice.local_dim) + 1j * rng.normal(size=lattice.local_dim)
+        out.append(v / np.linalg.norm(v))
+    return out
+
+
+def _reference_product(factors):
+    amps = np.array([1.0 + 0.0j])
+    for f in factors:
+        f = np.asarray(f, dtype=complex)
+        amps = np.kron(amps, f / np.linalg.norm(f))
+    return amps
+
+
+def _reference_max_product_overlap(phi, restarts, sweeps, seed, tol=1e-12):
+    n = phi.lattice.num_sites
+    tensor = phi.tensor()
+    rng = np.random.default_rng(seed)
+    best_val = -1.0
+    for _ in range(restarts):
+        factors = _reference_factors(phi.lattice, rng)
+        prev = -1.0
+        for _ in range(sweeps):
+            val = prev
+            for k in range(n):
+                env = tensor
+                for j in range(n - 1, -1, -1):
+                    if j != k:
+                        env = np.tensordot(env, factors[j].conj(), axes=(j, 0))
+                nv = float(np.linalg.norm(env))
+                if nv == 0.0:
+                    continue
+                factors[k] = env / nv
+                val = nv * nv
+            if val - prev < tol:
+                prev = val
+                break
+            prev = val
+        best_val = max(best_val, prev)
+    return best_val
+
+
+def _assert_matches_reference(phi, restarts, sweeps, seed=0):
+    _, val = max_product_overlap(phi, restarts=restarts, sweeps=sweeps, seed=seed)
+    want = _reference_max_product_overlap(phi, restarts, sweeps, seed)
+    assert val == pytest.approx(want, abs=1e-12)
+    return val
 
 
 def test_model_spectrum_closed_form():
@@ -66,6 +123,18 @@ def test_epsilon_state_delta_scaling():
     assert d6 == pytest.approx(2.0 ** (-1.5), rel=1e-12)
     assert d8 == pytest.approx(0.25, rel=1e-12)
     assert d12 == pytest.approx(0.5 * d8, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, seed", [(6, 0), (8, 3), (10, 1)])
+def test_epsilon_state_delta_matches_tensordot(n, seed):
+    lat = LatticeSpec(n, 2)
+    st = build_epsilon_state(lat, 0.3, seed=seed)
+    factors = _reference_factors(lat, np.random.default_rng(seed))
+    contracted = st.entangled_part.tensor()
+    for s in sorted(st.half_cut.complement().sites, reverse=True):
+        contracted = np.tensordot(contracted, factors[s].conj(), axes=(s, 0))
+    assert st.delta == pytest.approx(float(np.linalg.norm(contracted)), abs=1e-15)
+    assert np.array_equal(st.product_part.amplitudes, _reference_product(factors))
 
 
 def test_epsilon_state_requires_even_chain():
@@ -111,13 +180,13 @@ def test_family_report_small_sizes():
 def test_max_product_overlap_product_input():
     lat = LatticeSpec(4, 2)
     psi = random_product_state(lat, 6)
-    _, val = max_product_overlap(psi, restarts=2, sweeps=30, seed=0)
+    val = _assert_matches_reference(psi, restarts=2, sweeps=30)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_max_product_overlap_bell():
     bell = maximally_entangled(LatticeSpec(2, 2), (0,))
-    _, val = max_product_overlap(bell, restarts=4, sweeps=40, seed=0)
+    val = _assert_matches_reference(bell, restarts=4, sweeps=40)
     assert val == pytest.approx(0.5, abs=1e-9)
 
 
@@ -128,7 +197,7 @@ def test_max_product_overlap_w_state():
     for k in (0b001, 0b010, 0b100):
         amps[k] = 1 / math.sqrt(3)
     w = PureState(lat, amps)
-    _, val = max_product_overlap(w, restarts=6, sweeps=60, seed=0)
+    val = _assert_matches_reference(w, restarts=6, sweeps=60)
     assert val == pytest.approx((2 / 3) ** 2, abs=1e-8)
 
 
@@ -143,6 +212,38 @@ def test_max_product_overlap_monotone_sweeps():
     assert v2 >= v1 - 1e-12
 
 
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_max_product_overlap_matches_reference_on_eigenstates(model):
+    spec = diagonalize(build_model(model, LatticeSpec(6, 2), seed=0))
+    for i in range(spec.dim):
+        phi = PureState(spec.lattice, spec.eigenvectors[:, i])
+        _assert_matches_reference(phi, restarts=2, sweeps=20, seed=i)
+        # one sweep stops every row early, after the first pass
+        _assert_matches_reference(phi, restarts=3, sweeps=1, seed=i)
+
+
+def test_eigenstate_audit_matches_reference_loop():
+    spec = diagonalize(build_model("xxz-disordered", LatticeSpec(6, 2), seed=0))
+    prof = build_profile(spec, SearchPolicy(mode="exhaustive"))
+    rep = eigenstate_overlap_audit(spec, prof, samples=30, restarts=2, sweeps=20, seed=3)
+    rng = np.random.default_rng(3)
+    prods = np.stack([_reference_product(_reference_factors(spec.lattice, rng)) for _ in range(30)], axis=1)
+    sq = np.abs(spec.eigenvectors.conj().T @ prods) ** 2
+    limits = np.exp(-0.5 * prof.s2_over_n * spec.lattice.num_sites)
+    best = np.array(
+        [
+            _reference_max_product_overlap(PureState(spec.lattice, spec.eigenvectors[:, i]), 2, 20, 3 + i)
+            for i in range(spec.dim)
+        ]
+    )
+    ratios = np.maximum(sq.max(axis=1), best) / limits
+    # several eigenstates saturate the bound, so the worst index is pinned
+    # through its ratio: rounding may pick another of the tied states
+    assert rep.max_ratio == pytest.approx(ratios.max(), rel=1e-12)
+    assert ratios[rep.worst_index] == pytest.approx(ratios.max(), rel=1e-12)
+    assert rep.violations == int(np.sum(sq > limits[:, None] + 1e-12) + np.sum(best > limits + 1e-12))
+
+
 def test_overlap_bound_check_random_state():
     lat = LatticeSpec(5, 2)
     rng = np.random.default_rng(12)
@@ -155,6 +256,29 @@ def test_overlap_bound_check_random_state():
     assert rep.max_ratio <= 1.0 + 1e-10
     assert rep.offender_json is None
     assert len(rep.bounds) == len(rep.alphas) == 3
+    # the per-candidate scoring loop the one matrix product replaced
+    rng = np.random.default_rng(0)
+    cands = [(f"random[{i}]", _reference_product(_reference_factors(lat, rng))) for i in range(100)]
+    opt, _ = max_product_overlap(psi, restarts=4, sweeps=30, seed=0)
+    cands.append(("optimized", opt.amplitudes))
+    limit = min(rep.bounds)
+    max_sq, max_ratio, tightest = -1.0, 0.0, ""
+    for name, amps in cands:
+        sq = abs(np.vdot(amps, psi.amplitudes)) ** 2
+        max_sq = max(max_sq, sq)
+        if sq / limit > max_ratio:
+            max_ratio, tightest = sq / limit, name
+    assert rep.num_checked == 101
+    assert rep.max_overlap_sq == pytest.approx(max_sq, rel=1e-12)
+    assert rep.max_ratio == pytest.approx(max_ratio, rel=1e-12)
+    assert rep.tightest_case == tightest
+    # with no random samples only the optimum is scored
+    only = overlap_bound_check(psi, (0, 1), samples=0, seed=0)
+    assert only.num_checked == 1
+    assert only.tightest_case == "optimized"
+    assert only.max_overlap_sq == pytest.approx(float(abs(np.vdot(opt.amplitudes, psi.amplitudes)) ** 2), rel=1e-12)
+    with pytest.raises(ValueError):
+        overlap_bound_check(psi, (0, 1), samples=-1)
 
 
 def test_overlap_bound_saturated_by_basis_state():
@@ -174,9 +298,21 @@ def test_product_state_from_factors_normalizes():
     assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eigenstate_audit_clean(spec6):
-    from ergolab.ergodicity import SearchPolicy, build_profile
+@pytest.mark.parametrize("d", [2, 3])
+def test_product_state_from_factors_matches_kron_loop(d):
+    lat = LatticeSpec(4, d)
+    rng = np.random.default_rng(d)
+    for _ in range(16):
+        factors = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(4)]
+        got = product_state_from_factors(lat, factors).amplitudes
+        want = _reference_product(factors)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        product_state_from_factors(lat, [np.ones(d)] * 3 + [np.ones(d + 1)])
 
+
+def test_eigenstate_audit_clean(spec6):
     prof = build_profile(spec6, SearchPolicy(mode="exhaustive"))
     rep = eigenstate_overlap_audit(spec6, prof, samples=60, seed=0)
     assert rep.violations == 0

@@ -1,5 +1,6 @@
 """Lattice bookkeeping, bipartitions, partial traces, serialization."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from ergolab.states import (
     LatticeSpec,
     PureState,
     ResourceGuardError,
+    _random_factors,
     basis_product_state,
     bipartition_matrix,
     density_from_pure,
@@ -47,6 +49,57 @@ def test_site_set_validation_and_props():
         site_set(lat, (0, 5))
     # repeated indices collapse rather than error
     assert site_set(lat, (1, 1)).sites == (1,)
+
+
+def _reference_random_factor(rng, d):
+    # one site of the per-site draw the product-state factory replaced
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+def _reference_random_product_state(lat, seed):
+    rng = np.random.default_rng(seed)
+    amps = None
+    for _ in range(lat.num_sites):
+        v = _reference_random_factor(rng, lat.local_dim)
+        amps = v if amps is None else np.kron(amps, v)
+    return amps
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_product_state_matches_kron_loop(d):
+    lat = LatticeSpec(5, d)
+    for seed in range(32):
+        got = random_product_state(lat, seed).amplitudes
+        want = _reference_random_product_state(lat, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (4, 3)])
+def test_basis_product_state_matches_place_values(n, d):
+    lat = LatticeSpec(n, d)
+    for digits in itertools.product(range(d), repeat=n):
+        idx = 0
+        for g in digits:
+            idx = idx * d + g
+        want = np.zeros(lat.dim, dtype=complex)
+        want[idx] = 1.0
+        got = basis_product_state(lat, digits).amplitudes
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_factor_rows_match_successive_draws(d):
+    lat = LatticeSpec(4, d)
+    stack = _random_factors(lat, np.random.default_rng(5), 40)
+    assert stack.shape == (40, 4, d)
+    rng = np.random.default_rng(5)
+    for row in stack:
+        want = np.array([_reference_random_factor(rng, d) for _ in range(4)])
+        assert row.dtype == want.dtype
+        assert np.array_equal(row, want)
 
 
 def test_basis_state_digit_convention():
