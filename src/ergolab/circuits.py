@@ -11,9 +11,10 @@ from scipy.linalg import logm
 
 from .entropy import renyi_entropy
 from .hamiltonians import LocalHamiltonian, LocalTerm
+from .operators import apply_local
 from .overlaps import max_product_overlap
 from .rates import QuasiLocalUnitary
-from .states import LatticeSpec, PureState, _subset_order, partial_trace, site_set, trace_distance
+from .states import LatticeSpec, PureState, partial_trace, site_set, trace_distance
 
 UNITARITY_TOL = 1e-10
 
@@ -90,14 +91,12 @@ def brickwork(
 
 def apply_circuit(psi: PureState, layers: list[CircuitLayer]) -> PureState:
     """Apply the layers in order; composition of unitaries keeps the norm."""
-    d, n = psi.lattice.local_dim, psi.lattice.num_sites
-    a = psi.amplitudes.copy()
+    a = psi.amplitudes
     for layer in layers:
         if layer.lattice != psi.lattice:
             raise ValueError("layer lattice mismatch")
         for sites, mat in layer.gates:
-            o = _subset_order(n, d, sites).reshape(len(mat), -1)
-            a[o] = mat @ a[o]
+            a = apply_local(mat, sites, psi.lattice, a)
     return PureState(psi.lattice, a)
 
 

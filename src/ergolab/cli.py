@@ -84,7 +84,7 @@ from .rates import (  # noqa: E402
     integrated_bound_check,
     stability_experiment,
 )
-from .states import LatticeSpec, PureState, SiteSet  # noqa: E402
+from .states import LatticeSpec, PureState, SiteSet, site_set  # noqa: E402
 from .tolerances import TOL  # noqa: E402
 
 SCOPE_NOTE = (
@@ -537,6 +537,8 @@ def _validate(experiment: str, config: dict) -> None:
             check_sampling(config["subsystem_samples"], config["horizon"], 1)
         if config.get("region"):
             SiteSet(lattices[0], tuple(int(s) for s in config["region"]))
+        elif experiment in ("overlap", "rates", "stability"):  # the default half-chain region
+            site_set(lattices[0], range(lattices[0].num_sites // 2))
         if config.get("state_index") is not None:
             idx = int(config["state_index"])
             if not 0 <= idx < lattices[0].dim:

@@ -4,60 +4,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .entropy import renyi_entropy
-from .hamiltonians import SpectralData, degenerate_groups
-from .operators import embed_operator, is_hermitian, operator_norm, pauli, random_hermitian
+from .hamiltonians import LocalTerm, SpectralData, degenerate_groups
+from .operators import _local_support, apply_local, pauli, random_hermitian
 from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _sublattice, bipartition_matrix, site_set
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Observable:
-    lattice: LatticeSpec
-    matrix: np.ndarray
-    label: str = "A"
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix)
-        if m.shape != (self.lattice.dim,) * 2:
-            raise ValueError("observable dimension mismatch")
-        if not is_hermitian(m, 1e-10):
-            raise ValueError("observable must be hermitian")
-        object.__setattr__(self, "matrix", m)
-
-    @cached_property
-    def norm(self) -> float:
-        return operator_norm(self.matrix)
+def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> LocalTerm:
+    block = pauli(axis)
+    return LocalTerm(_local_support(block, (site,), lattice), block, f"{axis.lower()}[{site}]")
 
 
-def _local_observable(lattice: LatticeSpec, block: np.ndarray, sites, label: str) -> Observable:
-    """Embed a local block; its norm is the block's, not a dense eigvalsh."""
-    obs = Observable(lattice, embed_operator(block, sites, lattice), label)
-    obs.__dict__["norm"] = operator_norm(block)  # fills the cached property
-    return obs
-
-
-def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> Observable:
-    return _local_observable(lattice, pauli(axis), (site,), f"{axis.lower()}[{site}]")
-
-
-def bond_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> Observable:
+def bond_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> LocalTerm:
     op = np.kron(pauli(axis), pauli(axis)).real
     label = f"{axis.lower()}{axis.lower()}[{site},{site + 1}]"
-    return _local_observable(lattice, op, (site, site + 1), label)
+    return LocalTerm(_local_support(op, (site, site + 1), lattice), op, label)
 
 
 def random_local_observable(
     lattice: LatticeSpec, sites: tuple[int, ...], seed: int = 0
-) -> Observable:
+) -> LocalTerm:
     block = random_hermitian(lattice.local_dim ** len(sites), np.random.default_rng(seed), norm=1.0)
-    return _local_observable(lattice, block, sites, f"rand{list(sites)}")
+    return LocalTerm(_local_support(block, sites, lattice), block, f"rand{list(sites)}")
 
 
 class DiagonalEnsemble:
@@ -81,16 +55,14 @@ class DiagonalEnsemble:
         c = spectral.coefficients(state.amplitudes)
         self.coefficients = c
         self.blocks = degenerate_groups(spectral.energies, degeneracy_tolerance)
-        pops = np.array(
-            [float(np.sum(np.abs(c[a:b]) ** 2)) for a, b in self.blocks]
-        )
+        self._starts = [a for a, _ in self.blocks]
+        pops = np.add.reduceat(np.abs(c) ** 2, self._starts)
         total = pops.sum()
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"populations sum to {total!r}")
         self.populations = pops / total
-        self.block_energies = np.array(
-            [float(np.mean(spectral.energies[a:b])) for a, b in self.blocks]
-        )
+        sizes = np.diff([*self._starts, spectral.dim])
+        self.block_energies = np.add.reduceat(spectral.energies, self._starts) / sizes
 
     @property
     def is_pure(self) -> bool:
@@ -105,9 +77,7 @@ class DiagonalEnsemble:
 
     def block_vectors(self) -> np.ndarray:
         """Columns w_k = P_k |psi>, one per energy block (unnormalized)."""
-        v = self.spectral.eigenvectors
-        cols = [v[:, a:b] @ self.coefficients[a:b] for a, b in self.blocks]
-        return np.stack(cols, axis=1)
+        return np.add.reduceat(self.spectral.eigenvectors * self.coefficients, self._starts, axis=1)
 
     def reduced(self, region: SiteSet | tuple[int, ...]) -> DensityMatrix:
         """Dephased state on `region`: sum_k M_k M_k^dag over the block
@@ -138,24 +108,26 @@ def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
 def expectation_trajectory(
     spectral: SpectralData,
     state: PureState,
-    observable: Observable,
+    observable: LocalTerm,
     times: np.ndarray,
 ) -> np.ndarray:
     """<A>(t) on a grid of times, via the eigenbasis."""
     c = spectral.coefficients(state.amplitudes)
-    a_tilde = spectral.eigenvectors.conj().T @ observable.matrix @ spectral.eigenvectors
+    v = spectral.eigenvectors
+    a_tilde = v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
     phases = np.exp(-1j * np.outer(spectral.energies, np.asarray(times, dtype=float)))
     ct = phases * c[:, None]
     return np.real(np.einsum("it,ij,jt->t", ct.conj(), a_tilde, ct, optimize=True))
 
 
-def ensemble_expectation(ens: DiagonalEnsemble, observable: Observable) -> float:
+def ensemble_expectation(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
     w = ens.block_vectors()
-    return float(np.real(np.vdot(w, observable.matrix @ w)))
+    aw = apply_local(observable.matrix, observable.sites, ens.spectral.lattice, w)
+    return float(np.real(np.vdot(w, aw)))
 
 
 def variance_exact(
-    ens: DiagonalEnsemble, observable: Observable
+    ens: DiagonalEnsemble, observable: LocalTerm
 ) -> float:
     """Infinite-time variance of <A>(t), exact under non-degenerate gaps.
 
@@ -164,7 +136,7 @@ def variance_exact(
     distinct block energies to be non-coincident; certify with gap_report.
     """
     w = ens.block_vectors()
-    m = w.conj().T @ observable.matrix @ w
+    m = w.conj().T @ apply_local(observable.matrix, observable.sites, ens.spectral.lattice, w)
     off = np.abs(m) ** 2
     np.fill_diagonal(off, 0.0)
     return float(off.sum())
@@ -190,7 +162,7 @@ class SampledVariance:
 def variance_sampled(
     spectral: SpectralData,
     state: PureState,
-    observable: Observable,
+    observable: LocalTerm,
     horizon: float | None = None,
     samples: int = 2000,
     seed: int = 0,
@@ -231,7 +203,7 @@ class VarianceBoundReport:
 
 
 def check_variance_bounds(
-    ens: DiagonalEnsemble, observable: Observable
+    ens: DiagonalEnsemble, observable: LocalTerm
 ) -> VarianceBoundReport:
     """Exact variance against both ensemble-entropy bounds.
 

@@ -1,4 +1,4 @@
-"""Operator utilities: Pauli matrices, lattice embedding, hermitian bases."""
+"""Operator utilities: Pauli matrices, local-operator application, hermitian bases."""
 
 from __future__ import annotations
 
@@ -47,24 +47,38 @@ def _support_index(sites, lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]
     return o[:, None, :], o[None, :, :]
 
 
-def embed_operator(op: np.ndarray, sites, lattice: LatticeSpec) -> np.ndarray:
-    """Embed an operator acting on the given sites into the full chain.
-
-    Supports are arbitrary (non-contiguous allowed); the operator's axes
-    must be ordered by ascending site index, matching the global
-    convention that site 0 is the most significant digit.
-    """
+def _local_support(op: np.ndarray, sites, lattice: LatticeSpec) -> tuple[int, ...]:
+    """Ascending support of a local operator, refused unless its sites are
+    distinct lattice sites and `op` is d^m x d^m for m of them."""
     sites = tuple(sorted(int(s) for s in sites))
     if len(set(sites)) != len(sites):
         raise ValueError("duplicate sites in support")
     if sites and (sites[0] < 0 or sites[-1] >= lattice.num_sites):
         raise ValueError("support outside lattice")
     m = len(sites)
-    if op.shape != (lattice.local_dim**m,) * 2:
-        raise ValueError(f"operator shape {op.shape} does not fit {m} sites")
-    out = np.zeros((lattice.dim, lattice.dim), dtype=np.result_type(op, float))
-    rows, cols = _support_index(sites, lattice)
-    out[rows, cols] = op[:, :, None]
+    if np.shape(op) != (lattice.local_dim**m,) * 2:
+        raise ValueError(f"operator shape {np.shape(op)} does not fit {m} sites")
+    return sites
+
+
+def apply_local(op: np.ndarray, sites, lattice: LatticeSpec, amps: np.ndarray) -> np.ndarray:
+    """The operator acting on the given sites, applied to a vector (dim,)
+    or a stack of columns (dim, k) without embedding it in the full chain.
+
+    Supports are arbitrary (non-contiguous allowed); the operator's axes
+    must be ordered by ascending site index, matching the global
+    convention that site 0 is the most significant digit.  The support's
+    basis indices are gathered, multiplied by the d^m x d^m block and
+    scattered back; they cover every basis index once.
+    """
+    sites = _local_support(op, sites, lattice)
+    amps = np.asarray(amps)
+    if amps.shape[0] != lattice.dim:
+        raise ValueError(f"{amps.shape[0]} amplitudes do not match dimension {lattice.dim}")
+    o = _subset_order(lattice.num_sites, lattice.local_dim, sites).reshape(len(op), -1)
+    g = amps[o]
+    out = np.empty(amps.shape, dtype=np.result_type(op, amps))
+    out[o] = (op @ g.reshape(len(op), -1)).reshape(g.shape)
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .ensembles import evolve_rows
 from .ergodicity import SearchPolicy, _rows_renyi2, build_profile
 from .hamiltonians import LocalHamiltonian, diagonalize
-from .operators import embed_operator, hermitian_site_basis, is_hermitian
+from .operators import apply_local, hermitian_site_basis, is_hermitian
 from .states import PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
 from .tolerances import TOL
 
@@ -201,8 +201,9 @@ class BoundaryRateReport:
     passed: bool
 
 
-def _pure_region_rate(state: PureState, keep: SiteSet, op_full: np.ndarray) -> float:
-    """Rate of the region's Renyi-2 entropy for a pure global state.
+def _pure_region_rate(state: PureState, keep: SiteSet, op_psi: np.ndarray) -> float:
+    """Rate of the region's Renyi-2 entropy for a pure global state under
+    the operator whose image of the state is `op_psi`.
 
     Rank-one structure lets the traced commutator come from two thin
     bipartition matrices instead of the full density matrix.
@@ -213,7 +214,7 @@ def _pure_region_rate(state: PureState, keep: SiteSet, op_full: np.ndarray) -> f
     purity = float(np.trace(rho_a @ rho_a).real)
     if purity <= 1e-12:
         raise ValueError("reduced purity underflow")
-    m_op = bipartition_matrix(op_full @ state.amplitudes, keep.sites, lat)
+    m_op = bipartition_matrix(op_psi, keep.sites, lat)
     k = m_op @ m_psi.conj().T
     raw = 2.0j * np.trace(rho_a @ (k - k.conj().T)) / purity
     if abs(raw.imag) > IMAG_RESIDUE:
@@ -232,11 +233,12 @@ def boundary_rate(
     """
     keep = site_set(state.lattice, region)
     terms = h.boundary_terms(tuple(keep.sites))
-    rates = []
-    for t in terms:
-        op = embed_operator(t.matrix.astype(complex), t.sites, state.lattice)
-        rates.append(_pure_region_rate(state, keep, op))
-    direct = _pure_region_rate(state, keep, h.assemble(shifted=False).astype(complex))
+    psi = state.amplitudes
+    rates = [
+        _pure_region_rate(state, keep, apply_local(t.matrix, t.sites, state.lattice, psi))
+        for t in terms
+    ]
+    direct = _pure_region_rate(state, keep, h.assemble(shifted=False) @ psi)
     total = float(sum(rates))
     diff = abs(total - direct)
     return BoundaryRateReport(

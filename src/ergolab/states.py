@@ -3,11 +3,12 @@
 Index convention: site 0 is the most significant digit of the base-d
 computational index, so ``amplitudes.reshape([d] * num_sites)`` exposes
 site ``s`` on axis ``s``.  ``_subset_order`` is the one implementation of
-this convention: bipartitions, operator embedding, Hamiltonian assembly,
-gate application and the maximally entangled state all take their basis
-indices from it.  ``_product_rows`` is the one product-state factory:
-random, basis and factor-built product states, and the product vectors an
-overlap optimisation contracts against, are all built by it.
+this convention: bipartitions, local-operator application (gates,
+observables and boundary terms), Hamiltonian assembly and the maximally
+entangled state all take their basis indices from it.  ``_product_rows``
+is the one product-state factory: random, basis and factor-built product
+states, and the product vectors an overlap optimisation contracts
+against, are all built by it.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import _reference_embed
 
 from ergolab.circuits import (
     CircuitLayer,
@@ -11,7 +12,6 @@ from ergolab.circuits import (
     haar_unitary,
     layer_generator,
 )
-from ergolab.operators import embed_operator
 from ergolab.overlaps import product_state_from_factors
 from ergolab.states import LatticeSpec, basis_product_state, random_product_state
 
@@ -59,7 +59,7 @@ def test_apply_circuit_against_dense(rng):
     dense = np.eye(16, dtype=complex)
     for layer in layers:
         for sites, gate in layer.gates:
-            dense = embed_operator(gate, sites, lat) @ dense
+            dense = _reference_embed(gate, sites, lat) @ dense
     want = dense @ psi.amplitudes
     assert np.allclose(got.amplitudes, want, atol=1e-12)
 

@@ -159,6 +159,9 @@ def test_run_api_rejects_unknown_experiment():
         (["spectrum", "--sites", "4", "--model", "xxz-disordered", "--seed", "-1"], 2),  # field seed
         (["spectrum", "--sites", "4", "--seed", "-1"], 2),  # seed a model draws nothing from
         (["overlap", "--samples", "-1"], 2),  # random product-state count
+        (["overlap", "--sites", "1"], 2),  # empty default half-chain region
+        (["rates", "--sites", "1"], 2),  # empty default half-chain region
+        (["stability", "--sites", "1"], 2),  # empty default half-chain region
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import _reference_embed
 
 from ergolab.ensembles import (
     DiagonalEnsemble,
-    Observable,
     bond_observable,
     check_variance_bounds,
     ensemble_expectation,
@@ -119,7 +119,7 @@ def test_variance_exact_against_dense_oracle(spec6_module):
     v = spec6_module.eigenvectors
     c = v.conj().T @ psi.amplitudes
     p = np.abs(c) ** 2
-    a_eig = v.conj().T @ a.matrix @ v
+    a_eig = v.conj().T @ _reference_embed(a.matrix, a.sites, spec6_module.lattice) @ v
     off = np.abs(a_eig) ** 2
     np.fill_diagonal(off, 0.0)
     want = float((p[:, None] * p[None, :] * off).sum())
@@ -135,11 +135,11 @@ def test_variance_degenerate_blocks_excluded():
     amps = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
     ens = DiagonalEnsemble(spec, PureState(lat, amps))
     assert len(ens.blocks) == 3
-    a = Observable(lat, np.kron(pauli("X"), np.eye(2)), "X0")
+    a = LocalTerm((0,), pauli("X"), "X0")
     got = variance_exact(ens, a)
     # dense oracle over blocks
     w = ens.block_vectors()
-    m = w.conj().T @ a.matrix @ w
+    m = w.conj().T @ _reference_embed(a.matrix, a.sites, lat) @ w
     want = float((np.abs(m) ** 2).sum() - (np.abs(np.diag(m)) ** 2).sum())
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -179,10 +179,11 @@ def test_trajectory_endpoints(spec6_module):
     psi = random_product_state(spec6_module.lattice, 4)
     a = site_observable(spec6_module.lattice, 3)
     vals = expectation_trajectory(spec6_module, psi, a, np.array([0.0, 1.5]))
-    direct = (psi.amplitudes.conj() @ a.matrix @ psi.amplitudes).real
+    dense = _reference_embed(a.matrix, a.sites, spec6_module.lattice)
+    direct = (psi.amplitudes.conj() @ dense @ psi.amplitudes).real
     assert vals[0] == pytest.approx(direct, abs=1e-12)
     at_t = evolve(spec6_module, psi, 1.5)
-    direct_t = (at_t.amplitudes.conj() @ a.matrix @ at_t.amplitudes).real
+    direct_t = (at_t.amplitudes.conj() @ dense @ at_t.amplitudes).real
     assert vals[1] == pytest.approx(direct_t, abs=1e-12)
 
 
@@ -195,14 +196,16 @@ def test_ensemble_expectation_matches_einsum_reference(ens6, spec6_module):
         w = ens.block_vectors()
         lat = ens.spectral.lattice
         for obs in (site_observable(lat, 2, "X"), random_local_observable(lat, sites, seed=5)):
-            want = float(np.real(np.einsum("ik,ij,jk->", w.conj(), obs.matrix, w)))
+            dense = _reference_embed(obs.matrix, obs.sites, lat)
+            want = float(np.real(np.einsum("ik,ij,jk->", w.conj(), dense, w)))
             assert ensemble_expectation(ens, obs) == pytest.approx(want, rel=0, abs=1e-14)
 
 
 def test_ensemble_expectation_is_population_average(ens6, spec6_module):
     a = site_observable(spec6_module.lattice, 0)
     v = spec6_module.eigenvectors
-    diag = np.einsum("ij,jk,ki->i", v.conj().T, a.matrix, v).real
+    dense = _reference_embed(a.matrix, a.sites, spec6_module.lattice)
+    diag = np.einsum("ij,jk,ki->i", v.conj().T, dense, v).real
     want = float(ens6.populations @ diag)
     assert ensemble_expectation(ens6, a) == pytest.approx(want, abs=1e-10)
 
@@ -282,7 +285,7 @@ def test_observable_helpers(spec6_module):
     lat = spec6_module.lattice
     z3 = site_observable(lat, 3, "Z")
     assert z3.norm == pytest.approx(1.0)
-    assert z3.matrix.shape == (64, 64)
+    assert z3.sites == (3,) and z3.matrix.shape == (2, 2)  # the block stays local
     b = bond_observable(lat, 2)
     assert b.norm == pytest.approx(1.0)
     r1 = random_local_observable(lat, (1, 4), seed=3)
@@ -299,4 +302,20 @@ def test_local_observable_norm_is_dense_norm(d):
         observables += [site_observable(lat, 1, axis) for axis in "XYZ"]
         observables += [bond_observable(lat, 2, axis) for axis in "XYZ"]
     for obs in observables:
-        assert obs.norm == pytest.approx(operator_norm(obs.matrix), abs=1e-12)
+        dense = _reference_embed(obs.matrix, obs.sites, lat)
+        assert obs.norm == pytest.approx(operator_norm(dense), abs=1e-12)
+
+
+def test_site_observable_on_a_long_chain():
+    # a dense 2^30 x 2^30 embedding could not be allocated
+    assert site_observable(LatticeSpec(30, 2), 15).norm == 1.0
+
+
+def test_observable_factories_refuse_bad_support():
+    lat = LatticeSpec(4, 2)
+    with pytest.raises(ValueError, match="outside"):
+        site_observable(lat, 99)
+    with pytest.raises(ValueError, match="duplicate"):
+        random_local_observable(lat, (1, 1))
+    with pytest.raises(ValueError, match="shape"):  # a qubit Pauli on a qutrit chain
+        site_observable(LatticeSpec(4, 3), 1)

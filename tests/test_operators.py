@@ -1,11 +1,12 @@
-"""Operator embedding and the hermitian product basis."""
+"""Local-operator application and the hermitian product basis."""
 
 import numpy as np
 import pytest
+from conftest import _reference_embed
 
 from ergolab.hamiltonians import MODEL_NAMES, LocalHamiltonian, LocalTerm, build_model
 from ergolab.operators import (
-    embed_operator,
+    apply_local,
     hermitian_site_basis,
     is_hermitian,
     operator_norm,
@@ -24,29 +25,32 @@ def test_pauli_algebra():
         pauli("Q")
 
 
-def test_embed_single_site():
+def test_embed_single_site(rng):
     lat = LatticeSpec(2, 2)
     z = pauli("Z")
-    assert np.allclose(embed_operator(z, (0,), lat), np.kron(z, np.eye(2)))
-    assert np.allclose(embed_operator(z, (1,), lat), np.kron(np.eye(2), z))
+    amps = rng.normal(size=4)
+    assert np.allclose(apply_local(z, (0,), lat, amps), np.kron(z, np.eye(2)) @ amps)
+    assert np.allclose(apply_local(z, (1,), lat, amps), np.kron(np.eye(2), z) @ amps)
 
 
-def test_embed_contiguous_pair():
+def test_embed_contiguous_pair(rng):
     lat = LatticeSpec(3, 2)
     op = np.kron(pauli("X"), pauli("Z"))
-    want = np.kron(op, np.eye(2))
-    assert np.allclose(embed_operator(op, (0, 1), lat), want)
-    want = np.kron(np.eye(2), op)
-    assert np.allclose(embed_operator(op, (1, 2), lat), want)
+    amps = rng.normal(size=8)
+    want = np.kron(op, np.eye(2)) @ amps
+    assert np.allclose(apply_local(op, (0, 1), lat, amps), want)
+    want = np.kron(np.eye(2), op) @ amps
+    assert np.allclose(apply_local(op, (1, 2), lat, amps), want)
 
 
 def test_embed_noncontiguous_oracle(rng):
     # act on sites (0, 2) of three qubits; oracle via tensor reshuffling
     lat = LatticeSpec(3, 2)
     op = random_hermitian(4, rng)
-    got = embed_operator(op, (0, 2), lat)
+    amps = rng.normal(size=(8, 3))
+    got = apply_local(op, (0, 2), lat, amps)
     t = op.reshape(2, 2, 2, 2)
-    want = np.einsum("acbd,ef->aecbfd", t, np.eye(2)).reshape(8, 8)
+    want = np.einsum("acbd,ef->aecbfd", t, np.eye(2)).reshape(8, 8) @ amps
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -54,27 +58,22 @@ def test_embed_site_order_is_canonicalized(rng):
     # the support tuple is sorted internally; axes follow ascending sites
     lat = LatticeSpec(3, 2)
     op = random_hermitian(4, rng)
-    assert np.allclose(embed_operator(op, (2, 0), lat), embed_operator(op, (0, 2), lat), atol=1e-12)
-    with pytest.raises(ValueError):
-        embed_operator(op, (0, 0), lat)
+    amps = rng.normal(size=8)
+    assert np.array_equal(apply_local(op, (2, 0), lat, amps), apply_local(op, (0, 2), lat, amps))
+    with pytest.raises(ValueError, match="duplicate"):
+        apply_local(op, (0, 0), lat, amps)
 
 
-def _reference_embed(op, sites, lattice):
-    """The kron-with-identities embedding that index scattering replaced."""
-    sites = tuple(sorted(int(s) for s in sites))
-    d, n = lattice.local_dim, lattice.num_sites
-    m = len(sites)
-    if m == n:
-        return op
-    if m > 0 and sites[-1] - sites[0] + 1 == m:
-        left, right = sites[0], n - sites[-1] - 1
-        return np.kron(np.kron(np.eye(d**left), op), np.eye(d**right))
-    rest = [s for s in range(n) if s not in sites]
-    full = np.kron(op, np.eye(d ** (n - m)))
-    perm = np.argsort(list(sites) + rest)
-    t = full.reshape([d] * (2 * n))
-    t = np.transpose(t, list(perm) + [n + p for p in perm])
-    return np.ascontiguousarray(t).reshape(lattice.dim, lattice.dim)
+def test_apply_local_refusals(rng):
+    lat = LatticeSpec(3, 2)
+    op = random_hermitian(4, rng)
+    amps = rng.normal(size=8)
+    with pytest.raises(ValueError, match="outside"):
+        apply_local(op, (2, 3), lat, amps)
+    with pytest.raises(ValueError, match="shape"):
+        apply_local(op, (1,), lat, amps)
+    with pytest.raises(ValueError, match="dimension"):
+        apply_local(op, (0, 1), lat, amps[:4])
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -82,6 +81,7 @@ def _reference_embed(op, sites, lattice):
 @pytest.mark.parametrize("support", ["single", "contiguous", "noncontiguous", "full"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_embed_matches_kron_reference(d, n, support, dtype):
+    # the kernel acts as the kron-embedded operator on a vector and on columns
     lat = LatticeSpec(n, d)
     sites = {
         "single": (n - 2,),
@@ -92,12 +92,26 @@ def test_embed_matches_kron_reference(d, n, support, dtype):
     dim = d ** len(sites)
     rng = np.random.default_rng(n * d)
     op = rng.normal(size=(dim, dim))
+    amps = rng.normal(size=(lat.dim, 3))
     if dtype is complex:
         op = op + 1j * rng.normal(size=(dim, dim))
-    got = embed_operator(op, sites, lat)
-    want = _reference_embed(op, sites, lat)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+        amps = amps + 1j * rng.normal(size=amps.shape)
+    full = _reference_embed(op, sites, lat)
+    for a in (amps[:, 0], amps):
+        got = apply_local(op, sites, lat, a)
+        want = full @ a
+        assert got.dtype == want.dtype and got.shape == a.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("axis", ["Z", "Y"])
+def test_apply_local_pauli_is_exact(axis, rng):
+    # one nonzero per row: every amplitude is one exact product
+    lat = LatticeSpec(5, 2)
+    amps = rng.normal(size=(lat.dim, 2)) + 1j * rng.normal(size=(lat.dim, 2))
+    for site in range(5):
+        full = _reference_embed(pauli(axis), (site,), lat)
+        assert np.array_equal(apply_local(pauli(axis), (site,), lat, amps), full @ amps)
 
 
 @pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
