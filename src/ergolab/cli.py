@@ -180,32 +180,22 @@ def _run_scan(config: dict):
 def _run_equilibrate(config: dict):
     lat = LatticeSpec(config["sites"], 2, config["geometry"])
     spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
-    psi = initial_state(config["recipe"], lat, config["seed"])
-    ens = DiagonalEnsemble(spec, psi)
+    ens = DiagonalEnsemble(spec, initial_state(config["recipe"], lat, config["seed"]))
     target = config["site"] if config["site"] is not None else lat.num_sites // 2
     obs = site_observable(lat, int(target), config["axis"])
     bounds = check_variance_bounds(ens, obs)
     sampled = variance_sampled(
-        spec,
-        psi,
-        obs,
-        horizon=config["horizon"],
-        samples=int(config["samples"]),
-        seed=config["seed"],
+        ens, obs, horizon=config["horizon"], samples=int(config["samples"]), seed=config["seed"]
     )
     gap_ok = abs(bounds.variance - sampled.value) <= max(
         0.05 * bounds.variance, 3.0 * sampled.stderr
     )
     sub = subsystem_equilibration(
-        spec,
-        psi,
-        (int(target),),
-        samples=int(config["subsystem_samples"]),
-        horizon=config["horizon"],
-        seed=config["seed"],
+        ens, (int(target),), samples=int(config["subsystem_samples"]),
+        horizon=config["horizon"], seed=config["seed"],
     )
     t_grid = np.linspace(0.0, 10.0 * spec.dim / max(spec.norm, 1e-12), 201)
-    traj = expectation_trajectory(spec, psi, obs, t_grid)
+    traj = expectation_trajectory(ens, obs, t_grid)
     csv = _csv_text(
         ["t", "expectation"], ((float(t), float(a)) for t, a in zip(t_grid, traj))
     )

@@ -1,4 +1,9 @@
-"""Diagonal ensembles, infinite-time variances, and equilibration bounds."""
+"""Diagonal ensembles, infinite-time variances, and equilibration bounds.
+
+A quench is one `DiagonalEnsemble`: the spectrum and the initial state's
+eigenbasis coefficients c, projected once.  Every ensemble quantity and
+time average reads it, through V^dag A V and the phase table exp(-iEt) c.
+"""
 
 from __future__ import annotations
 
@@ -42,19 +47,13 @@ class DiagonalEnsemble:
     levels.
     """
 
-    def __init__(
-        self,
-        spectral: SpectralData,
-        state: PureState,
-        degeneracy_tolerance: float = DEGENERACY_TOL,
-    ) -> None:
+    def __init__(self, spectral: SpectralData, state: PureState) -> None:
         if state.lattice != spectral.lattice:
             raise ValueError("state and spectrum live on different lattices")
         self.spectral = spectral
-        self.degeneracy_tolerance = degeneracy_tolerance
         c = spectral.coefficients(state.amplitudes)
         self.coefficients = c
-        self.blocks = degenerate_groups(spectral.energies, degeneracy_tolerance)
+        self.blocks = degenerate_groups(spectral.energies, DEGENERACY_TOL)
         self._starts = [a for a, _ in self.blocks]
         pops = np.add.reduceat(np.abs(c) ** 2, self._starts)
         total = pops.sum()
@@ -89,12 +88,46 @@ class DiagonalEnsemble:
         return DensityMatrix(_sublattice(lattice, len(keep)), 0.5 * (rho + rho.conj().T))
 
 
-def evolve_rows(spectral: SpectralData, state: PureState, times) -> np.ndarray:
-    """Amplitudes V (exp(-iEt) c) at every time, as one product: one
-    state-major row per time, each norm checked against TOL.normalization."""
-    c = spectral.coefficients(state.amplitudes)
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), spectral.energies))
-    rows = (phases * c) @ spectral.eigenvectors.T
+def _phase_table(spectral: SpectralData, coefficients: np.ndarray, times) -> np.ndarray:
+    """exp(-iEt) c, one row per time: the eigenbasis amplitudes on a time grid."""
+    table = -1j * np.outer(np.asarray(times, dtype=float), spectral.energies)
+    np.exp(table, out=table)
+    table *= coefficients
+    return table
+
+
+def _eigenbasis_matrix(spectral: SpectralData, observable: LocalTerm) -> np.ndarray:
+    """V^dag A V: the observable between energy eigenstates."""
+    v = spectral.eigenvectors
+    return v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
+
+
+def _block_matrix(ens: DiagonalEnsemble, observable: LocalTerm) -> np.ndarray:
+    """K x K matrix w_k^dag A w_l between the block vectors, summed from
+    conj(c_i) (V^dag A V)_ij c_j over the levels of blocks k and l."""
+    c = ens.coefficients
+    m = _eigenbasis_matrix(ens.spectral, observable) * c
+    m *= c.conj()[:, None]
+    return np.add.reduceat(np.add.reduceat(m, ens._starts, axis=0), ens._starts, axis=1)
+
+
+def _sample_times(
+    spectral: SpectralData, samples: int, horizon: float | None, seed: int, minimum: int
+) -> tuple[float, np.ndarray]:
+    """The horizon and `samples` seeded uniform times on [0, horizon].  The
+    default horizon is 1e4 * dim / ||H||: dephasing the closest typical levels
+    takes times of order dim / (spectral width), well beyond 1 / ||H||."""
+    check_sampling(samples, horizon, minimum)
+    if horizon is None:
+        horizon = 1e4 * spectral.dim / max(spectral.norm, 1e-12)
+    return float(horizon), np.random.default_rng(seed).uniform(0.0, horizon, size=samples)
+
+
+def evolve_rows(spectral: SpectralData, coefficients: np.ndarray, times) -> np.ndarray:
+    """Amplitudes V (exp(-iEt) c) of eigenbasis coefficients c at every
+    time, as one product: one state-major row per time, each norm checked
+    against TOL.normalization."""
+    rows = _phase_table(spectral, coefficients, times) @ spectral.eigenvectors.T
     drift = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
     if not np.all(drift <= TOL.normalization):
         raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
@@ -102,42 +135,31 @@ def evolve_rows(spectral: SpectralData, state: PureState, times) -> np.ndarray:
 
 
 def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
-    return PureState(spectral.lattice, evolve_rows(spectral, state, [time])[0])
+    c = spectral.coefficients(state.amplitudes)
+    return PureState(spectral.lattice, evolve_rows(spectral, c, [time])[0])
 
 
 def expectation_trajectory(
-    spectral: SpectralData,
-    state: PureState,
-    observable: LocalTerm,
-    times: np.ndarray,
+    ens: DiagonalEnsemble, observable: LocalTerm, times: np.ndarray
 ) -> np.ndarray:
     """<A>(t) on a grid of times, via the eigenbasis."""
-    c = spectral.coefficients(state.amplitudes)
-    v = spectral.eigenvectors
-    a_tilde = v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
-    phases = np.exp(-1j * np.outer(spectral.energies, np.asarray(times, dtype=float)))
-    ct = phases * c[:, None]
-    return np.real(np.einsum("it,ij,jt->t", ct.conj(), a_tilde, ct, optimize=True))
+    ct = _phase_table(ens.spectral, ens.coefficients, times)
+    a_eig = _eigenbasis_matrix(ens.spectral, observable)
+    return np.real(np.einsum("ti,ij,tj->t", ct.conj(), a_eig, ct, optimize=True))
 
 
 def ensemble_expectation(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
-    w = ens.block_vectors()
-    aw = apply_local(observable.matrix, observable.sites, ens.spectral.lattice, w)
-    return float(np.real(np.vdot(w, aw)))
+    return float(np.real(np.trace(_block_matrix(ens, observable))))
 
 
-def variance_exact(
-    ens: DiagonalEnsemble, observable: LocalTerm
-) -> float:
+def variance_exact(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
     """Infinite-time variance of <A>(t), exact under non-degenerate gaps.
 
     Computed as the off-diagonal weight of A between energy blocks,
     sum_{k != l} |w_k^dag A w_l|^2.  Validity requires the differences of
     distinct block energies to be non-coincident; certify with gap_report.
     """
-    w = ens.block_vectors()
-    m = w.conj().T @ apply_local(observable.matrix, observable.sites, ens.spectral.lattice, w)
-    off = np.abs(m) ** 2
+    off = np.abs(_block_matrix(ens, observable)) ** 2
     np.fill_diagonal(off, 0.0)
     return float(off.sum())
 
@@ -160,8 +182,7 @@ class SampledVariance:
 
 
 def variance_sampled(
-    spectral: SpectralData,
-    state: PureState,
+    ens: DiagonalEnsemble,
     observable: LocalTerm,
     horizon: float | None = None,
     samples: int = 2000,
@@ -169,23 +190,16 @@ def variance_sampled(
 ) -> SampledVariance:
     """Monte-Carlo estimate of the infinite-time variance of <A>(t).
 
-    Times are uniform on [0, horizon].  The default horizon is
-    1e4 * dim / ||H||: dephasing between the closest typical levels needs
-    times of order dim / (spectral width), well beyond 1 / ||H||.  The
-    standard error needs at least two samples.
+    Times are uniform on [0, horizon] (default 1e4 * dim / ||H||, see
+    _sample_times).  The standard error needs at least two samples.
     """
-    check_sampling(samples, horizon, 2)
-    if horizon is None:
-        horizon = 1e4 * spectral.dim / max(spectral.norm, 1e-12)
-    rng = np.random.default_rng(seed)
-    times = rng.uniform(0.0, horizon, size=samples)
-    traj = expectation_trajectory(spectral, state, observable, times)
-    mean = ensemble_expectation(DiagonalEnsemble(spectral, state), observable)
-    dev = (traj - mean) ** 2
+    horizon, times = _sample_times(ens.spectral, samples, horizon, seed, 2)
+    traj = expectation_trajectory(ens, observable, times)
+    dev = (traj - ensemble_expectation(ens, observable)) ** 2
     return SampledVariance(
         value=float(dev.mean()),
         stderr=float(dev.std(ddof=1) / np.sqrt(samples)),
-        horizon=float(horizon),
+        horizon=horizon,
         samples=samples,
     )
 
@@ -251,8 +265,7 @@ class SubsystemReport:
 
 
 def subsystem_equilibration(
-    spectral: SpectralData,
-    state: PureState,
+    ens: DiagonalEnsemble,
     region: SiteSet | tuple[int, ...],
     samples: int = 200,
     horizon: float | None = None,
@@ -266,17 +279,12 @@ def subsystem_equilibration(
     derivation, not within floating-point tolerance of it.  Each
     rho_S(t) = M M^dag is PSD by construction, with trace the checked norm^2.
     """
-    check_sampling(samples, horizon, 1)
+    spectral = ens.spectral
+    horizon, times = _sample_times(spectral, samples, horizon, seed, 1)
     keep = site_set(spectral.lattice, region)
-    ens = DiagonalEnsemble(spectral, state)
-    omega_s = ens.reduced(keep)
-    if horizon is None:
-        horizon = 1e4 * spectral.dim / max(spectral.norm, 1e-12)
-    rng = np.random.default_rng(seed)
-    times = rng.uniform(0.0, horizon, size=samples)
-    m = bipartition_matrix(evolve_rows(spectral, state, times), keep.sites, spectral.lattice)
+    m = bipartition_matrix(evolve_rows(spectral, ens.coefficients, times), keep.sites, spectral.lattice)
     rho_s = m @ m.conj().transpose(0, 2, 1)
-    dists = np.abs(np.linalg.eigvalsh(rho_s - omega_s.matrix)).sum(axis=1)
+    dists = np.abs(np.linalg.eigvalsh(rho_s - ens.reduced(keep).matrix)).sum(axis=1)
     s2 = ens.entropy(2.0)
     bound = 2.0 * keep.dim * float(np.exp(-0.5 * s2))
     mean = float(dists.mean())
@@ -288,6 +296,6 @@ def subsystem_equilibration(
         bound=bound,
         s2=s2,
         samples=samples,
-        horizon=float(horizon),
+        horizon=horizon,
         passed=bool(mean <= bound),
     )

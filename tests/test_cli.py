@@ -293,6 +293,31 @@ def test_horizon_reaches_both_time_averages():
     assert result["subsystem"]["horizon"] == result["variance_sampled"]["horizon"] == 5.0
 
 
+def test_equilibrate_builds_one_ensemble(monkeypatch):
+    from ergolab.ensembles import DiagonalEnsemble
+    from ergolab.hamiltonians import SpectralData
+
+    calls = {"__init__": 0, "coefficients": 0, "block_vectors": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(DiagonalEnsemble, "__init__")
+    counted(DiagonalEnsemble, "block_vectors")
+    counted(SpectralData, "coefficients")
+    code, _ = run({"experiment": "equilibrate", "sites": 9})
+    assert code == 0
+    assert calls["__init__"] == 1
+    assert calls["coefficients"] == 1
+    assert calls["block_vectors"] <= 1
+
+
 def test_run_api_in_process():
     code, rep = run({"experiment": "gibbs", "sites": 6, "betas": [1.0]})
     assert code == 0

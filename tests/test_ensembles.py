@@ -21,8 +21,8 @@ from ergolab.ensembles import (
     variance_exact,
     variance_sampled,
 )
-from ergolab.hamiltonians import LocalHamiltonian, LocalTerm, diagonalize
-from ergolab.operators import operator_norm, pauli
+from ergolab.hamiltonians import LocalHamiltonian, LocalTerm, build_model, diagonalize
+from ergolab.operators import apply_local, operator_norm, pauli
 from ergolab.states import (
     LatticeSpec,
     PureState,
@@ -41,8 +41,6 @@ def ens6(spec6_module):
 
 @pytest.fixture(scope="module")
 def spec6_module():
-    from ergolab.hamiltonians import build_model
-
     return diagonalize(build_model("mixed-field-ising", LatticeSpec(6, 2)))
 
 
@@ -178,7 +176,7 @@ def test_evolution_preserves_populations(spec6_module):
 def test_trajectory_endpoints(spec6_module):
     psi = random_product_state(spec6_module.lattice, 4)
     a = site_observable(spec6_module.lattice, 3)
-    vals = expectation_trajectory(spec6_module, psi, a, np.array([0.0, 1.5]))
+    vals = expectation_trajectory(DiagonalEnsemble(spec6_module, psi), a, np.array([0.0, 1.5]))
     dense = _reference_embed(a.matrix, a.sites, spec6_module.lattice)
     direct = (psi.amplitudes.conj() @ dense @ psi.amplitudes).real
     assert vals[0] == pytest.approx(direct, abs=1e-12)
@@ -210,12 +208,46 @@ def test_ensemble_expectation_is_population_average(ens6, spec6_module):
     assert ensemble_expectation(ens6, a) == pytest.approx(want, abs=1e-10)
 
 
+def _reference_block_route(ens, obs):
+    # the former block-vector route: W^dag (A W) and vdot(W, A W)
+    w = ens.block_vectors()
+    aw = apply_local(obs.matrix, obs.sites, ens.spectral.lattice, w)
+    m = w.conj().T @ aw
+    off = np.abs(m) ** 2
+    np.fill_diagonal(off, 0.0)
+    return float(off.sum()), float(np.real(np.vdot(w, aw)))
+
+
+@pytest.fixture(scope="module")
+def ensembles8():
+    lat = LatticeSpec(8, 2)
+    out = []
+    for model in ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field"):
+        spec = diagonalize(build_model(model, lat, seed=2))
+        out.append(DiagonalEnsemble(spec, random_product_state(lat, 4)))
+    # W = 0: SU(2)-symmetric, 70 degenerate blocks over 256 levels
+    spec = diagonalize(build_model("heisenberg-random-field", lat, params={"W": 0.0}))
+    out.append(DiagonalEnsemble(spec, random_product_state(lat, 5)))
+    return out
+
+
+@pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+def test_block_matrix_matches_block_vector_route(ensembles8, axis):
+    assert [len(e.blocks) for e in ensembles8] == [256, 256, 256, 70]
+    for ens in ensembles8:
+        lat = ens.spectral.lattice
+        for obs in (site_observable(lat, 3, axis), bond_observable(lat, 5, axis)):
+            want_var, want_mean = _reference_block_route(ens, obs)
+            assert variance_exact(ens, obs) == pytest.approx(want_var, rel=1e-12, abs=1e-14)
+            assert ensemble_expectation(ens, obs) == pytest.approx(want_mean, rel=1e-12, abs=1e-14)
+
+
 def test_sampled_variance_converges(spec6_module):
     psi = random_product_state(spec6_module.lattice, 8)
     ens = DiagonalEnsemble(spec6_module, psi)
     a = site_observable(spec6_module.lattice, 3)
     exact = variance_exact(ens, a)
-    sam = variance_sampled(spec6_module, psi, a, samples=2000, seed=0)
+    sam = variance_sampled(ens, a, samples=2000, seed=0)
     assert abs(sam.value - exact) <= max(0.05 * exact, 3.0 * sam.stderr)
     assert sam.samples == 2000
     assert sam.horizon > 0
@@ -223,7 +255,7 @@ def test_sampled_variance_converges(spec6_module):
 
 def test_subsystem_equilibration_bound(spec6_module):
     psi = random_product_state(spec6_module.lattice, 5)
-    rep = subsystem_equilibration(spec6_module, psi, (3,), samples=100, seed=1)
+    rep = subsystem_equilibration(DiagonalEnsemble(spec6_module, psi), (3,), samples=100, seed=1)
     assert rep.passed
     assert rep.mean_distance <= rep.bound + 1e-12
     assert rep.subsystem_dim == 2
@@ -246,7 +278,7 @@ def _reference_subsystem_distances(spectral, state, region, times):
 @pytest.mark.parametrize("region", [(3,), (1, 4)])
 def test_subsystem_equilibration_matches_time_loop(spec6_module, region):
     psi = random_product_state(spec6_module.lattice, 5)
-    rep = subsystem_equilibration(spec6_module, psi, region, samples=60, seed=2)
+    rep = subsystem_equilibration(DiagonalEnsemble(spec6_module, psi), region, samples=60, seed=2)
     times = np.random.default_rng(2).uniform(0.0, rep.horizon, size=60)
     want = _reference_subsystem_distances(spec6_module, psi, region, times)
     assert rep.mean_distance == pytest.approx(float(want.mean()), rel=0, abs=1e-12)
@@ -256,7 +288,8 @@ def test_subsystem_equilibration_matches_time_loop(spec6_module, region):
 def test_evolve_rows_matches_single_time_kernel(spec6_module):
     psi = random_product_state(spec6_module.lattice, 9)
     times = np.array([0.0, 0.3, 7.5, 1e3])
-    rows = evolve_rows(spectral=spec6_module, state=psi, times=times)
+    c = spec6_module.coefficients(psi.amplitudes)
+    rows = evolve_rows(spectral=spec6_module, coefficients=c, times=times)
     assert rows.shape == (4, spec6_module.dim)
     for row, t in zip(rows, times):
         np.testing.assert_allclose(row, _reference_evolve(spec6_module, psi, t), rtol=0, atol=1e-13)
@@ -264,21 +297,23 @@ def test_evolve_rows_matches_single_time_kernel(spec6_module):
     # eigenvectors that are not orthonormal break the norm of every row
     skewed = dataclasses.replace(spec6_module, eigenvectors=1.01 * spec6_module.eigenvectors)
     with pytest.raises(ValueError, match="norm"):
-        evolve_rows(skewed, psi, times)
+        evolve_rows(skewed, c, times)
     with pytest.raises(ValueError, match="norm"):
-        evolve_rows(spec6_module, psi, [math.nan])
+        evolve_rows(spec6_module, c, [math.nan])
 
 
 def test_time_sampling_validated(spec6_module):
-    psi = random_product_state(spec6_module.lattice, 1)
+    ens = DiagonalEnsemble(spec6_module, random_product_state(spec6_module.lattice, 1))
     a = site_observable(spec6_module.lattice, 0)
     with pytest.raises(ValueError, match="at least 2"):
-        variance_sampled(spec6_module, psi, a, samples=1)
+        variance_sampled(ens, a, samples=1)
     with pytest.raises(ValueError, match="at least 1"):
-        subsystem_equilibration(spec6_module, psi, (0,), samples=0)
+        subsystem_equilibration(ens, (0,), samples=0)
     for horizon in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon"):
-            subsystem_equilibration(spec6_module, psi, (0,), horizon=horizon)
+            subsystem_equilibration(ens, (0,), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            variance_sampled(ens, a, horizon=horizon)
 
 
 def test_observable_helpers(spec6_module):

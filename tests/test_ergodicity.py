@@ -188,8 +188,6 @@ def test_initial_state_recipes():
     r1 = initial_state("random-product", lat, 5)
     r2 = initial_state("random-product", lat, 5)
     assert np.array_equal(r1.amplitudes, r2.amplitudes)
-    custom = initial_state(lambda la: initial_state("all-up", la), lat, 0)
-    assert np.array_equal(custom.amplitudes, allup.amplitudes)
     with pytest.raises(ValueError):
         initial_state("bogus", lat, 0)
 

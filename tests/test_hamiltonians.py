@@ -160,6 +160,28 @@ def test_gap_report_sampling_path():
     rep = gap_report(spec, sample_budget=50_000, seed=0)
     assert rep.sampled
     assert rep.gaps_scanned <= 50_000
+    # a pair drawn twice is one pair, not a coincident gap
+    rep = gap_report(spec, tolerance=1e-12, seed=0)
+    assert rep.sampled
+    assert rep.degenerate_gap_pairs == 0
+    assert rep.min_gap_difference > 0.0
+    assert rep.gaps_scanned < 2_000_000
+
+
+def test_gap_report_sampling_path_flags_planted_ladder(spec6):
+    # 1100 levels: the sampled path; 40 of them in an arithmetic ladder,
+    # whose equal spacings are coincident gaps
+    rng = np.random.default_rng(3)
+    ladder = 20.0 + 0.0137 * np.arange(40)
+    generic = np.sort(np.concatenate([rng.uniform(0.0, 10.0, 1060), rng.uniform(21.0, 25.0, 40)]))
+    planted = np.sort(np.concatenate([rng.uniform(0.0, 10.0, 1060), ladder]))
+    reports = [
+        gap_report(dataclasses.replace(spec6, energies=e), tolerance=1e-12, seed=0)
+        for e in (generic, planted)
+    ]
+    assert all(r.sampled for r in reports)
+    assert reports[0].degenerate_gap_pairs == 0
+    assert reports[1].degenerate_gap_pairs > 0
 
 
 def _reference_coincidence_pairs(sorted_vals, tol):
