@@ -102,12 +102,15 @@ def _eigenbasis_matrix(spectral: SpectralData, observable: LocalTerm) -> np.ndar
     return v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
 
 
-def _block_matrix(ens: DiagonalEnsemble, observable: LocalTerm) -> np.ndarray:
+def _block_matrix(ens: DiagonalEnsemble, a_eig: np.ndarray) -> np.ndarray:
     """K x K matrix w_k^dag A w_l between the block vectors, summed from
-    conj(c_i) (V^dag A V)_ij c_j over the levels of blocks k and l."""
+    conj(c_i) (V^dag A V)_ij c_j over the levels of blocks k and l.  When
+    every block is one level the sum is the identity and is skipped."""
     c = ens.coefficients
-    m = _eigenbasis_matrix(ens.spectral, observable) * c
+    m = a_eig * c
     m *= c.conj()[:, None]
+    if len(ens.blocks) == c.size:
+        return m
     return np.add.reduceat(np.add.reduceat(m, ens._starts, axis=0), ens._starts, axis=1)
 
 
@@ -139,17 +142,24 @@ def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
     return PureState(spectral.lattice, evolve_rows(spectral, c, [time])[0])
 
 
+def _trajectory(ens: DiagonalEnsemble, a_eig: np.ndarray, times) -> np.ndarray:
+    ct = _phase_table(ens.spectral, ens.coefficients, times)
+    return np.real(np.einsum("ti,ij,tj->t", ct.conj(), a_eig, ct, optimize=True))
+
+
+def _dephased_mean(ens: DiagonalEnsemble, a_eig: np.ndarray) -> float:
+    return float(np.real(np.trace(_block_matrix(ens, a_eig))))
+
+
 def expectation_trajectory(
     ens: DiagonalEnsemble, observable: LocalTerm, times: np.ndarray
 ) -> np.ndarray:
     """<A>(t) on a grid of times, via the eigenbasis."""
-    ct = _phase_table(ens.spectral, ens.coefficients, times)
-    a_eig = _eigenbasis_matrix(ens.spectral, observable)
-    return np.real(np.einsum("ti,ij,tj->t", ct.conj(), a_eig, ct, optimize=True))
+    return _trajectory(ens, _eigenbasis_matrix(ens.spectral, observable), times)
 
 
 def ensemble_expectation(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
-    return float(np.real(np.trace(_block_matrix(ens, observable))))
+    return _dephased_mean(ens, _eigenbasis_matrix(ens.spectral, observable))
 
 
 def variance_exact(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
@@ -159,7 +169,7 @@ def variance_exact(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
     sum_{k != l} |w_k^dag A w_l|^2.  Validity requires the differences of
     distinct block energies to be non-coincident; certify with gap_report.
     """
-    off = np.abs(_block_matrix(ens, observable)) ** 2
+    off = np.abs(_block_matrix(ens, _eigenbasis_matrix(ens.spectral, observable))) ** 2
     np.fill_diagonal(off, 0.0)
     return float(off.sum())
 
@@ -194,8 +204,8 @@ def variance_sampled(
     _sample_times).  The standard error needs at least two samples.
     """
     horizon, times = _sample_times(ens.spectral, samples, horizon, seed, 2)
-    traj = expectation_trajectory(ens, observable, times)
-    dev = (traj - ensemble_expectation(ens, observable)) ** 2
+    a_eig = _eigenbasis_matrix(ens.spectral, observable)
+    dev = (_trajectory(ens, a_eig, times) - _dephased_mean(ens, a_eig)) ** 2
     return SampledVariance(
         value=float(dev.mean()),
         stderr=float(dev.std(ddof=1) / np.sqrt(samples)),

@@ -19,7 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import DiagonalEnsemble, site_observable, variance_exact
+from .ensembles import (
+    DiagonalEnsemble,
+    VarianceBoundReport,
+    check_variance_bounds,
+    site_observable,
+)
 from .fits import fit_line
 from .hamiltonians import SpectralData, build_model, diagonalize, gap_report
 from .states import (
@@ -36,6 +41,12 @@ SEARCH_MODES = ("exhaustive", "random-sample", "half-cut-only")
 STATE_RECIPES = ("neel", "all-up", "random-product")
 EXHAUSTIVE_GUARD = 10**6
 ZERO_G = 1e-10
+# bulk populations may exceed exp(-g(e) N / 4) by this factor
+BULK_SLACK = 10.0
+# absolute gap-coincidence tolerance of the variance trend, and how far
+# its log-Var slope may sit above -k(e)
+TREND_GAP_TOLERANCE = 1e-12
+TREND_FIT_TOLERANCE = 0.1
 # bytes of state-major rows per scan block: small enough to stay in L2
 SCAN_BLOCK_BYTES = 1 << 20
 
@@ -209,26 +220,15 @@ class ErgodicityProfile:
         ]
         return bool(inner) and min(inner) > ZERO_G
 
-    def to_csv(self, target) -> None:
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", newline="")
-            close = True
-        try:
-            w = csv.writer(target)
-            w.writerow(["i", "e_i", "S2_over_N", "subsystem"])
-            for i, (e, m, sub) in enumerate(
-                zip(self.densities, self.s2_over_n, self.best_subsets)
-            ):
-                mask = SiteSet(self.lattice, sub).bitmask()
-                w.writerow([i, f"{e:.12g}", f"{m:.12g}", hex(mask)])
-        finally:
-            if close:
-                target.close()
-
     def csv_text(self) -> str:
+        """One row per eigenstate: index, density, S_2/N and the best
+        subsystem as a hex site bitmask."""
         buf = io.StringIO()
-        self.to_csv(buf)
+        w = csv.writer(buf)
+        w.writerow(["i", "e_i", "S2_over_N", "subsystem"])
+        for i, (e, m, sub) in enumerate(zip(self.densities, self.s2_over_n, self.best_subsets)):
+            mask = SiteSet(self.lattice, sub).bitmask()
+            w.writerow([i, f"{e:.12g}", f"{m:.12g}", hex(mask)])
         return buf.getvalue()
 
 
@@ -403,17 +403,11 @@ class BulkReport:
     passed: bool
 
 
-def bulk_check(
-    ens: DiagonalEnsemble,
-    profile: ErgodicityProfile,
-    e: float,
-    delta: float | None = None,
-    slack: float = 10.0,
-) -> BulkReport:
+def bulk_check(ens: DiagonalEnsemble, profile: ErgodicityProfile, e: float) -> BulkReport:
     """Every population within delta of e must fall below
-    exp(-g(e) N / 4) times the slack.
+    exp(-g(e) N / 4) times BULK_SLACK.
 
-    The default window half-width is g(e)/(2K), which by the Lipschitz
+    The window half-width delta is g(e)/(2K), which by the Lipschitz
     property keeps the envelope above g(e)/2 across the window.  Each
     singleton level is also cross-checked against the per-eigenstate
     product-overlap bound exp(-S_2(best subsystem)/2); this requires the
@@ -427,7 +421,7 @@ def bulk_check(
             delta=0.0,
             g_at_e=g,
             threshold=1.0,
-            slack=slack,
+            slack=BULK_SLACK,
             bulk_levels=0,
             max_bulk_population=0.0,
             violations=0,
@@ -437,13 +431,12 @@ def bulk_check(
             note="envelope vanishes at this density; bound inapplicable",
             passed=True,
         )
-    if delta is None:
-        delta = profile.delta_at(e)
+    delta = profile.delta_at(e)
     threshold = math.exp(-g * n / 4.0)
     dens = ens.block_energies / n
     bulk = np.abs(dens - e) <= delta
     pops = ens.populations[bulk]
-    violations = int(np.sum(pops > slack * threshold))
+    violations = int(np.sum(pops > BULK_SLACK * threshold))
     # per-level overlap cross-check, singleton blocks only
     overlap_checked = 0
     overlap_violations = 0
@@ -461,7 +454,7 @@ def bulk_check(
         delta=float(delta),
         g_at_e=g,
         threshold=threshold,
-        slack=slack,
+        slack=BULK_SLACK,
         bulk_levels=int(bulk.sum()),
         max_bulk_population=float(pops.max()) if pops.size else 0.0,
         violations=violations,
@@ -491,6 +484,83 @@ def initial_state(recipe: str, lattice: LatticeSpec, seed: int = 0) -> PureState
 
 
 @dataclass(frozen=True)
+class VarianceTrendReport:
+    """Exact infinite-time variances across sizes, with gap certification."""
+
+    observable: str
+    included: tuple[int, ...]
+    excluded: tuple[tuple[int, str], ...]
+    variances: tuple[float, ...]
+    bounds_s2: tuple[float, ...]
+    slope: float | None
+    intercept: float | None
+    negative_slope: bool | None
+    k_consistent: bool | None
+    pointwise_ok: bool
+    note: str
+    passed: bool
+
+
+def variance_decay_trend(
+    ensembles: Sequence[DiagonalEnsemble], k_of_e: float
+) -> VarianceTrendReport:
+    """log Var vs N of the mid-chain Z, one ensemble per size, skipping
+    sizes whose gap scan finds coincidences at TREND_GAP_TOLERANCE.
+
+    Gap differences shrink roughly exponentially with size, so such sizes
+    are excluded rather than certified with a loose tolerance.  Each
+    variance must sit below its ||A||^2 exp(-S_2) bound, and the fitted
+    slope must reach -k(e) up to TREND_FIT_TOLERANCE.  A variance that is
+    exactly zero at every size (eigenstate input) is a trivial pass.
+    """
+    included: list[int] = []
+    excluded: list[tuple[int, str]] = []
+    bounds: list[VarianceBoundReport] = []
+    for ens in ensembles:
+        spec = ens.spectral
+        n = spec.lattice.num_sites
+        rep = gap_report(spec, tolerance=TREND_GAP_TOLERANCE)
+        if rep.degenerate_levels or rep.degenerate_gap_pairs:
+            why = (
+                f"{rep.degenerate_levels} coincident levels, {rep.degenerate_gap_pairs} "
+                f"coincident gap pairs at tol {TREND_GAP_TOLERANCE:g}"
+            )
+            excluded.append((n, why + (" (sampled)" if rep.sampled else "")))
+            continue
+        included.append(n)
+        bounds.append(check_variance_bounds(ens, site_observable(spec.lattice, n // 2)))
+    variances = tuple(b.variance for b in bounds)
+    pointwise_ok = all(b.variance <= b.bound_s2 + 1e-12 for b in bounds)
+    slope = intercept = negative = k_ok = None
+    note = ""
+    if not variances:
+        note, passed = "every size excluded by the gap scan", False
+    elif max(variances) < 1e-25:
+        note, passed = "variance identically zero; state is stationary", True
+    elif len(variances) < 2:
+        note, passed = "single included size; no trend fit", False
+    else:
+        slope, intercept, _ = fit_line(included, np.log(np.maximum(variances, 1e-300)))
+        negative = slope < 0
+        k_ok = slope <= -k_of_e + TREND_FIT_TOLERANCE
+        passed = negative and pointwise_ok and k_ok
+    return VarianceTrendReport(
+        observable="z[mid]",
+        included=tuple(included),
+        excluded=tuple(excluded),
+        variances=variances,
+        bounds_s2=tuple(b.bound_s2 for b in bounds),
+        slope=slope,
+        intercept=intercept,
+        negative_slope=negative,
+        k_consistent=k_ok,
+        pointwise_ok=pointwise_ok,
+        note=note,
+        passed=passed,
+    )
+
+
+@dataclass(frozen=True)
 class EntropyGrowthReport:
     """Diagonal-ensemble min-entropy growth over a family of chain sizes."""
 
@@ -511,6 +581,7 @@ class EntropyGrowthReport:
     constant_c: float
     bulk: tuple[BulkReport, ...]
     tail: TailReport
+    variance_trend: VarianceTrendReport
     applicable: bool
     passed: bool
 
@@ -541,8 +612,10 @@ def diagonal_entropy_growth(
     and Lipschitz K per size, window delta = g/(2K), tail constant m from
     the cross-size fit, rate k(e) = (1/4) g min{1, m g/K^2}, and the
     smallest shift c with S_inf >= k(e) N - c across the grid.  Bulk
-    populations are checked against exp(-g(e)N/4) with 10x slack at every
-    size.  The constant c is reported, never asserted.
+    populations are checked against exp(-g(e)N/4) with BULK_SLACK at every
+    size, and the same ensembles give the infinite-time variance trend,
+    whose slope must reach -k(e).  The constant c is reported, never
+    asserted.
     """
     sizes = growth_sizes(sizes)
     policy = policy or SearchPolicy()
@@ -587,12 +660,14 @@ def diagonal_entropy_growth(
     constant_c = max(
         [k_of_e * n - s for n, s in zip(sizes, s_inf)] + [0.0]
     )
+    trend = variance_decay_trend([ens for _, _, ens, _ in runs], k_of_e)
     passed = (
         applicable
         and increasing
         and slope > 0
         and tail.passed
         and all(b.passed for b in bulk)
+        and trend.passed
     )
     return EntropyGrowthReport(
         model=model,
@@ -612,109 +687,7 @@ def diagonal_entropy_growth(
         constant_c=constant_c,
         bulk=bulk,
         tail=tail,
+        variance_trend=trend,
         applicable=applicable,
-        passed=passed,
-    )
-
-
-@dataclass(frozen=True)
-class VarianceTrendReport:
-    """Exact infinite-time variances across sizes, with gap certification."""
-
-    model: str
-    recipe: str
-    observable: str
-    sizes: tuple[int, ...]
-    included: tuple[int, ...]
-    excluded: tuple[tuple[int, str], ...]
-    variances: tuple[float, ...]
-    slope: float | None
-    intercept: float | None
-    negative_slope: bool | None
-    k_of_e: float | None
-    k_consistent: bool | None
-    pointwise_ok: bool
-    note: str
-    passed: bool
-
-
-def variance_decay_trend(
-    sizes: Sequence[int] = (6, 8, 10),
-    model: str = "mixed-field-ising",
-    recipe="neel",
-    observable_axis: str = "Z",
-    gap_tolerance: float = 1e-12,
-    fit_tolerance: float = 0.1,
-    k_of_e: float | None = None,
-    seed: int = 0,
-    geometry: str = "chain-open",
-    params: dict | None = None,
-) -> VarianceTrendReport:
-    """log Var vs N for a fixed recipe, skipping sizes whose gap scan
-    finds coincidences at the given absolute tolerance.
-
-    Gap differences shrink roughly exponentially with size, so large
-    chains are excluded here rather than certified with a loose
-    tolerance.  When a rate k(e) is supplied the fitted slope must reach
-    -k(e) up to the fit tolerance.  A variance that is exactly zero at
-    every size (eigenstate input) short-circuits to a trivial pass.
-    """
-    sizes = tuple(int(n) for n in sizes)
-    included: list[int] = []
-    excluded: list[tuple[int, str]] = []
-    variances: list[float] = []
-    pointwise_ok = True
-    for n in sizes:
-        lat = LatticeSpec(n, 2, geometry)
-        spec = diagonalize(build_model(model, lat, dict(params or {}), seed))
-        rep = gap_report(spec, tolerance=gap_tolerance)
-        if rep.degenerate_levels or rep.degenerate_gap_pairs:
-            excluded.append(
-                (
-                    n,
-                    f"{rep.degenerate_levels} coincident levels, "
-                    f"{rep.degenerate_gap_pairs} coincident gap pairs at tol {gap_tolerance:g}"
-                    + (" (sampled)" if rep.sampled else ""),
-                )
-            )
-            continue
-        psi = initial_state(recipe, lat, seed)
-        ens = DiagonalEnsemble(spec, psi)
-        obs = site_observable(lat, n // 2, observable_axis)
-        var = variance_exact(ens, obs)
-        bound = obs.norm**2 * math.exp(-ens.entropy(2.0))
-        if var > bound + 1e-12:
-            pointwise_ok = False
-        included.append(n)
-        variances.append(var)
-    slope = intercept = negative = k_ok = None
-    note = ""
-    if not variances:
-        note, passed = "every size excluded by the gap scan", False
-    elif max(variances) < 1e-25:
-        note, passed = "variance identically zero; state is stationary", True
-    elif len(variances) < 2:
-        note, passed = "single included size; no trend fit", False
-    else:
-        logv = np.log(np.maximum(variances, 1e-300))
-        slope, intercept, _ = fit_line(included, logv)
-        negative = slope < 0
-        k_ok = None if k_of_e is None else slope <= -k_of_e + fit_tolerance
-        passed = bool(negative and pointwise_ok and k_ok is not False)
-    return VarianceTrendReport(
-        model=model,
-        recipe=recipe,
-        observable=f"{observable_axis.lower()}[mid]",
-        sizes=sizes,
-        included=tuple(included),
-        excluded=tuple(excluded),
-        variances=tuple(variances),
-        slope=slope,
-        intercept=intercept,
-        negative_slope=negative,
-        k_of_e=k_of_e,
-        k_consistent=k_ok,
-        pointwise_ok=pointwise_ok,
-        note=note,
         passed=passed,
     )

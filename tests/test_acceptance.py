@@ -214,6 +214,7 @@ def test_06_min_entropy_growth_trend():
     rep = diagonal_entropy_growth(sizes=(6, 8, 10, 12), recipe="neel", seed=0)
     elapsed = time.monotonic() - t0
     bulk_viol = sum(b.violations for b in rep.bulk)
+    trend = rep.variance_trend
     ok = (
         rep.applicable
         and rep.increasing
@@ -221,13 +222,16 @@ def test_06_min_entropy_growth_trend():
         and bulk_viol == 0
         and rep.fitted_m is not None
         and rep.fitted_m > 0
+        and trend.passed
+        and trend.k_consistent
         and elapsed < budget
     )
     _line(
         "06 min-entropy growth",
         ok,
         f"S_inf {tuple(round(s, 3) for s in rep.s_inf)}, slope {rep.slope:.4f}, "
-        f"bulk violations {bulk_viol}, tail m {rep.fitted_m}",
+        f"bulk violations {bulk_viol}, tail m {rep.fitted_m}, "
+        f"log-Var slope {trend.slope} over N={trend.included} vs k(e) {rep.k_of_e:.4f}",
         elapsed,
         budget,
     )
@@ -238,6 +242,8 @@ def test_06_min_entropy_growth_trend():
     assert all(b.passed for b in rep.bulk)
     assert rep.fitted_m is not None and rep.fitted_m > 0
     assert rep.tail.passed
+    assert trend.passed, trend
+    assert trend.k_consistent
     assert elapsed < budget
 
 

@@ -318,6 +318,26 @@ def test_equilibrate_builds_one_ensemble(monkeypatch):
     assert calls["block_vectors"] <= 1
 
 
+def test_theorem1_diagonalizes_once_per_size(monkeypatch):
+    import ergolab.cli
+    import ergolab.ergodicity
+    import ergolab.hamiltonians
+
+    original = ergolab.hamiltonians.diagonalize
+    sizes = []
+
+    def counted(ham, *args, **kwargs):
+        sizes.append(ham.lattice.num_sites)
+        return original(ham, *args, **kwargs)
+
+    for module in (ergolab.hamiltonians, ergolab.ergodicity, ergolab.cli):
+        monkeypatch.setattr(module, "diagonalize", counted)
+    code, rep = run({"experiment": "theorem1", "sizes": [6, 8], "budget": 50})
+    assert code == 0
+    assert rep["result"]["variance_trend"]["included"] == [6, 8]
+    assert sizes == [6, 8]
+
+
 def test_run_api_in_process():
     code, rep = run({"experiment": "gibbs", "sites": 6, "betas": [1.0]})
     assert code == 0

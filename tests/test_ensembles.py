@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,33 @@ def test_block_matrix_matches_block_vector_route(ensembles8, axis):
             want_var, want_mean = _reference_block_route(ens, obs)
             assert variance_exact(ens, obs) == pytest.approx(want_var, rel=1e-12, abs=1e-14)
             assert ensemble_expectation(ens, obs) == pytest.approx(want_mean, rel=1e-12, abs=1e-14)
+
+
+def test_block_matrix_peak_memory():
+    # every block is one level, so no reduced copy of the K x K matrix is made
+    lat = LatticeSpec(9, 2)
+    spec = diagonalize(build_model("mixed-field-ising", lat))
+    ens = DiagonalEnsemble(spec, random_product_state(lat, 3))
+    assert len(ens.blocks) == spec.dim
+    obs = site_observable(lat, 4)
+    for fn in (variance_exact, ensemble_expectation):
+        tracemalloc.start()
+        try:
+            fn(ens, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * spec.dim**2 * 8, (fn.__name__, peak / (spec.dim**2 * 8))
+
+
+def test_sampled_variance_reuses_eigenbasis_matrix(ens6, spec6_module):
+    # one V^dag A V for the trajectory and the mean: same bits as the two calls
+    a = site_observable(spec6_module.lattice, 2, "Y")
+    sam = variance_sampled(ens6, a, samples=300, seed=4)
+    times = np.random.default_rng(4).uniform(0.0, sam.horizon, size=300)
+    dev = (expectation_trajectory(ens6, a, times) - ensemble_expectation(ens6, a)) ** 2
+    assert sam.value == float(dev.mean())
+    assert sam.stderr == float(dev.std(ddof=1) / np.sqrt(300))
 
 
 def test_sampled_variance_converges(spec6_module):

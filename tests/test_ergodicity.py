@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergolab import ergodicity
-from ergolab.ensembles import DiagonalEnsemble
+from ergolab.ensembles import DiagonalEnsemble, site_observable, variance_exact
 from ergolab.ergodicity import (
     SEARCH_MODES,
     SearchPolicy,
@@ -20,7 +20,14 @@ from ergolab.ergodicity import (
     tail_check,
     variance_decay_trend,
 )
-from ergolab.hamiltonians import LocalHamiltonian, LocalTerm, build_model, diagonalize
+from ergolab.fits import fit_line
+from ergolab.hamiltonians import (
+    LocalHamiltonian,
+    LocalTerm,
+    build_model,
+    diagonalize,
+    gap_report,
+)
 from ergolab.operators import pauli
 from ergolab.rates import integrated_bound_check
 from ergolab.states import (
@@ -192,13 +199,21 @@ def test_initial_state_recipes():
         initial_state("bogus", lat, 0)
 
 
-def test_entropy_growth_small_grid():
-    rep = diagonal_entropy_growth(sizes=(6, 8), seed=0)
+@pytest.fixture(scope="module")
+def growth68():
+    runs = []
+    rep = diagonal_entropy_growth(sizes=(6, 8), seed=0, _materials=runs)
+    return rep, [ens for _, _, ens, _ in runs]
+
+
+def test_entropy_growth_small_grid(growth68):
+    rep, _ = growth68
     assert rep.sizes == (6, 8)
     assert rep.increasing
     assert rep.s_inf[1] > rep.s_inf[0]
     assert rep.applicable
     assert len(rep.bulk) == 2
+    assert rep.variance_trend.passed
     assert rep.passed
 
 
@@ -207,19 +222,61 @@ def test_entropy_growth_needs_two_sizes():
         diagonal_entropy_growth(sizes=(6,))
 
 
-def test_variance_trend_small_grid():
-    rep = variance_decay_trend(sizes=(6, 8), seed=0)
+def test_variance_trend_small_grid(growth68):
+    rep = growth68[0].variance_trend
     assert rep.included == (6, 8)
     assert rep.negative_slope
+    assert rep.k_consistent
     assert rep.pointwise_ok
     assert rep.passed
     assert rep.variances[1] < rep.variances[0]
+    assert all(v <= b for v, b in zip(rep.variances, rep.bounds_s2))
+
+
+def _reference_variance_trend(sizes, gap_tolerance=1e-12):
+    # the former trend loop: it built and diagonalised every size itself
+    included, excluded, variances = [], [], []
+    for n in sizes:
+        lat = LatticeSpec(n, 2, "chain-open")
+        spec = diagonalize(build_model("mixed-field-ising", lat, {}, 0))
+        rep = gap_report(spec, tolerance=gap_tolerance)
+        if rep.degenerate_levels or rep.degenerate_gap_pairs:
+            excluded.append(
+                (
+                    n,
+                    f"{rep.degenerate_levels} coincident levels, "
+                    f"{rep.degenerate_gap_pairs} coincident gap pairs at tol {gap_tolerance:g}"
+                    + (" (sampled)" if rep.sampled else ""),
+                )
+            )
+            continue
+        ens = DiagonalEnsemble(spec, initial_state("neel", lat, 0))
+        variances.append(variance_exact(ens, site_observable(lat, n // 2, "Z")))
+        included.append(n)
+    slope, _, _ = fit_line(included, np.log(np.maximum(variances, 1e-300)))
+    return tuple(included), tuple(excluded), tuple(variances), slope
+
+
+def test_variance_trend_matches_rebuilding_reference(growth68):
+    rep = growth68[0].variance_trend
+    included, excluded, variances, slope = _reference_variance_trend((6, 8))
+    assert rep.included == included
+    assert rep.excluded == excluded
+    assert rep.variances == variances
+    assert rep.slope == pytest.approx(slope, rel=0, abs=1e-12)
 
 
 def test_variance_trend_gap_exclusion():
-    rep = variance_decay_trend(sizes=(6, 8), gap_tolerance=10.0)
+    # W = 0 is SU(2)-symmetric: coincident levels at every size
+    ensembles = []
+    for n in (6, 8):
+        lat = LatticeSpec(n, 2)
+        spec = diagonalize(build_model("heisenberg-random-field", lat, params={"W": 0.0}))
+        ensembles.append(DiagonalEnsemble(spec, initial_state("neel", lat, 0)))
+    rep = variance_decay_trend(ensembles, k_of_e=0.0)
     assert rep.included == ()
-    assert len(rep.excluded) == 2
+    assert [n for n, _ in rep.excluded] == [6, 8]
+    assert all("coincident levels" in why for _, why in rep.excluded)
     assert not rep.passed
     assert "excluded" in rep.note
 
