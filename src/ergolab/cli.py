@@ -16,12 +16,19 @@ import sys
 from collections.abc import Callable, Mapping
 from pathlib import Path
 
+from . import worker_count
+
 
 def _configure_threads() -> None:
-    value = os.environ.get("ERGOLAB_THREADS")
-    if value:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, value)
+    # an invalid value leaves BLAS at its default; _validate rejects the run
+    if not os.environ.get("ERGOLAB_THREADS"):
+        return
+    try:
+        value = str(worker_count())
+    except ValueError:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, value)
 
 
 _configure_threads()
@@ -496,9 +503,11 @@ def _validate(experiment: str, config: dict) -> None:
     Each value goes through the library check that would reject it at run
     time; the sample loop and time grid of `rates` and the conjugation of
     `stability` are the runners' own, so they are checked here.  A lattice
-    beyond the index range still raises ResourceGuardError.
+    beyond the index range still raises ResourceGuardError.  ERGOLAB_THREADS
+    is read here too: BLAS and the scan's pool take their size from it.
     """
     try:
+        worker_count()
         sizes = EXPERIMENT_TABLE[experiment].chains(config)
         lattices = [
             LatticeSpec(n, int(config.get("local_dim", 2)), config.get("geometry", "chain-open"))

@@ -19,6 +19,8 @@ from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _sublattice,
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
+# rows of the level matrix variance_exact holds at a time
+VARIANCE_BAND_ROWS = 64
 
 
 def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> LocalTerm:
@@ -62,6 +64,7 @@ class DiagonalEnsemble:
         self.populations = pops / total
         sizes = np.diff([*self._starts, spectral.dim])
         self.block_energies = np.add.reduceat(spectral.energies, self._starts) / sizes
+        self._a_eig: tuple[LocalTerm, np.ndarray] | None = None
 
     @property
     def is_pure(self) -> bool:
@@ -77,6 +80,13 @@ class DiagonalEnsemble:
     def block_vectors(self) -> np.ndarray:
         """Columns w_k = P_k |psi>, one per energy block (unnormalized)."""
         return np.add.reduceat(self.spectral.eigenvectors * self.coefficients, self._starts, axis=1)
+
+    def _eigenbasis(self, observable: LocalTerm) -> np.ndarray:
+        """V^dag A V of `observable`.  The last one asked for is kept, so the
+        checks of one quench on one observable build it once."""
+        if self._a_eig is None or self._a_eig[0] is not observable:
+            self._a_eig = (observable, _eigenbasis_matrix(self.spectral, observable))
+        return self._a_eig[1]
 
     def reduced(self, region: SiteSet | tuple[int, ...]) -> DensityMatrix:
         """Dephased state on `region`: sum_k M_k M_k^dag over the block
@@ -102,14 +112,19 @@ def _eigenbasis_matrix(spectral: SpectralData, observable: LocalTerm) -> np.ndar
     return v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
 
 
+def _level_matrix(a_eig: np.ndarray, c: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of conj(c_i) (V^dag A V)_ij c_j, one row and column per level."""
+    m = a_eig[rows] * c
+    m *= c.conj()[rows, None]
+    return m
+
+
 def _block_matrix(ens: DiagonalEnsemble, a_eig: np.ndarray) -> np.ndarray:
     """K x K matrix w_k^dag A w_l between the block vectors, summed from
     conj(c_i) (V^dag A V)_ij c_j over the levels of blocks k and l.  When
     every block is one level the sum is the identity and is skipped."""
-    c = ens.coefficients
-    m = a_eig * c
-    m *= c.conj()[:, None]
-    if len(ens.blocks) == c.size:
+    m = _level_matrix(a_eig, ens.coefficients)
+    if len(ens.blocks) == m.shape[0]:
         return m
     return np.add.reduceat(np.add.reduceat(m, ens._starts, axis=0), ens._starts, axis=1)
 
@@ -155,11 +170,11 @@ def expectation_trajectory(
     ens: DiagonalEnsemble, observable: LocalTerm, times: np.ndarray
 ) -> np.ndarray:
     """<A>(t) on a grid of times, via the eigenbasis."""
-    return _trajectory(ens, _eigenbasis_matrix(ens.spectral, observable), times)
+    return _trajectory(ens, ens._eigenbasis(observable), times)
 
 
 def ensemble_expectation(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
-    return _dephased_mean(ens, _eigenbasis_matrix(ens.spectral, observable))
+    return _dephased_mean(ens, ens._eigenbasis(observable))
 
 
 def variance_exact(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
@@ -169,7 +184,17 @@ def variance_exact(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
     sum_{k != l} |w_k^dag A w_l|^2.  Validity requires the differences of
     distinct block energies to be non-coincident; certify with gap_report.
     """
-    off = np.abs(_block_matrix(ens, _eigenbasis_matrix(ens.spectral, observable))) ** 2
+    a_eig = ens._eigenbasis(observable)
+    if len(ens.blocks) == a_eig.shape[0]:
+        # one level per block: |w_k^dag A w_l| a band of rows at a time, so no
+        # complex dim x dim copy is made next to the kept V^dag A V
+        off = np.empty(a_eig.shape)
+        for start in range(0, off.shape[0], VARIANCE_BAND_ROWS):
+            band = slice(start, start + VARIANCE_BAND_ROWS)
+            np.abs(_level_matrix(a_eig, ens.coefficients, band), out=off[band])
+    else:
+        off = np.abs(_block_matrix(ens, a_eig))
+    off **= 2
     np.fill_diagonal(off, 0.0)
     return float(off.sum())
 
@@ -204,7 +229,7 @@ def variance_sampled(
     _sample_times).  The standard error needs at least two samples.
     """
     horizon, times = _sample_times(ens.spectral, samples, horizon, seed, 2)
-    a_eig = _eigenbasis_matrix(ens.spectral, observable)
+    a_eig = ens._eigenbasis(observable)
     dev = (_trajectory(ens, a_eig, times) - _dephased_mean(ens, a_eig)) ** 2
     return SampledVariance(
         value=float(dev.mean()),

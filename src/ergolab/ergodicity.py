@@ -14,11 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import worker_count
 from .ensembles import (
     DiagonalEnsemble,
     VarianceBoundReport,
@@ -140,25 +142,51 @@ def _scan(
     vectors: np.ndarray, lattice: LatticeSpec, cands: Sequence[tuple[int, ...]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Largest S_2 over `cands` for every column, and the index of the first
-    candidate that reaches it.
+    candidate (in table order) that reaches it.
 
     States go in blocks of about SCAN_BLOCK_BYTES: each block is copied once
-    into state-major rows, which stay cache-resident while every candidate
-    is evaluated on them.
+    into state-major rows, which stay cache-resident while the candidates
+    are evaluated on them.  Candidates are visited largest first, ties by
+    table index, and a candidate of size |A| is evaluated only on the rows
+    whose best S_2 is at most |A| log d + 1e-12: S_2(A) <= |A| log d, so no
+    row above that ceiling can be beaten or tied.  A row takes a candidate's
+    S_2 when it is larger, or equal with a lower table index.  Each row
+    depends on itself only, so blocks run on a pool of worker_count()
+    threads (numpy releases the GIL in take, matmul and einsum); a single
+    block runs inline.
     """
     nst = vectors.shape[1]
     best_s2 = np.full(nst, -1.0)
     best_idx = np.zeros(nst, dtype=int)
     step = max(1, SCAN_BLOCK_BYTES // (vectors.shape[0] * vectors.itemsize))
-    for start in range(0, nst, step):
+    log_d = math.log(lattice.local_dim)
+    visit = sorted(range(len(cands)), key=lambda ci: (-len(cands[ci]), ci))
+
+    def scan_block(start: int) -> None:
         rows = np.ascontiguousarray(vectors[:, start : start + step].T)
         block_s2 = best_s2[start : start + step]
         block_idx = best_idx[start : start + step]
-        for ci, cand in enumerate(cands):
-            s2 = _rows_renyi2(rows, lattice, cand)
-            upd = s2 > block_s2
-            block_s2[upd] = s2[upd]
-            block_idx[upd] = ci
+        live = np.arange(rows.shape[0])
+        for ci in visit:
+            below = block_s2[live] <= len(cands[ci]) * log_d + 1e-12
+            if not below.all():
+                live, rows = live[below], rows[below]
+                if not live.size:
+                    return
+            s2 = _rows_renyi2(rows, lattice, cands[ci])
+            held = block_s2[live]
+            upd = (s2 > held) | ((s2 == held) & (ci < block_idx[live]))
+            block_s2[live[upd]] = s2[upd]
+            block_idx[live[upd]] = ci
+
+    starts = range(0, nst, step)
+    workers = min(worker_count(), len(starts))
+    if workers <= 1:
+        for start in starts:
+            scan_block(start)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(scan_block, starts))
     return best_s2, best_idx
 
 
@@ -280,12 +308,14 @@ def build_profile(
     """Scan every eigenstate and fit the density-binned lower envelope.
 
     The scan runs over blocks of eigenstates of about SCAN_BLOCK_BYTES
-    each.  A block is copied once into state-major rows, and every
-    candidate subsystem is then evaluated on it: the rows are gathered into
-    the candidate's bipartition order with one precomputed index, so the
+    each, on a pool of worker_count() threads (inline for one block).  A
+    block is copied once into state-major rows, and the candidate subsystems
+    are then evaluated on it, largest first: the rows are gathered into the
+    candidate's bipartition order with one precomputed index, so the
     eigenvector matrix is read once per profile rather than transposed once
-    per candidate.  Real eigenvectors stay real; ties keep the earlier
-    candidate.
+    per candidate.  A candidate of size |A| skips the rows whose best S_2
+    already exceeds its ceiling |A| log d.  Real eigenvectors stay real;
+    ties keep the candidate that comes first in table order.
     """
     num_bins = envelope_bins(num_bins)
     policy = policy or SearchPolicy()

@@ -181,6 +181,47 @@ def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_invalid_thread_count_rejected_before_run(value, tmp_path, capsys, monkeypatch):
+    def runner_started(config):
+        raise AssertionError("a runner started on an invalid thread count")
+
+    table = {
+        name: dataclasses.replace(entry, runner=runner_started)
+        for name, entry in cli.EXPERIMENT_TABLE.items()
+    }
+    monkeypatch.setattr(cli, "EXPERIMENT_TABLE", table)
+    monkeypatch.setenv("ERGOLAB_THREADS", value)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--sites", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ERGOLAB_THREADS")
+    assert not out.exists()
+
+
+def test_invalid_thread_count_exits_2_from_a_fresh_process(tmp_path, monkeypatch):
+    # the value is read before numpy loads, too; it must not crash the import
+    monkeypatch.setenv("ERGOLAB_THREADS", "abc")
+    proc = invoke(["spectrum", "--sites", "4", "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ERGOLAB_THREADS")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_valid_thread_count_sizes_workers(value, tmp_path, monkeypatch):
+    monkeypatch.setenv("ERGOLAB_THREADS", value)
+    assert ergolab.worker_count() == int(value)
+    assert main(["spectrum", "--sites", "4", "--out", str(tmp_path / "out")]) == 0
+
+
+def test_unset_thread_count_is_the_affinity_count(monkeypatch):
+    monkeypatch.setenv("ERGOLAB_THREADS", "")
+    assert ergolab.worker_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delenv("ERGOLAB_THREADS")
+    assert ergolab.worker_count() == len(os.sched_getaffinity(0))
+
+
 _COMMON = {"--config": "config", "--out": "out", "--seed": "seed"}
 # Every subcommand's flags and their config keys, copied from the parser
 # as it was written by hand before it was generated from the table.
@@ -294,10 +335,11 @@ def test_horizon_reaches_both_time_averages():
 
 
 def test_equilibrate_builds_one_ensemble(monkeypatch):
+    from ergolab import ensembles
     from ergolab.ensembles import DiagonalEnsemble
     from ergolab.hamiltonians import SpectralData
 
-    calls = {"__init__": 0, "coefficients": 0, "block_vectors": 0}
+    calls = {"__init__": 0, "coefficients": 0, "block_vectors": 0, "_eigenbasis_matrix": 0}
 
     def counted(cls, name):
         method = getattr(cls, name)
@@ -311,11 +353,14 @@ def test_equilibrate_builds_one_ensemble(monkeypatch):
     counted(DiagonalEnsemble, "__init__")
     counted(DiagonalEnsemble, "block_vectors")
     counted(SpectralData, "coefficients")
-    code, _ = run({"experiment": "equilibrate", "sites": 9})
+    counted(ensembles, "_eigenbasis_matrix")
+    code, _ = run({"experiment": "equilibrate", "sites": 9, "recipe": "random-product"})
     assert code == 0
     assert calls["__init__"] == 1
     assert calls["coefficients"] == 1
     assert calls["block_vectors"] <= 1
+    # one V^dag A V serves the exact variance, the sampled one and the trajectory
+    assert calls["_eigenbasis_matrix"] == 1
 
 
 def test_theorem1_diagonalizes_once_per_size(monkeypatch):

@@ -11,6 +11,7 @@ from ergolab.ensembles import DiagonalEnsemble, site_observable, variance_exact
 from ergolab.ergodicity import (
     SEARCH_MODES,
     SearchPolicy,
+    _rows_renyi2,
     _scan,
     build_profile,
     bulk_check,
@@ -22,6 +23,7 @@ from ergolab.ergodicity import (
 )
 from ergolab.fits import fit_line
 from ergolab.hamiltonians import (
+    MODEL_NAMES,
     LocalHamiltonian,
     LocalTerm,
     build_model,
@@ -365,6 +367,73 @@ def test_profile_matches_transpose_reference(mode, spec8, monkeypatch):
     _assert_matches_reference(
         spec8.eigenvectors, spec8.lattice, cands, prof.s2_over_n * n, best_idx
     )
+
+
+# The scan before candidates were pruned by their ceiling and blocks ran on
+# a thread pool, kept verbatim: the present scan must match it bit for bit.
+PINNED_SCAN_BLOCK_BYTES = 1 << 20
+
+
+def _pinned_scan(vectors, lattice, cands):
+    nst = vectors.shape[1]
+    best_s2 = np.full(nst, -1.0)
+    best_idx = np.zeros(nst, dtype=int)
+    step = max(1, PINNED_SCAN_BLOCK_BYTES // (vectors.shape[0] * vectors.itemsize))
+    for start in range(0, nst, step):
+        rows = np.ascontiguousarray(vectors[:, start : start + step].T)
+        block_s2 = best_s2[start : start + step]
+        block_idx = best_idx[start : start + step]
+        for ci, cand in enumerate(cands):
+            s2 = _rows_renyi2(rows, lattice, cand)
+            upd = s2 > block_s2
+            block_s2[upd] = s2[upd]
+            block_idx[upd] = ci
+    return best_s2, best_idx
+
+
+def _assert_pinned(vectors, lattice, cands, monkeypatch):
+    """The scan equals the pinned one in blocks of 37 states (several, with
+    a remainder), on pools of 1 and 2 workers."""
+    ref_s2, ref_idx = _pinned_scan(vectors, lattice, cands)
+    monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", 37 * vectors[:, 0].nbytes)
+    assert vectors.shape[1] > 37 and vectors.shape[1] % 37
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+        best_s2, best_idx = _scan(vectors, lattice, cands)
+        assert np.array_equal(best_s2, ref_s2), workers
+        assert np.array_equal(best_idx, ref_idx), workers
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random-sample"])
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_scan_pinned_on_eigenvectors(model, geometry, mode, monkeypatch):
+    lattice = LatticeSpec(8, 2, geometry)
+    spec = diagonalize(build_model(model, lattice))
+    cands = candidate_subsets(lattice, SearchPolicy(mode=mode, budget=60, seed=2))
+    _assert_pinned(spec.eigenvectors, lattice, cands, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random-sample"])
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+def test_scan_pinned_on_complex_columns(geometry, mode, monkeypatch):
+    lattice = LatticeSpec(8, 2, geometry)
+    cands = candidate_subsets(lattice, SearchPolicy(mode=mode, budget=60, seed=4))
+    _assert_pinned(_unit_columns(lattice.dim, 90, 5), lattice, cands, monkeypatch)
+
+
+def test_scan_tie_goes_to_lower_index():
+    # sites 0 and 1 form a Bell pair and site 2 is |0>: (0,) and the larger,
+    # later (0, 2) have the same S2, and the larger one is visited first
+    lattice = LatticeSpec(4, 2)
+    vectors = maximally_entangled(lattice, (0,)).amplitudes[:, None]
+    cands = [(0,), (0, 2)]
+    small, large = (_rows_renyi2(vectors.T, lattice, c)[0] for c in cands)
+    assert small == large == pytest.approx(math.log(2))
+    best_s2, best_idx = _scan(vectors, lattice, cands)
+    assert best_idx[0] == 0 and best_s2[0] == small
+    ref_s2, ref_idx = _pinned_scan(vectors, lattice, cands)
+    assert np.array_equal(best_s2, ref_s2) and np.array_equal(best_idx, ref_idx)
 
 
 @pytest.mark.parametrize("n, d, keep", [(6, 2, (1, 4)), (5, 3, (4, 0, 2)), (4, 2, (0, 1))])
