@@ -151,9 +151,12 @@ def _scan(
     whose best S_2 is at most |A| log d + 1e-12: S_2(A) <= |A| log d, so no
     row above that ceiling can be beaten or tied.  A row takes a candidate's
     S_2 when it is larger, or equal with a lower table index.  Each row
-    depends on itself only, so blocks run on a pool of worker_count()
-    threads (numpy releases the GIL in take, matmul and einsum); a single
-    block runs inline.
+    depends on itself only, so the blocks are dealt round-robin to
+    min(worker_count(), blocks) threads, the calling thread among them
+    (numpy releases the GIL in take, matmul and einsum); a single block
+    runs inline, with no pool.  Scanning a share in the calling thread
+    spares one thread's malloc arena, which would otherwise keep its
+    freed blocks resident.
     """
     nst = vectors.shape[1]
     best_s2 = np.full(nst, -1.0)
@@ -180,13 +183,19 @@ def _scan(
             block_idx[live[upd]] = ci
 
     starts = range(0, nst, step)
-    workers = min(worker_count(), len(starts))
-    if workers <= 1:
-        for start in starts:
+    workers = min(worker_count(), max(len(starts), 1))
+
+    def scan_share(first: int) -> None:
+        for start in starts[first::workers]:
             scan_block(start)
+
+    if workers <= 1:
+        scan_share(0)
     else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(scan_block, starts))
+        with ThreadPoolExecutor(workers - 1) as pool:
+            shares = pool.map(scan_share, range(1, workers))
+            scan_share(0)
+            list(shares)
     return best_s2, best_idx
 
 
@@ -308,7 +317,7 @@ def build_profile(
     """Scan every eigenstate and fit the density-binned lower envelope.
 
     The scan runs over blocks of eigenstates of about SCAN_BLOCK_BYTES
-    each, on a pool of worker_count() threads (inline for one block).  A
+    each, dealt to up to worker_count() threads (inline for one block).  A
     block is copied once into state-major rows, and the candidate subsystems
     are then evaluated on it, largest first: the rows are gathered into the
     candidate's bipartition order with one precomputed index, so the

@@ -370,7 +370,7 @@ def test_profile_matches_transpose_reference(mode, spec8, monkeypatch):
 
 
 # The scan before candidates were pruned by their ceiling and blocks ran on
-# a thread pool, kept verbatim: the present scan must match it bit for bit.
+# threads, kept verbatim: the present scan must match it bit for bit.
 PINNED_SCAN_BLOCK_BYTES = 1 << 20
 
 
@@ -393,7 +393,7 @@ def _pinned_scan(vectors, lattice, cands):
 
 def _assert_pinned(vectors, lattice, cands, monkeypatch):
     """The scan equals the pinned one in blocks of 37 states (several, with
-    a remainder), on pools of 1 and 2 workers."""
+    a remainder), on 1 and 2 threads."""
     ref_s2, ref_idx = _pinned_scan(vectors, lattice, cands)
     monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", 37 * vectors[:, 0].nbytes)
     assert vectors.shape[1] > 37 and vectors.shape[1] % 37
