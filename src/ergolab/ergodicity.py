@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,6 +191,9 @@ def _scan(
     if workers <= 1:
         scan_share(0)
     else:
+        # imported here: runs that never scan more than one block skip it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(workers - 1) as pool:
             shares = pool.map(scan_share, range(1, workers))
             scan_share(0)
