@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .entropy import renyi_entropy
 from .operators import _support_index, is_hermitian, operator_norm, pauli
@@ -19,6 +18,8 @@ from .states import DensityMatrix, LatticeSpec, ResourceGuardError
 from .tolerances import TOL
 
 DENSE_DIM_GUARD = 2**14
+# rows of H whose nonzero pattern the sector search holds at once
+SECTOR_SEARCH_ROWS = 64
 
 MODEL_NAMES = ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field")
 
@@ -223,10 +224,72 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v / phase if np.iscomplexobj(v) else v * np.sign(phase).real
 
 
+def _sectors(raw: np.ndarray) -> list[np.ndarray]:
+    """Basis indices of each decoupled sector of ``raw``, ascending within
+    a sector, the sectors in order of their lowest index.
+
+    The sectors are the connected components of the pattern ``raw != 0``
+    read as an undirected graph, so every entry between two sectors is
+    exactly zero.  The pattern is read a band of rows at a time and only
+    its nonzero positions are kept.
+    """
+    dim = raw.shape[0]
+    band = np.empty((min(SECTOR_SEARCH_ROWS, dim), dim), dtype=bool)
+    flat = []
+    for start in range(0, dim, band.shape[0]):
+        rows = raw[start : start + band.shape[0]]
+        hit = band[: rows.shape[0]]
+        np.not_equal(rows, 0, out=hit)
+        flat.append(np.flatnonzero(hit) + start * dim)
+    i, j = np.divmod(np.concatenate(flat), dim)
+    # every index takes the lowest label among its neighbours, then the
+    # label of that label, until nothing changes; a label never exceeds its
+    # index, so each sector ends up labelled by its lowest index
+    label = np.arange(dim)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, i, label[j])
+        np.minimum.at(low, j, label[i])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _diagonalize_sectors(
+    raw: np.ndarray, sectors: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending energies and phase-fixed eigenvectors of a matrix that is
+    block-diagonal over the given sectors, one ``eigh`` per sector."""
+    parts = [np.linalg.eigh(raw[np.ix_(idx, idx)]) for idx in sectors]
+    energies = np.concatenate([e for e, _ in parts])
+    order = np.argsort(energies, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    vectors = np.zeros_like(raw)
+    start = 0
+    for idx, (e, v) in zip(sectors, parts):
+        vectors[np.ix_(idx, column[start : start + e.size])] = _fix_phases(v)
+        start += e.size
+    return energies[order], vectors
+
+
 def diagonalize(h: LocalHamiltonian) -> SpectralData:
-    """Dense eigendecomposition with the ground energy shifted to zero."""
+    """Dense eigendecomposition with the ground energy shifted to zero.
+
+    Each decoupled sector of H (see ``_sectors``) is diagonalised on its
+    own, and its eigenvectors are placed on its basis states; a model with
+    one sector goes to ``eigh`` whole.
+    """
     raw = h.assemble(shifted=False)
-    energies, vectors = np.linalg.eigh(raw)
+    sectors = _sectors(raw)
+    if len(sectors) == 1:
+        energies, vectors = np.linalg.eigh(raw)
+        vectors = _fix_phases(vectors)
+    else:
+        energies, vectors = _diagonalize_sectors(raw, sectors)
     if h.ground_shift is None:
         h.ground_shift = float(energies[0])
     energies = energies - h.ground_shift
@@ -235,7 +298,7 @@ def diagonalize(h: LocalHamiltonian) -> SpectralData:
             f"ground energy {energies.min()!r} not zero after shift; "
             "stored shift is stale"
         )
-    return SpectralData(h.lattice, h, energies, _fix_phases(vectors))
+    return SpectralData(h.lattice, h, energies, vectors)
 
 
 def trace_energy_density(h: LocalHamiltonian) -> float:
@@ -341,10 +404,24 @@ def inverse_temperature(beta: float) -> float:
     return beta
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))), shifted by the largest entry.
+
+    The m entries at the maximum are counted rather than exponentiated and
+    the rest are summed as exp(x - max), so the result is
+    log1p(rest / m) + log(m) + max, the form of scipy.special.logsumexp.
+    """
+    top = x.max()
+    at_top = x == top
+    m = float(np.count_nonzero(at_top))
+    rest = np.sum(np.where(at_top, 0.0, np.exp(x - top)))
+    return float(np.log1p(rest / m) + np.log(m) + top)
+
+
 def gibbs_populations(s: SpectralData, beta: float) -> np.ndarray:
     beta = inverse_temperature(beta)
     logw = -beta * s.energies
-    return np.exp(logw - logsumexp(logw))
+    return np.exp(logw - _logsumexp(logw))
 
 
 def gibbs_state(s: SpectralData, beta: float) -> DensityMatrix:
@@ -354,7 +431,7 @@ def gibbs_state(s: SpectralData, beta: float) -> DensityMatrix:
 
 
 def log_partition(s: SpectralData, beta: float) -> float:
-    return float(logsumexp(-beta * s.energies))
+    return _logsumexp(-beta * s.energies)
 
 
 def free_energy(s: SpectralData, beta: float) -> float:

@@ -2,16 +2,24 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from ergolab import hamiltonians
 from ergolab.hamiltonians import (
     DENSE_DIM_GUARD,
     LocalHamiltonian,
     LocalTerm,
     ResourceGuardError,
     _coincidence_pairs,
+    _fix_phases,
+    _sectors,
     build_model,
     check_gibbs_identities,
     degenerate_groups,
@@ -297,3 +305,160 @@ def test_free_energy_consistency(spec6):
     assert f == pytest.approx(-log_partition(spec6, beta) / beta, abs=1e-12)
     with pytest.raises(ValueError):
         free_energy(spec6, 0.0)
+
+
+def _magnetisation(n):
+    """Number of up spins of each computational basis state of n sites."""
+    idx = np.arange(2**n)
+    return sum((idx >> k) & 1 for k in range(n))
+
+
+def _sector_pure(vectors, n):
+    """Every column is supported on basis states of one magnetisation."""
+    m = _magnetisation(n)
+    return all(np.unique(m[np.abs(col) > 0]).size == 1 for col in vectors.T)
+
+
+SECTOR_MODELS = [
+    ("xxz-disordered", {}),
+    ("heisenberg-random-field", {"W": 1.0}),
+]
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("name,params", SECTOR_MODELS)
+def test_sector_diagonalization_matches_full_eigh(name, params, geometry):
+    h = build_model(name, LatticeSpec(8, 2, geometry), params=params, seed=3)
+    full = np.linalg.eigh(h.assemble(shifted=False))[0]
+    spec = diagonalize(h)
+    v, e = spec.eigenvectors, spec.energies
+    assert np.abs(e + h.ground_shift - full).max() <= 1e-12
+    assert np.abs(h.assemble(shifted=True) @ v - v * e).max() <= 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
+    assert _sector_pure(v, 8)
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+def test_sector_diagonalization_with_levels_degenerate_across_sectors(geometry):
+    # without fields the Heisenberg chain is SU(2) symmetric: its multiplets
+    # span several magnetisation sectors, so a full eigh may mix them
+    h = build_model("heisenberg-random-field", LatticeSpec(8, 2, geometry), params={"W": 0.0})
+    spec = diagonalize(h)
+    v, e = spec.eigenvectors, spec.energies
+    assert np.abs(h.assemble(shifted=True) @ v - v * e).max() <= 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
+    assert _sector_pure(v, 8)
+
+
+def test_complex_sector_diagonalization():
+    # XX+YY with a Dzyaloshinskii-Moriya term XY-YX: complex, and it keeps
+    # the magnetisation
+    n = 6
+    x, y, z = pauli("X"), pauli("Y"), pauli("Z")
+    bond = np.kron(x, x) + np.kron(y, y) + 0.4 * (np.kron(x, y) - np.kron(y, x))
+    fields = np.random.default_rng(2).uniform(-1, 1, n)
+    terms = [LocalTerm((i, i + 1), bond, f"b{i}") for i in range(n - 1)]
+    terms += [LocalTerm((i,), fields[i] * z, f"z{i}") for i in range(n)]
+    h = LocalHamiltonian(LatticeSpec(n, 2), terms)
+    spec = diagonalize(h)
+    v, e = spec.eigenvectors, spec.energies
+    assert np.iscomplexobj(v)
+    full = np.linalg.eigh(h.assemble(shifted=False))[0]
+    assert np.abs(e + h.ground_shift - full).max() <= 1e-12
+    assert np.abs(h.assemble(shifted=True) @ v - v * e).max() <= 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
+    assert _sector_pure(v, n)
+    lead = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(spec.dim)]
+    assert (lead.real > 0).all() and np.abs(lead.imag).max() <= 1e-12
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+def test_one_sector_model_is_diagonalized_whole(geometry):
+    h = build_model("mixed-field-ising", LatticeSpec(8, 2, geometry))
+    spec = diagonalize(h)
+    energies, vectors = np.linalg.eigh(h.assemble(shifted=False))
+    assert np.array_equal(spec.energies, energies - h.ground_shift)
+    assert np.array_equal(spec.eigenvectors, _fix_phases(vectors))
+
+
+def test_one_sector_model_calls_eigh_once_on_the_assembled_matrix(monkeypatch):
+    h = build_model("mixed-field-ising", LatticeSpec(6, 2))
+    assembled, factorized = [], []
+    assemble, eigh = LocalHamiltonian.assemble, np.linalg.eigh
+
+    def recording_assemble(self, *args, **kwargs):
+        assembled.append(assemble(self, *args, **kwargs))
+        return assembled[-1]
+
+    def recording_eigh(a, *args, **kwargs):
+        factorized.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(LocalHamiltonian, "assemble", recording_assemble)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    diagonalize(h)
+    assert len(assembled) == 1
+    assert len(factorized) == 1
+    assert factorized[0] is assembled[0]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_xxz_sectors_are_the_magnetisation_sectors(n):
+    h = build_model("xxz-disordered", LatticeSpec(n, 2), seed=1)
+    sectors = _sectors(h.assemble(shifted=False))
+    m = _magnetisation(n)
+    assert len(sectors) == n + 1
+    assert sorted(idx.size for idx in sectors) == sorted(math.comb(n, k) for k in range(n + 1))
+    assert all(np.unique(m[idx]).size == 1 for idx in sectors)
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(2**n))
+
+
+def test_mixed_field_ising_is_one_sector():
+    raw = build_model("mixed-field-ising", LatticeSpec(7, 2)).assemble(shifted=False)
+    (sector,) = _sectors(raw)
+    assert np.array_equal(sector, np.arange(2**7))
+
+
+def test_tiny_entry_joins_sectors():
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(200, 200))
+    raw = np.zeros((200, 200))
+    raw[:120, :120] = a[:120, :120] + a[:120, :120].T
+    raw[120:, 120:] = a[120:, 120:] + a[120:, 120:].T
+    perm = rng.permutation(200)
+    raw = raw[np.ix_(perm, perm)]
+    apart = _sectors(raw)
+    assert sorted(idx.size for idx in apart) == [80, 120]
+    assert all(np.array_equal(idx, np.sort(idx)) for idx in apart)
+    # one entry in either triangle joins them
+    i, j = apart[1][0], apart[0][0]
+    for entry in ((max(i, j), min(i, j)), (min(i, j), max(i, j))):
+        joined = raw.copy()
+        joined[entry] = 1e-14
+        (sector,) = _sectors(joined)
+        assert np.array_equal(sector, np.arange(200))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.2, 1.0, 5.0, 40.0])
+def test_gibbs_log_sum_exp_matches_scipy(beta, spec6):
+    degenerate = diagonalize(
+        build_model("heisenberg-random-field", LatticeSpec(6, 2), params={"W": 0.0})
+    )
+    for spec in (spec6, degenerate):
+        ref = logsumexp(-beta * spec.energies)
+        assert log_partition(spec, beta) == pytest.approx(ref, rel=1e-14, abs=1e-14)
+        np.testing.assert_allclose(
+            gibbs_populations(spec, beta), np.exp(-beta * spec.energies - ref), rtol=1e-13, atol=0
+        )
+
+
+def test_hamiltonians_imports_no_scipy():
+    code = (
+        "import sys, ergolab.hamiltonians; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    pkg_root = str(Path(hamiltonians.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": pkg_root}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
