@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import logm
 
 from .entropy import renyi_entropy
 from .hamiltonians import LocalHamiltonian, LocalTerm
@@ -184,6 +183,17 @@ def circuit_extensivity_check(
     )
 
 
+def _unitary_log(u: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a unitary, W diag(i arg w) W^-1.
+
+    A unitary is normal, so it diagonalises; solving against W rather than
+    taking W^dag keeps the result exact on degenerate eigenvalues, where
+    eig's eigenvectors need not be orthogonal.
+    """
+    w, vecs = np.linalg.eig(u)
+    return np.linalg.solve(vecs.T, (vecs * (1j * np.angle(w))).T).T
+
+
 def layer_generator(layer: CircuitLayer) -> QuasiLocalUnitary:
     """The layer as exp(-i H' t): disjoint gates commute, so the matrix
     logarithms of the individual gates assemble into one strictly local
@@ -191,7 +201,7 @@ def layer_generator(layer: CircuitLayer) -> QuasiLocalUnitary:
     strengths = []
     raw_terms = []
     for sites, mat in layer.gates:
-        v = 1.0j * logm(mat)
+        v = 1.0j * _unitary_log(mat)
         v = 0.5 * (v + v.conj().T)
         strengths.append(float(np.abs(np.linalg.eigvalsh(v)).max()))
         raw_terms.append((sites, v))

@@ -34,6 +34,7 @@ def _configure_threads() -> None:
 _configure_threads()
 
 import numpy as np  # noqa: E402
+import numpy.random  # noqa: E402,F401  every experiment draws seeded numbers
 
 from . import CATALOG_VERSION, __version__  # noqa: E402
 from .circuits import brickwork, haar_unitary, layer_generator  # noqa: E402
@@ -563,7 +564,9 @@ def _validate(experiment: str, config: dict) -> None:
             if config["time"] is not None and not np.isfinite(float(config["time"])):
                 raise ConfigError("conjugation time must be finite")
         if config.get("spec_json") and not config.get("ghz"):
-            MPSSpec.from_json(Path(config["spec_json"]).read_text())
+            spec = MPSSpec.from_json(Path(config["spec_json"]).read_text())
+            if spec.local_dim != 2:  # mps_overlap_decay optimises qubit factors only
+                raise ConfigError(f"mps needs a spec with local_dim 2, not {spec.local_dim}")
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
 

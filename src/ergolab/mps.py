@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fits import fit_line
 from .hamiltonians import DENSE_DIM_GUARD, ResourceGuardError
@@ -191,6 +190,59 @@ def _pair_eigvals_2x2(t, det):
     return (t + disc) / 2.0, (t - disc) / 2.0
 
 
+def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float) -> float:
+    """Smallest value of f found by the Nelder-Mead simplex search.
+
+    Step for step the non-adaptive, unbounded search of scipy's
+    `minimize(method="Nelder-Mead")` (same initial simplex, coefficient
+    arithmetic, ordering and stopping test), so it returns the same bits
+    as scipy's `.fun`; it is here to keep scipy off the import path.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.array(x0, dtype=float).reshape(-1)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    for _ in range(1, maxiter):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contraction outside the simplex
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # contraction inside
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return float(np.min(fsim))
+
+
 @dataclass(frozen=True)
 class DecayReport:
     branch: str  # "decay" | "product" | "non-injective"
@@ -276,14 +328,11 @@ def mps_overlap_decay(
         top = float(vals[idx])
         if refine:
             x0 = np.array([tt[idx], pp[idx]])
-            res = minimize(
-                lambda x: -overlap_at(x, n, zn),
-                x0,
-                method="Nelder-Mead",
-                options={"maxiter": 200, "xatol": 1e-8, "fatol": 1e-12},
+            fun = _nelder_mead(
+                lambda x: -overlap_at(x, n, zn), x0, maxiter=200, xatol=1e-8, fatol=1e-12
             )
-            if -res.fun > top:
-                top = float(-res.fun)
+            if -fun > top:
+                top = -fun
                 refined_any = True
         best.append(min(top, 1.0))
     if min(best) >= 1.0 - 1e-8:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from conftest import _reference_embed
+from scipy.linalg import expm, logm
 
 from ergolab.circuits import (
     CircuitLayer,
+    _unitary_log,
     apply_circuit,
     brickwork,
     circuit_extensivity_check,
@@ -146,3 +148,27 @@ def test_layer_generator_identity_layer():
     qlu = layer_generator(layer)
     assert qlu.time == 0.0
     assert qlu.generator.terms == []
+
+
+def test_unitary_log_matches_scipy_logm():
+    rng = np.random.default_rng(15)
+    q = haar_unitary(4, rng)
+    repeated = np.exp(1j * np.array([0.7, 0.7, -2.1, 0.7]))
+    gates = [haar_unitary(4, rng) for _ in range(120)] + [
+        np.eye(4, dtype=complex),
+        np.diag(repeated),
+        (q * repeated) @ q.conj().T,  # the repeated phase in a rotated basis
+    ]
+    for u in gates:
+        np.testing.assert_allclose(_unitary_log(u), logm(u), rtol=0, atol=1e-12)
+
+
+def test_layer_generator_of_swap():
+    # SWAP's eigenvalue -1 lies on the branch cut, where +i pi and -i pi
+    # are both logarithms, so only exp(-i v) = U and the strength are pinned
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    qlu = layer_generator(brickwork(LatticeSpec(2, 2), 1, swap)[0])
+    assert abs(qlu.time - np.pi) <= 1e-12
+    (term,) = qlu.generator.terms
+    v = qlu.time * term.matrix
+    np.testing.assert_allclose(expm(-1j * v), swap, rtol=0, atol=1e-12)

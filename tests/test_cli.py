@@ -15,6 +15,7 @@ import ergolab
 from ergolab import CATALOG_VERSION
 from ergolab import cli
 from ergolab.cli import ConfigError, build_config, build_parser, main, run
+from ergolab.mps import random_injective_spec
 
 
 def invoke(args, cwd):
@@ -206,6 +207,48 @@ def test_invalid_thread_count_exits_2_from_a_fresh_process(tmp_path, monkeypatch
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ERGOLAB_THREADS")
     assert "Traceback" not in proc.stderr
+
+
+def test_mps_spec_of_other_local_dim_rejected_before_run(tmp_path, capsys, monkeypatch):
+    # the overlap optimiser handles qubit factors only; a qutrit spec used
+    # to reach it and exit 1 with a NotImplementedError traceback
+    def runner_started(config):
+        raise AssertionError("a runner started on a qutrit spec")
+
+    monkeypatch.setitem(
+        cli.EXPERIMENT_TABLE, "mps",
+        dataclasses.replace(cli.EXPERIMENT_TABLE["mps"], runner=runner_started),
+    )
+    spec = tmp_path / "spec3.json"
+    spec.write_text(random_injective_spec(bond_dim=2, local_dim=3, seed=1).to_json())
+    out = tmp_path / "out"
+    assert main(["mps", "--spec-json", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: mps needs a spec with local_dim 2, not 3"]
+    assert not out.exists()
+
+
+def test_cli_imports_and_runs_without_scipy(tmp_path):
+    # scipy's import cost more than most runs; no experiment may load it
+    code = (
+        "import sys\n"
+        "from ergolab import cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "cli.run({'experiment': 'stability', 'sites': 6})\n"
+        "code, report = cli.run({'experiment': 'mps', 'sizes': [8, 12, 16]})\n"
+        "assert report['result']['decay']['refined'], report['result']['decay']\n"
+        "print(loaded())\n"
+    )
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(Path(ergolab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("value", ["1", "2"])

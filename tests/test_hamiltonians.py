@@ -2,16 +2,11 @@
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from ergolab import hamiltonians
 from ergolab.hamiltonians import (
     DENSE_DIM_GUARD,
     LocalHamiltonian,
@@ -451,14 +446,3 @@ def test_gibbs_log_sum_exp_matches_scipy(beta, spec6):
             gibbs_populations(spec, beta), np.exp(-beta * spec.energies - ref), rtol=1e-13, atol=0
         )
 
-
-def test_hamiltonians_imports_no_scipy():
-    code = (
-        "import sys, ergolab.hamiltonians; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    pkg_root = str(Path(hamiltonians.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": pkg_root}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"

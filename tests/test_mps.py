@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from ergolab import mps
 from ergolab.mps import (
     MPSSpec,
     ghz_spec,
@@ -128,3 +130,56 @@ def test_local_dim_guard():
     spec = MPSSpec(t)
     with pytest.raises(NotImplementedError):
         mps_overlap_decay(spec, (8, 12))
+
+
+REFINE_OPTIONS = {"maxiter": 200, "xatol": 1e-8, "fatol": 1e-12}
+
+
+def _refine_objectives(monkeypatch, spec, sizes):
+    """The (objective, start point) pairs mps_overlap_decay refines."""
+    calls = []
+    real = mps._nelder_mead
+
+    def spy(f, x0, **options):
+        assert options == REFINE_OPTIONS
+        calls.append((f, np.array(x0)))
+        return real(f, x0, **options)
+
+    monkeypatch.setattr(mps, "_nelder_mead", spy)
+    mps_overlap_decay(spec, sizes)
+    monkeypatch.undo()
+    return calls
+
+
+def _scipy_fun(f, x0):
+    return minimize(f, x0, method="Nelder-Mead", options=REFINE_OPTIONS).fun
+
+
+@pytest.mark.parametrize("seed,bond_dim", [(0, 2), (3, 2), (5, 3), (11, 4)])
+def test_nelder_mead_matches_scipy_on_the_overlap_objective(seed, bond_dim, monkeypatch):
+    spec = random_injective_spec(bond_dim=bond_dim, seed=seed)
+    calls = _refine_objectives(monkeypatch, spec, (8, 13, 24, 40, 64))
+    assert len(calls) == 5
+    for f, x0 in calls:
+        assert mps._nelder_mead(f, x0, **REFINE_OPTIONS) == _scipy_fun(f, x0)
+
+
+def test_nelder_mead_matches_scipy_from_a_zero_coordinate(monkeypatch):
+    # scipy opens the simplex by 0.00025 along a zero coordinate, by 5% otherwise
+    calls = _refine_objectives(monkeypatch, random_injective_spec(seed=2), (8, 20))
+    for f, (theta, phi) in calls:
+        for x0 in ([theta, 0.0], [0.0, phi], [0.0, 0.0]):
+            x0 = np.array(x0)
+            assert mps._nelder_mead(f, x0, **REFINE_OPTIONS) == _scipy_fun(f, x0)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 7, 40])
+def test_nelder_mead_stops_after_maxiter_like_scipy(maxiter):
+    def rosenbrock(x):
+        return float((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+
+    x0 = np.array([-1.2, 1.0])
+    options = {**REFINE_OPTIONS, "maxiter": maxiter}
+    ref = minimize(rosenbrock, x0, method="Nelder-Mead", options=options)
+    assert ref.nit == maxiter
+    assert mps._nelder_mead(rosenbrock, x0, **options) == ref.fun
