@@ -566,7 +566,7 @@ def variance_decay_trend(
                 f"{rep.degenerate_levels} coincident levels, {rep.degenerate_gap_pairs} "
                 f"coincident gap pairs at tol {TREND_GAP_TOLERANCE:g}"
             )
-            excluded.append((n, why + (" (sampled)" if rep.sampled else "")))
+            excluded.append((n, why))
             continue
         included.append(n)
         bounds.append(check_variance_bounds(ens, site_observable(spec.lattice, n // 2)))

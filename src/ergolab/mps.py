@@ -279,11 +279,14 @@ def mps_overlap_decay(
 
     The single-site factor is optimized over a Bloch-sphere grid with
     closed-form 2x2 eigenvalues, then polished with a local simplex
-    search from the best grid point.  Non-injective specs are rejected
-    before any fit; a product MPS comes out as the flat branch with
-    overlap one at every size.
+    search from the best grid point.  A local dimension other than 2
+    raises NotImplementedError, injective or not; non-injective specs are
+    rejected before any fit; a product MPS comes out as the flat branch
+    with overlap one at every size.
     """
     sizes = decay_sizes(sizes)
+    if spec.local_dim != 2:
+        raise NotImplementedError("overlap optimizer implemented for local_dim 2")
     inj = injectivity(spec)
     if not inj.injective:
         return DecayReport(
@@ -297,8 +300,6 @@ def mps_overlap_decay(
             refined=False,
             passed=False,
         )
-    if spec.local_dim != 2:
-        raise NotImplementedError("overlap optimizer implemented for local_dim 2")
     spec = normalized(spec)
     a0, a1 = spec.tensors[0], spec.tensors[1]
     na, nb = grid_shape

@@ -247,8 +247,7 @@ def _reference_variance_trend(sizes, gap_tolerance=1e-12):
                 (
                     n,
                     f"{rep.degenerate_levels} coincident levels, "
-                    f"{rep.degenerate_gap_pairs} coincident gap pairs at tol {gap_tolerance:g}"
-                    + (" (sampled)" if rep.sampled else ""),
+                    f"{rep.degenerate_gap_pairs} coincident gap pairs at tol {gap_tolerance:g}",
                 )
             )
             continue

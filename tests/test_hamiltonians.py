@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,7 +147,6 @@ def test_gap_report_flags_paramagnet():
     rep = gap_report(spec)
     assert rep.degenerate_levels > 0
     assert rep.degenerate_gap_pairs > 0
-    assert not rep.sampled
 
 
 def test_gap_report_generic_chain(spec6):
@@ -154,37 +154,81 @@ def test_gap_report_generic_chain(spec6):
     assert rep.degenerate_levels == 0
     assert rep.degenerate_gap_pairs == 0
     assert rep.min_gap_difference > rep.tolerance
-    assert rep.gaps_scanned > 0
+    assert rep.gaps_scanned == spec6.dim * (spec6.dim - 1) // 2
 
 
-def test_gap_report_sampling_path():
-    # above 1024 levels the scan subsamples ordered pairs
+def _brute_force_gaps(energies):
+    # every unordered pair i < j of the given (possibly unsorted) energies
+    ii, jj = np.triu_indices(energies.size, k=1)
+    return np.sort(np.abs(energies[jj] - energies[ii]))
+
+
+def test_gap_report_matches_brute_force_oracle():
+    # 2048 levels, 2096128 gaps: the scan covers every unordered pair
     spec = diagonalize(build_model("mixed-field-ising", LatticeSpec(11, 2)))
-    rep = gap_report(spec, sample_budget=50_000, seed=0)
-    assert rep.sampled
-    assert rep.gaps_scanned <= 50_000
-    # a pair drawn twice is one pair, not a coincident gap
-    rep = gap_report(spec, tolerance=1e-12, seed=0)
-    assert rep.sampled
-    assert rep.degenerate_gap_pairs == 0
-    assert rep.min_gap_difference > 0.0
-    assert rep.gaps_scanned < 2_000_000
+    shuffled = np.random.default_rng(11).permutation(spec.energies)
+    gaps = _brute_force_gaps(spec.energies)
+    assert gaps.size == 2048 * 2047 // 2
+    for tol in (gap_report(spec).tolerance, 1e-12):
+        want = _reference_coincidence_pairs(gaps, tol)
+        for energies in (spec.energies, shuffled):
+            rep = gap_report(dataclasses.replace(spec, energies=energies), tolerance=tol)
+            assert rep.gaps_scanned == gaps.size
+            assert rep.degenerate_gap_pairs == want > 0
+            assert rep.min_gap_difference == np.diff(gaps).min()
 
 
-def test_gap_report_sampling_path_flags_planted_ladder(spec6):
-    # 1100 levels: the sampled path; 40 of them in an arithmetic ladder,
-    # whose equal spacings are coincident gaps
+def test_gap_report_flags_planted_ladder(spec6):
+    # 1100 levels, 40 of them in an arithmetic ladder, whose equal
+    # spacings are coincident gaps
     rng = np.random.default_rng(3)
     ladder = 20.0 + 0.0137 * np.arange(40)
     generic = np.sort(np.concatenate([rng.uniform(0.0, 10.0, 1060), rng.uniform(21.0, 25.0, 40)]))
     planted = np.sort(np.concatenate([rng.uniform(0.0, 10.0, 1060), ladder]))
     reports = [
-        gap_report(dataclasses.replace(spec6, energies=e), tolerance=1e-12, seed=0)
+        gap_report(dataclasses.replace(spec6, energies=e), tolerance=1e-12)
         for e in (generic, planted)
     ]
-    assert all(r.sampled for r in reports)
     assert reports[0].degenerate_gap_pairs == 0
     assert reports[1].degenerate_gap_pairs > 0
+
+
+def test_gap_report_finds_one_planted_pair_among_1e7_gaps(spec6):
+    # Erdos-Turan Sidon set 2pk + (k^2 mod p): every difference of two of
+    # its p integers is distinct, so no two of its p(p-1)/2 gaps coincide.
+    p = 4507
+    k = np.arange(p)
+    sidon = (2 * p * k + (k * k) % p).astype(float)
+    assert p * (p - 1) // 2 >= 10**7
+    clean = gap_report(dataclasses.replace(spec6, energies=sidon), tolerance=1e-12)
+    assert clean.degenerate_gap_pairs == 0
+    assert clean.min_gap_difference >= 1.0
+    # Replace one level by the half-integer midpoint m of two others whose
+    # sum is odd.  Gaps to m are half-integers, so they miss every integer
+    # gap; two of them coincide only as m - a = b - m, i.e. a + b = 2m,
+    # which the Sidon property allows only for the two chosen levels.
+    i = 2000
+    j = next(j for j in range(3000, p) if (sidon[i] + sidon[j]) % 2 == 1)
+    planted = sidon.copy()
+    planted[1000] = 0.5 * (sidon[i] + sidon[j])
+    rep = gap_report(dataclasses.replace(spec6, energies=planted), tolerance=1e-12)
+    assert rep.degenerate_gap_pairs == 1
+    assert rep.min_gap_difference == 0.0
+    assert rep.degenerate_levels == clean.degenerate_levels == 0
+
+
+@pytest.mark.parametrize("dim", [1024, 2048])
+def test_gap_report_peak_memory(dim, spec6):
+    # the dim(dim-1)/2 gaps plus one difference array, about dim^2 doubles
+    energies = np.sort(np.random.default_rng(dim).normal(size=dim))
+    spec = dataclasses.replace(spec6, energies=energies)
+    tracemalloc.start()
+    try:
+        gap_report(spec, tolerance=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * dim * dim * 8
 
 
 def _reference_coincidence_pairs(sorted_vals, tol):
@@ -236,13 +280,12 @@ def test_gap_counts_match_reference_loops(name, spec6):
     vals = np.sort(np.asarray(GAP_PIN_VALUES[name], dtype=float))
     assert _coincidence_pairs(vals, tol) == _reference_coincidence_pairs(vals, tol)
     rep = gap_report(dataclasses.replace(spec6, energies=vals), tolerance=tol)
-    gaps = np.sort((vals[:, None] - vals[None, :])[~np.eye(vals.size, dtype=bool)])
-    assert rep.degenerate_gap_pairs == _reference_coincidence_pairs(gaps, tol)
+    assert rep.degenerate_gap_pairs == _reference_coincidence_pairs(_brute_force_gaps(vals), tol)
     assert rep.degenerate_levels == _reference_degenerate_levels(vals, tol)
 
 
 def test_coincidence_pairs_match_reference_loop_at_scale():
-    # sampled-path size: long sorted arrays with many runs of ties
+    # long sorted arrays with many runs of ties
     vals = np.sort(np.round(np.random.default_rng(6).normal(size=100_000), 3))
     pairs = _coincidence_pairs(vals, 1e-10)
     assert pairs == _reference_coincidence_pairs(vals, 1e-10) > 0

@@ -132,6 +132,17 @@ def test_local_dim_guard():
         mps_overlap_decay(spec, (8, 12))
 
 
+def test_local_dim_guard_precedes_injectivity():
+    # a GHZ-like spec on three levels: non-injective, yet refused like an
+    # injective local_dim 3 spec rather than reported as non-injective
+    t = np.zeros((3, 2, 2))
+    t[0, 0, 0] = t[1, 1, 1] = 1.0
+    spec = MPSSpec(t)
+    assert not injectivity(spec).injective
+    with pytest.raises(NotImplementedError):
+        mps_overlap_decay(spec, (8, 12))
+
+
 REFINE_OPTIONS = {"maxiter": 200, "xatol": 1e-8, "fatol": 1e-12}
 
 
