@@ -24,7 +24,6 @@ class CircuitLayer:
 
     lattice: LatticeSpec
     gates: list[tuple[tuple[int, ...], np.ndarray]]
-    index: int = 0
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -64,12 +63,11 @@ def brickwork(
     depth: int,
     gate,
     period: int = 2,
-    start: int = 0,
 ) -> list[CircuitLayer]:
     """Layers of identical-width gates on (i, i+1) pairs.
 
     Layer l places gates at i = offset, offset+period, ... with offset
-    cycling through start, start+1, ... modulo the period, the classic
+    l modulo the period, the classic
     even/odd bricks at period 2.  No wrap-around gates are placed, also
     on rings; a period-p single layer on a ring multiple of p is still
     translation invariant by p on the gated span.
@@ -79,12 +77,12 @@ def brickwork(
     n = lattice.num_sites
     layers = []
     for l in range(depth):
-        offset = (start + l) % period
+        offset = l % period
         gates = []
         for i in range(offset, n - 1, period):
             g = gate(i) if callable(gate) else gate
             gates.append(((i, i + 1), g))
-        layers.append(CircuitLayer(lattice, gates, index=l))
+        layers.append(CircuitLayer(lattice, gates))
     return layers
 
 
@@ -118,7 +116,6 @@ def circuit_extensivity_check(
     psi: PureState,
     spacing: int,
     light_cone_radius: int | None = None,
-    seed: int = 0,
 ) -> ExtensivityReport:
     """Reduced state on an evenly spaced sublattice against the tensor
     power of its single-site marginal.
@@ -154,7 +151,7 @@ def circuit_extensivity_check(
     s2_sub = renyi_entropy(rho_sub, 2.0)
     additivity = abs(s2_sub - len(sub) * s2_site)
     if s2_site < 1e-10:
-        _, ov = max_product_overlap(psi, restarts=4, sweeps=40, seed=seed)
+        _, ov = max_product_overlap(psi, restarts=4, sweeps=40)
         branch = "product"
         branch_ok = ov >= 1.0 - 1e-8
         product_overlap = float(ov)

@@ -128,9 +128,9 @@ def _clean(obj):
 def _policy_from(config: dict) -> SearchPolicy:
     return SearchPolicy(
         mode=config["mode"],
-        max_fraction=float(config["max_fraction"]),
-        budget=int(config["budget"]),
-        seed=int(config["policy_seed"]),
+        max_fraction=config["max_fraction"],
+        budget=config["budget"],
+        seed=config["policy_seed"],
     )
 
 
@@ -190,16 +190,16 @@ def _run_equilibrate(config: dict):
     spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
     ens = DiagonalEnsemble(spec, initial_state(config["recipe"], lat, config["seed"]))
     target = config["site"] if config["site"] is not None else lat.num_sites // 2
-    obs = site_observable(lat, int(target), config["axis"])
+    obs = site_observable(lat, target, config["axis"])
     bounds = check_variance_bounds(ens, obs)
     sampled = variance_sampled(
-        ens, obs, horizon=config["horizon"], samples=int(config["samples"]), seed=config["seed"]
+        ens, obs, horizon=config["horizon"], samples=config["samples"], seed=config["seed"]
     )
     gap_ok = abs(bounds.variance - sampled.value) <= max(
         0.05 * bounds.variance, 3.0 * sampled.stderr
     )
     sub = subsystem_equilibration(
-        ens, (int(target),), samples=int(config["subsystem_samples"]),
+        ens, (target,), samples=config["subsystem_samples"],
         horizon=config["horizon"], seed=config["seed"],
     )
     t_grid = np.linspace(0.0, 10.0 * spec.dim / max(spec.norm, 1e-12), 201)
@@ -240,9 +240,9 @@ def _run_theorem1(config: dict):
 
 def _run_prop1(config: dict):
     report = verify_epsilon_family(
-        epsilon=float(config["epsilon"]),
+        epsilon=config["epsilon"],
         sizes=tuple(config["sizes"]),
-        local_dim=int(config["local_dim"]),
+        local_dim=config["local_dim"],
         seed=config["seed"],
     )
     csv = _csv_text(
@@ -255,14 +255,14 @@ def _run_overlap(config: dict):
     lat = LatticeSpec(config["sites"], 2, config["geometry"])
     spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
     idx = config["state_index"]
-    idx = spec.dim // 2 if idx is None else int(idx)
+    idx = spec.dim // 2 if idx is None else idx
     state = PureState(lat, spec.eigenvectors[:, idx].astype(complex))
     region = config["region"] or tuple(range(lat.num_sites // 2))
     report = overlap_bound_check(
         state,
-        tuple(int(s) for s in region),
+        tuple(region),
         alphas=tuple(float(a) for a in config["alphas"]),
-        samples=int(config["samples"]),
+        samples=config["samples"],
         seed=config["seed"],
     )
     return _clean(report), report.passed, {}
@@ -274,7 +274,7 @@ def _run_rates(config: dict):
     worst_ratio = 0.0
     worst_rel = 0.0
     violations = 0
-    for _ in range(int(config["samples"])):
+    for _ in range(config["samples"]):
         rho = random_density(16, rng)
         v = random_hermitian(16, rng, norm=1.0)
         rep = check_rate_bound(rho, dims, v)
@@ -288,7 +288,7 @@ def _run_rates(config: dict):
     ham = build_model(config["model"], lat, seed=config["seed"])
     psi = initial_state(config["recipe"], lat, config["seed"])
     region = tuple(range(lat.num_sites // 2))
-    t_grid = np.linspace(0.0, float(config["t_max"]), int(config["t_points"]))
+    t_grid = np.linspace(0.0, config["t_max"], config["t_points"])
     integ = integrated_bound_check(psi, ham, region, t_grid)
     lat6 = LatticeSpec(6, 2, config["geometry"])
     ham6 = build_model(config["model"], lat6, seed=config["seed"])
@@ -298,7 +298,7 @@ def _run_rates(config: dict):
         violations == 0 and worst_rel <= 1e-6 and integ.passed and bnd.passed
     )
     result = {
-        "samples": int(config["samples"]),
+        "samples": config["samples"],
         "bound_violations": violations,
         "max_bound_ratio": worst_ratio,
         "max_fd_relative_error": worst_rel,
@@ -318,9 +318,9 @@ def _run_stability(config: dict):
         layer = brickwork(lat, 1, lambda i: haar_unitary(4, rng))[0]
         qlu = layer_generator(layer)
         if config["time"] is not None:
-            qlu = QuasiLocalUnitary(qlu.generator, float(config["time"]))
+            qlu = QuasiLocalUnitary(qlu.generator, config["time"])
     else:
-        t = 1.0 if config["time"] is None else float(config["time"])
+        t = 1.0 if config["time"] is None else config["time"]
         qlu = QuasiLocalUnitary(build_model(gen, lat, seed=config["seed"] + 1), t)
     report = stability_experiment(ham, qlu)
     return _clean(report), report.passed, {}
@@ -333,8 +333,8 @@ def _run_mps(config: dict):
         spec = MPSSpec.from_json(Path(config["spec_json"]).read_text())
     else:
         spec = random_injective_spec(seed=config["seed"])
-    sizes = tuple(int(n) for n in config["sizes"])
-    decay = mps_overlap_decay(spec, sizes, refine=bool(config["refine"]))
+    sizes = tuple(config["sizes"])
+    decay = mps_overlap_decay(spec, sizes, refine=config["refine"])
     agreement = None
     small = [n for n in sizes if spec.local_dim**n <= 4096]
     if small:
@@ -363,7 +363,7 @@ def _run_mps(config: dict):
 def _run_gibbs(config: dict):
     lat = LatticeSpec(config["sites"], 2, config["geometry"])
     spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
-    reports = [check_gibbs_identities(spec, float(b)) for b in config["betas"]]
+    reports = [check_gibbs_identities(spec, b) for b in config["betas"]]
     passed = all(r.passed for r in reports)
     return {"identities": [_clean(r) for r in reports]}, passed, {}
 
@@ -492,10 +492,40 @@ def build_config(experiment: str, overrides: dict) -> dict:
             f"unknown keys for {experiment}: {sorted(unknown)}; "
             f"allowed: {sorted(config)}"
         )
-    config.update({k: v for k, v in overrides.items() if v is not None})
+    config.update({k: _typed(k, v, config[k]) for k, v in overrides.items()})
     _validate(experiment, config)
     config["experiment"] = experiment
     return config
+
+
+_ELEMENT_TYPE = {_int_list: int, _float_list: float}
+# the JSON types each flag type takes: an integer is no bool and no float
+_ACCEPTS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+_TYPE_NAME = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _typed(key: str, value, default):
+    """`value` as the type its flag parses to, so a config file and a flag
+    give the same config; ConfigError if it is not of that type.
+
+    None stands for a default of None; a key without a flag (alphas) is
+    checked by _validate.
+    """
+    if value is None and default is None or key not in FLAGS:
+        return value
+    kind = FLAGS[key].get("type", bool)  # the store_const switches set booleans
+    element = _ELEMENT_TYPE.get(kind)
+    if element is None:
+        return _typed_scalar(key, value, kind)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return [_typed_scalar(key, v, element) for v in value]
+
+
+def _typed_scalar(key: str, value, kind: type):
+    if type(value) not in _ACCEPTS[kind]:
+        raise ConfigError(f"{key} must be {_TYPE_NAME[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _validate(experiment: str, config: dict) -> None:
@@ -511,10 +541,10 @@ def _validate(experiment: str, config: dict) -> None:
         worker_count()
         sizes = EXPERIMENT_TABLE[experiment].chains(config)
         lattices = [
-            LatticeSpec(n, int(config.get("local_dim", 2)), config.get("geometry", "chain-open"))
+            LatticeSpec(n, config.get("local_dim", 2), config.get("geometry", "chain-open"))
             for n in sizes
         ]
-        if int(config["seed"]) < 0:
+        if config["seed"] < 0:
             raise ConfigError("seed must be non-negative")
         if "model" in config and config["model"] not in MODEL_NAMES:
             raise ConfigError(f"unknown model {config['model']!r}; catalog: {MODEL_NAMES}")
@@ -531,21 +561,21 @@ def _validate(experiment: str, config: dict) -> None:
         if "axis" in config:
             pauli(config["axis"])
         if config.get("site") is not None:
-            SiteSet(lattices[0], (int(config["site"]),))
+            SiteSet(lattices[0], (config["site"],))
         if "horizon" in config:  # equilibrate: both time averages use it
             check_sampling(config["samples"], config["horizon"], 2)
             check_sampling(config["subsystem_samples"], config["horizon"], 1)
         if config.get("region"):
-            SiteSet(lattices[0], tuple(int(s) for s in config["region"]))
+            SiteSet(lattices[0], tuple(config["region"]))
         elif experiment in ("overlap", "rates", "stability"):  # the default half-chain region
             site_set(lattices[0], range(lattices[0].num_sites // 2))
         if config.get("state_index") is not None:
-            idx = int(config["state_index"])
+            idx = config["state_index"]
             if not 0 <= idx < lattices[0].dim:
                 raise ConfigError(f"state index {idx} outside spectrum")
         if any(float(a) <= 1 for a in config.get("alphas", ())):
             raise ConfigError("the overlap bound holds for alpha > 1 only")
-        if "alphas" in config and int(config["samples"]) < 0:  # overlap
+        if "alphas" in config and config["samples"] < 0:  # overlap
             raise ConfigError("overlap needs a non-negative sample count")
         if "epsilon" in config:
             constant_entropy_bound(config["epsilon"], float("inf"))
@@ -554,14 +584,14 @@ def _validate(experiment: str, config: dict) -> None:
         if "gap_tolerance" in config:
             gap_tolerance(config["gap_tolerance"])
         if "t_points" in config:  # rates
-            if min(int(config["samples"]), int(config["t_points"])) < 1:
+            if min(config["samples"], config["t_points"]) < 1:
                 raise ConfigError("rates needs at least one sample and one time point")
-            if not np.isfinite(float(config["t_max"])):
+            if not np.isfinite(config["t_max"]):
                 raise ConfigError("rates needs a finite t_max")
         if "generator" in config:  # stability
             if config["generator"] not in ("layer", *MODEL_NAMES):
                 raise ConfigError(f"generator must be 'layer' or one of {MODEL_NAMES}")
-            if config["time"] is not None and not np.isfinite(float(config["time"])):
+            if config["time"] is not None and not np.isfinite(config["time"]):
                 raise ConfigError("conjugation time must be finite")
         if config.get("spec_json") and not config.get("ghz"):
             spec = MPSSpec.from_json(Path(config["spec_json"]).read_text())

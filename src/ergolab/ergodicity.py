@@ -216,12 +216,9 @@ class ErgodicityProfile:
     densities: np.ndarray
     s2_over_n: np.ndarray
     best_subsets: list[tuple[int, ...]]
-    bin_edges: np.ndarray
-    bin_minima: np.ndarray  # nan on empty bins
     knots_e: np.ndarray
     knots_g: np.ndarray
     lipschitz_k: float
-    fitted_m: float | None = None
 
     @property
     def num_sites(self) -> int:
@@ -236,11 +233,9 @@ class ErgodicityProfile:
             return math.inf
         return g / (2.0 * self.lipschitz_k)
 
-    def k_at(self, e: float, m: float | None = None) -> float:
-        """Density-resolved growth rate (1/4) g min{1, m g / K^2}."""
-        m = self.fitted_m if m is None else m
-        if m is None:
-            raise ValueError("no fitted tail constant available")
+    def k_at(self, e: float, m: float) -> float:
+        """Density-resolved growth rate (1/4) g min{1, m g / K^2} for the
+        tail constant m."""
         g = self.g_at(e)
         if g <= 0.0:
             return 0.0
@@ -273,7 +268,7 @@ class ErgodicityProfile:
 
 def _fit_envelope(
     densities: np.ndarray, values: np.ndarray, e_max: float, num_bins: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     edges = np.linspace(0.0, e_max, num_bins + 1)
     idx = np.clip(np.digitize(densities, edges) - 1, 0, num_bins - 1)
     minima = np.full(num_bins, np.nan)
@@ -299,7 +294,7 @@ def _fit_envelope(
     ky = np.array([k[1] for k in knots])
     slopes = np.diff(ky) / np.diff(kx)
     lipschitz = float(np.abs(slopes).max()) if slopes.size else 0.0
-    return edges, minima, kx, ky, lipschitz
+    return kx, ky, lipschitz
 
 
 def envelope_bins(num_bins: int) -> int:
@@ -338,9 +333,7 @@ def build_profile(
     best_s2 = np.maximum(best_s2, 0.0)
     values = best_s2 / lattice.num_sites
     densities = spectral.densities
-    edges, minima, kx, ky, lipschitz = _fit_envelope(
-        densities, values, spectral.e_max, num_bins
-    )
+    kx, ky, lipschitz = _fit_envelope(densities, values, spectral.e_max, num_bins)
     return ErgodicityProfile(
         lattice=lattice,
         model=spectral.hamiltonian.name,
@@ -348,8 +341,6 @@ def build_profile(
         densities=densities.copy(),
         s2_over_n=values,
         best_subsets=[cands[i] for i in best_idx],
-        bin_edges=edges,
-        bin_minima=minima,
         knots_e=kx,
         knots_g=ky,
         lipschitz_k=lipschitz,
@@ -643,7 +634,6 @@ def diagonal_entropy_growth(
     num_bins: int = 20,
     seed: int = 0,
     geometry: str = "chain-open",
-    params: dict | None = None,
     _materials: list | None = None,
 ) -> EntropyGrowthReport:
     """Grow the chain with a fixed product-state recipe and verify that
@@ -663,7 +653,7 @@ def diagonal_entropy_growth(
     runs = []
     for n in sizes:
         lat = LatticeSpec(n, 2, geometry)
-        ham = build_model(model, lat, dict(params or {}), seed)
+        ham = build_model(model, lat, seed=seed)
         spec = diagonalize(ham)
         psi = initial_state(recipe, lat, seed)
         ens = DiagonalEnsemble(spec, psi)
@@ -687,7 +677,6 @@ def diagonal_entropy_growth(
         e_centers,
         delta_star if applicable else max(runs[-1][1].e_max * 0.1, 1e-3),
     )
-    top_prof.fitted_m = tail.m
     bulk = tuple(
         bulk_check(ens, prof, e_c)
         for (n, _, ens, prof), e_c in zip(runs, e_centers)
@@ -695,7 +684,7 @@ def diagonal_entropy_growth(
     slope, intercept, _ = fit_line(sizes, s_inf)
     increasing = all(b > a for a, b in zip(s_inf, s_inf[1:]))
     if applicable and tail.m is not None:
-        k_of_e = top_prof.k_at(e_star)
+        k_of_e = top_prof.k_at(e_star, tail.m)
     else:
         k_of_e = 0.0
     constant_c = max(

@@ -208,8 +208,8 @@ class SpectralData:
 
     @property
     def norm(self) -> float:
-        """Spectral norm of the shifted Hamiltonian."""
-        return float(self.energies[-1])
+        """Spectral norm of the shifted Hamiltonian, in any energy order."""
+        return float(self.energies.max())
 
     def coefficients(self, amplitudes: np.ndarray) -> np.ndarray:
         return self.eigenvectors.conj().T @ amplitudes

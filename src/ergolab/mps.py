@@ -15,6 +15,9 @@ from .hamiltonians import DENSE_DIM_GUARD, ResourceGuardError
 from .states import LatticeSpec, PureState
 
 INJECTIVITY_GAP = 1e-6
+# (polar, azimuthal) points of the Bloch-sphere grid that seeds each
+# product-overlap optimisation
+BLOCH_GRID = (64, 128)
 
 
 @dataclass(frozen=True)
@@ -164,18 +167,16 @@ def ghz_spec() -> MPSSpec:
     return MPSSpec(np.stack([a0, a1]))
 
 
-def random_injective_spec(
-    bond_dim: int = 2, local_dim: int = 2, seed: int = 0, attempts: int = 50
-) -> MPSSpec:
+def random_injective_spec(bond_dim: int = 2, local_dim: int = 2, seed: int = 0) -> MPSSpec:
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(50):
         t = rng.normal(size=(local_dim, bond_dim, bond_dim)) + 1j * rng.normal(
             size=(local_dim, bond_dim, bond_dim)
         )
         spec = normalized(MPSSpec(t))
         if injectivity(spec).injective:
             return spec
-    raise RuntimeError("no injective draw within the attempt budget")
+    raise RuntimeError("no injective draw in 50 attempts")
 
 
 def _bloch_coefficients(theta, phi_angle):
@@ -261,28 +262,30 @@ class DecayReport:
 
 
 def decay_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
-    """Ring sizes of a decay fit: at least two distinct ones."""
+    """Ring sizes of a decay fit: at least two distinct ones, each of at
+    least one site."""
     sizes = tuple(int(n) for n in sizes)
     if len(set(sizes)) < 2:
         raise ValueError("a decay fit needs at least two distinct sizes")
+    if min(sizes) < 1:
+        raise ValueError(f"ring sizes must be at least 1, got {min(sizes)}")
     return sizes
 
 
 def mps_overlap_decay(
     spec: MPSSpec,
     sizes: Sequence[int] = tuple(range(8, 65, 4)),
-    grid_shape: tuple[int, int] = (64, 128),
     refine: bool = True,
 ) -> DecayReport:
     """Maximal product overlap per ring size through the transfer
     operator, fitted to an exponential.
 
-    The single-site factor is optimized over a Bloch-sphere grid with
-    closed-form 2x2 eigenvalues, then polished with a local simplex
-    search from the best grid point.  A local dimension other than 2
-    raises NotImplementedError, injective or not; non-injective specs are
-    rejected before any fit; a product MPS comes out as the flat branch
-    with overlap one at every size.
+    The single-site factor is optimized over the Bloch-sphere grid
+    BLOCH_GRID with closed-form 2x2 eigenvalues, then polished with a
+    local simplex search from the best grid point.  A local dimension
+    other than 2 raises NotImplementedError, injective or not;
+    non-injective specs are rejected before any fit; a product MPS comes
+    out as the flat branch with overlap one at every size.
     """
     sizes = decay_sizes(sizes)
     if spec.local_dim != 2:
@@ -302,7 +305,7 @@ def mps_overlap_decay(
         )
     spec = normalized(spec)
     a0, a1 = spec.tensors[0], spec.tensors[1]
-    na, nb = grid_shape
+    na, nb = BLOCH_GRID
     theta = np.pi * (np.arange(na) + 0.5) / na
     phi_angle = 2.0 * np.pi * np.arange(nb) / nb
     tt, pp = np.meshgrid(theta, phi_angle, indexing="ij")

@@ -27,6 +27,13 @@ from .states import (
 )
 
 INF = math.inf
+# Renyi orders of the family's constant bounds, the slack on top of them,
+# and the S_1 slope window as fractions of (eps/2) log d
+FAMILY_ALPHAS = (2.0, 3.0, INF)
+FAMILY_SLACK = 0.1
+FAMILY_SLOPE_WINDOW = (0.8, 1.2)
+# an alternating sweep that gains less than this ends the optimisation
+SWEEP_TOL = 1e-12
 
 
 def product_state_from_factors(
@@ -63,25 +70,20 @@ class EpsilonState:
 def build_epsilon_state(
     lattice: LatticeSpec,
     epsilon: float,
-    half_cut: SiteSet | tuple[int, ...] | None = None,
     seed: int = 0,
 ) -> EpsilonState:
     """sqrt(1-eps) |product> + sqrt(eps) |entangled>, explicitly normalized.
 
-    Requires an even chain and a cut of exactly half the sites.  The
-    entangled part pairs cut site k with the k-th site of the complement,
-    in order; the pairing is fixed only for reproducibility.
+    Requires an even chain; the cut is its first half.  The entangled part
+    pairs cut site k with the k-th site of the complement, in order; the
+    pairing is fixed only for reproducibility.
     """
     n, d = lattice.num_sites, lattice.local_dim
     if n % 2:
         raise ValueError("epsilon family needs an even number of sites")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    if half_cut is None:
-        half_cut = tuple(range(n // 2))
-    cut = site_set(lattice, half_cut)
-    if len(cut) != n // 2:
-        raise ValueError("cut must cover exactly half the sites")
+    cut = site_set(lattice, range(n // 2))
     factors = _random_factors(lattice, np.random.default_rng(seed), 1)[0]
     psi = product_state_from_factors(lattice, factors)
     omega = maximally_entangled(lattice, cut)
@@ -170,29 +172,25 @@ def verify_epsilon_family(
     sizes: Sequence[int] = (6, 8, 10, 12),
     local_dim: int = 2,
     seed: int = 0,
-    alphas: Sequence[float] = (2.0, 3.0, INF),
-    slope_window: tuple[float, float] = (0.8, 1.2),
-    slack: float = 0.1,
 ) -> EpsilonFamilyReport:
     """Grow the interpolation family and check its advertised profile.
 
     Asserted per size: S_alpha of the half-cut below the constant bound
-    plus slack for every alpha > 1; the squared overlap with the product
-    part within 2^{-N/2+1} of 1 - eps; the reduced spectrum matching the
-    ideal model except for at most two values moved at the scale of the
-    recorded delta.  Across sizes: S_1 strictly increasing with an affine
-    slope inside the window around (eps/2) log d, while S_2 per site
-    shrinks.  The slope window is evaluated on the given grid as stated,
-    with no finite-size extrapolation.
+    plus FAMILY_SLACK for every alpha in FAMILY_ALPHAS; the squared
+    overlap with the product part within 2^{-N/2+1} of 1 - eps; the
+    reduced spectrum matching the ideal model except for at most two
+    values moved at the scale of the recorded delta.  Across sizes: S_1
+    strictly increasing with an affine slope inside FAMILY_SLOPE_WINDOW
+    times (eps/2) log d, while S_2 per site shrinks.  The slope window is
+    evaluated on the given grid as stated, with no finite-size
+    extrapolation.
     """
     sizes = family_sizes(sizes)
-    if any(a <= 1 for a in alphas):
-        raise ValueError("constant bounds require alpha > 1")
-    limits = {a: constant_entropy_bound(epsilon, a) + slack for a in alphas}
+    limits = {a: constant_entropy_bound(epsilon, a) + FAMILY_SLACK for a in FAMILY_ALPHAS}
     s1 = []
     s2 = []
     overlaps_sq = []
-    alpha_max: dict[float, float] = {a: 0.0 for a in alphas}
+    alpha_max: dict[float, float] = {a: 0.0 for a in FAMILY_ALPHAS}
     top_dev = []
     small_dev = []
     for n in sizes:
@@ -203,7 +201,7 @@ def verify_epsilon_family(
         spec = np.clip(spec, 0.0, None)
         s1.append(renyi_entropy(spec, 1.0))
         s2.append(renyi_entropy(spec, 2.0))
-        for a in alphas:
+        for a in FAMILY_ALPHAS:
             alpha_max[a] = max(alpha_max[a], renyi_entropy(spec, a))
         ov = abs(overlap(eps_state.product_part, eps_state.state)) ** 2
         overlaps_sq.append(float(ov))
@@ -213,7 +211,7 @@ def verify_epsilon_family(
         small_dev.append(int(np.sum(diff > 0.5 * eps_state.delta)))
     slope = fit_line(sizes, s1)[0]
     target = 0.5 * epsilon * math.log(local_dim)
-    window = (slope_window[0] * target, slope_window[1] * target)
+    window = (FAMILY_SLOPE_WINDOW[0] * target, FAMILY_SLOPE_WINDOW[1] * target)
     slope_ok = window[0] <= slope <= window[1]
     s1_up = all(b > a for a, b in zip(s1, s1[1:]))
     dens = [v / n for v, n in zip(s2, sizes)]
@@ -225,7 +223,7 @@ def verify_epsilon_family(
             limits[a],
             bool(alpha_max[a] <= limits[a]),
         )
-        for a in alphas
+        for a in FAMILY_ALPHAS
     )
     overlap_ok = all(
         abs(ov - (1.0 - epsilon)) <= 2.0 ** (-n / 2 + 1)
@@ -261,7 +259,7 @@ def verify_epsilon_family(
 
 
 def _sweep_factors(
-    rows: np.ndarray, factors: np.ndarray, sweeps: int, tol: float
+    rows: np.ndarray, factors: np.ndarray, sweeps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating single-site maximisation of |<prod|row>|^2 for state
     rows (S, d**N) from starting factors (S, N, d); returns the final
@@ -270,7 +268,7 @@ def _sweep_factors(
     With the other factors fixed, the best factor at a site is the row
     contracted against them, normalised, and its squared norm is the new
     value, so no update lowers it.  A row stops after the first sweep that
-    gains less than tol; a zero contraction leaves its factor and value.
+    gains less than SWEEP_TOL; a zero contraction leaves its factor and value.
     """
     factors = np.array(factors, dtype=complex)
     s, n, d = factors.shape
@@ -287,7 +285,7 @@ def _sweep_factors(
             f[moved, k] = env[moved] / nv[moved, None]
             val[moved] = nv[moved] ** 2
         factors[active] = f
-        gained = val - values[active] >= tol
+        gained = val - values[active] >= SWEEP_TOL
         values[active] = val
         active = active[gained]
         if not active.size:
@@ -300,13 +298,12 @@ def max_product_overlap(
     restarts: int = 8,
     sweeps: int = 60,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> tuple[PureState, float]:
     """Best product state found for |<prod|phi>|^2, by alternating
     single-site updates.
 
     The restarts start from one draw of `default_rng(seed)` and are swept
-    together; sweeps stop when the gain drops below tol.  Restarts guard
+    together; sweeps stop when the gain drops below SWEEP_TOL.  Restarts guard
     against local optima but global optimality is not guaranteed; the
     first best restart is returned.
     """
@@ -315,7 +312,7 @@ def max_product_overlap(
     lattice = phi.lattice
     start = _random_factors(lattice, np.random.default_rng(seed), restarts)
     rows = np.broadcast_to(phi.amplitudes, (restarts, lattice.dim))
-    factors, values = _sweep_factors(rows, start, sweeps, tol)
+    factors, values = _sweep_factors(rows, start, sweeps)
     best = int(np.argmax(values))
     return product_state_from_factors(lattice, factors[best]), float(values[best])
 
@@ -340,8 +337,6 @@ def overlap_bound_check(
     alphas: Sequence[float] = (2.0, 3.0, INF),
     samples: int = 200,
     seed: int = 0,
-    restarts: int = 4,
-    sweeps: int = 30,
 ) -> OverlapBoundReport:
     """Squared product overlaps against exp(-((alpha-1)/alpha) S_alpha)
     of the reduced state on `region`.
@@ -362,7 +357,7 @@ def overlap_bound_check(
         bounds.append(math.exp(-factor * s))
     limit = min(bounds)
     randoms = _product_rows(_random_factors(phi.lattice, np.random.default_rng(seed), samples))
-    opt_state, _ = max_product_overlap(phi, restarts=restarts, sweeps=sweeps, seed=seed)
+    opt_state, _ = max_product_overlap(phi, restarts=4, sweeps=30, seed=seed)
     candidates = np.vstack([randoms, opt_state.amplitudes])  # the optimum is the last row
     sq = np.abs(candidates.conj() @ phi.amplitudes) ** 2
     ratios = sq / limit if limit > 0 else np.full(len(sq), math.inf)
@@ -421,7 +416,7 @@ def eigenstate_overlap_audit(
     rngs = (np.random.default_rng(seed + i) for i in range(spectral.dim))
     start = np.concatenate([_random_factors(lattice, rng, restarts) for rng in rngs])
     rows = np.repeat(spectral.eigenvectors.T, restarts, axis=0)
-    values = _sweep_factors(rows, start, sweeps, 1e-12)[1]  # max_product_overlap's default tol
+    values = _sweep_factors(rows, start, sweeps)[1]
     best = values.reshape(spectral.dim, restarts).max(axis=1)
     violations = int(np.sum(sq > limits[:, None] + 1e-12) + np.sum(best > limits + 1e-12))
     ratios = np.maximum(sq.max(axis=1), best) / np.maximum(limits, 1e-300)

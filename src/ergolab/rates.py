@@ -19,6 +19,12 @@ from .states import PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
 from .tolerances import TOL
 
 IMAG_RESIDUE = 1e-10
+# step of the centred finite difference that cross-checks the exact rate
+FD_STEP = 1e-5
+# the stability scan's candidate policy, and how many densities its
+# envelope comparison samples
+STABILITY_POLICY = SearchPolicy(mode="half-cut-only")
+ENVELOPE_GRID = 50
 
 
 @dataclass(frozen=True)
@@ -140,10 +146,9 @@ def _renyi2_left(rho: np.ndarray, dims: tuple[int, int]) -> float:
     return -math.log(float(np.trace(rho_a @ rho_a).real))
 
 
-def entangling_rate_fd(
-    rho_ab, dims: tuple[int, int], v: np.ndarray, h: float = 1e-5
-) -> float:
-    """Centered finite difference of S_2 under conjugation by exp(-iVh).
+def entangling_rate_fd(rho_ab, dims: tuple[int, int], v: np.ndarray) -> float:
+    """Centered finite difference of S_2 under conjugation by exp(-iVh),
+    h = FD_STEP.
 
     rho must have unit trace, so the reduced purity is at least 1/d_A and
     the difference quotient needs no extrapolation.  V must be hermitian;
@@ -157,10 +162,10 @@ def entangling_rate_fd(
     if not is_hermitian(v, IMAG_RESIDUE):
         raise ValueError("interaction must be hermitian")
     w, vecs = np.linalg.eigh(v)
-    u = (vecs * np.exp(-1j * h * w)) @ vecs.conj().T
+    u = (vecs * np.exp(-1j * FD_STEP * w)) @ vecs.conj().T
     fwd = _renyi2_left(u @ rho @ u.conj().T, dims)
     bwd = _renyi2_left(u.conj().T @ rho @ u, dims)
-    return (fwd - bwd) / (2.0 * h)
+    return (fwd - bwd) / (2.0 * FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -354,26 +359,19 @@ class StabilityReport:
     passed: bool
 
 
-def stability_experiment(
-    h: LocalHamiltonian,
-    u_prime: QuasiLocalUnitary,
-    region: SiteSet | tuple[int, ...] | None = None,
-    policy: SearchPolicy | None = None,
-    envelope_grid: int = 50,
-) -> StabilityReport:
+def stability_experiment(h: LocalHamiltonian, u_prime: QuasiLocalUnitary) -> StabilityReport:
     """Entanglement scan before and after conjugating the system.
 
     Conjugated eigenvectors are the unitary image of the originals, so
-    each eigenstate's S_2 on a fixed contiguous region can shift by at
+    each eigenstate's S_2 on the first half of the chain can shift by at
     most 4 T |boundary| max ||C_x||_1; that per-state bound is asserted.
     The envelope comparison (conjugated envelope above the original
-    minus bound/N, sampled on a density grid) is reported, not asserted:
-    envelopes are fitted objects.
+    minus bound/N, sampled on ENVELOPE_GRID densities, both envelopes from
+    STABILITY_POLICY scans) is reported, not asserted: envelopes are
+    fitted objects.
     """
     lattice = h.lattice
-    if region is None:
-        region = tuple(range(lattice.num_sites // 2))
-    keep = site_set(lattice, region)
+    keep = site_set(lattice, range(lattice.num_sites // 2))
     spectral = diagonalize(h)
     u = u_prime.matrix()
     conj_vecs = u @ spectral.eigenvectors
@@ -384,11 +382,10 @@ def stability_experiment(
     straddle = u_prime.generator.boundary_terms(tuple(keep.sites))
     max_l1 = max((_term_split_l1(t, region_set) for t in straddle), default=0.0)
     bound = 4.0 * abs(u_prime.time) * len(straddle) * max_l1
-    policy = policy or SearchPolicy(mode="half-cut-only")
-    prof = build_profile(spectral, policy)
+    prof = build_profile(spectral, STABILITY_POLICY)
     conj_spectral = dataclasses.replace(spectral, eigenvectors=conj_vecs)
-    conj_prof = build_profile(conj_spectral, policy)
-    grid = np.linspace(0.0, spectral.e_max, envelope_grid)
+    conj_prof = build_profile(conj_spectral, STABILITY_POLICY)
+    grid = np.linspace(0.0, spectral.e_max, ENVELOPE_GRID)
     margin = min(
         conj_prof.g_at(e) - (prof.g_at(e) - bound / lattice.num_sites) for e in grid
     )

@@ -163,6 +163,7 @@ def test_run_api_rejects_unknown_experiment():
         (["overlap", "--sites", "1"], 2),  # empty default half-chain region
         (["rates", "--sites", "1"], 2),  # empty default half-chain region
         (["stability", "--sites", "1"], 2),  # empty default half-chain region
+        (["mps", "--sizes", "0,8"], 2),  # ring of no sites
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):
@@ -180,6 +181,54 @@ def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeyp
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, values",
+    [
+        ("spectrum", {"seed": 1.5, "model": "xxz-disordered"}),  # float seed
+        ("spectrum", {"sites": 6.5}),  # float size
+        ("spectrum", {"sites": True}),  # a bool is not an integer
+        ("spectrum", {"sites": None}),  # null where the default is a number
+        ("equilibrate", {"axis": 3}),  # number for a string
+        ("scan", {"budget": 2.5}),  # float budget, no truncation
+        ("mps", {"ghz": "no"}),  # string for a switch
+        ("mps", {"sizes": [-4, 8]}),  # ring of negative size
+        ("mps", {"sizes": [8.5, 12]}),  # float in an integer list
+        ("overlap", {"region": "0,1"}),  # string for a list
+        ("gibbs", {"betas": [1.0, "2"]}),  # string in a number list
+    ],
+)
+def test_invalid_config_file_value_rejected_before_run(
+    experiment, values, tmp_path, capsys, monkeypatch
+):
+    # values read from --config skip the flags' argparse types
+    def runner_started(config):
+        raise AssertionError("a runner started on an invalid config")
+
+    monkeypatch.setitem(
+        cli.EXPERIMENT_TABLE, experiment,
+        dataclasses.replace(cli.EXPERIMENT_TABLE[experiment], runner=runner_started),
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not out.exists()
+
+
+def test_config_file_and_flag_write_the_same_report(tmp_path):
+    # an integer t_max from a file is stored as the float the flag parses to
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_max": 5}))
+    base = ["rates", "--sites", "4", "--samples", "3", "--t-points", "3"]
+    assert main([*base, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert main([*base, "--t-max", "5", "--out", str(tmp_path / "flag")]) == 0
+    report = (tmp_path / "file" / "report.json").read_bytes()
+    assert report == (tmp_path / "flag" / "report.json").read_bytes()
+    assert json.loads(report)["config"]["t_max"] == 5.0
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])

@@ -176,6 +176,11 @@ def test_gap_report_matches_brute_force_oracle():
             assert rep.gaps_scanned == gaps.size
             assert rep.degenerate_gap_pairs == want > 0
             assert rep.min_gap_difference == np.diff(gaps).min()
+    # the default tolerance scales with the norm, which ignores the order
+    sorted_rep, shuffled_rep = (
+        gap_report(dataclasses.replace(spec, energies=e)) for e in (spec.energies, shuffled)
+    )
+    assert shuffled_rep == sorted_rep
 
 
 def test_gap_report_flags_planted_ladder(spec6):

@@ -1,0 +1,88 @@
+"""Every defaulted parameter of the library is a choice some caller makes.
+
+A default that no call in the package, the tests or the benchmark ever
+overrides is a fixed numerical choice, and belongs in a module constant
+where it can be read, not in a signature where it looks like a knob.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "ergolab"
+CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+
+
+def _modules(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _functions(tree):
+    """(function, is_method) for every def, methods being the defs directly
+    in a class body that are not static methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {
+        id(fn)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, defs)
+        and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    }
+    for fn in ast.walk(tree):
+        if isinstance(fn, defs):
+            yield fn, id(fn) in methods
+
+
+def defaulted_parameters():
+    """(module, function, parameter, position, is_method) of every library
+    parameter with a default; position counts self, and is None for
+    keyword-only parameters."""
+    out = []
+    for path, tree in _modules(LIBRARY):
+        for fn, method in _functions(tree):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for pos, arg in enumerate(positional[first:], start=first):
+                out.append((path.stem, fn.name, arg.arg, pos, method))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out.append((path.stem, fn.name, arg.arg, None, method))
+    return out
+
+
+def _calls():
+    """Every call in the callers, keyed by the called name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for _, tree in _modules(*CALLERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, name: str, position: int | None, method: bool) -> bool:
+    """Whether the call passes the parameter: by keyword, through a * or **
+    splat, or by position past its index."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) + method > position
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    params = defaulted_parameters()
+    assert params, "no defaulted parameters found; the scan lost the library"
+    calls = _calls()
+    unset = [
+        f"{module}.{fn}({name})"
+        for module, fn, name, pos, method in params
+        if not any(_sets(c, name, pos, method) for c in calls.get(fn, []))
+    ]
+    assert not unset, "defaulted parameters that no caller sets: " + ", ".join(unset)
