@@ -280,12 +280,12 @@ def mps_overlap_decay(
     """Maximal product overlap per ring size through the transfer
     operator, fitted to an exponential.
 
-    The single-site factor is optimized over the Bloch-sphere grid
-    BLOCH_GRID with closed-form 2x2 eigenvalues, then polished with a
-    local simplex search from the best grid point.  A local dimension
-    other than 2 raises NotImplementedError, injective or not;
-    non-injective specs are rejected before any fit; a product MPS comes
-    out as the flat branch with overlap one at every size.
+    The single-site factor is optimized over the BLOCH_GRID points with
+    closed-form 2x2 eigenvalues, then polished with a local simplex
+    search from the best grid point.  A local dimension other than 2
+    raises NotImplementedError, injective or not; non-injective specs are
+    rejected before any fit; a product MPS comes out as the flat branch
+    with overlap one at every size.
     """
     sizes = decay_sizes(sizes)
     if spec.local_dim != 2:
