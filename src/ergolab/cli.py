@@ -106,18 +106,20 @@ class ConfigError(ValueError):
 
 
 def _clean(obj):
+    """`obj` as plain JSON values; a non-finite float becomes the string
+    "inf", "-inf" or "nan", which strict JSON parsers accept."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _clean(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else str(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_clean(obj.real), _clean(obj.imag)]
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -508,9 +510,13 @@ def _typed(key: str, value, default):
     """`value` as the type its flag parses to, so a config file and a flag
     give the same config; ConfigError if it is not of that type.
 
-    None stands for a default of None; a key without a flag (alphas) is
-    checked by _validate.
+    None stands for a default of None; `alphas`, which has no flag, takes a
+    list of orders typed by _alpha.
     """
+    if key == "alphas":
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"alphas must be a list, got {value!r}")
+        return [_alpha(a) for a in value]
     if value is None and default is None or key not in FLAGS:
         return value
     kind = FLAGS[key].get("type", bool)  # the store_const switches set booleans
@@ -520,6 +526,18 @@ def _typed(key: str, value, default):
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list, got {value!r}")
     return [_typed_scalar(key, v, element) for v in value]
+
+
+def _alpha(value) -> float | str:
+    """A Rényi order: a number or a numeric string above 1, stored as a
+    float, or as "inf" (the spelling of the default) when infinite."""
+    try:
+        alpha = float(value) if type(value) in (int, float, str) else np.nan
+    except ValueError:
+        alpha = np.nan
+    if not alpha > 1:
+        raise ConfigError(f"the overlap bound holds for alpha > 1 only, got {value!r}")
+    return "inf" if alpha == np.inf else alpha
 
 
 def _typed_scalar(key: str, value, kind: type):
@@ -573,8 +591,6 @@ def _validate(experiment: str, config: dict) -> None:
             idx = config["state_index"]
             if not 0 <= idx < lattices[0].dim:
                 raise ConfigError(f"state index {idx} outside spectrum")
-        if any(float(a) <= 1 for a in config.get("alphas", ())):
-            raise ConfigError("the overlap bound holds for alpha > 1 only")
         if "alphas" in config and config["samples"] < 0:  # overlap
             raise ConfigError("overlap needs a non-negative sample count")
         if "epsilon" in config:
@@ -597,6 +613,8 @@ def _validate(experiment: str, config: dict) -> None:
             spec = MPSSpec.from_json(Path(config["spec_json"]).read_text())
             if spec.local_dim != 2:  # mps_overlap_decay optimises qubit factors only
                 raise ConfigError(f"mps needs a spec with local_dim 2, not {spec.local_dim}")
+            if spec.bond_dim > 2:  # through the eigenvalues of 2x2 bond matrices
+                raise ConfigError(f"mps needs a spec with bond_dim 1 or 2, not {spec.bond_dim}")
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -613,7 +631,7 @@ def run(config: dict) -> tuple[int, dict]:
     result, passed, files = EXPERIMENT_TABLE[experiment].runner(config)
     report = {
         "experiment": experiment,
-        "config": config,
+        "config": _clean(config),
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "catalog_version": CATALOG_VERSION,
         "package_version": __version__,
@@ -678,7 +696,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
+        json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
     for name, content in files.items():
         (out_dir / name).write_text(content)

@@ -18,6 +18,10 @@ INJECTIVITY_GAP = 1e-6
 # (polar, azimuthal) points of the Bloch-sphere grid that seeds each
 # product-overlap optimisation
 BLOCH_GRID = (64, 128)
+# 9 x 9 windows that refine the best grid point: the first spans two grid
+# steps to each side, each later one is 4 times narrower (one point spacing
+# of the window before) and centred on the best point so far
+ZOOM_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -179,69 +183,31 @@ def random_injective_spec(bond_dim: int = 2, local_dim: int = 2, seed: int = 0) 
     raise RuntimeError("no injective draw in 50 attempts")
 
 
-def _bloch_coefficients(theta, phi_angle):
-    """Conjugated amplitudes of the Bloch state (cos t/2, e^{i p} sin t/2)."""
-    c0 = np.cos(theta / 2.0)
-    c1 = np.exp(-1j * phi_angle) * np.sin(theta / 2.0)
-    return c0, c1
+def _bloch_overlaps(a, theta, phi_angle, n, zn):
+    """|<phi^N|MPS_N>| for the Bloch states phi = (cos t/2, e^{i p} sin t/2)
+    at the angles, from the closed-form eigenvalues of the 2x2 matrix
+    conj(phi) . A; the ring sizes n and their norm traces zn broadcast
+    against the angle arrays."""
+    a0, a1 = a
+    c0, c1 = np.cos(theta / 2.0), np.exp(-1j * phi_angle) * np.sin(theta / 2.0)
+    det0, det1 = np.linalg.det(a0), np.linalg.det(a1)
+    det_mix = np.linalg.det(a0 + a1) - det0 - det1
+    tr_b = c0 * np.trace(a0) + c1 * np.trace(a1)
+    det_b = c0 * c0 * det0 + c1 * c1 * det1 + c0 * c1 * det_mix
+    disc = np.sqrt(tr_b * tr_b - 4.0 * det_b + 0j)
+    lam_p, lam_m = (tr_b + disc) / 2.0, (tr_b - disc) / 2.0
+    return np.abs(lam_p**n + lam_m**n) / np.sqrt(zn)
 
 
-def _pair_eigvals_2x2(t, det):
-    disc = np.sqrt(t * t - 4.0 * det + 0j)
-    return (t + disc) / 2.0, (t - disc) / 2.0
-
-
-def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float) -> float:
-    """Smallest value of f found by the Nelder-Mead simplex search.
-
-    Step for step the non-adaptive, unbounded search of scipy's
-    `minimize(method="Nelder-Mead")` (same initial simplex, coefficient
-    arithmetic, ordering and stopping test), so it returns the same bits
-    as scipy's `.fun`; it is here to keep scipy off the import path.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.array(x0, dtype=float).reshape(-1)
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([f(x) for x in sim], dtype=float)
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
-    for _ in range(1, maxiter):
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # contraction outside the simplex
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:  # contraction inside
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return float(np.min(fsim))
+def _peak(a, theta, phi_angle, n, zn):
+    """Per ring size (the leading axis of n), the angles of the largest
+    overlap among the given Bloch points, and that overlap."""
+    vals = _bloch_overlaps(a, theta, phi_angle, n, zn)
+    rows, k = np.arange(len(n)), vals.reshape(len(n), -1).argmax(axis=1)
+    return [
+        np.broadcast_to(x, vals.shape).reshape(len(n), -1)[rows, k]
+        for x in (theta, phi_angle, vals)
+    ]
 
 
 @dataclass(frozen=True)
@@ -281,15 +247,18 @@ def mps_overlap_decay(
     operator, fitted to an exponential.
 
     The single-site factor is optimized over the BLOCH_GRID points with
-    closed-form 2x2 eigenvalues, then polished with a local simplex
-    search from the best grid point.  A local dimension other than 2
-    raises NotImplementedError, injective or not; non-injective specs are
-    rejected before any fit; a product MPS comes out as the flat branch
-    with overlap one at every size.
+    closed-form 2x2 eigenvalues, then refined by ZOOM_ROUNDS shrinking
+    windows of the same evaluation, each re-centred on the best point so
+    far; every window holds its centre, so no round lowers the value.
+    A local dimension other than 2 or a bond dimension above 2 raises
+    NotImplementedError, injective or not; a bond-dimension-1 spec is
+    padded with a zero block.  Non-injective specs are rejected before any
+    fit; a product MPS comes out as the flat branch with overlap one at
+    every size.
     """
     sizes = decay_sizes(sizes)
-    if spec.local_dim != 2:
-        raise NotImplementedError("overlap optimizer implemented for local_dim 2")
+    if spec.local_dim != 2 or spec.bond_dim > 2:
+        raise NotImplementedError("overlap optimizer implemented for local_dim 2, bond_dim <= 2")
     inj = injectivity(spec)
     if not inj.injective:
         return DecayReport(
@@ -304,58 +273,37 @@ def mps_overlap_decay(
             passed=False,
         )
     spec = normalized(spec)
-    a0, a1 = spec.tensors[0], spec.tensors[1]
+    pad = 2 - spec.bond_dim
+    a = np.pad(spec.tensors, ((0, 0), (0, pad), (0, pad)))
+    n = np.array(sizes)[:, None, None]
+    zn = _z_values(spec, sizes)[:, None, None]
     na, nb = BLOCH_GRID
     theta = np.pi * (np.arange(na) + 0.5) / na
     phi_angle = 2.0 * np.pi * np.arange(nb) / nb
-    tt, pp = np.meshgrid(theta, phi_angle, indexing="ij")
-    c0, c1 = _bloch_coefficients(tt, pp)
-    tr_b = c0 * np.trace(a0) + c1 * np.trace(a1)
-    det0 = np.linalg.det(a0)
-    det1 = np.linalg.det(a1)
-    det_mix = np.linalg.det(a0 + a1) - det0 - det1
-    det_b = c0 * c0 * det0 + c1 * c1 * det1 + c0 * c1 * det_mix
-    lam_p, lam_m = _pair_eigvals_2x2(tr_b, det_b)
-    z = _z_values(spec, sizes)
-
-    def overlap_at(x: np.ndarray, n: int, zn: float) -> float:
-        cc0, cc1 = _bloch_coefficients(x[0], x[1])
-        b = cc0 * a0 + cc1 * a1
-        lam = np.linalg.eigvals(b)
-        return float(abs(np.sum(lam**n)) / math.sqrt(zn))
-
-    best = []
-    refined_any = False
-    for n, zn in zip(sizes, z):
-        vals = np.abs(lam_p**n + lam_m**n) / math.sqrt(zn)
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        top = float(vals[idx])
-        if refine:
-            x0 = np.array([tt[idx], pp[idx]])
-            fun = _nelder_mead(
-                lambda x: -overlap_at(x, n, zn), x0, maxiter=200, xatol=1e-8, fatol=1e-12
+    t_best, p_best, grid_top = _peak(a, theta[:, None], phi_angle, n, zn)
+    top = grid_top
+    if refine:
+        offsets = np.linspace(-1.0, 1.0, 9)
+        half = 2.0 * np.array([np.pi / na, 2.0 * np.pi / nb])
+        for _ in range(ZOOM_ROUNDS):
+            t_best, p_best, top = _peak(
+                a,
+                t_best[:, None, None] + half[0] * offsets[:, None],
+                p_best[:, None, None] + half[1] * offsets,
+                n,
+                zn,
             )
-            if -fun > top:
-                top = -fun
-                refined_any = True
-        best.append(min(top, 1.0))
+            half = half / 4.0
+    refined_any = bool(np.any(top > grid_top))
+    best = [min(float(v), 1.0) for v in top]
     if min(best) >= 1.0 - 1e-8:
-        return DecayReport(
-            branch="product",
-            injectivity=inj,
-            sizes=sizes,
-            max_overlaps=tuple(best),
-            kappa=0.0,
-            intercept=0.0,
-            r_squared=None,
-            refined=refined_any,
-            passed=True,
-        )
-    y = np.log(np.maximum(best, 1e-300))
-    slope, intercept, r2 = fit_line(sizes, y)
-    kappa = -slope
+        branch, kappa, intercept, r2, passed = "product", 0.0, 0.0, None, True
+    else:
+        slope, intercept, r2 = fit_line(sizes, np.log(np.maximum(best, 1e-300)))
+        kappa = -slope
+        branch, passed = "decay", bool(kappa > 0 and r2 >= 0.99)
     return DecayReport(
-        branch="decay",
+        branch=branch,
         injectivity=inj,
         sizes=sizes,
         max_overlaps=tuple(best),
@@ -363,5 +311,5 @@ def mps_overlap_decay(
         intercept=intercept,
         r_squared=r2,
         refined=refined_any,
-        passed=bool(kappa > 0 and r2 >= 0.99),
+        passed=passed,
     )

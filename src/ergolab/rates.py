@@ -257,7 +257,7 @@ def boundary_rate(
     )
 
 
-def _term_split_l1(term, region_sites: set[int]) -> float:
+def _term_split_l1(term) -> float:
     """l1 coefficient norm of a straddling term across the region cut.
 
     Only two-site terms arise for strictly local chains; one site sits on
@@ -270,6 +270,15 @@ def _term_split_l1(term, region_sites: set[int]) -> float:
     if d * d != term.matrix.shape[0]:
         raise ValueError("term dimension is not a two-site product")
     return decompose_interaction(term.matrix, (d, d)).l1_norm
+
+
+def _cut_bounds(h: LocalHamiltonian, keep: SiteSet, times: Sequence[float]):
+    """(number of straddling terms, their largest split l1 norm, and the
+    entangling bound 4 |t| |boundary| max_x ||C_x||_1 at each time) of the
+    region's cut."""
+    straddle = h.boundary_terms(tuple(keep.sites))
+    max_l1 = max((_term_split_l1(t) for t in straddle), default=0.0)
+    return len(straddle), max_l1, [4.0 * abs(t) * len(straddle) * max_l1 for t in times]
 
 
 @dataclass(frozen=True)
@@ -297,20 +306,17 @@ def integrated_bound_check(
         raise ValueError("time grid is empty")
     keep = site_set(psi0.lattice, region)
     spectral = diagonalize(h)
-    region_set = set(keep.sites)
-    straddle = h.boundary_terms(tuple(keep.sites))
-    max_l1 = max((_term_split_l1(t, region_set) for t in straddle), default=0.0)
+    boundary, max_l1, bounds = _cut_bounds(h, keep, times)
     rows = evolve_rows(spectral, spectral.coefficients(psi0.amplitudes), times)
     s2 = _rows_renyi2(rows, psi0.lattice, keep.sites)
     base = float(_rows_renyi2(psi0.amplitudes[None, :], psi0.lattice, keep.sites)[0])
-    bounds = [4.0 * abs(t) * len(straddle) * max_l1 for t in times]
     max_excess = max(abs(v - base) - b for v, b in zip(s2, bounds))
     return IntegratedBoundReport(
         region=tuple(keep.sites),
         times=tuple(times),
         s2_values=tuple(float(v) for v in s2),
         bounds=tuple(bounds),
-        boundary_size=len(straddle),
+        boundary_size=boundary,
         max_c_l1=max_l1,
         max_excess=float(max_excess),
         passed=max_excess <= 1e-9,
@@ -378,10 +384,7 @@ def stability_experiment(h: LocalHamiltonian, u_prime: QuasiLocalUnitary) -> Sta
     before = _rows_renyi2(spectral.eigenvectors.T, lattice, keep.sites)
     after = _rows_renyi2(conj_vecs.T, lattice, keep.sites)
     shift = np.abs(after - before)
-    region_set = set(keep.sites)
-    straddle = u_prime.generator.boundary_terms(tuple(keep.sites))
-    max_l1 = max((_term_split_l1(t, region_set) for t in straddle), default=0.0)
-    bound = 4.0 * abs(u_prime.time) * len(straddle) * max_l1
+    boundary, max_l1, (bound,) = _cut_bounds(u_prime.generator, keep, [u_prime.time])
     prof = build_profile(spectral, STABILITY_POLICY)
     conj_spectral = dataclasses.replace(spectral, eigenvectors=conj_vecs)
     conj_prof = build_profile(conj_spectral, STABILITY_POLICY)
@@ -392,7 +395,7 @@ def stability_experiment(h: LocalHamiltonian, u_prime: QuasiLocalUnitary) -> Sta
     return StabilityReport(
         region=tuple(keep.sites),
         time=u_prime.time,
-        boundary_terms=len(straddle),
+        boundary_terms=boundary,
         max_c_l1=max_l1,
         bound=bound,
         max_shift=float(shift.max()),

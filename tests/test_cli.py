@@ -197,6 +197,9 @@ def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeyp
         ("mps", {"sizes": [8.5, 12]}),  # float in an integer list
         ("overlap", {"region": "0,1"}),  # string for a list
         ("gibbs", {"betas": [1.0, "2"]}),  # string in a number list
+        ("overlap", {"alphas": [2, "x"]}),  # string that is no number
+        ("overlap", {"alphas": [2, "nan"]}),  # order that is not above 1
+        ("overlap", {"alphas": "2"}),  # string for a list
     ],
 )
 def test_invalid_config_file_value_rejected_before_run(
@@ -229,6 +232,48 @@ def test_config_file_and_flag_write_the_same_report(tmp_path):
     report = (tmp_path / "file" / "report.json").read_bytes()
     assert report == (tmp_path / "flag" / "report.json").read_bytes()
     assert json.loads(report)["config"]["t_max"] == 5.0
+
+
+def test_alphas_spellings_write_one_config(tmp_path):
+    # a JSON Infinity token, "Infinity", "inf", 2 and "2" name the same orders
+    reports = []
+    for i, alphas in enumerate((["2", "inf"], [2.0, "inf"], [2, "Infinity"], [2, float("inf")])):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"alphas": alphas}))
+        out = tmp_path / f"out{i}"
+        assert main(["overlap", "--sites", "4", "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert reports[0]["config"]["alphas"] == [2.0, "inf"]
+    for rep in reports[1:]:
+        assert rep["config"] == reports[0]["config"]
+        assert rep["config_sha256"] == reports[0]["config_sha256"]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"bare {token} in a report")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--sites", "4"],
+        ["scan", "--sites", "6"],
+        ["equilibrate", "--sites", "4"],
+        ["theorem1", "--sizes", "4,6"],
+        ["prop1", "--sizes", "4,6,8"],
+        ["overlap", "--sites", "4"],
+        ["rates", "--sites", "4", "--samples", "3", "--t-points", "3"],
+        ["stability", "--sites", "4"],
+        ["mps", "--sizes", "8,12"],
+        ["gibbs", "--sites", "4"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_reports_are_strict_json(args, tmp_path):
+    # overlap's alpha = inf and prop1's S_inf bound once came out as Infinity
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) in (0, 1)
+    json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])
@@ -274,6 +319,26 @@ def test_mps_spec_of_other_local_dim_rejected_before_run(tmp_path, capsys, monke
     assert main(["mps", "--spec-json", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["config error: mps needs a spec with local_dim 2, not 3"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bond_dim", [3, 4])
+def test_mps_spec_of_other_bond_dim_rejected_before_run(bond_dim, tmp_path, capsys, monkeypatch):
+    # the overlap optimiser's closed-form eigenvalues are those of 2x2
+    # matrices; a bond-3 spec used to exit 0 as a product state
+    def runner_started(config):
+        raise AssertionError("a runner started on a spec of bond dimension above 2")
+
+    monkeypatch.setitem(
+        cli.EXPERIMENT_TABLE, "mps",
+        dataclasses.replace(cli.EXPERIMENT_TABLE["mps"], runner=runner_started),
+    )
+    spec = tmp_path / "spec.json"
+    spec.write_text(random_injective_spec(bond_dim=bond_dim, seed=2).to_json())
+    out = tmp_path / "out"
+    assert main(["mps", "--spec-json", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: mps needs a spec with bond_dim 1 or 2, not {bond_dim}"]
     assert not out.exists()
 
 

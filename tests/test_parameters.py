@@ -86,3 +86,25 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
         if not any(_sets(c, name, pos, method) for c in calls.get(fn, []))
     ]
     assert not unset, "defaulted parameters that no caller sets: " + ", ".join(unset)
+
+
+def _parameters(fn):
+    args = fn.args
+    named = args.posonlyargs + args.args + args.kwonlyargs
+    return [a.arg for a in (*named, args.vararg, args.kwarg) if a is not None]
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is a knob that turns nothing;
+    # lambdas are exempt, since a callback's signature is fixed by its caller
+    unread = []
+    for path, tree in _modules(LIBRARY):
+        for fn, _ in _functions(tree):
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [f"{path.stem}.{fn.name}({p})" for p in _parameters(fn) if p not in read]
+    assert not unread, "parameters that the body never reads: " + ", ".join(unread)
