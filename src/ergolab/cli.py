@@ -627,11 +627,12 @@ def run(config: dict) -> tuple[int, dict]:
         raise ConfigError(f"experiment must be one of {tuple(EXPERIMENT_TABLE)}")
     config = build_config(experiment, config)
     del config["experiment"]
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    resolved = _clean(config)  # the report's config, hashed as written
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     result, passed, files = EXPERIMENT_TABLE[experiment].runner(config)
     report = {
         "experiment": experiment,
-        "config": _clean(config),
+        "config": resolved,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "catalog_version": CATALOG_VERSION,
         "package_version": __version__,

@@ -256,7 +256,7 @@ def _refuse_constant(token):
 @pytest.mark.parametrize(
     "args",
     [
-        ["spectrum", "--sites", "4"],
+        ["spectrum", "--sites", "4", "--gap-tolerance", "inf"],
         ["scan", "--sites", "6"],
         ["equilibrate", "--sites", "4"],
         ["theorem1", "--sizes", "4,6"],
@@ -270,10 +270,13 @@ def _refuse_constant(token):
     ids=lambda args: args[0],
 )
 def test_reports_are_strict_json(args, tmp_path):
-    # overlap's alpha = inf and prop1's S_inf bound once came out as Infinity
+    # overlap's alpha = inf and prop1's S_inf bound once came out as Infinity;
+    # the hash is that of the config as the report writes it
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) in (0, 1)
-    json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    rep = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    canonical = json.dumps(rep["config"], sort_keys=True, separators=(",", ":"))
+    assert rep["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])
