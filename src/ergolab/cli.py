@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Mapping
@@ -149,11 +150,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _run_spectrum(config: dict):
+def _spectrum(config: dict):
     lat = LatticeSpec(config["sites"], 2, config["geometry"])
-    ham = build_model(config["model"], lat, seed=config["seed"])
-    spec = diagonalize(ham)
-    gaps = gap_report(spec, tolerance=config["gap_tolerance"])
+    return diagonalize(build_model(config["model"], lat, seed=config["seed"]))
+
+
+def _profile_csv(prof) -> str:
+    """One row per eigenstate: index, density, S_2/N and the best subsystem
+    as a hex site bitmask."""
+    masks = (hex(sum(1 << site for site in sub)) for sub in prof.best_subsets)
+    rows = enumerate(zip(prof.densities, prof.s2_over_n, masks))
+    return _csv_text(["i", "e_i", "S2_over_N", "subsystem"], ((i, *row) for i, row in rows))
+
+
+def _run_spectrum(config: dict):
+    spec = _spectrum(config)
+    ham = spec.hamiltonian
     result = {
         "dim": spec.dim,
         "e_max": spec.e_max,
@@ -161,35 +173,34 @@ def _run_spectrum(config: dict):
         "ground_shift": ham.ground_shift,
         "norm_rescale": ham.norm_rescale,
         "trace_energy_density": trace_energy_density(ham),
-        "gap_report": _clean(gaps),
-        "params": _clean(ham.params),
+        "gap_report": gap_report(spec, tolerance=config["gap_tolerance"]),
+        "params": ham.params,
     }
     csv = _csv_text(
         ["index", "energy", "density"],
-        ((i, float(e), float(e) / lat.num_sites) for i, e in enumerate(spec.energies)),
+        ((i, float(e), float(e) / spec.lattice.num_sites) for i, e in enumerate(spec.energies)),
     )
     return result, True, {"spectrum.csv": csv}
 
 
 def _run_scan(config: dict):
-    lat = LatticeSpec(config["sites"], 2, config["geometry"])
-    spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
+    spec = _spectrum(config)
     prof = build_profile(spec, _policy_from(config), num_bins=config["bins"])
     result = {
         "model": prof.model,
         "num_states": spec.dim,
-        "knots_e": _clean(prof.knots_e),
-        "knots_g": _clean(prof.knots_g),
+        "knots_e": prof.knots_e,
+        "knots_g": prof.knots_g,
         "lipschitz_k": prof.lipschitz_k,
         "ergodic_interior": prof.ergodic_interior,
-        "policy": _clean(prof.policy),
+        "policy": prof.policy,
     }
-    return result, True, {"profile.csv": prof.csv_text()}
+    return result, True, {"profile.csv": _profile_csv(prof)}
 
 
 def _run_equilibrate(config: dict):
-    lat = LatticeSpec(config["sites"], 2, config["geometry"])
-    spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
+    spec = _spectrum(config)
+    lat = spec.lattice
     ens = DiagonalEnsemble(spec, initial_state(config["recipe"], lat, config["seed"]))
     target = config["site"] if config["site"] is not None else lat.num_sites // 2
     obs = site_observable(lat, target, config["axis"])
@@ -211,10 +222,10 @@ def _run_equilibrate(config: dict):
     )
     passed = bool(bounds.passed and gap_ok and sub.passed)
     result = {
-        "variance_bounds": _clean(bounds),
-        "variance_sampled": _clean(sampled),
+        "variance_bounds": bounds,
+        "variance_sampled": sampled,
         "sampled_agreement": gap_ok,
-        "subsystem": _clean(sub),
+        "subsystem": sub,
     }
     return result, passed, {"trajectory.csv": csv}
 
@@ -236,8 +247,8 @@ def _run_theorem1(config: dict):
     )
     files = {"trend.csv": csv}
     if materials:
-        files["profile.csv"] = materials[-1][3].csv_text()
-    return _clean(report), report.passed, files
+        files["profile.csv"] = _profile_csv(materials[-1][3])
+    return report, report.passed, files
 
 
 def _run_prop1(config: dict):
@@ -250,12 +261,12 @@ def _run_prop1(config: dict):
     csv = _csv_text(
         ["N", "s1", "overlap_sq"], zip(report.sizes, report.s1, report.overlap_sq)
     )
-    return _clean(report), report.passed, {"family.csv": csv}
+    return report, report.passed, {"family.csv": csv}
 
 
 def _run_overlap(config: dict):
-    lat = LatticeSpec(config["sites"], 2, config["geometry"])
-    spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
+    spec = _spectrum(config)
+    lat = spec.lattice
     idx = config["state_index"]
     idx = spec.dim // 2 if idx is None else idx
     state = PureState(lat, spec.eigenvectors[:, idx].astype(complex))
@@ -267,7 +278,7 @@ def _run_overlap(config: dict):
         samples=config["samples"],
         seed=config["seed"],
     )
-    return _clean(report), report.passed, {}
+    return report, report.passed, {}
 
 
 def _run_rates(config: dict):
@@ -304,8 +315,8 @@ def _run_rates(config: dict):
         "bound_violations": violations,
         "max_bound_ratio": worst_ratio,
         "max_fd_relative_error": worst_rel,
-        "integrated": _clean(integ),
-        "boundary": _clean(bnd),
+        "integrated": integ,
+        "boundary": bnd,
     }
     csv = _csv_text(["t", "s2", "bound"], zip(integ.times, integ.s2_values, integ.bounds))
     return result, passed, {"rates.csv": csv}
@@ -325,7 +336,7 @@ def _run_stability(config: dict):
         t = 1.0 if config["time"] is None else config["time"]
         qlu = QuasiLocalUnitary(build_model(gen, lat, seed=config["seed"] + 1), t)
     report = stability_experiment(ham, qlu)
-    return _clean(report), report.passed, {}
+    return report, report.passed, {}
 
 
 def _run_mps(config: dict):
@@ -354,20 +365,21 @@ def _run_mps(config: dict):
         agreement = worst
     passed = bool(decay.passed and (agreement is None or agreement <= 1e-9))
     result = {
-        "decay": _clean(decay),
+        "decay": decay,
         "dense_transfer_agreement": agreement,
         "spec": json.loads(spec.to_json()),
     }
-    csv = _csv_text(["N", "max_overlap", "log_overlap"], decay.csv_rows())
+    logs = (math.log(v) if v > 0 else -math.inf for v in decay.max_overlaps)
+    rows = zip(decay.sizes, decay.max_overlaps, logs)
+    csv = _csv_text(["N", "max_overlap", "log_overlap"], rows)
     return result, passed, {"decay.csv": csv}
 
 
 def _run_gibbs(config: dict):
-    lat = LatticeSpec(config["sites"], 2, config["geometry"])
-    spec = diagonalize(build_model(config["model"], lat, seed=config["seed"]))
+    spec = _spectrum(config)
     reports = [check_gibbs_identities(spec, b) for b in config["betas"]]
     passed = all(r.passed for r in reports)
-    return {"identities": [_clean(r) for r in reports]}, passed, {}
+    return {"identities": reports}, passed, {}
 
 
 def _mps_rings(config: dict) -> tuple[int, ...]:
@@ -385,7 +397,7 @@ class Experiment:
     """
 
     help: str
-    runner: Callable[[dict], tuple[dict, bool, dict]]
+    runner: Callable[[dict], tuple[object, bool, dict]]
     defaults: dict
     chains: Callable[[dict], tuple[int, ...]] = lambda config: (int(config["sites"]),)
     aliases: Mapping[str, tuple[str, ...]] = dataclasses.field(default_factory=dict)

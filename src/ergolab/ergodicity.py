@@ -11,8 +11,6 @@ entropies must grow with system size.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,7 +30,6 @@ from .states import (
     LatticeSpec,
     PureState,
     ResourceGuardError,
-    SiteSet,
     basis_product_state,
     bipartition_matrix,
     random_product_state,
@@ -254,17 +251,6 @@ class ErgodicityProfile:
         ]
         return bool(inner) and min(inner) > ZERO_G
 
-    def csv_text(self) -> str:
-        """One row per eigenstate: index, density, S_2/N and the best
-        subsystem as a hex site bitmask."""
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["i", "e_i", "S2_over_N", "subsystem"])
-        for i, (e, m, sub) in enumerate(zip(self.densities, self.s2_over_n, self.best_subsets)):
-            mask = SiteSet(self.lattice, sub).bitmask()
-            w.writerow([i, f"{e:.12g}", f"{m:.12g}", hex(mask)])
-        return buf.getvalue()
-
 
 def _fit_envelope(
     densities: np.ndarray, values: np.ndarray, e_max: float, num_bins: int
@@ -447,26 +433,11 @@ def bulk_check(ens: DiagonalEnsemble, profile: ErgodicityProfile, e: float) -> B
     """
     n = profile.num_sites
     g = profile.g_at(e)
-    if g <= ZERO_G:
-        return BulkReport(
-            e=e,
-            delta=0.0,
-            g_at_e=g,
-            threshold=1.0,
-            slack=BULK_SLACK,
-            bulk_levels=0,
-            max_bulk_population=0.0,
-            violations=0,
-            overlap_checked=0,
-            overlap_violations=0,
-            applicable=False,
-            note="envelope vanishes at this density; bound inapplicable",
-            passed=True,
-        )
-    delta = profile.delta_at(e)
-    threshold = math.exp(-g * n / 4.0)
-    dens = ens.block_energies / n
-    bulk = np.abs(dens - e) <= delta
+    # where the envelope vanishes the bound is inapplicable: an empty window
+    applicable = g > ZERO_G
+    delta = profile.delta_at(e) if applicable else 0.0
+    threshold = math.exp(-g * n / 4.0) if applicable else 1.0
+    bulk = (np.abs(ens.block_energies / n - e) <= delta) & applicable
     pops = ens.populations[bulk]
     violations = int(np.sum(pops > BULK_SLACK * threshold))
     # per-level overlap cross-check, singleton blocks only
@@ -480,7 +451,10 @@ def bulk_check(ens: DiagonalEnsemble, profile: ErgodicityProfile, e: float) -> B
         s2 = profile.s2_over_n[a] * n
         if ens.populations[k] > math.exp(-0.5 * s2) + 1e-12:
             overlap_violations += 1
-    note = "" if bulk.any() else "window contains no levels; vacuous pass"
+    if not applicable:
+        note = "envelope vanishes at this density; bound inapplicable"
+    else:
+        note = "" if bulk.any() else "window contains no levels; vacuous pass"
     return BulkReport(
         e=e,
         delta=float(delta),
@@ -492,7 +466,7 @@ def bulk_check(ens: DiagonalEnsemble, profile: ErgodicityProfile, e: float) -> B
         violations=violations,
         overlap_checked=overlap_checked,
         overlap_violations=overlap_violations,
-        applicable=True,
+        applicable=applicable,
         note=note,
         passed=violations == 0 and overlap_violations == 0,
     )

@@ -18,8 +18,6 @@ from .states import DensityMatrix, LatticeSpec, ResourceGuardError
 from .tolerances import TOL
 
 DENSE_DIM_GUARD = 2**14
-# rows of H whose nonzero pattern the sector search holds at once
-SECTOR_SEARCH_ROWS = 64
 
 MODEL_NAMES = ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field")
 
@@ -230,18 +228,11 @@ def _sectors(raw: np.ndarray) -> list[np.ndarray]:
 
     The sectors are the connected components of the pattern ``raw != 0``
     read as an undirected graph, so every entry between two sectors is
-    exactly zero.  The pattern is read a band of rows at a time and only
-    its nonzero positions are kept.
+    exactly zero.
     """
     dim = raw.shape[0]
-    band = np.empty((min(SECTOR_SEARCH_ROWS, dim), dim), dtype=bool)
-    flat = []
-    for start in range(0, dim, band.shape[0]):
-        rows = raw[start : start + band.shape[0]]
-        hit = band[: rows.shape[0]]
-        np.not_equal(rows, 0, out=hit)
-        flat.append(np.flatnonzero(hit) + start * dim)
-    i, j = np.divmod(np.concatenate(flat), dim)
+    # the dim^2-byte pattern is freed before eigh allocates its workspace
+    i, j = np.divmod(np.flatnonzero(raw != 0), dim)
     # every index takes the lowest label among its neighbours, then the
     # label of that label, until nothing changes; a label never exceeds its
     # index, so each sector ends up labelled by its lowest index
@@ -373,13 +364,8 @@ def gap_report(s: SpectralData, tolerance: float | None = None) -> GapReport:
 
 def degenerate_groups(energies: np.ndarray, tolerance: float) -> list[tuple[int, int]]:
     """Maximal runs [start, stop) of energies equal within the tolerance."""
-    groups = []
-    start = 0
-    for i in range(1, energies.size + 1):
-        if i == energies.size or energies[i] - energies[i - 1] > tolerance:
-            groups.append((start, i))
-            start = i
-    return groups
+    cuts = [0, *(np.flatnonzero(np.diff(energies) > tolerance) + 1).tolist(), energies.size]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def inverse_temperature(beta: float) -> float:

@@ -222,10 +222,6 @@ class DecayReport:
     refined: bool
     passed: bool
 
-    def csv_rows(self):
-        for n, v in zip(self.sizes, self.max_overlaps):
-            yield n, v, math.log(v) if v > 0 else -math.inf
-
 
 def decay_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     """Ring sizes of a decay fit: at least two distinct ones, each of at

@@ -87,12 +87,6 @@ class SiteSet:
             raise ValueError("complement of the full lattice is empty")
         return SiteSet(self.lattice, rest)
 
-    def bitmask(self) -> int:
-        mask = 0
-        for s in self.sites:
-            mask |= 1 << s
-        return mask
-
 
 def site_set(lattice: LatticeSpec, sites: SiteSet | Iterable[int]) -> SiteSet:
     """Coerce an iterable of site indices into a validated SiteSet."""

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,10 @@ import ergolab
 from ergolab import CATALOG_VERSION
 from ergolab import cli
 from ergolab.cli import ConfigError, build_config, build_parser, main, run
+from ergolab.ergodicity import SearchPolicy, build_profile
+from ergolab.hamiltonians import build_model, diagonalize
 from ergolab.mps import random_injective_spec
+from ergolab.states import LatticeSpec
 
 
 def invoke(args, cwd):
@@ -557,6 +561,26 @@ def test_scan_profile_csv(tmp_path):
         tmp_path,
     )
     assert r.returncode == 0, r.stderr
-    lines = (out / "profile.csv").read_text().strip().splitlines()
+    raw = (out / "profile.csv").read_bytes()
+    assert b"\r" not in raw  # rows end in "\n", as in every CSV the CLI writes
+    lines = raw.decode().strip().splitlines()
     assert len(lines) == 65
-    assert lines[0].startswith("i,")
+    assert lines[0] == "i,e_i,S2_over_N,subsystem"
+    # the best subsystem as a hex bitmask, bit s for site s: 1 to 3 of 6 sites
+    masks = [int(line.split(",")[3], 16) for line in lines[1:]]
+    assert all(0 < m < 1 << 6 and bin(m).count("1") <= 3 for m in masks)
+    spec = diagonalize(build_model("mixed-field-ising", LatticeSpec(6, 2)))
+    prof = build_profile(spec, SearchPolicy(mode="exhaustive"))
+    assert [{s for s in range(6) if m >> s & 1} for m in masks] == [
+        set(sub) for sub in prof.best_subsets
+    ]
+
+
+def test_mps_decay_csv_one_row_per_size():
+    code, rep = run({"experiment": "mps", "sizes": [8, 12, 16]})
+    assert code == 0
+    lines = rep["_files"]["decay.csv"].splitlines()
+    assert lines[0] == "N,max_overlap,log_overlap"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [8, 12, 16]
+    assert all(r[2] == pytest.approx(math.log(r[1]), rel=1e-10) for r in rows)

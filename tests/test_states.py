@@ -44,7 +44,6 @@ def test_site_set_validation_and_props():
     assert s.sites == (0, 3)  # stored sorted
     assert s.dim == 4
     assert s.complement().sites == (1, 2, 4)
-    assert s.bitmask() == (1 << 0) | (1 << 3)
     with pytest.raises(ValueError):
         site_set(lat, (0, 5))
     # repeated indices collapse rather than error
