@@ -19,7 +19,8 @@ from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _sublattice,
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
-# rows of the level matrix variance_exact holds at a time
+# rows of the level matrix variance_exact holds at a time, and levels whose
+# block vectors DiagonalEnsemble.reduced forms at a time
 VARIANCE_BAND_ROWS = 64
 
 
@@ -79,7 +80,13 @@ class DiagonalEnsemble:
 
     def block_vectors(self) -> np.ndarray:
         """Columns w_k = P_k |psi>, one per energy block (unnormalized)."""
-        return np.add.reduceat(self.spectral.eigenvectors * self.coefficients, self._starts, axis=1)
+        return self._block_rows(0, len(self.blocks)).T
+
+    def _block_rows(self, first: int, stop: int) -> np.ndarray:
+        """w_k of the blocks first <= k < stop, one state-major row each."""
+        a, b = self.blocks[first][0], self.blocks[stop - 1][1]
+        levels = self.coefficients[a:b, None] * self.spectral.eigenvectors[:, a:b].T
+        return np.add.reduceat(levels, np.subtract(self._starts[first:stop], a), axis=0)
 
     def _eigenbasis(self, observable: LocalTerm) -> np.ndarray:
         """V^dag A V of `observable`.  The last one asked for is kept, so the
@@ -90,11 +97,20 @@ class DiagonalEnsemble:
 
     def reduced(self, region: SiteSet | tuple[int, ...]) -> DensityMatrix:
         """Dephased state on `region`: sum_k M_k M_k^dag over the block
-        vectors' bipartition matrices, without the dim x dim state."""
+        vectors' bipartition matrices, without the dim x dim state.
+
+        The block vectors are formed a band of whole blocks at a time, each
+        band starting at the block that holds a multiple of
+        VARIANCE_BAND_ROWS, so no dim x K matrix is held.
+        """
         lattice = self.spectral.lattice
         keep = site_set(lattice, region)
-        m = bipartition_matrix(self.block_vectors().T, keep.sites, lattice)
-        rho = np.tensordot(m, m.conj(), axes=([0, 2], [0, 2]))
+        multiples = np.arange(0, self.spectral.dim, VARIANCE_BAND_ROWS)
+        firsts = np.unique(np.searchsorted(self._starts, multiples, side="right") - 1)
+        rho = 0
+        for first, stop in zip(firsts, [*firsts[1:], len(self.blocks)]):
+            m = bipartition_matrix(self._block_rows(first, stop), keep.sites, lattice)
+            rho = rho + (m @ m.conj().transpose(0, 2, 1)).sum(axis=0)
         return DensityMatrix(_sublattice(lattice, len(keep)), 0.5 * (rho + rho.conj().T))
 
 

@@ -143,6 +143,8 @@ class EpsilonFamilyReport:
     sizes: tuple[int, ...]
     s1: tuple[float, ...]
     s1_slope: float
+    ideal_s1: tuple[float, ...]  # S_1 of the ideal model, per size
+    ideal_slope: float
     slope_window: tuple[float, float]
     slope_ok: bool
     s1_increasing: bool
@@ -183,7 +185,8 @@ def verify_epsilon_family(
     strictly increasing with an affine slope inside FAMILY_SLOPE_WINDOW
     times (eps/2) log d, while S_2 per site shrinks.  The slope window is
     evaluated on the given grid as stated, with no finite-size
-    extrapolation.
+    extrapolation; the ideal model's own S_1 per size (`model_entropy`) and
+    its slope on the same grid are reported beside it.
     """
     sizes = family_sizes(sizes)
     limits = {a: constant_entropy_bound(epsilon, a) + FAMILY_SLACK for a in FAMILY_ALPHAS}
@@ -210,6 +213,7 @@ def verify_epsilon_family(
         top_dev.append(int(np.sum(diff > 10.0 * eps_state.delta)))
         small_dev.append(int(np.sum(diff > 0.5 * eps_state.delta)))
     slope = fit_line(sizes, s1)[0]
+    ideal_s1 = tuple(model_entropy(epsilon, local_dim ** (n // 2), 1.0) for n in sizes)
     target = 0.5 * epsilon * math.log(local_dim)
     window = (FAMILY_SLOPE_WINDOW[0] * target, FAMILY_SLOPE_WINDOW[1] * target)
     slope_ok = window[0] <= slope <= window[1]
@@ -244,6 +248,8 @@ def verify_epsilon_family(
         sizes=sizes,
         s1=tuple(float(v) for v in s1),
         s1_slope=slope,
+        ideal_s1=ideal_s1,
+        ideal_slope=fit_line(sizes, ideal_s1)[0],
         slope_window=window,
         slope_ok=bool(slope_ok),
         s1_increasing=bool(s1_up),

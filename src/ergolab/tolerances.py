@@ -1,7 +1,13 @@
-"""Central numerical tolerances.
+"""Numerical tolerances shared across modules and printed in every report.
 
-Every structural assertion in the package pulls its threshold from the
-single record below, so reports and tests stay mutually consistent.
+`TOL` holds the thresholds of state validation (norms, trace one,
+hermiticity), of entropies (the PSD clamp and the spectrum floor), of the
+Rényi ordering identity and of the ground-energy shift.  A threshold that
+one check alone uses is a constant of that check's module, such as
+`ensembles.DEGENERACY_TOL`, `circuits.UNITARITY_TOL`, `rates.IMAG_RESIDUE`,
+`mps.INJECTIVITY_GAP`, `overlaps.SWEEP_TOL`, `ergodicity.ZERO_G` and the
+`ergodicity.TREND_*` constants, and some checks state theirs as a literal
+in place (`1e-10`, `1e-12`).
 """
 
 from __future__ import annotations

@@ -186,7 +186,8 @@ def test_04_interpolation_family_profile():
     # window on this grid (see README); kept as a genuine red
     assert rep.slope_ok, (
         f"S1 slope {rep.s1_slope:.4f} outside [{rep.slope_window[0]:.4f}, "
-        f"{rep.slope_window[1]:.4f}] on the pinned grid"
+        f"{rep.slope_window[1]:.4f}] on the pinned grid, where the ideal model's "
+        f"own S1 slope is {rep.ideal_slope:.4f}"
     )
 
 

@@ -1,6 +1,7 @@
 """CLI plumbing: determinism, exit codes, report structure."""
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -574,6 +575,33 @@ def test_scan_profile_csv(tmp_path):
     assert [{s for s in range(6) if m >> s & 1} for m in masks] == [
         set(sub) for sub in prof.best_subsets
     ]
+
+
+def test_stability_conjugates_by_a_catalog_model(tmp_path):
+    out = tmp_path / "out"
+    args = ["stability", "--sites", "6", "--generator", "xxz-disordered", "--out", str(out)]
+    assert main(args) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is True
+    assert rep["result"]["boundary_terms"] > 0
+
+
+def test_only_the_cli_imports_csv_or_io():
+    # file layout is decided in one module: the library returns values,
+    # the CLI writes them
+    offenders = []
+    for path in sorted(Path(ergolab.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] in ("csv", "io")]
+    assert not offenders
 
 
 def test_mps_decay_csv_one_row_per_size():

@@ -88,22 +88,40 @@ def test_reduced_is_partial_trace_of_dephased_state(ens6, spec6_module):
 
 
 def test_reduced_exact_on_degenerate_blocks():
-    # H = sum_i Z_i on 4 sites: levels -4, -2 (x4), 0 (x6), 2 (x4), 4, so the
-    # dephased state keeps coherences inside each block: sum_k P_k psi psi^dag P_k
-    lat = LatticeSpec(4, 2)
-    terms = [LocalTerm((i,), pauli("Z"), f"z{i}") for i in range(4)]
-    spec = diagonalize(LocalHamiltonian(lat, terms))
-    psi = random_product_state(lat, 6)
-    ens = DiagonalEnsemble(spec, psi)
-    assert [b - a for a, b in ens.blocks] == [1, 4, 6, 4, 1]
-    v = spec.eigenvectors
-    dense = np.zeros((lat.dim, lat.dim), dtype=complex)
-    for a, b in ens.blocks:
-        w = v[:, a:b] @ (v[:, a:b].conj().T @ psi.amplitudes)
-        dense += np.outer(w, w.conj())
-    for region in [(0,), (1, 3), (0, 1, 2)]:
-        want = _reference_ptrace_dense(dense, region, lat)
-        np.testing.assert_allclose(ens.reduced(region).matrix, want, rtol=0, atol=1e-12)
+    # H = sum_i Z_i: levels -n, -n+2, ..., n with C(n, k)-fold degeneracy, so
+    # the dephased state keeps coherences inside each block:
+    # sum_k P_k psi psi^dag P_k.  At 8 sites the blocks straddle the bands
+    # of VARIANCE_BAND_ROWS levels that `reduced` walks.
+    for n in (4, 8):
+        lat = LatticeSpec(n, 2)
+        terms = [LocalTerm((i,), pauli("Z"), f"z{i}") for i in range(n)]
+        spec = diagonalize(LocalHamiltonian(lat, terms))
+        psi = random_product_state(lat, 6)
+        ens = DiagonalEnsemble(spec, psi)
+        assert [b - a for a, b in ens.blocks] == [math.comb(n, k) for k in range(n + 1)]
+        v = spec.eigenvectors
+        dense = np.zeros((lat.dim, lat.dim), dtype=complex)
+        for a, b in ens.blocks:
+            w = v[:, a:b] @ (v[:, a:b].conj().T @ psi.amplitudes)
+            dense += np.outer(w, w.conj())
+        for region in [(0,), (1, 3), (0, 1, 2)]:
+            want = _reference_ptrace_dense(dense, region, lat)
+            np.testing.assert_allclose(ens.reduced(region).matrix, want, rtol=0, atol=1e-12)
+
+
+def test_reduced_peak_memory():
+    # the block vectors are formed a band of levels at a time; forming them
+    # all at once held 8 dim^2 doubles
+    lat = LatticeSpec(10, 2)
+    spec = diagonalize(build_model("mixed-field-ising", lat))
+    ens = DiagonalEnsemble(spec, random_product_state(lat, 0))
+    tracemalloc.start()
+    try:
+        ens.reduced((5,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * spec.dim**2 * 8
 
 
 def test_effective_dimension_identity(ens6):

@@ -307,6 +307,15 @@ def test_degenerate_groups():
     e = np.array([0.0, 0.0, 1.0, 1.0 + 1e-12, 2.0])
     groups = degenerate_groups(e, 1e-10)
     assert groups == [(0, 2), (2, 4), (4, 5)]
+    # the former per-level loop; a step of exactly the tolerance does not cut
+    rng = np.random.default_rng(4)
+    e = np.cumsum(rng.choice([0.0, 0.5, 1.0, 2.0], size=300))
+    want, start = [], 0
+    for i in range(1, e.size + 1):
+        if i == e.size or e[i] - e[i - 1] > 0.5:
+            want.append((start, i))
+            start = i
+    assert degenerate_groups(e, 0.5) == want
 
 
 def test_gibbs_identities(spec6):

@@ -175,6 +175,10 @@ def test_family_report_small_sizes():
     assert not rep.slope_ok
     assert not rep.s2_density_decreasing
     assert not rep.passed
+    # the ideal model's own S1 slope already sits above the window here; the
+    # measured one overshoots it further
+    assert rep.ideal_s1 == tuple(model_entropy(0.3, 2 ** (n // 2), 1.0) for n in (6, 8, 10))
+    assert rep.slope_window[1] < rep.ideal_slope < rep.s1_slope
 
 
 def test_max_product_overlap_product_input():

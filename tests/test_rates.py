@@ -225,6 +225,16 @@ def test_quasi_local_unitary_validation():
     assert np.allclose(m @ m.conj().T, np.eye(16), atol=1e-10)
 
 
+def test_quasi_local_unitary_matches_expm_on_overlapping_terms():
+    # a catalog generator's terms overlap (each field shares its site with
+    # two bonds), the route `stability --generator <model>` takes
+    lat = LatticeSpec(6, 2)
+    gen = build_model("mixed-field-ising", lat)
+    h = sum(_reference_embed(t.matrix, t.sites, lat) for t in gen.terms)
+    got = QuasiLocalUnitary(gen, 0.3).matrix()
+    np.testing.assert_allclose(got, expm(-0.3j * h), rtol=0, atol=1e-12)
+
+
 def test_layer_generator_reproduces_layer():
     lat = LatticeSpec(4, 2)
     rng = np.random.default_rng(2)
