@@ -526,8 +526,8 @@ def _typed(key: str, value, default):
     list of orders typed by _alpha.
     """
     if key == "alphas":
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"alphas must be a list, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"alphas must be a non-empty list, got {value!r}")
         return [_alpha(a) for a in value]
     if value is None and default is None or key not in FLAGS:
         return value
@@ -607,6 +607,8 @@ def _validate(experiment: str, config: dict) -> None:
             raise ConfigError("overlap needs a non-negative sample count")
         if "epsilon" in config:
             constant_entropy_bound(config["epsilon"], float("inf"))
+        if "betas" in config and not config["betas"]:  # gibbs
+            raise ConfigError("gibbs needs at least one inverse temperature")
         for beta in config.get("betas", ()):
             inverse_temperature(beta)
         if "gap_tolerance" in config:
@@ -614,8 +616,12 @@ def _validate(experiment: str, config: dict) -> None:
         if "t_points" in config:  # rates
             if min(config["samples"], config["t_points"]) < 1:
                 raise ConfigError("rates needs at least one sample and one time point")
-            if not np.isfinite(config["t_max"]):
-                raise ConfigError("rates needs a finite t_max")
+        time = config.get("horizon", config.get("t_max"))
+        if time is not None:  # equilibrate, rates: the phases exp(-iEt) need a finite t E
+            # catalog terms have norm <= 1, so E - E_0 <= 2 x (number of terms)
+            e_bound = 2 * len(build_model(config["model"], lattices[0], seed=config["seed"]).terms)
+            if not math.isfinite(time * e_bound):
+                raise ConfigError(f"time {time!r} times the energy bound {e_bound} is not finite")
         if "generator" in config:  # stability
             if config["generator"] not in ("layer", *MODEL_NAMES):
                 raise ConfigError(f"generator must be 'layer' or one of {MODEL_NAMES}")

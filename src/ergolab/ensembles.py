@@ -19,8 +19,8 @@ from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _sublattice,
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
-# rows of the level matrix variance_exact holds at a time, and levels whose
-# block vectors DiagonalEnsemble.reduced forms at a time
+# levels per band of whole energy blocks (DiagonalEnsemble._bands): the
+# block-matrix rows and block vectors formed at a time
 VARIANCE_BAND_ROWS = 64
 
 
@@ -78,9 +78,14 @@ class DiagonalEnsemble:
     def effective_dimension(self) -> float:
         return float(np.exp(self.entropy(2.0)))
 
-    def block_vectors(self) -> np.ndarray:
-        """Columns w_k = P_k |psi>, one per energy block (unnormalized)."""
-        return self._block_rows(0, len(self.blocks)).T
+    def _bands(self):
+        """(first, stop) of each band of whole blocks: a band starts at every
+        block that holds a level index divisible by VARIANCE_BAND_ROWS."""
+        # band of the level before each block start, then of the last level:
+        # it steps up across every block that holds a divisible index
+        before = np.subtract([*self._starts, self.spectral.dim], 1) // VARIANCE_BAND_ROWS
+        firsts = np.flatnonzero(np.diff(before))
+        return zip(firsts, [*firsts[1:], len(self.blocks)])
 
     def _block_rows(self, first: int, stop: int) -> np.ndarray:
         """w_k of the blocks first <= k < stop, one state-major row each."""
@@ -97,18 +102,13 @@ class DiagonalEnsemble:
 
     def reduced(self, region: SiteSet | tuple[int, ...]) -> DensityMatrix:
         """Dephased state on `region`: sum_k M_k M_k^dag over the block
-        vectors' bipartition matrices, without the dim x dim state.
-
-        The block vectors are formed a band of whole blocks at a time, each
-        band starting at the block that holds a multiple of
-        VARIANCE_BAND_ROWS, so no dim x K matrix is held.
-        """
+        vectors' bipartition matrices, without the dim x dim state.  The
+        block vectors are formed a band at a time, so no dim x K matrix is
+        held."""
         lattice = self.spectral.lattice
         keep = site_set(lattice, region)
-        multiples = np.arange(0, self.spectral.dim, VARIANCE_BAND_ROWS)
-        firsts = np.unique(np.searchsorted(self._starts, multiples, side="right") - 1)
         rho = 0
-        for first, stop in zip(firsts, [*firsts[1:], len(self.blocks)]):
+        for first, stop in self._bands():
             m = bipartition_matrix(self._block_rows(first, stop), keep.sites, lattice)
             rho = rho + (m @ m.conj().transpose(0, 2, 1)).sum(axis=0)
         return DensityMatrix(_sublattice(lattice, len(keep)), 0.5 * (rho + rho.conj().T))
@@ -128,21 +128,19 @@ def _eigenbasis_matrix(spectral: SpectralData, observable: LocalTerm) -> np.ndar
     return v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
 
 
-def _level_matrix(a_eig: np.ndarray, c: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows `rows` of conj(c_i) (V^dag A V)_ij c_j, one row and column per level."""
-    m = a_eig[rows] * c
-    m *= c.conj()[rows, None]
-    return m
-
-
-def _block_matrix(ens: DiagonalEnsemble, a_eig: np.ndarray) -> np.ndarray:
-    """K x K matrix w_k^dag A w_l between the block vectors, summed from
-    conj(c_i) (V^dag A V)_ij c_j over the levels of blocks k and l.  When
-    every block is one level the sum is the identity and is skipped."""
-    m = _level_matrix(a_eig, ens.coefficients)
-    if len(ens.blocks) == m.shape[0]:
-        return m
-    return np.add.reduceat(np.add.reduceat(m, ens._starts, axis=0), ens._starts, axis=1)
+def _block_bands(ens: DiagonalEnsemble, a_eig: np.ndarray):
+    """Per band of ens._bands(), its blocks and its rows of the K x K matrix
+    w_k^dag A w_l, summed from conj(c_i) (V^dag A V)_ij c_j over the levels
+    of blocks k and l.  With one level per block there is nothing to sum."""
+    c = ens.coefficients
+    for first, stop in ens._bands():
+        a, b = ens.blocks[first][0], ens.blocks[stop - 1][1]
+        m = a_eig[a:b] * c
+        m *= c.conj()[a:b, None]
+        if len(ens.blocks) < c.size:
+            m = np.add.reduceat(m, np.subtract(ens._starts[first:stop], a), axis=0)
+            m = np.add.reduceat(m, ens._starts, axis=1)
+        yield slice(first, stop), m
 
 
 def _sample_times(
@@ -179,7 +177,9 @@ def _trajectory(ens: DiagonalEnsemble, a_eig: np.ndarray, times) -> np.ndarray:
 
 
 def _dephased_mean(ens: DiagonalEnsemble, a_eig: np.ndarray) -> float:
-    return float(np.real(np.trace(_block_matrix(ens, a_eig))))
+    """sum_k w_k^dag A w_k: the trace of the block matrix, a band at a time."""
+    diag = [m[:, blocks].diagonal().copy() for blocks, m in _block_bands(ens, a_eig)]
+    return float(np.real(np.concatenate(diag).sum()))
 
 
 def expectation_trajectory(
@@ -201,15 +201,9 @@ def variance_exact(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
     distinct block energies to be non-coincident; certify with gap_report.
     """
     a_eig = ens._eigenbasis(observable)
-    if len(ens.blocks) == a_eig.shape[0]:
-        # one level per block: |w_k^dag A w_l| a band of rows at a time, so no
-        # complex dim x dim copy is made next to the kept V^dag A V
-        off = np.empty(a_eig.shape)
-        for start in range(0, off.shape[0], VARIANCE_BAND_ROWS):
-            band = slice(start, start + VARIANCE_BAND_ROWS)
-            np.abs(_level_matrix(a_eig, ens.coefficients, band), out=off[band])
-    else:
-        off = np.abs(_block_matrix(ens, a_eig))
+    off = np.empty((len(ens.blocks),) * 2)
+    for blocks, m in _block_bands(ens, a_eig):
+        np.abs(m, out=off[blocks])
     off **= 2
     np.fill_diagonal(off, 0.0)
     return float(off.sum())

@@ -169,6 +169,9 @@ def test_run_api_rejects_unknown_experiment():
         (["rates", "--sites", "1"], 2),  # empty default half-chain region
         (["stability", "--sites", "1"], 2),  # empty default half-chain region
         (["mps", "--sizes", "0,8"], 2),  # ring of no sites
+        (["gibbs", "--betas", ""], 2),  # no inverse temperature to check
+        (["equilibrate", "--horizon", "5e307"], 2),  # t E overflows the phases
+        (["rates", "--t-max", "1e308"], 2),  # t E overflows the phases
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):
@@ -205,6 +208,10 @@ def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeyp
         ("overlap", {"alphas": [2, "x"]}),  # string that is no number
         ("overlap", {"alphas": [2, "nan"]}),  # order that is not above 1
         ("overlap", {"alphas": "2"}),  # string for a list
+        ("overlap", {"alphas": []}),  # no order to check
+        ("gibbs", {"betas": []}),  # no inverse temperature to check
+        ("equilibrate", {"horizon": 5e307}),  # t E overflows the phases
+        ("rates", {"t_max": 1e308}),  # t E overflows the phases
     ],
 )
 def test_invalid_config_file_value_rejected_before_run(
@@ -493,6 +500,13 @@ def test_runner_value_error_is_not_a_config_error(tmp_path, monkeypatch):
         main(["gibbs", "--sites", "4", "--out", str(tmp_path / "out")])
 
 
+def test_long_horizon_below_the_phase_bound_runs():
+    # 4 sites: 7 terms of norm <= 1, so t E stays below 1.4e307
+    code, rep = run({"experiment": "equilibrate", "sites": 4, "horizon": 1e306})
+    assert code == 0
+    assert rep["result"]["variance_sampled"]["horizon"] == 1e306
+
+
 def test_horizon_reaches_both_time_averages():
     _, rep = run({"experiment": "equilibrate", "sites": 6, "horizon": 5.0})
     result = rep["result"]
@@ -504,7 +518,7 @@ def test_equilibrate_builds_one_ensemble(monkeypatch):
     from ergolab.ensembles import DiagonalEnsemble
     from ergolab.hamiltonians import SpectralData
 
-    calls = {"__init__": 0, "coefficients": 0, "block_vectors": 0, "_eigenbasis_matrix": 0}
+    calls = {"__init__": 0, "coefficients": 0, "reduced": 0, "_eigenbasis_matrix": 0}
 
     def counted(cls, name):
         method = getattr(cls, name)
@@ -516,14 +530,14 @@ def test_equilibrate_builds_one_ensemble(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
 
     counted(DiagonalEnsemble, "__init__")
-    counted(DiagonalEnsemble, "block_vectors")
+    counted(DiagonalEnsemble, "reduced")
     counted(SpectralData, "coefficients")
     counted(ensembles, "_eigenbasis_matrix")
     code, _ = run({"experiment": "equilibrate", "sites": 9, "recipe": "random-product"})
     assert code == 0
     assert calls["__init__"] == 1
     assert calls["coefficients"] == 1
-    assert calls["block_vectors"] <= 1
+    assert calls["reduced"] == 1  # the dephased state of the subsystem check
     # one V^dag A V serves the exact variance, the sampled one and the trajectory
     assert calls["_eigenbasis_matrix"] == 1
 

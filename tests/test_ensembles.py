@@ -155,7 +155,7 @@ def test_variance_degenerate_blocks_excluded():
     a = LocalTerm((0,), pauli("X"), "X0")
     got = variance_exact(ens, a)
     # dense oracle over blocks
-    w = ens.block_vectors()
+    w = ens._block_rows(0, len(ens.blocks)).T
     m = w.conj().T @ _reference_embed(a.matrix, a.sites, lat) @ w
     want = float((np.abs(m) ** 2).sum() - (np.abs(np.diag(m)) ** 2).sum())
     assert got == pytest.approx(want, abs=1e-12)
@@ -210,7 +210,7 @@ def test_ensemble_expectation_matches_einsum_reference(ens6, spec6_module):
     zsum = LocalHamiltonian(lat4, [LocalTerm((i,), pauli("Z"), f"z{i}") for i in range(4)])
     degenerate = DiagonalEnsemble(diagonalize(zsum), random_product_state(lat4, 6))
     for ens, sites in ((ens6, (1, 4)), (degenerate, (1, 2))):
-        w = ens.block_vectors()
+        w = ens._block_rows(0, len(ens.blocks)).T
         lat = ens.spectral.lattice
         for obs in (site_observable(lat, 2, "X"), random_local_observable(lat, sites, seed=5)):
             dense = _reference_embed(obs.matrix, obs.sites, lat)
@@ -229,7 +229,7 @@ def test_ensemble_expectation_is_population_average(ens6, spec6_module):
 
 def _reference_block_route(ens, obs):
     # the former block-vector route: W^dag (A W) and vdot(W, A W)
-    w = ens.block_vectors()
+    w = ens._block_rows(0, len(ens.blocks)).T
     aw = apply_local(obs.matrix, obs.sites, ens.spectral.lattice, w)
     m = w.conj().T @ aw
     off = np.abs(m) ** 2
@@ -261,21 +261,43 @@ def test_block_matrix_matches_block_vector_route(ensembles8, axis):
             assert ensemble_expectation(ens, obs) == pytest.approx(want_mean, rel=1e-12, abs=1e-14)
 
 
+def _peak_doubles(fn, ens, obs):
+    # tracemalloc peak of one call, in units of dim^2 doubles
+    tracemalloc.start()
+    try:
+        fn(ens, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (ens.spectral.dim**2 * 8)
+
+
 def test_block_matrix_peak_memory():
-    # every block is one level, so no reduced copy of the K x K matrix is made
+    # the block matrix is walked a band of whole blocks at a time, so no
+    # dim x dim level matrix is formed next to the kept V^dag A V
     lat = LatticeSpec(9, 2)
     spec = diagonalize(build_model("mixed-field-ising", lat))
     ens = DiagonalEnsemble(spec, random_product_state(lat, 3))
     assert len(ens.blocks) == spec.dim
     obs = site_observable(lat, 4)
     for fn in (variance_exact, ensemble_expectation):
-        tracemalloc.start()
-        try:
-            fn(ens, obs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * spec.dim**2 * 8, (fn.__name__, peak / (spec.dim**2 * 8))
+        assert _peak_doubles(fn, ens, obs) <= 4, fn.__name__
+    # at 10 sites, V^dag A V cached: one level per block, where the mean
+    # formed the whole level matrix (2.03 dim^2), and W = 0, 252 degenerate
+    # blocks, where both reduced the whole level matrix (2.61 dim^2)
+    lat = LatticeSpec(10, 2)
+    w0 = build_model("heisenberg-random-field", lat, params={"W": 0.0})
+    cases = [
+        (build_model("mixed-field-ising", lat), 1024, (ensemble_expectation,)),
+        (w0, 252, (variance_exact, ensemble_expectation)),
+    ]
+    for ham, blocks, fns in cases:
+        ens = DiagonalEnsemble(diagonalize(ham), random_product_state(lat, 5))
+        assert len(ens.blocks) == blocks
+        obs = site_observable(lat, 4)
+        ens._eigenbasis(obs)
+        for fn in fns:
+            assert _peak_doubles(fn, ens, obs) < 0.5, (blocks, fn.__name__)
 
 
 def test_sampled_variance_reuses_eigenbasis_matrix(ens6, spec6_module):
@@ -312,7 +334,7 @@ def _reference_subsystem_distances(spectral, state, region, times):
     # the former route: one evolve + partial_trace + trace_distance per time
     # against the partial trace of the dense dephased state
     ens = DiagonalEnsemble(spectral, state)
-    w = ens.block_vectors()
+    w = ens._block_rows(0, len(ens.blocks)).T
     omega = _reference_ptrace_dense(w @ w.conj().T, region, spectral.lattice)
     dists = []
     for t in times:
