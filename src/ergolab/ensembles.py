@@ -79,10 +79,9 @@ class DiagonalEnsemble:
         return float(np.exp(self.entropy(2.0)))
 
     def _bands(self):
-        """(first, stop) of each band of whole blocks: a band starts at every
-        block that holds a level index divisible by VARIANCE_BAND_ROWS."""
-        # band of the level before each block start, then of the last level:
-        # it steps up across every block that holds a divisible index
+        """(first, stop) of each band of whole blocks.  A band starts at each
+        block that holds a level index divisible by VARIANCE_BAND_ROWS, where
+        band(level before the block) < band(the block's last level)."""
         before = np.subtract([*self._starts, self.spectral.dim], 1) // VARIANCE_BAND_ROWS
         firsts = np.flatnonzero(np.diff(before))
         return zip(firsts, [*firsts[1:], len(self.blocks)])
