@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import renyi_entropy
-from .hamiltonians import LocalTerm, SpectralData, degenerate_groups
+from .hamiltonians import LocalTerm, SpectralData, _matmul, degenerate_groups
 from .operators import _local_support, apply_local, pauli, random_hermitian
 from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _sublattice, bipartition_matrix, site_set
 from .tolerances import TOL
@@ -22,6 +22,9 @@ DEGENERACY_TOL = 1e-10
 # levels per band of whole energy blocks (DiagonalEnsemble._bands): the
 # block-matrix rows and block vectors formed at a time
 VARIANCE_BAND_ROWS = 64
+# times per band of the phase table exp(-iEt) c (_trajectory, evolve_rows):
+# the tables formed at a time are TIME_BAND x dim, whatever the time count
+TIME_BAND = 256
 
 
 def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> LocalTerm:
@@ -140,6 +143,7 @@ def _block_bands(ens: DiagonalEnsemble, a_eig: np.ndarray):
             m = np.add.reduceat(m, np.subtract(ens._starts[first:stop], a), axis=0)
             m = np.add.reduceat(m, ens._starts, axis=1)
         yield slice(first, stop), m
+        del m  # released before the next band is formed
 
 
 def _sample_times(
@@ -156,10 +160,17 @@ def _sample_times(
 
 def evolve_rows(spectral: SpectralData, coefficients: np.ndarray, times) -> np.ndarray:
     """Amplitudes V (exp(-iEt) c) of eigenbasis coefficients c at every
-    time, as one product: one state-major row per time, each norm checked
-    against TOL.normalization."""
-    rows = _phase_table(spectral, coefficients, times) @ spectral.eigenvectors.T
-    drift = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
+    time: one state-major row per time, each norm checked against
+    TOL.normalization.  The rows are written in place a band of TIME_BAND
+    times at a time, so no temporary outgrows one band."""
+    times = np.asarray(times, dtype=float)
+    rows = np.empty((times.size, spectral.dim), dtype=complex)
+    norms = np.empty(times.size)
+    for a in range(0, times.size, TIME_BAND):
+        band = slice(a, a + TIME_BAND)
+        p = _phase_table(spectral, coefficients, times[band])
+        norms[band] = np.linalg.norm(_matmul(p, spectral.eigenvectors.T, rows[band]), axis=1)
+    drift = np.abs(norms - 1.0)
     if not np.all(drift <= TOL.normalization):
         raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
     return rows
@@ -171,8 +182,25 @@ def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
 
 
 def _trajectory(ens: DiagonalEnsemble, a_eig: np.ndarray, times) -> np.ndarray:
-    ct = _phase_table(ens.spectral, ens.coefficients, times)
-    return np.real(np.einsum("ti,ij,tj->t", ct.conj(), a_eig, ct, optimize=True))
+    """Re p^dag A p of the phase rows p = exp(-iEt) c, a band of TIME_BAND
+    times at a time."""
+    times = np.asarray(times, dtype=float)
+    out = np.empty(times.size)
+    for a in range(0, times.size, TIME_BAND):
+        band = slice(a, a + TIME_BAND)
+        out[band] = _expectations(_phase_table(ens.spectral, ens.coefficients, times[band]), a_eig)
+    return out
+
+
+def _expectations(p: np.ndarray, a_eig: np.ndarray) -> np.ndarray:
+    """Re p^dag A p of each row p.  For a real A that is x^T A x + y^T A y
+    of p = x + iy: one real product with x and y stacked, a quarter of the
+    multiplications of the complex one."""
+    if np.iscomplexobj(a_eig):
+        return np.einsum("ti,ti->t", p.conj() @ a_eig, p).real
+    xy = np.concatenate((p.real, p.imag))
+    both = np.einsum("ti,ti->t", xy @ a_eig, xy)
+    return both[: len(p)] + both[len(p) :]
 
 
 def _dephased_mean(ens: DiagonalEnsemble, a_eig: np.ndarray) -> float:
@@ -203,6 +231,7 @@ def variance_exact(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
     off = np.empty((len(ens.blocks),) * 2)
     for blocks, m in _block_bands(ens, a_eig):
         np.abs(m, out=off[blocks])
+        del m
     off **= 2
     np.fill_diagonal(off, 0.0)
     return float(off.sum())

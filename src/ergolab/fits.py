@@ -13,7 +13,7 @@ def fit_line(x, y) -> tuple[float, float, float]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.unique(x).size < 2:
+    if x.size < 2 or not x.max() > x.min():
         raise ValueError("a line fit needs at least two distinct x values")
     slope, intercept = np.polyfit(x, y, 1)
     ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))

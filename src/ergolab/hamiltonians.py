@@ -210,7 +210,22 @@ class SpectralData:
         return float(self.energies.max())
 
     def coefficients(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.eigenvectors.conj().T @ amplitudes
+        """V^dag a of one amplitude vector a."""
+        v = self.eigenvectors
+        out = np.empty(v.shape[1], dtype=np.result_type(v, amplitudes))
+        return _matmul(amplitudes, v.conj(), out)
+
+
+def _matmul(z: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z @ m written into `out`.  A complex z against a real m takes one real
+    product of Re z and Im z stacked, where numpy would cast m to a complex
+    copy and spend four real multiplications per term."""
+    if np.iscomplexobj(m) or not np.iscomplexobj(z):
+        return np.matmul(z, m, out=out)
+    parts = (np.stack((z.real, z.imag)).reshape(-1, m.shape[0]) @ m).reshape(2, *out.shape)
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

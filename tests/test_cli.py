@@ -380,6 +380,25 @@ def test_cli_imports_and_runs_without_scipy(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_fits_and_decay_runs_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 11 ms per process; no line fit needs it
+    code = (
+        "import sys\n"
+        "from ergolab import cli\n"
+        "cli.run({'experiment': 'theorem1', 'sizes': [4, 6]})\n"
+        "cli.run({'experiment': 'mps', 'sizes': [8, 12, 16]})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(Path(ergolab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
+
+
 @pytest.mark.parametrize("value", ["1", "2"])
 def test_valid_thread_count_sizes_workers(value, tmp_path, monkeypatch):
     monkeypatch.setenv("ERGOLAB_THREADS", value)

@@ -9,7 +9,9 @@ import pytest
 from conftest import _reference_embed
 
 from ergolab.ensembles import (
+    TIME_BAND,
     DiagonalEnsemble,
+    _phase_table,
     bond_observable,
     check_variance_bounds,
     ensemble_expectation,
@@ -261,15 +263,19 @@ def test_block_matrix_matches_block_vector_route(ensembles8, axis):
             assert ensemble_expectation(ens, obs) == pytest.approx(want_mean, rel=1e-12, abs=1e-14)
 
 
-def _peak_doubles(fn, ens, obs):
-    # tracemalloc peak of one call, in units of dim^2 doubles
+def _peak_bytes(call):
+    # tracemalloc peak of one call
     tracemalloc.start()
     try:
-        fn(ens, obs)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (ens.spectral.dim**2 * 8)
+
+
+def _peak_doubles(fn, ens, obs):
+    # tracemalloc peak of one call, in units of dim^2 doubles
+    return _peak_bytes(lambda: fn(ens, obs)) / (ens.spectral.dim**2 * 8)
 
 
 def test_block_matrix_peak_memory():
@@ -283,21 +289,38 @@ def test_block_matrix_peak_memory():
     for fn in (variance_exact, ensemble_expectation):
         assert _peak_doubles(fn, ens, obs) <= 4, fn.__name__
     # at 10 sites, V^dag A V cached: one level per block, where the mean
-    # formed the whole level matrix (2.03 dim^2), and W = 0, 252 degenerate
-    # blocks, where both reduced the whole level matrix (2.61 dim^2)
+    # formed the whole level matrix (2.03 dim^2) and the variance, which
+    # keeps the K x K |.|^2 matrix, held two bands at once (1.28 dim^2), and
+    # W = 0, 252 degenerate blocks, where both reduced the whole level
+    # matrix (2.61 dim^2)
     lat = LatticeSpec(10, 2)
     w0 = build_model("heisenberg-random-field", lat, params={"W": 0.0})
     cases = [
-        (build_model("mixed-field-ising", lat), 1024, (ensemble_expectation,)),
-        (w0, 252, (variance_exact, ensemble_expectation)),
+        (build_model("mixed-field-ising", lat), 1024, {ensemble_expectation: 0.5, variance_exact: 1.2}),
+        (w0, 252, {variance_exact: 0.5, ensemble_expectation: 0.5}),
     ]
-    for ham, blocks, fns in cases:
+    for ham, blocks, bounds in cases:
         ens = DiagonalEnsemble(diagonalize(ham), random_product_state(lat, 5))
         assert len(ens.blocks) == blocks
         obs = site_observable(lat, 4)
         ens._eigenbasis(obs)
-        for fn in fns:
-            assert _peak_doubles(fn, ens, obs) < 0.5, (blocks, fn.__name__)
+        for fn, bound in bounds.items():
+            assert _peak_doubles(fn, ens, obs) < bound, (blocks, fn.__name__)
+
+
+def test_time_band_peak_memory():
+    # the phase table is formed TIME_BAND times at a time, where the whole
+    # T x dim complex table, its conjugate and a complex product were held
+    lat = LatticeSpec(9, 2)
+    spec = diagonalize(build_model("mixed-field-ising", lat))
+    ens = DiagonalEnsemble(spec, random_product_state(lat, 3))
+    obs = site_observable(lat, 4)
+    ens._eigenbasis(obs)
+    table = 2000 * spec.dim * 16
+    assert _peak_bytes(lambda: variance_sampled(ens, obs, samples=2000)) < 0.5 * table
+    grids = [np.linspace(0.0, 100.0, n) for n in (2000, 8000)]
+    small, large = (_peak_bytes(lambda: expectation_trajectory(ens, obs, t)) for t in grids)
+    assert large - small <= (8000 - 2000) * 8
 
 
 def test_sampled_variance_reuses_eigenbasis_matrix(ens6, spec6_module):
@@ -368,6 +391,42 @@ def test_evolve_rows_matches_single_time_kernel(spec6_module):
         evolve_rows(skewed, c, times)
     with pytest.raises(ValueError, match="norm"):
         evolve_rows(spec6_module, c, [math.nan])
+
+
+def _complex_spectrum():
+    # Dzyaloshinskii-Moriya bonds X Y - Y X in tilted fields: complex
+    # eigenvectors, so V^dag A V is complex for every observable
+    lat = LatticeSpec(6, 2)
+    x, y, z = (pauli(a) for a in "XYZ")
+    dm = np.kron(x, y) - np.kron(y, x)
+    terms = [LocalTerm((i, i + 1), dm, f"dm[{i}]") for i in range(5)]
+    terms += [LocalTerm((i,), 0.3 * (i + 1) * z + 0.7 * x, f"h[{i}]") for i in range(6)]
+    spec = diagonalize(LocalHamiltonian(lat, terms))
+    assert np.abs(spec.eigenvectors.imag).max() > 0.1
+    return spec
+
+
+@pytest.mark.parametrize("count", [1, TIME_BAND - 1, TIME_BAND, TIME_BAND + 1, 2000])
+def test_time_band_kernels_match_whole_table_formulas(ensembles8, count):
+    # the former formulas over the whole T x dim complex table
+    spectra = [ens.spectral for ens in ensembles8[:3]] + [_complex_spectrum()]
+    for spec in spectra:
+        lat = spec.lattice
+        psi = random_product_state(lat, 7)
+        v = spec.eigenvectors
+        c = spec.coefficients(psi.amplitudes)
+        np.testing.assert_allclose(c, v.conj().T @ psi.amplitudes, rtol=1e-12, atol=1e-14)
+        ens = DiagonalEnsemble(spec, psi)
+        times = np.random.default_rng(count).uniform(0.0, 1e4 * spec.dim / spec.norm, size=count)
+        table = _phase_table(spec, c, times)
+        rows = evolve_rows(spec, c, times)
+        np.testing.assert_allclose(rows, table @ v.T, rtol=1e-12, atol=1e-14)
+        observables = [site_observable(lat, 3, axis) for axis in "ZXY"]
+        for obs in observables + [random_local_observable(lat, (1, 4), seed=3)]:
+            a_eig = v.conj().T @ _reference_embed(obs.matrix, obs.sites, lat) @ v
+            want = np.real(np.einsum("ti,ij,tj->t", table.conj(), a_eig, table, optimize=True))
+            got = expectation_trajectory(ens, obs, times)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=obs.label)
 
 
 def test_time_sampling_validated(spec6_module):
