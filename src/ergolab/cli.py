@@ -616,8 +616,8 @@ def _validate(experiment: str, config: dict) -> None:
         if "t_points" in config:  # rates
             if min(config["samples"], config["t_points"]) < 1:
                 raise ConfigError("rates needs at least one sample and one time point")
-        time = config.get("horizon", config.get("t_max"))
-        if time is not None:  # equilibrate, rates: the phases exp(-iEt) need a finite t E
+        time = config.get("horizon", config.get("t_max", config.get("time")))
+        if time is not None:  # equilibrate, rates, stability: exp(-iEt) needs a finite t E
             # catalog terms have norm <= 1, so E - E_0 <= 2 x (number of terms)
             e_bound = 2 * len(build_model(config["model"], lattices[0], seed=config["seed"]).terms)
             if not math.isfinite(time * e_bound):
@@ -625,8 +625,6 @@ def _validate(experiment: str, config: dict) -> None:
         if "generator" in config:  # stability
             if config["generator"] not in ("layer", *MODEL_NAMES):
                 raise ConfigError(f"generator must be 'layer' or one of {MODEL_NAMES}")
-            if config["time"] is not None and not np.isfinite(config["time"]):
-                raise ConfigError("conjugation time must be finite")
         if config.get("spec_json") and not config.get("ghz"):
             spec = MPSSpec.from_json(Path(config["spec_json"]).read_text())
             if spec.local_dim != 2:  # mps_overlap_decay optimises qubit factors only

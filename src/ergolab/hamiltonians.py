@@ -125,8 +125,8 @@ def build_model(
       longitudinal fields; defaults J=1, hx=0.9045, hz=0.8090.
     - ``xxz-disordered``: XX+YY+delta ZZ couplings with site-random Z
       fields drawn uniformly from [-W, W]; defaults delta=0.5, W=1.0.
-    - ``heisenberg-random-field``: isotropic couplings with site-random Z
-      fields; default W=1.0.
+    - ``heisenberg-random-field``: ``xxz-disordered`` with delta fixed to
+      1, the isotropic couplings; default W=1.0.
 
     Randomness is fully determined by the seed.  Models whose spectra
     carry degeneracies or near-coincident gaps are not excluded here;
@@ -145,7 +145,9 @@ def build_model(
             terms.append(LocalTerm((i, k), j * np.kron(z, z), f"zz[{i},{k}]"))
         for i in range(lattice.num_sites):
             terms.append(LocalTerm((i,), hx * x + hz * z, f"field[{i}]"))
-    elif name == "xxz-disordered":
+    elif name in ("xxz-disordered", "heisenberg-random-field"):
+        if name == "heisenberg-random-field":  # the isotropic point of the xxz chain
+            params["delta"] = 1.0
         delta = float(params.setdefault("delta", 0.5))
         w = float(params.setdefault("W", 1.0))
         rng = np.random.default_rng(seed)
@@ -154,16 +156,6 @@ def build_model(
         bond = np.kron(x, x) + np.kron(y, y) + delta * np.kron(z, z)
         for i, k in _bonds(lattice):
             terms.append(LocalTerm((i, k), bond.real, f"xxz[{i},{k}]"))
-        for i in range(lattice.num_sites):
-            terms.append(LocalTerm((i,), fields[i] * z, f"wz[{i}]"))
-    elif name == "heisenberg-random-field":
-        w = float(params.setdefault("W", 1.0))
-        rng = np.random.default_rng(seed)
-        fields = rng.uniform(-w, w, size=lattice.num_sites)
-        params["fields"] = [float(v) for v in fields]
-        bond = np.kron(x, x) + np.kron(y, y) + np.kron(z, z)
-        for i, k in _bonds(lattice):
-            terms.append(LocalTerm((i, k), bond.real, f"hb[{i},{k}]"))
         for i in range(lattice.num_sites):
             terms.append(LocalTerm((i,), fields[i] * z, f"wz[{i}]"))
     else:
@@ -210,9 +202,9 @@ class SpectralData:
         return float(self.energies.max())
 
     def coefficients(self, amplitudes: np.ndarray) -> np.ndarray:
-        """V^dag a of one amplitude vector a."""
+        """V^dag a of an amplitude vector a, or of each row of a stack (..., dim)."""
         v = self.eigenvectors
-        out = np.empty(v.shape[1], dtype=np.result_type(v, amplitudes))
+        out = np.empty((*amplitudes.shape[:-1], v.shape[1]), dtype=np.result_type(v, amplitudes))
         return _matmul(amplitudes, v.conj(), out)
 
 

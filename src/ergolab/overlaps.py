@@ -417,7 +417,7 @@ def eigenstate_overlap_audit(
     """
     lattice = spectral.lattice
     prods = _product_rows(_random_factors(lattice, np.random.default_rng(seed), samples))
-    sq = np.abs(spectral.eigenvectors.conj().T @ prods.T) ** 2  # (states, samples)
+    sq = np.abs(spectral.coefficients(prods).T) ** 2  # (states, samples)
     limits = np.exp(-0.5 * profile.s2_over_n * lattice.num_sites)
     rngs = (np.random.default_rng(seed + i) for i in range(spectral.dim))
     start = np.concatenate([_random_factors(lattice, rng, restarts) for rng in rngs])

@@ -13,9 +13,9 @@ import numpy as np
 
 from .ensembles import evolve_rows
 from .ergodicity import SearchPolicy, _rows_renyi2, build_profile
-from .hamiltonians import LocalHamiltonian, diagonalize
+from .hamiltonians import LocalHamiltonian, LocalTerm, _sectors, diagonalize
 from .operators import apply_local, hermitian_site_basis, is_hermitian
-from .states import PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
+from .states import LatticeSpec, PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
 from .tolerances import TOL
 
 IMAG_RESIDUE = 1e-10
@@ -341,15 +341,26 @@ class QuasiLocalUnitary:
         if worst > 1.0 + 1e-10:
             raise ValueError(f"generator term norm {worst} exceeds one")
 
-    def matrix(self) -> np.ndarray:
-        """Dense unitary via the generator's spectral decomposition.
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """exp(-i generator time) applied to a vector (dim,) or columns (dim, k).
 
-        The ground shift only contributes a global phase and is skipped.
+        Terms that share a site form a cluster (a component of the site-link
+        pattern, see `_sectors`).  Clusters sit on disjoint sites and commute,
+        so each is exponentiated from the `eigh` of its terms assembled on its
+        own sites and applied by `apply_local`.  The ground shift is a global phase.
         """
-        raw = self.generator.assemble(shifted=False)
-        vals, vecs = np.linalg.eigh(raw)
-        phases = np.exp(-1j * vals * self.time)
-        return (vecs * phases) @ vecs.conj().T
+        lat, terms = self.generator.lattice, self.generator.terms
+        link = np.zeros((lat.num_sites, lat.num_sites), dtype=bool)
+        for t in terms:
+            link[np.ix_(t.sites, t.sites)] = True
+        for c in _sectors(link):
+            own = [LocalTerm(np.searchsorted(c, t.sites), t.matrix)
+                   for t in terms if t.sites[0] in c]
+            sub = LocalHamiltonian(LatticeSpec(len(c), lat.local_dim), own, locality=len(c))
+            vals, vecs = np.linalg.eigh(sub.assemble(shifted=False))
+            u = (vecs * np.exp(-1j * vals * self.time)) @ vecs.conj().T
+            vectors = apply_local(u, c, lat, vectors)
+        return vectors
 
 
 @dataclass(frozen=True)
@@ -379,8 +390,7 @@ def stability_experiment(h: LocalHamiltonian, u_prime: QuasiLocalUnitary) -> Sta
     lattice = h.lattice
     keep = site_set(lattice, range(lattice.num_sites // 2))
     spectral = diagonalize(h)
-    u = u_prime.matrix()
-    conj_vecs = u @ spectral.eigenvectors
+    conj_vecs = u_prime.apply(spectral.eigenvectors)
     before = _rows_renyi2(spectral.eigenvectors.T, lattice, keep.sites)
     after = _rows_renyi2(conj_vecs.T, lattice, keep.sites)
     shift = np.abs(after - before)

@@ -172,6 +172,9 @@ def test_run_api_rejects_unknown_experiment():
         (["gibbs", "--betas", ""], 2),  # no inverse temperature to check
         (["equilibrate", "--horizon", "5e307"], 2),  # t E overflows the phases
         (["rates", "--t-max", "1e308"], 2),  # t E overflows the phases
+        (["stability", "--time", "1e308"], 2),  # t E overflows the phases
+        (["stability", "--sites", "4", "--time", "1e308"], 2),  # t E overflows the phases
+        (["stability", "--generator", "mixed-field-ising", "--sites", "6", "--time", "1e308"], 2),
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):
@@ -212,6 +215,7 @@ def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeyp
         ("gibbs", {"betas": []}),  # no inverse temperature to check
         ("equilibrate", {"horizon": 5e307}),  # t E overflows the phases
         ("rates", {"t_max": 1e308}),  # t E overflows the phases
+        ("stability", {"time": 1e308}),  # t E overflows the phases
     ],
 )
 def test_invalid_config_file_value_rejected_before_run(
@@ -617,6 +621,29 @@ def test_stability_conjugates_by_a_catalog_model(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["passed"] is True
     assert rep["result"]["boundary_terms"] > 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--sites", "8", "--time", "1e8"],
+        ["--sites", "4", "--time", "1e300"],
+    ],
+)
+def test_stability_at_long_times_without_a_gate_across_the_cut(args, tmp_path):
+    # at 4 and 8 sites no gate of the layer crosses the half cut, so the
+    # exact shift and the bound are 0; each gate's exponential stays
+    # unitary at any time
+    out = tmp_path / "out"
+    assert main(["stability", *args, "--out", str(out)]) == 0
+    result = json.loads((out / "report.json").read_text())["result"]
+    assert result["boundary_terms"] == 0 and result["bound"] == 0.0
+    assert result["max_shift"] <= 1e-12
+
+
+def test_stability_time_below_the_phase_rule_runs(tmp_path):
+    # 1e306 x 2 x (19 model terms at 10 sites) is still finite
+    assert main(["stability", "--time", "1e306", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_only_the_cli_imports_csv_or_io():

@@ -391,6 +391,18 @@ def test_sector_diagonalization_matches_full_eigh(name, params, geometry):
 
 
 @pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("num_sites", [6, 8])
+def test_heisenberg_is_the_isotropic_xxz_chain(num_sites, geometry):
+    lat = LatticeSpec(num_sites, 2, geometry)
+    for seed in range(4):
+        heis = build_model("heisenberg-random-field", lat, seed=seed)
+        xxz = build_model("xxz-disordered", lat, params={"delta": 1.0}, seed=seed)
+        assert heis.name == "heisenberg-random-field" and heis.params["delta"] == 1.0
+        assert heis.norm_rescale == xxz.norm_rescale
+        assert np.array_equal(heis.assemble(shifted=False), xxz.assemble(shifted=False))
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
 def test_sector_diagonalization_with_levels_degenerate_across_sectors(geometry):
     # without fields the Heisenberg chain is SU(2) symmetric: its multiplets
     # span several magnetisation sectors, so a full eigh may mix them

@@ -7,7 +7,7 @@ import pytest
 
 from ergolab.entropy import INF, renyi_entropy
 from ergolab.ergodicity import SearchPolicy, build_profile
-from ergolab.hamiltonians import MODEL_NAMES, build_model, diagonalize
+from ergolab.hamiltonians import MODEL_NAMES, SpectralData, build_model, diagonalize
 from ergolab.overlaps import (
     build_epsilon_state,
     constant_entropy_bound,
@@ -314,6 +314,24 @@ def test_product_state_from_factors_matches_kron_loop(d):
         assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="dimension mismatch"):
         product_state_from_factors(lat, [np.ones(d)] * 3 + [np.ones(d + 1)])
+
+
+@pytest.mark.parametrize("model", ["mixed-field-ising", "xxz-disordered"])
+def test_eigenstate_audit_matches_complex_product(model, monkeypatch):
+    # the sampled overlaps come from the real product of coefficients();
+    # pinned against V^dag P^T with V cast to complex
+    spec = diagonalize(build_model(model, LatticeSpec(8, 2), seed=0))
+    prof = build_profile(spec, SearchPolicy(mode="half-cut-only"))
+    prods = np.stack([random_product_state(spec.lattice, s).amplitudes for s in range(5)])
+    want = spec.eigenvectors.conj().T @ prods.T
+    np.testing.assert_allclose(spec.coefficients(prods).T, want, rtol=0, atol=1e-14)
+    got = eigenstate_overlap_audit(spec, prof, samples=200, restarts=1, sweeps=2, seed=0)
+    monkeypatch.setattr(
+        SpectralData, "coefficients", lambda self, a: (self.eigenvectors.conj().T @ a.T).T
+    )
+    old = eigenstate_overlap_audit(spec, prof, samples=200, restarts=1, sweeps=2, seed=0)
+    assert (got.violations, got.worst_index) == (old.violations, old.worst_index)
+    assert got.max_ratio == pytest.approx(old.max_ratio, rel=1e-12)
 
 
 def test_eigenstate_audit_clean(spec6):

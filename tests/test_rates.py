@@ -221,7 +221,7 @@ def test_quasi_local_unitary_validation():
         QuasiLocalUnitary(h, 1.0)
     ok = LocalHamiltonian(lat, [LocalTerm((0, 1), np.kron(pauli("Z"), pauli("Z")), "zz")])
     u = QuasiLocalUnitary(ok, 0.5)
-    m = u.matrix()
+    m = u.apply(np.eye(16))
     assert np.allclose(m @ m.conj().T, np.eye(16), atol=1e-10)
 
 
@@ -231,8 +231,102 @@ def test_quasi_local_unitary_matches_expm_on_overlapping_terms():
     lat = LatticeSpec(6, 2)
     gen = build_model("mixed-field-ising", lat)
     h = sum(_reference_embed(t.matrix, t.sites, lat) for t in gen.terms)
-    got = QuasiLocalUnitary(gen, 0.3).matrix()
+    got = QuasiLocalUnitary(gen, 0.3).apply(np.eye(lat.dim))
     np.testing.assert_allclose(got, expm(-0.3j * h), rtol=0, atol=1e-12)
+
+
+def _expm_oracle(qlu):
+    """exp(-i G t) of the kron-embedded generator, by scipy."""
+    lat = qlu.generator.lattice
+    g = sum(
+        (_reference_embed(t.matrix, t.sites, lat) for t in qlu.generator.terms),
+        np.zeros((lat.dim, lat.dim)),
+    )
+    return expm(-1j * qlu.time * g)
+
+
+def _layer_generator(num_sites, geometry):
+    lat = LatticeSpec(num_sites, 2, geometry)
+    rng = np.random.default_rng(num_sites)
+    return layer_generator(brickwork(lat, 1, lambda i: haar_unitary(4, rng))[0])
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("num_sites", [6, 8])
+@pytest.mark.parametrize("time", [None, 0.37])
+def test_apply_matches_expm_on_layers(num_sites, geometry, time):
+    # None keeps the layer's own time, at which apply reproduces the gates
+    qlu = _layer_generator(num_sites, geometry)
+    if time is not None:
+        qlu = QuasiLocalUnitary(qlu.generator, time)
+    got = qlu.apply(np.eye(qlu.generator.lattice.dim))
+    np.testing.assert_allclose(got, _expm_oracle(qlu), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("num_sites", [6, 8])
+def test_apply_at_a_long_time_stays_unitary(num_sites, geometry):
+    # exp(-i G t) moves by t |dG| when G moves by one rounding, so no
+    # double-precision route reaches 1e-12 of the oracle at t = 1e8: the
+    # comparison allows 16 t eps per unit of generator norm.  Each local
+    # exponential still stays unitary to rounding.
+    gen = _layer_generator(num_sites, geometry).generator
+    qlu = QuasiLocalUnitary(gen, 1e8)
+    dim = gen.lattice.dim
+    got = qlu.apply(np.eye(dim))
+    assert np.abs(got @ got.conj().T - np.eye(dim)).max() <= 1e-12
+    tol = 16 * qlu.time * np.finfo(float).eps * len(gen.terms)
+    np.testing.assert_allclose(got, _expm_oracle(qlu), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("name", ["mixed-field-ising", "xxz-disordered", "heisenberg-random-field"])
+def test_apply_matches_expm_on_catalog_generators(name, geometry):
+    # every term shares a site with the next: one cluster covers the chain
+    lat = LatticeSpec(6, 2, geometry)
+    qlu = QuasiLocalUnitary(build_model(name, lat, seed=1), 0.3)
+    np.testing.assert_allclose(qlu.apply(np.eye(lat.dim)), _expm_oracle(qlu), rtol=0, atol=1e-12)
+
+
+def test_apply_matches_expm_on_separate_clusters():
+    # a ring of 7: a 3-site cluster {2, 3, 4} of overlapping complex terms,
+    # the wrap bond (6, 0) alone, and sites 1 and 5 untouched
+    lat = LatticeSpec(7, 2, "chain-periodic")
+    rng = np.random.default_rng(5)
+    terms = [
+        LocalTerm((2, 3), random_hermitian(4, rng, 0.9), "a"),
+        LocalTerm((3,), random_hermitian(2, rng, 0.5), "b"),
+        LocalTerm((3, 4), random_hermitian(4, rng, 1.0), "c"),
+        LocalTerm((6, 0), random_hermitian(4, rng, 0.7), "wrap"),
+    ]
+    qlu = QuasiLocalUnitary(LocalHamiltonian(lat, terms), 1.3)
+    np.testing.assert_allclose(qlu.apply(np.eye(lat.dim)), _expm_oracle(qlu), rtol=0, atol=1e-12)
+    # a vector goes the same way as a column
+    psi = random_product_state(lat, 2).amplitudes
+    np.testing.assert_allclose(qlu.apply(psi), _expm_oracle(qlu) @ psi, rtol=0, atol=1e-12)
+
+
+def test_apply_of_the_empty_generator_is_the_identity():
+    lat = LatticeSpec(5, 2)
+    qlu = QuasiLocalUnitary(LocalHamiltonian(lat, []), 0.7)
+    np.testing.assert_allclose(qlu.apply(np.eye(lat.dim)), np.eye(lat.dim), rtol=0, atol=1e-12)
+
+
+def test_apply_on_a_layer_exponentiates_gate_sized_blocks(monkeypatch):
+    # a 10-site layer is five clusters of two sites: no eigh above 4 x 4
+    qlu = _layer_generator(10, "chain-open")
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    got = qlu.apply(np.eye(qlu.generator.lattice.dim))
+    monkeypatch.undo()
+    assert shapes and max(max(s) for s in shapes) <= 4
+    assert np.abs(got @ got.conj().T - np.eye(got.shape[0])).max() <= 1e-12
 
 
 def test_layer_generator_reproduces_layer():
@@ -243,7 +337,7 @@ def test_layer_generator_reproduces_layer():
     dense = np.eye(16, dtype=complex)
     for sites, gate in layer.gates:
         dense = _reference_embed(gate, sites, lat) @ dense
-    assert np.allclose(qlu.matrix(), dense, atol=1e-10)
+    assert np.allclose(qlu.apply(np.eye(16)), dense, atol=1e-10)
     assert all(t.norm <= 1 + 1e-10 for t in qlu.generator.terms)
 
 
