@@ -15,7 +15,7 @@ import numpy as np
 from .entropy import renyi_entropy
 from .hamiltonians import LocalTerm, SpectralData, _matmul, degenerate_groups
 from .operators import _local_support, apply_local, pauli, random_hermitian
-from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _sublattice, bipartition_matrix, site_set
+from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _reduced_states, _sublattice, site_set
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
@@ -111,8 +111,7 @@ class DiagonalEnsemble:
         keep = site_set(lattice, region)
         rho = 0
         for first, stop in self._bands():
-            m = bipartition_matrix(self._block_rows(first, stop), keep.sites, lattice)
-            rho = rho + (m @ m.conj().transpose(0, 2, 1)).sum(axis=0)
+            rho = rho + _reduced_states(self._block_rows(first, stop), keep.sites, lattice).sum(axis=0)
         return DensityMatrix(_sublattice(lattice, len(keep)), 0.5 * (rho + rho.conj().T))
 
 
@@ -355,8 +354,7 @@ def subsystem_equilibration(
     spectral = ens.spectral
     horizon, times = _sample_times(spectral, samples, horizon, seed, 1)
     keep = site_set(spectral.lattice, region)
-    m = bipartition_matrix(evolve_rows(spectral, ens.coefficients, times), keep.sites, spectral.lattice)
-    rho_s = m @ m.conj().transpose(0, 2, 1)
+    rho_s = _reduced_states(evolve_rows(spectral, ens.coefficients, times), keep.sites, spectral.lattice)
     dists = np.abs(np.linalg.eigvalsh(rho_s - ens.reduced(keep).matrix)).sum(axis=1)
     s2 = ens.entropy(2.0)
     bound = 2.0 * keep.dim * float(np.exp(-0.5 * s2))

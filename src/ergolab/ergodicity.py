@@ -30,8 +30,8 @@ from .states import (
     LatticeSpec,
     PureState,
     ResourceGuardError,
+    _rows_renyi2,
     basis_product_state,
-    bipartition_matrix,
     random_product_state,
 )
 
@@ -123,15 +123,6 @@ def candidate_subsets(lattice: LatticeSpec, policy: SearchPolicy) -> list[tuple[
         sites = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
         pool[sites] = None
     return list(pool)
-
-
-def _rows_renyi2(rows: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
-    """S_2 of the reduced state on `keep`, for every state-major row."""
-    t = bipartition_matrix(rows, keep, lattice)
-    # conj() and .real return real input itself, so real rows stay real
-    g = t @ t.conj().transpose(0, 2, 1)
-    purity = np.einsum("nab,nab->n", g, g.conj()).real
-    return -np.log(np.clip(purity, 1e-300, 1.0))
 
 
 def _scan(
@@ -348,26 +339,21 @@ class TailReport:
 
 
 def tail_check(
-    ensembles: DiagonalEnsemble | Sequence[DiagonalEnsemble],
-    e: float | Sequence[float],
-    delta: float,
+    ensembles: Sequence[DiagonalEnsemble], e: Sequence[float], delta: float
 ) -> TailReport:
-    """Maximum population outside [e - delta, e + delta], per system size,
-    fitted against exp(-m delta^2 N).
+    """Maximum population outside [e - delta, e + delta], per system size
+    (one center density per ensemble), fitted against exp(-m delta^2 N).
 
-    A single ensemble gives a direct one-point solve for m; several give
-    a least-squares slope.  Empty tails are skipped with a note.
+    A single usable point gives a direct one-point solve for m; several
+    give a least-squares slope.  Empty tails are skipped with a note.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if isinstance(ensembles, DiagonalEnsemble):
-        ensembles = [ensembles]
-    centers = [float(e)] * len(ensembles) if np.isscalar(e) else [float(v) for v in e]
-    if len(centers) != len(ensembles):
+    if len(e) != len(ensembles):
         raise ValueError("one center density per ensemble required")
     points: list[tuple[int, float, float, float]] = []
     skipped: list[str] = []
-    for ens, ctr in zip(ensembles, centers):
+    for ens, ctr in zip(ensembles, map(float, e)):
         n = ens.spectral.lattice.num_sites
         dens = ens.block_energies / n
         tail = np.abs(dens - ctr) > delta

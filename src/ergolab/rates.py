@@ -12,10 +12,10 @@ from typing import Sequence
 import numpy as np
 
 from .ensembles import evolve_rows
-from .ergodicity import SearchPolicy, _rows_renyi2, build_profile
+from .ergodicity import SearchPolicy, build_profile
 from .hamiltonians import LocalHamiltonian, LocalTerm, _sectors, diagonalize
 from .operators import apply_local, hermitian_site_basis, is_hermitian
-from .states import LatticeSpec, PureState, SiteSet, _as_matrix, bipartition_matrix, site_set
+from .states import LatticeSpec, PureState, SiteSet, _as_matrix, _rows_renyi2, bipartition_matrix, site_set
 from .tolerances import TOL
 
 IMAG_RESIDUE = 1e-10
@@ -33,28 +33,30 @@ class InteractionDecomposition:
 
     Factors have operator norm one (not Hilbert-Schmidt normalization;
     the HS-orthonormal convention would rescale each coefficient by the
-    factor norms).  Coefficients of a hermitian interaction are real;
-    `complex_flag` marks residual imaginary parts above tolerance.
+    factor norms).  `coefficients[p, q]` is the real coefficient of
+    a_p (x) b_q in the `_basis_stack` order, 0 where its magnitude is at
+    most 1e-14.
     """
 
     dims: tuple[int, int]
-    terms: tuple[tuple[float, str, str], ...]
-    left_factors: tuple[np.ndarray, ...]
-    right_factors: tuple[np.ndarray, ...]
-    l1_norm: float
+    coefficients: np.ndarray
     reconstruction_error: float
-    max_imag_residue: float
-    complex_flag: bool
+
+    @property
+    def terms(self) -> tuple[tuple[float, str, str], ...]:
+        """(coefficient, left label, right label) of each kept product,
+        left index outer."""
+        labels_a, labels_b = _basis_stack(self.dims[0])[0], _basis_stack(self.dims[1])[0]
+        ia, ib = np.nonzero(self.coefficients)
+        values = self.coefficients[ia, ib].tolist()
+        return tuple(zip(values, [labels_a[p] for p in ia], [labels_b[q] for q in ib]))
+
+    @property
+    def l1_norm(self) -> float:
+        return float(np.abs(self.coefficients[self.coefficients != 0]).sum())
 
     def reconstruct(self) -> np.ndarray:
-        da, db = self.dims
-        if not self.terms:
-            return np.zeros((da * db, da * db), dtype=complex)
-        coef = np.array([t[0] for t in self.terms])
-        left = coef[:, None, None] * np.array(self.left_factors)
-        # sum_t c_t a_t (x) b_t, with (a (x) b)[(i,k),(j,l)] = a[i,j] b[k,l]
-        out = np.einsum("tij,tkl->ikjl", left, np.array(self.right_factors), optimize=True)
-        return out.reshape(da * db, da * db)
+        return _expand(self.coefficients, self.dims)
 
 
 @functools.cache
@@ -69,6 +71,14 @@ def _basis_stack(d: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     return labels, stack, hs
 
 
+def _expand(coefficients: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """sum_pq c[p, q] a_p (x) b_q, with (a (x) b)[(i,k),(j,l)] = a[i,j] b[k,l]."""
+    da, db = dims
+    right = np.tensordot(coefficients, _basis_stack(db)[1], axes=(1, 0))
+    out = np.tensordot(_basis_stack(da)[1], right, axes=(0, 0))
+    return out.transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
 def decompose_interaction(
     v: np.ndarray, dims: tuple[int, int]
 ) -> InteractionDecomposition:
@@ -76,7 +86,9 @@ def decompose_interaction(
 
     Basis factors are the generalized Pauli set with unit spectral norm,
     so the l1 norm of the coefficients is exactly the quantity entering
-    the rate bound.  Reconstruction is verified to 1e-10.
+    the rate bound.  V is checked hermitian, so its coefficients are real
+    up to rounding; reconstruction from their real parts is verified to
+    1e-10.
     """
     da, db = int(dims[0]), int(dims[1])
     v = np.asarray(v)
@@ -84,65 +96,53 @@ def decompose_interaction(
         raise ValueError("interaction shape does not match the cut")
     if not is_hermitian(v, IMAG_RESIDUE):
         raise ValueError("interaction must be hermitian")
-    labels_a, left, hs_a = _basis_stack(da)
-    labels_b, right, hs_b = _basis_stack(db)
+    _, left, hs_a = _basis_stack(da)
+    _, right, hs_b = _basis_stack(db)
     # coef[p, q] = tr((a_p (x) b_q) V) / (tr(a_p a_p) tr(b_q b_q)), one side at
     # a time: V[(i,k),(j,l)] = v4[i,k,j,l] and (a (x) b)[(j,l),(i,k)] = a[j,i] b[l,k]
     half = np.tensordot(left, v.reshape(da, db, da, db), axes=([1, 2], [2, 0]))
     coef = np.tensordot(half, right, axes=([1, 2], [2, 1])) / np.outer(hs_a, hs_b)
-    max_imag = float(np.abs(coef.imag).max())
-    flat = coef.ravel()  # left index outer
-    kept = np.flatnonzero(np.abs(flat) > 1e-14)
-    ia, ib = np.divmod(kept, len(labels_b))
-    values = flat.real[kept]
-    terms = tuple(
-        zip(values.tolist(), [labels_a[p] for p in ia.tolist()], [labels_b[q] for q in ib.tolist()])
-    )
-    dec = InteractionDecomposition(
-        dims=(da, db),
-        terms=terms,
-        left_factors=tuple(left[ia]),
-        right_factors=tuple(right[ib]),
-        l1_norm=float(np.abs(values).sum()),
-        reconstruction_error=0.0,
-        max_imag_residue=max_imag,
-        complex_flag=max_imag > IMAG_RESIDUE,
-    )
-    err = float(np.abs(dec.reconstruct() - v).max())
-    dec = dataclasses.replace(dec, reconstruction_error=err)
+    coef = np.where(np.abs(coef) > 1e-14, coef.real, 0.0)
+    err = float(np.abs(_expand(coef, (da, db)) - v).max())
     if err > 1e-10:
         raise AssertionError(f"decomposition does not reconstruct V: residual {err}")
-    return dec
+    return InteractionDecomposition(dims=(da, db), coefficients=coef, reconstruction_error=err)
 
 
-def _cut_views(rho: np.ndarray, dims: tuple[int, int]):
+def _traced(op: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """tr_B of an operator on the cut A|B, (d_A d_B)^2 -> d_A^2."""
     da, db = dims
-    return rho.reshape(da, db, da, db)
+    return np.einsum("aibi->ab", op.reshape(da, db, da, db))
 
 
-def entangling_rate(rho_ab, dims: tuple[int, int], v: np.ndarray) -> float:
-    """Instantaneous d/dt of the left half's Renyi-2 entropy under V.
-
-    Evaluates 2i tr(rho_A tr_B([V, rho_AB])) / tr(rho_A^2); the result of
-    the trace is real for hermitian inputs and the imaginary residue is
-    asserted below 1e-10 before being discarded.
-    """
-    rho = _as_matrix(rho_ab)
-    da, db = int(dims[0]), int(dims[1])
-    rho_a = np.einsum("aibi->ab", _cut_views(rho, (da, db)))
+def _renyi2_rate(rho_a: np.ndarray, traced_commutator: np.ndarray) -> float:
+    """d/dt S_2(A) = 2i tr(rho_A X) / tr(rho_A^2), with X = tr_B [V, rho]
+    the traced commutator; the trace is real for hermitian inputs, and the
+    imaginary residue is asserted below IMAG_RESIDUE before being discarded."""
     purity = float(np.trace(rho_a @ rho_a).real)
     if purity <= 1e-12:
         raise ValueError("reduced purity underflow")
-    comm = v @ rho - rho @ v
-    tr_b = np.einsum("aibi->ab", _cut_views(comm, (da, db)))
-    raw = 2.0j * np.trace(rho_a @ tr_b) / purity
+    raw = 2.0j * np.trace(rho_a @ traced_commutator) / purity
     if abs(raw.imag) > IMAG_RESIDUE:
         raise AssertionError(f"imaginary residue {raw.imag} in entangling rate")
     return float(raw.real)
 
 
+def _unitary(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) of a hermitian h, from its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+
+
+def entangling_rate(rho_ab, dims: tuple[int, int], v: np.ndarray) -> float:
+    """Instantaneous d/dt of the left half's Renyi-2 entropy under V."""
+    rho = _as_matrix(rho_ab)
+    dims = (int(dims[0]), int(dims[1]))
+    return _renyi2_rate(_traced(rho, dims), _traced(v @ rho - rho @ v, dims))
+
+
 def _renyi2_left(rho: np.ndarray, dims: tuple[int, int]) -> float:
-    rho_a = np.einsum("aibi->ab", _cut_views(rho, dims))
+    rho_a = _traced(rho, dims)
     return -math.log(float(np.trace(rho_a @ rho_a).real))
 
 
@@ -161,8 +161,7 @@ def entangling_rate_fd(rho_ab, dims: tuple[int, int], v: np.ndarray) -> float:
     v = np.asarray(v)
     if not is_hermitian(v, IMAG_RESIDUE):
         raise ValueError("interaction must be hermitian")
-    w, vecs = np.linalg.eigh(v)
-    u = (vecs * np.exp(-1j * FD_STEP * w)) @ vecs.conj().T
+    u = _unitary(v, FD_STEP)
     fwd = _renyi2_left(u @ rho @ u.conj().T, dims)
     bwd = _renyi2_left(u.conj().T @ rho @ u, dims)
     return (fwd - bwd) / (2.0 * FD_STEP)
@@ -211,20 +210,13 @@ def _pure_region_rate(state: PureState, keep: SiteSet, op_psi: np.ndarray) -> fl
     the operator whose image of the state is `op_psi`.
 
     Rank-one structure lets the traced commutator come from two thin
-    bipartition matrices instead of the full density matrix.
+    bipartition matrices instead of the full density matrix:
+    tr_B [V, |psi><psi|] = K - K^dag with K = M_op M_psi^dag.
     """
     lat = state.lattice
     m_psi = bipartition_matrix(state.amplitudes, keep.sites, lat)
-    rho_a = m_psi @ m_psi.conj().T
-    purity = float(np.trace(rho_a @ rho_a).real)
-    if purity <= 1e-12:
-        raise ValueError("reduced purity underflow")
-    m_op = bipartition_matrix(op_psi, keep.sites, lat)
-    k = m_op @ m_psi.conj().T
-    raw = 2.0j * np.trace(rho_a @ (k - k.conj().T)) / purity
-    if abs(raw.imag) > IMAG_RESIDUE:
-        raise AssertionError(f"imaginary residue {raw.imag} in boundary rate")
-    return float(raw.real)
+    k = bipartition_matrix(op_psi, keep.sites, lat) @ m_psi.conj().T
+    return _renyi2_rate(m_psi @ m_psi.conj().T, k - k.conj().T)
 
 
 def boundary_rate(
@@ -357,9 +349,7 @@ class QuasiLocalUnitary:
             own = [LocalTerm(np.searchsorted(c, t.sites), t.matrix)
                    for t in terms if t.sites[0] in c]
             sub = LocalHamiltonian(LatticeSpec(len(c), lat.local_dim), own, locality=len(c))
-            vals, vecs = np.linalg.eigh(sub.assemble(shifted=False))
-            u = (vecs * np.exp(-1j * vals * self.time)) @ vecs.conj().T
-            vectors = apply_local(u, c, lat, vectors)
+            vectors = apply_local(_unitary(sub.assemble(shifted=False), self.time), c, lat, vectors)
         return vectors
 
 

@@ -5,7 +5,9 @@ computational index, so ``amplitudes.reshape([d] * num_sites)`` exposes
 site ``s`` on axis ``s``.  ``_subset_order`` is the one implementation of
 this convention: bipartitions, local-operator application (gates,
 observables and boundary terms), Hamiltonian assembly and the maximally
-entangled state all take their basis indices from it.  ``_product_rows``
+entangled state all take their basis indices from it.  ``_reduced_states``
+is the one reduced-state kernel (M M^dag of the bipartition matrices) and
+``_rows_renyi2`` the one Renyi-2 kernel built on it.  ``_product_rows``
 is the one product-state factory: random, basis and factor-built product
 states, and the product vectors an overlap optimisation contracts
 against, are all built by it.
@@ -177,14 +179,29 @@ def bipartition_matrix(
 
     `amplitudes` is one vector or a stack of state-major rows of shape
     (..., dim); the result has shape (..., d**k, d**(n-k)).  The reduced
-    state of a row on the kept sites is ``M @ M.conj().T``; the kept axes
-    are ordered as given, which every caller passes ascending.  The full
-    density matrix is never materialised.
+    state of a row on the kept sites is M M^dag (`_reduced_states`); the
+    kept axes are ordered as given, which every caller passes ascending.
+    The full density matrix is never materialised.
     """
     keep = tuple(keep)
     a = np.asarray(amplitudes)
     order = _subset_order(lattice.num_sites, lattice.local_dim, keep)
     return a.take(order, axis=-1).reshape(*a.shape[:-1], lattice.local_dim ** len(keep), -1)
+
+
+def _reduced_states(amplitudes: np.ndarray, keep: tuple[int, ...], lattice: LatticeSpec) -> np.ndarray:
+    """Reduced states M M^dag on `keep` of one vector or of each row of a
+    stack (..., dim), from the bipartition matrices M."""
+    m = bipartition_matrix(amplitudes, keep, lattice)
+    return m @ m.conj().swapaxes(-1, -2)
+
+
+def _rows_renyi2(rows: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
+    """S_2 of the reduced state on `keep`, for every state-major row."""
+    # conj() and .real return real input itself, so real rows stay real
+    g = _reduced_states(rows, keep, lattice)
+    purity = np.einsum("nab,nab->n", g, g.conj()).real
+    return -np.log(np.clip(purity, 1e-300, 1.0))
 
 
 def partial_trace(state: PureState, keep: SiteSet | Iterable[int]) -> DensityMatrix:
@@ -200,8 +217,7 @@ def partial_trace(state: PureState, keep: SiteSet | Iterable[int]) -> DensityMat
     keep = site_set(state.lattice, keep)
     if len(keep) == state.lattice.num_sites:
         return density_from_pure(state)
-    m = bipartition_matrix(state.amplitudes, keep.sites, state.lattice)
-    rho = m @ m.conj().T
+    rho = _reduced_states(state.amplitudes, keep.sites, state.lattice)
     # guard against accumulated round-off before validation
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(_sublattice(state.lattice, len(keep)), rho)

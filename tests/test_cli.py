@@ -646,6 +646,17 @@ def test_stability_time_below_the_phase_rule_runs(tmp_path):
     assert main(["stability", "--time", "1e306", "--out", str(tmp_path / "out")]) == 0
 
 
+def test_rates_boundary_check_runs_on_the_configured_chain(tmp_path):
+    # the state is evolved to t_max before the check: at t = 0 the product
+    # state's S_2 sits at its minimum, where every rate is 0
+    out = tmp_path / "out"
+    assert main(["rates", "--sites", "6", "--samples", "3", "--t-points", "3", "--out", str(out)]) == 0
+    boundary = json.loads((out / "report.json").read_text())["result"]["boundary"]
+    assert boundary["region"] == [0, 1, 2]
+    assert abs(boundary["direct_rate"]) > 1e-6
+    assert boundary["difference"] <= 1e-8
+
+
 def test_only_the_cli_imports_csv_or_io():
     # file layout is decided in one module: the library returns values,
     # the CLI writes them

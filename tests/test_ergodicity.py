@@ -11,7 +11,6 @@ from ergolab.ensembles import DiagonalEnsemble, site_observable, variance_exact
 from ergolab.ergodicity import (
     SEARCH_MODES,
     SearchPolicy,
-    _rows_renyi2,
     _scan,
     build_profile,
     bulk_check,
@@ -35,6 +34,7 @@ from ergolab.rates import integrated_bound_check
 from ergolab.states import (
     LatticeSpec,
     ResourceGuardError,
+    _rows_renyi2,
     _subset_order,
     maximally_entangled,
     random_product_state,
@@ -166,7 +166,7 @@ def test_tail_check_empty_window(spec6):
     psi = initial_state("neel", spec6.lattice, 0)
     ens = DiagonalEnsemble(spec6, psi)
     e = float(ens.populations @ spec6.energies) / 6
-    rep = tail_check(ens, e, 50.0)
+    rep = tail_check([ens], [e], 50.0)
     assert rep.m is None
     assert not rep.passed
     assert rep.skipped

@@ -25,7 +25,7 @@ from ergolab.rates import (
     integrated_bound_check,
     stability_experiment,
 )
-from ergolab.states import LatticeSpec, random_product_state
+from ergolab.states import GEOMETRIES, LatticeSpec, PureState, random_product_state
 
 
 def test_decompose_single_pauli_term():
@@ -359,3 +359,21 @@ def test_stability_small_rotation_is_tight(spec6):
     assert rep.passed
     assert rep.bound == pytest.approx(4 * 0.05 * 1 * rep.max_c_l1, rel=1e-12)
     assert rep.max_shift > 0
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("model", ["mixed-field-ising", "xxz-disordered"])
+def test_mixed_and_pure_rate_routes_agree(model, geometry):
+    # complex states: a real state under these real models has rate 0 by
+    # time reversal, which both routes would give
+    lat = LatticeSpec(6, 2, geometry)
+    h = build_model(model, lat, seed=0)
+    v = h.assemble(shifted=False)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        amps = rng.normal(size=lat.dim) + 1j * rng.normal(size=lat.dim)
+        psi = PureState(lat, amps / np.linalg.norm(amps))
+        pure = boundary_rate(psi, (0, 1, 2), h).direct_rate
+        mixed = entangling_rate(np.outer(psi.amplitudes, psi.amplitudes.conj()), (8, 8), v)
+        assert abs(pure) > 1e-3
+        assert abs(mixed - pure) <= 1e-12

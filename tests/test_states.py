@@ -6,12 +6,16 @@ import json
 import numpy as np
 import pytest
 
+from ergolab.hamiltonians import MODEL_NAMES, build_model, diagonalize
 from ergolab.states import (
+    GEOMETRIES,
     DensityMatrix,
     LatticeSpec,
     PureState,
     ResourceGuardError,
     _random_factors,
+    _reduced_states,
+    _rows_renyi2,
     basis_product_state,
     bipartition_matrix,
     density_from_pure,
@@ -153,6 +157,58 @@ def test_bipartition_matrix_matches_transpose_reference(n, d, keep):
         bipartition_matrix(stacked, keep, lat)[:, 0],
         np.stack([_reference_bipartition(r, keep, lat) for r in rows.real]),
     )
+
+
+def _einsum_reduced(psi, keep, lattice):
+    """tr over the sites outside `keep` of |psi><psi|, by einsum."""
+    n, d = lattice.num_sites, lattice.local_dim
+    bra = [n + s if s in keep else s for s in range(n)]
+    rho = np.outer(psi, psi.conj()).reshape([d] * (2 * n))
+    k = d ** len(keep)
+    return np.einsum(rho, list(range(n)) + bra, [*keep, *(n + s for s in keep)]).reshape(k, k)
+
+
+@pytest.mark.parametrize(
+    "n, keep",
+    [(4, (1, 2)), (4, (0, 3)), (5, (2,)), (6, (0, 1, 2)), (6, (1, 3, 4)), (7, (6,)), (8, (2, 3, 4, 5)), (8, (0, 2, 5, 7))],
+)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_reduced_states_match_einsum_partial_trace(n, keep, dtype):
+    lat = LatticeSpec(n, 2)
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(5, lat.dim))
+    if dtype is complex:
+        rows = rows + 1j * rng.normal(size=(5, lat.dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    want = np.stack([_einsum_reduced(r, keep, lat) for r in rows])
+    assert np.abs(_reduced_states(rows[0], keep, lat) - want[0]).max() <= 1e-13
+    assert np.abs(_reduced_states(rows, keep, lat) - want).max() <= 1e-13
+    stacked = _reduced_states(rows.reshape(5, 1, lat.dim), keep, lat)
+    assert stacked.shape == (5, 1, 2 ** len(keep), 2 ** len(keep))
+    assert np.abs(stacked[:, 0] - want).max() <= 1e-13
+
+
+def _reference_rows_renyi2(rows, lattice, keep):
+    """The scan's S_2 formula before the reduced-state kernel was split out."""
+    t = bipartition_matrix(rows, keep, lattice)
+    g = t @ t.conj().transpose(0, 2, 1)
+    purity = np.einsum("nab,nab->n", g, g.conj()).real
+    return -np.log(np.clip(purity, 1e-300, 1.0))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_rows_renyi2_matches_reference_formula(model, geometry):
+    lat = LatticeSpec(8, 2, geometry)
+    vectors = diagonalize(build_model(model, lat, seed=0)).eigenvectors
+    phases = np.exp(1j * np.random.default_rng(8).uniform(0, 2 * np.pi, lat.dim))
+    # columns as the scan blocks pass them, a transposed view, and complex rows
+    for rows in (np.ascontiguousarray(vectors.T), vectors.T, phases[:, None] * vectors.T):
+        for keep in [(0, 1, 2, 3), (3,), (0, 2, 5), (1, 4, 6, 7)]:
+            got = _rows_renyi2(rows, lat, keep)
+            want = _reference_rows_renyi2(rows, lat, keep)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def test_partial_trace_product_state(rng):
