@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import renyi_entropy
-from .hamiltonians import LocalTerm, SpectralData, _matmul, degenerate_groups
+from .hamiltonians import LocalTerm, SpectralData, degenerate_groups
 from .operators import _local_support, apply_local, pauli, random_hermitian
 from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _reduced_states, _sublattice, site_set
 from .tolerances import TOL
@@ -115,9 +115,15 @@ class DiagonalEnsemble:
         return DensityMatrix(_sublattice(lattice, len(keep)), 0.5 * (rho + rho.conj().T))
 
 
-def _phase_table(spectral: SpectralData, coefficients: np.ndarray, times) -> np.ndarray:
-    """exp(-iEt) c, one row per time: the eigenbasis amplitudes on a time grid."""
-    table = -1j * np.outer(np.asarray(times, dtype=float), spectral.energies)
+def _phase_table(spectral: SpectralData, coefficients: np.ndarray, times, out=None) -> np.ndarray:
+    """exp(-iEt) c, one row per time: the eigenbasis amplitudes on a time grid,
+    written into `out` (times x dim complex) when given.  The phases are
+    -i(tE) as 0 tE - i(tE): a zero that exp reads as -1j * (tE) does, and
+    NaN, like it, where tE is not finite."""
+    times = np.asarray(times, dtype=float)
+    table = np.empty((times.size, spectral.dim), dtype=complex) if out is None else out
+    np.multiply.outer(times, -spectral.energies, out=table.imag)
+    np.multiply(table.imag, 0.0, out=table.real)
     np.exp(table, out=table)
     table *= coefficients
     return table
@@ -157,18 +163,40 @@ def _sample_times(
     return float(horizon), np.random.default_rng(seed).uniform(0.0, horizon, size=samples)
 
 
+def _time_bands(times: np.ndarray, dim: int):
+    """Per band of TIME_BAND times: its slice of the times, and a phase
+    table, a stacked (x; y) table and a product buffer cut to its length.
+    The three buffers are allocated once per call, so the band loops cost
+    the same however the allocator treats repeated band-sized requests."""
+    rows = min(times.size, TIME_BAND)
+    table = np.empty((rows, dim), dtype=complex)
+    xy, prod = np.empty((2 * rows, dim)), np.empty((2 * rows, dim))
+    for a in range(0, times.size, TIME_BAND):
+        m = min(TIME_BAND, times.size - a)
+        yield slice(a, a + m), table[:m], xy[: 2 * m], prod[: 2 * m]
+
+
 def evolve_rows(spectral: SpectralData, coefficients: np.ndarray, times) -> np.ndarray:
     """Amplitudes V (exp(-iEt) c) of eigenbasis coefficients c at every
     time: one state-major row per time, each norm checked against
     TOL.normalization.  The rows are written in place a band of TIME_BAND
-    times at a time, so no temporary outgrows one band."""
+    times at a time, so no temporary outgrows one band.  A real V takes
+    one real product of the phase rows' real and imaginary parts stacked."""
     times = np.asarray(times, dtype=float)
+    v = spectral.eigenvectors
     rows = np.empty((times.size, spectral.dim), dtype=complex)
     norms = np.empty(times.size)
-    for a in range(0, times.size, TIME_BAND):
-        band = slice(a, a + TIME_BAND)
-        p = _phase_table(spectral, coefficients, times[band])
-        norms[band] = np.linalg.norm(_matmul(p, spectral.eigenvectors.T, rows[band]), axis=1)
+    for band, table, xy, prod in _time_bands(times, spectral.dim):
+        p = _phase_table(spectral, coefficients, times[band], out=table)
+        if np.iscomplexobj(v):
+            norms[band] = np.linalg.norm(np.matmul(p, v.T, out=rows[band]), axis=1)
+            continue
+        m = len(p)
+        xy[:m], xy[m:] = p.real, p.imag
+        np.matmul(xy, v.T, out=prod)
+        rows[band].real, rows[band].imag = prod[:m], prod[m:]
+        squares = np.einsum("ti,ti->t", prod, prod)
+        norms[band] = np.sqrt(squares[:m] + squares[m:])
     drift = np.abs(norms - 1.0)
     if not np.all(drift <= TOL.normalization):
         raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
@@ -182,24 +210,21 @@ def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
 
 def _trajectory(ens: DiagonalEnsemble, a_eig: np.ndarray, times) -> np.ndarray:
     """Re p^dag A p of the phase rows p = exp(-iEt) c, a band of TIME_BAND
-    times at a time."""
+    times at a time.  For a real A that is x^T A x + y^T A y of p = x + iy:
+    one real product with x and y stacked, a quarter of the multiplications
+    of the complex one."""
     times = np.asarray(times, dtype=float)
     out = np.empty(times.size)
-    for a in range(0, times.size, TIME_BAND):
-        band = slice(a, a + TIME_BAND)
-        out[band] = _expectations(_phase_table(ens.spectral, ens.coefficients, times[band]), a_eig)
+    for band, table, xy, prod in _time_bands(times, ens.spectral.dim):
+        p = _phase_table(ens.spectral, ens.coefficients, times[band], out=table)
+        if np.iscomplexobj(a_eig):
+            out[band] = np.einsum("ti,ti->t", p.conj() @ a_eig, p).real
+            continue
+        m = len(p)
+        xy[:m], xy[m:] = p.real, p.imag
+        both = np.einsum("ti,ti->t", np.matmul(xy, a_eig, out=prod), xy)
+        out[band] = both[:m] + both[m:]
     return out
-
-
-def _expectations(p: np.ndarray, a_eig: np.ndarray) -> np.ndarray:
-    """Re p^dag A p of each row p.  For a real A that is x^T A x + y^T A y
-    of p = x + iy: one real product with x and y stacked, a quarter of the
-    multiplications of the complex one."""
-    if np.iscomplexobj(a_eig):
-        return np.einsum("ti,ti->t", p.conj() @ a_eig, p).real
-    xy = np.concatenate((p.real, p.imag))
-    both = np.einsum("ti,ti->t", xy @ a_eig, xy)
-    return both[: len(p)] + both[len(p) :]
 
 
 def _dephased_mean(ens: DiagonalEnsemble, a_eig: np.ndarray) -> float:

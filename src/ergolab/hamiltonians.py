@@ -221,12 +221,17 @@ def _matmul(z: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """First component above 1e-8 in magnitude is made positive real."""
+    """First component above 1e-8 in magnitude is made positive real, in
+    place on `vectors`, which is returned."""
     v = vectors
     lead = np.argmax(np.abs(v) > 1e-8, axis=0)
     pivot = v[lead, np.arange(v.shape[1])]
     phase = np.where(np.abs(pivot) > 0, pivot / np.abs(pivot), 1.0)
-    return v / phase if np.iscomplexobj(v) else v * np.sign(phase).real
+    if np.iscomplexobj(v):
+        v /= phase
+    else:
+        v *= np.sign(phase).real
+    return v
 
 
 def _sectors(raw: np.ndarray) -> list[np.ndarray]:
@@ -256,21 +261,115 @@ def _sectors(raw: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def _reflection(h: LocalHamiltonian) -> np.ndarray | None:
+    """Basis permutation of the site reflection R: i -> N-1-i, or None
+    unless the term list is mirror-symmetric.
+
+    Mirror-symmetric means that every term on sites S has a partner of its
+    own on R(S) whose matrix equals the term's with its tensor factors in
+    reverse order (for a two-site term, the two factors swapped), exactly.
+    """
+    n, d = h.lattice.num_sites, h.lattice.local_dim
+    by_sites: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for t in h.terms:
+        by_sites.setdefault(tuple(sorted(t.sites)), []).append(t.matrix)
+    for sites, matrices in by_sites.items():
+        partners = list(by_sites.get(tuple(sorted(n - 1 - s for s in sites)), ()))
+        m = len(sites)
+        flip = [*range(m - 1, -1, -1), *range(2 * m - 1, m - 1, -1)]
+        for a in matrices:
+            mirrored = a.reshape((d,) * (2 * m)).transpose(flip).reshape(a.shape)
+            hit = next((k for k, b in enumerate(partners) if np.array_equal(b, mirrored)), None)
+            if hit is None:
+                return None
+            del partners[hit]
+    return np.arange(d**n).reshape((d,) * n).transpose().ravel()
+
+
+def _sector_bases(
+    sectors: list[np.ndarray], mirror: np.ndarray | None
+) -> list[tuple[np.ndarray, np.ndarray | None, float]]:
+    """The bases ``_diagonalize_sectors`` factorises, as (p, q, sign).
+
+    A sector that the reflection `mirror` maps onto itself, moving some of
+    its states, splits into its even and odd parity blocks.  Their basis
+    vectors are e_p + sign e_q over the representatives p <= q = R(p),
+    ascending, normalised; a palindrome (p == q) is even only.  Any other
+    sector is one basis (indices, None, 1.0) of its own states.
+    """
+    bases = []
+    for idx in sectors:
+        image = None if mirror is None else mirror[idx]
+        if image is None or np.array_equal(image, idx) or not np.array_equal(np.sort(image), idx):
+            bases.append((idx, None, 1.0))
+            continue
+        even, odd = idx[idx <= image], idx[idx < image]
+        bases += [(even, mirror[even], 1.0), (odd, mirror[odd], -1.0)]
+    return bases
+
+
+def _parity_block(raw: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> np.ndarray:
+    """<b_k|H|b_l> over the parity basis b_k = c_k (e_p + sign e_q), gathered
+    from `raw` as c_k c_l (H_pp + H_qq + sign (H_pq + H_qp)).
+
+    That sum equals the block of (H + RHR)/2, so the rounding that breaks
+    the reflection in the assembled H couples no two parities.  A pair has
+    c_k = 1/sqrt(2).  A palindrome (p == q) is e_p itself, but its four
+    gathered entries are one entry counted four times, so it takes 1/2.
+    """
+    block = raw[np.ix_(p, p)]
+    block += raw[np.ix_(q, q)]
+    cross = raw[np.ix_(p, q)]
+    cross += raw[np.ix_(q, p)]
+    if sign > 0:
+        block += cross
+    else:
+        block -= cross
+    del cross
+    block *= 0.5
+    fixed = np.flatnonzero(p == q)
+    block[fixed] *= np.sqrt(0.5)
+    block[:, fixed] *= np.sqrt(0.5)
+    return block
+
+
 def _diagonalize_sectors(
-    raw: np.ndarray, sectors: list[np.ndarray]
+    raw: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray | None, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending energies and phase-fixed eigenvectors of a matrix that is
-    block-diagonal over the given sectors, one ``eigh`` per sector."""
-    parts = [np.linalg.eigh(raw[np.ix_(idx, idx)]) for idx in sectors]
+    block-diagonal over the given bases (see ``_sector_bases``), one ``eigh``
+    per basis.
+
+    A basis that is the whole space factorises `raw` itself.  Each gathered
+    block is freed once its ``eigh`` returns; each basis's vectors are put
+    on its basis states, phase-fixed in place and kept until the energies of
+    every basis give the columns they go to.
+    """
+    if len(bases) == 1 and bases[0][1] is None and bases[0][0].size == raw.shape[0]:
+        energies, vectors = np.linalg.eigh(raw)
+        return energies, _fix_phases(vectors)
+    parts = []
+    for p, q, sign in bases:
+        e, v = np.linalg.eigh(raw[np.ix_(p, p)] if q is None else _parity_block(raw, p, q, sign))
+        if q is not None:
+            v *= np.where(p == q, 1.0, np.sqrt(0.5))[:, None]
+        # p ascending and p <= q: the lead row of v is the lead of the whole vector
+        parts.append((e, _fix_phases(v)))
     energies = np.concatenate([e for e, _ in parts])
     order = np.argsort(energies, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     vectors = np.zeros_like(raw)
     start = 0
-    for idx, (e, v) in zip(sectors, parts):
-        vectors[np.ix_(idx, column[start : start + e.size])] = _fix_phases(v)
+    for k, (p, q, sign) in enumerate(bases):
+        e, v = parts[k]
+        parts[k] = None  # each basis's vectors are freed once placed
+        cols = column[start : start + e.size]
+        vectors[np.ix_(p, cols)] = v
+        if q is not None:
+            vectors[np.ix_(q, cols)] = v if sign > 0 else np.negative(v, out=v)
         start += e.size
+        del v
     return energies[order], vectors
 
 
@@ -278,16 +377,15 @@ def diagonalize(h: LocalHamiltonian) -> SpectralData:
     """Dense eigendecomposition with the ground energy shifted to zero.
 
     Each decoupled sector of H (see ``_sectors``) is diagonalised on its
-    own, and its eigenvectors are placed on its basis states; a model with
-    one sector goes to ``eigh`` whole.
+    own, and its eigenvectors are placed on its basis states.  When the
+    term list is mirror-symmetric (see ``_reflection``), each sector that
+    the reflection maps onto itself is split further into its even and odd
+    parity blocks, so every eigenvector is a parity eigenvector.  A model
+    with one sector and no reflection goes to ``eigh`` whole.
     """
     raw = h.assemble(shifted=False)
-    sectors = _sectors(raw)
-    if len(sectors) == 1:
-        energies, vectors = np.linalg.eigh(raw)
-        vectors = _fix_phases(vectors)
-    else:
-        energies, vectors = _diagonalize_sectors(raw, sectors)
+    energies, vectors = _diagonalize_sectors(raw, _sector_bases(_sectors(raw), _reflection(h)))
+    del raw
     if h.ground_shift is None:
         h.ground_shift = float(energies[0])
     energies = energies - h.ground_shift

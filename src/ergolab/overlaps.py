@@ -11,9 +11,11 @@ import numpy as np
 
 from .entropy import renyi_entropy
 from .fits import fit_line
+from .hamiltonians import DENSE_DIM_GUARD
 from .states import (
     LatticeSpec,
     PureState,
+    ResourceGuardError,
     SiteSet,
     _product_rows,
     _random_factors,
@@ -76,9 +78,14 @@ def build_epsilon_state(
 
     Requires an even chain; the cut is its first half.  The entangled part
     pairs cut site k with the k-th site of the complement, in order; the
-    pairing is fixed only for reproducibility.
+    pairing is fixed only for reproducibility.  A chain of more than
+    DENSE_DIM_GUARD states is refused before anything is allocated.
     """
     n, d = lattice.num_sites, lattice.local_dim
+    if lattice.dim > DENSE_DIM_GUARD:
+        raise ResourceGuardError(
+            f"epsilon state of dimension {lattice.dim} exceeds dense guard {DENSE_DIM_GUARD}"
+        )
     if n % 2:
         raise ValueError("epsilon family needs an even number of sites")
     if not 0.0 <= epsilon <= 1.0:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .ensembles import evolve_rows
 from .ergodicity import SearchPolicy, build_profile
-from .hamiltonians import LocalHamiltonian, LocalTerm, _sectors, diagonalize
+from .hamiltonians import LocalHamiltonian, LocalTerm, SpectralData, _sectors, diagonalize
 from .operators import apply_local, hermitian_site_basis, is_hermitian
 from .states import LatticeSpec, PureState, SiteSet, _as_matrix, _rows_renyi2, bipartition_matrix, site_set
 from .tolerances import TOL
@@ -293,12 +293,21 @@ def integrated_bound_check(
 ) -> IntegratedBoundReport:
     """|S_2(t) - S_2(0)| of the region against the linear envelope
     4 t |boundary| max_x ||C_x||_1 on every grid time."""
+    return _integrated_bound_check(psi0, diagonalize(h), region, t_grid)
+
+
+def _integrated_bound_check(
+    psi0: PureState,
+    spectral: SpectralData,
+    region: SiteSet | tuple[int, ...],
+    t_grid: Sequence[float],
+) -> IntegratedBoundReport:
+    """integrated_bound_check on the spectrum of its Hamiltonian."""
     times = [float(t) for t in t_grid]
     if not times:
         raise ValueError("time grid is empty")
     keep = site_set(psi0.lattice, region)
-    spectral = diagonalize(h)
-    boundary, max_l1, bounds = _cut_bounds(h, keep, times)
+    boundary, max_l1, bounds = _cut_bounds(spectral.hamiltonian, keep, times)
     rows = evolve_rows(spectral, spectral.coefficients(psi0.amplitudes), times)
     s2 = _rows_renyi2(rows, psi0.lattice, keep.sites)
     base = float(_rows_renyi2(psi0.amplitudes[None, :], psi0.lattice, keep.sites)[0])

@@ -94,6 +94,14 @@ def test_resource_guard_exits_3(tmp_path):
     assert "guard" in r.stderr.lower()
 
 
+def test_prop1_dense_guard_exits_3(tmp_path):
+    # 17^8 amplitudes would not fit; the guard trips before the first size
+    r = invoke(["prop1", "--local-dim", "17", "--sizes", "4,6,8", "--out", str(tmp_path / "o")], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "guard" in r.stderr.lower()
+    assert "Traceback" not in r.stderr
+
+
 def test_failed_assertion_exits_1(tmp_path):
     out = tmp_path / "out"
     r = invoke(
@@ -655,6 +663,21 @@ def test_rates_boundary_check_runs_on_the_configured_chain(tmp_path):
     assert boundary["region"] == [0, 1, 2]
     assert abs(boundary["direct_rate"]) > 1e-6
     assert boundary["difference"] <= 1e-8
+
+
+def test_rates_diagonalizes_once(tmp_path, monkeypatch):
+    # the integrated check and the boundary state share one spectrum
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return diagonalize(h)
+
+    monkeypatch.setattr(cli, "diagonalize", counting)
+    monkeypatch.setattr(ergolab.rates, "diagonalize", counting)
+    out = tmp_path / "out"
+    assert main(["rates", "--sites", "6", "--samples", "3", "--t-points", "3", "--out", str(out)]) == 0
+    assert len(calls) == 1
 
 
 def test_only_the_cli_imports_csv_or_io():

@@ -429,6 +429,48 @@ def test_time_band_kernels_match_whole_table_formulas(ensembles8, count):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=obs.label)
 
 
+def _per_band_formulas(ens, a_eig, times):
+    """Rows and trajectory from the per-band formulas that allocated every
+    table afresh in each band."""
+    spec, c = ens.spectral, ens.coefficients
+    rows = np.empty((times.size, spec.dim), dtype=complex)
+    traj = np.empty(times.size)
+    for a in range(0, times.size, TIME_BAND):
+        band = slice(a, a + TIME_BAND)
+        p = -1j * np.outer(times[band], spec.energies)
+        np.exp(p, out=p)
+        p *= c
+        v = spec.eigenvectors
+        if np.iscomplexobj(v):
+            np.matmul(p, v.T, out=rows[band])
+        else:
+            parts = (np.stack((p.real, p.imag)).reshape(-1, spec.dim) @ v.T).reshape(2, len(p), -1)
+            rows[band].real, rows[band].imag = parts
+        if np.iscomplexobj(a_eig):
+            traj[band] = np.einsum("ti,ti->t", p.conj() @ a_eig, p).real
+        else:
+            xy = np.concatenate((p.real, p.imag))
+            both = np.einsum("ti,ti->t", xy @ a_eig, xy)
+            traj[band] = both[: len(p)] + both[len(p) :]
+    return rows, traj
+
+
+@pytest.mark.parametrize("count", [1, TIME_BAND - 1, TIME_BAND + 1, 2000])
+def test_time_band_kernels_keep_the_bits_of_the_per_band_formulas(ensembles8, count):
+    # the band buffers are allocated once per call; every byte stays
+    ensembles = ensembles8[:2]
+    ensembles.append(DiagonalEnsemble(_complex_spectrum(), random_product_state(LatticeSpec(6, 2), 7)))
+    for ens in ensembles:
+        spec = ens.spectral
+        times = np.random.default_rng(count).uniform(0.0, 1e4 * spec.dim / spec.norm, size=count)
+        times[0] = 0.0  # the ground level's phase is exactly zero
+        for obs in [site_observable(spec.lattice, 3, axis) for axis in "ZY"]:
+            a_eig = ens._eigenbasis(obs)
+            rows, traj = _per_band_formulas(ens, a_eig, times)
+            assert evolve_rows(spec, ens.coefficients, times).tobytes() == rows.tobytes()
+            assert expectation_trajectory(ens, obs, times).tobytes() == traj.tobytes()
+
+
 def test_time_sampling_validated(spec6_module):
     ens = DiagonalEnsemble(spec6_module, random_product_state(spec6_module.lattice, 1))
     a = site_observable(spec6_module.lattice, 0)

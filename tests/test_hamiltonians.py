@@ -15,6 +15,8 @@ from ergolab.hamiltonians import (
     ResourceGuardError,
     _coincidence_pairs,
     _fix_phases,
+    _reflection,
+    _sector_bases,
     _sectors,
     build_model,
     check_gibbs_identities,
@@ -436,9 +438,18 @@ def test_complex_sector_diagonalization():
     assert (lead.real > 0).all() and np.abs(lead.imag).max() <= 1e-12
 
 
+def _lopsided_ising(n, geometry="chain-open"):
+    """mixed-field-ising with the field on site 0 raised by a quarter: one
+    sector and no mirror symmetry."""
+    h = build_model("mixed-field-ising", LatticeSpec(n, 2, geometry))
+    field = next(t for t in h.terms if t.sites == (0,))
+    field.matrix = 1.25 * field.matrix
+    return h
+
+
 @pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
 def test_one_sector_model_is_diagonalized_whole(geometry):
-    h = build_model("mixed-field-ising", LatticeSpec(8, 2, geometry))
+    h = _lopsided_ising(8, geometry)
     spec = diagonalize(h)
     energies, vectors = np.linalg.eigh(h.assemble(shifted=False))
     assert np.array_equal(spec.energies, energies - h.ground_shift)
@@ -446,7 +457,7 @@ def test_one_sector_model_is_diagonalized_whole(geometry):
 
 
 def test_one_sector_model_calls_eigh_once_on_the_assembled_matrix(monkeypatch):
-    h = build_model("mixed-field-ising", LatticeSpec(6, 2))
+    h = _lopsided_ising(6)
     assembled, factorized = [], []
     assemble, eigh = LocalHamiltonian.assemble, np.linalg.eigh
 
@@ -464,6 +475,104 @@ def test_one_sector_model_calls_eigh_once_on_the_assembled_matrix(monkeypatch):
     assert len(assembled) == 1
     assert len(factorized) == 1
     assert factorized[0] is assembled[0]
+
+
+def _check_parity_spectrum(h, spec):
+    """Energies of one full eigh, residual, orthonormality and R v = +-v,
+    all within 1e-12."""
+    full = np.linalg.eigh(h.assemble(shifted=False))[0]
+    v, e = spec.eigenvectors, spec.energies
+    assert np.abs(e + h.ground_shift - full).max() <= 1e-12
+    assert np.abs(h.assemble(shifted=True) @ v - v * e).max() <= 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
+    mirrored = v[_reflection(h)]
+    parity = np.sign(np.einsum("ij,ij->j", mirrored.conj(), v).real)
+    assert np.abs(mirrored - v * parity).max() <= 1e-12
+    return parity
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 11])
+def test_parity_route_matches_full_eigh(n, geometry):
+    h = build_model("mixed-field-ising", LatticeSpec(n, 2, geometry))
+    assert _reflection(h) is not None
+    parity = _check_parity_spectrum(h, diagonalize(h))
+    # the even block holds the 2^ceil(n/2) palindromes and half the rest
+    palindromes = 2 ** ((n + 1) // 2)
+    assert np.count_nonzero(parity > 0) == palindromes + (2**n - palindromes) // 2
+
+
+def test_parity_route_calls_eigh_once_per_parity(monkeypatch):
+    h = build_model("mixed-field-ising", LatticeSpec(8, 2))
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    diagonalize(h)
+    assert sizes == [136, 120]
+
+
+def _swapped_factor_chain(n=6):
+    """Bonds X Z on the left half and Z X, their mirror images, on the
+    right; the middle bond and the fields are their own mirrors."""
+    x, z = pauli("X"), pauli("Z")
+    terms = []
+    for i in range(n - 1):
+        if 2 * i + 1 == n - 1:
+            bond = np.kron(x, z) + np.kron(z, x)
+        else:
+            bond = np.kron(x, z) if 2 * i + 1 < n - 1 else np.kron(z, x)
+        terms.append(LocalTerm((i, i + 1), bond, f"b[{i}]"))
+    terms += [LocalTerm((i,), 0.7 * x + 0.4 * z, f"f[{i}]") for i in range(n)]
+    return LocalHamiltonian(LatticeSpec(n, 2), terms)
+
+
+def test_reflection_detected_on_swapped_two_site_factors():
+    h = _swapped_factor_chain()
+    mirror = _reflection(h)
+    # site 0 is the most significant digit: R reverses the digits
+    assert mirror[0b000001] == 0b100000 and mirror[0b000110] == 0b011000
+    assert np.array_equal(mirror[mirror], np.arange(2**6))
+    _check_parity_spectrum(h, diagonalize(h))
+
+
+def test_reflection_needs_an_exact_partner_for_every_term():
+    h = build_model("mixed-field-ising", LatticeSpec(6, 2))
+    assert _reflection(h) is not None
+    assert _reflection(_lopsided_ising(6)) is None
+    # unswapped factors on the right half break the mirror
+    h = _swapped_factor_chain()
+    right = next(t for t in h.terms if t.sites == (4, 5))
+    right.matrix = np.kron(pauli("X"), pauli("Z"))
+    assert _reflection(h) is None
+    # a field off by one ulp has no partner
+    h = build_model("mixed-field-ising", LatticeSpec(6, 2))
+    field = next(t for t in h.terms if t.sites == (5,))
+    field.matrix = np.nextafter(field.matrix, 2.0)
+    assert _reflection(h) is None
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("name", ["xxz-disordered", "heisenberg-random-field"])
+def test_random_field_models_are_not_mirror_symmetric(name, geometry):
+    for seed in range(4):
+        h = build_model(name, LatticeSpec(8, 2, geometry), params={"W": 0.5}, seed=seed)
+        assert _reflection(h) is None
+
+
+def test_clean_heisenberg_chain_splits_sectors_by_parity():
+    # without fields each magnetisation sector is mapped onto itself
+    h = build_model("heisenberg-random-field", LatticeSpec(8, 2), params={"W": 0.0})
+    raw = h.assemble(shifted=False)
+    bases = _sector_bases(_sectors(raw), _reflection(h))
+    assert sum(p.size for p, _, _ in bases) == 2**8
+    spec = diagonalize(h)
+    _check_parity_spectrum(h, spec)
+    assert _sector_pure(spec.eigenvectors, 8)
 
 
 @pytest.mark.parametrize("n", [5, 8])

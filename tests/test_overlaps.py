@@ -1,6 +1,7 @@
 """Product-overlap bounds and the interpolation family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ergolab.overlaps import (
 from ergolab.states import (
     LatticeSpec,
     PureState,
+    ResourceGuardError,
     basis_product_state,
     maximally_entangled,
     overlap,
@@ -140,6 +142,17 @@ def test_epsilon_state_delta_matches_tensordot(n, seed):
 def test_epsilon_state_requires_even_chain():
     with pytest.raises(ValueError):
         build_epsilon_state(LatticeSpec(5, 2), 0.3)
+
+
+def test_epsilon_state_refused_above_dense_guard():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match="guard"):
+            build_epsilon_state(LatticeSpec(8, 17), 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_epsilon_reduced_spectrum_matches_model():
