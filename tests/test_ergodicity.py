@@ -421,6 +421,27 @@ def test_scan_pinned_on_complex_columns(geometry, mode, monkeypatch):
     _assert_pinned(_unit_columns(lattice.dim, 90, 5), lattice, cands, monkeypatch)
 
 
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("n", [8, 10])
+def test_parity_route_keeps_best_s2_on_nondegenerate_levels(n, geometry):
+    # the parity blocks and one full eigh agree on a level up to rounding
+    # over its separation from its neighbours, eps ||H|| / gap; a degenerate
+    # level (k and -k on the ring) may mix differently and is left out
+    lattice = LatticeSpec(n, 2, geometry)
+    h = build_model("mixed-field-ising", lattice)
+    spec = diagonalize(h)
+    full = np.linalg.eigh(h.assemble(shifted=False))[1]
+    cands = candidate_subsets(lattice, SearchPolicy(mode="random-sample", budget=60, seed=1))
+    gaps = np.diff(spec.energies)
+    separation = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    isolated = separation > 1e-8
+    assert isolated.sum() >= lattice.dim // 8
+    parity_s2, full_s2 = (_scan(v, lattice, cands)[0] for v in (spec.eigenvectors, full))
+    diff = np.abs(parity_s2 - full_s2)
+    assert (diff[isolated] <= 1e-12 + 1e-13 / separation[isolated]).all()
+    assert diff[separation > 1e-2].max() <= 1e-12
+
+
 def test_scan_tie_goes_to_lower_index():
     # sites 0 and 1 form a Bell pair and site 2 is |0>: (0,) and the larger,
     # later (0, 2) have the same S2, and the larger one is visited first
