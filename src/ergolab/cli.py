@@ -64,6 +64,7 @@ from .hamiltonians import (  # noqa: E402
     build_model,
     check_gibbs_identities,
     diagonalize,
+    energy_spectrum,
     gap_report,
     gap_tolerance,
     inverse_temperature,
@@ -151,9 +152,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _spectrum(config: dict):
+def _model(config: dict):
     lat = LatticeSpec(config["sites"], 2, config["geometry"])
-    return diagonalize(build_model(config["model"], lat, seed=config["seed"]))
+    return build_model(config["model"], lat, seed=config["seed"])
+
+
+def _spectrum(config: dict):
+    return diagonalize(_model(config))
 
 
 def _profile_csv(prof) -> str:
@@ -165,7 +170,7 @@ def _profile_csv(prof) -> str:
 
 
 def _run_spectrum(config: dict):
-    spec = _spectrum(config)
+    spec = energy_spectrum(_model(config))
     ham = spec.hamiltonian
     result = {
         "dim": spec.dim,
@@ -298,8 +303,8 @@ def _run_rates(config: dict):
         fd = entangling_rate_fd(rho, dims, v)
         rel = abs(rep.rate - fd) / max(abs(rep.rate), 1e-3)
         worst_rel = max(worst_rel, rel)
-    lat = LatticeSpec(config["sites"], 2, config["geometry"])
-    ham = build_model(config["model"], lat, seed=config["seed"])
+    ham = _model(config)
+    lat = ham.lattice
     psi = initial_state(config["recipe"], lat, config["seed"])
     region = tuple(range(lat.num_sites // 2))
     t_grid = np.linspace(0.0, config["t_max"], config["t_points"])
@@ -323,8 +328,8 @@ def _run_rates(config: dict):
 
 
 def _run_stability(config: dict):
-    lat = LatticeSpec(config["sites"], 2, config["geometry"])
-    ham = build_model(config["model"], lat, seed=config["seed"])
+    ham = _model(config)
+    lat = ham.lattice
     gen = config["generator"]
     if gen == "layer":
         rng = np.random.default_rng(config["seed"] + 1)

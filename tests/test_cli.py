@@ -593,6 +593,32 @@ def test_theorem1_diagonalizes_once_per_size(monkeypatch):
     assert sizes == [6, 8]
 
 
+def test_spectrum_forms_no_eigenvectors(monkeypatch):
+    import tracemalloc
+
+    import numpy as np
+
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    # tracemalloc peak of one run at 10 sites, in units of dim^2 doubles:
+    # the assembled H and one gathered block, then the gap scan
+    for model, limit in (("mixed-field-ising", 2.0), ("xxz-disordered", 1.5)):
+        tracemalloc.start()
+        try:
+            code, _ = run({"experiment": "spectrum", "sites": 10, "model": model})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < limit * 1024**2 * 8, (model, peak / (1024**2 * 8))
+    assert calls == []
+
+
 def test_run_api_in_process():
     code, rep = run({"experiment": "gibbs", "sites": 6, "betas": [1.0]})
     assert code == 0

@@ -10,9 +10,11 @@ from scipy.special import logsumexp
 
 from ergolab.hamiltonians import (
     DENSE_DIM_GUARD,
+    MODEL_NAMES,
     LocalHamiltonian,
     LocalTerm,
     ResourceGuardError,
+    Spectrum,
     _coincidence_pairs,
     _fix_phases,
     _reflection,
@@ -22,6 +24,7 @@ from ergolab.hamiltonians import (
     check_gibbs_identities,
     degenerate_groups,
     diagonalize,
+    energy_spectrum,
     free_energy,
     gap_report,
     gibbs_populations,
@@ -416,16 +419,20 @@ def test_sector_diagonalization_with_levels_degenerate_across_sectors(geometry):
     assert _sector_pure(v, 8)
 
 
-def test_complex_sector_diagonalization():
-    # XX+YY with a Dzyaloshinskii-Moriya term XY-YX: complex, and it keeps
-    # the magnetisation
-    n = 6
+def _complex_xx_chain(n):
+    """XX+YY with a Dzyaloshinskii-Moriya term XY-YX and random Z fields:
+    complex, and it keeps the magnetisation."""
     x, y, z = pauli("X"), pauli("Y"), pauli("Z")
     bond = np.kron(x, x) + np.kron(y, y) + 0.4 * (np.kron(x, y) - np.kron(y, x))
     fields = np.random.default_rng(2).uniform(-1, 1, n)
     terms = [LocalTerm((i, i + 1), bond, f"b{i}") for i in range(n - 1)]
     terms += [LocalTerm((i,), fields[i] * z, f"z{i}") for i in range(n)]
-    h = LocalHamiltonian(LatticeSpec(n, 2), terms)
+    return LocalHamiltonian(LatticeSpec(n, 2), terms)
+
+
+def test_complex_sector_diagonalization():
+    n = 6
+    h = _complex_xx_chain(n)
     spec = diagonalize(h)
     v, e = spec.eigenvectors, spec.energies
     assert np.iscomplexobj(v)
@@ -514,6 +521,40 @@ def test_parity_route_calls_eigh_once_per_parity(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     diagonalize(h)
     assert sizes == [136, 120]
+
+
+def _check_energies_route(make):
+    """energy_spectrum against diagonalize, each on a fresh Hamiltonian from
+    `make`: energies within 1e-12 max(1, ||H||), the same ground shift and
+    the same integer fields of the default gap report."""
+    full_h, energies_h = make(), make()
+    full, spec = diagonalize(full_h), energy_spectrum(energies_h)
+    assert type(spec) is Spectrum and not hasattr(spec, "eigenvectors")
+    assert spec.energies[0] == 0.0 and np.all(np.diff(spec.energies) >= 0)
+    norm = np.abs(full.energies + full_h.ground_shift).max()
+    assert np.abs(spec.energies - full.energies).max() <= 1e-12 * max(1.0, norm)
+    assert abs(energies_h.ground_shift - full_h.ground_shift) <= 1e-12
+    want, got = gap_report(full), gap_report(spec)
+    for field in ("degenerate_gap_pairs", "degenerate_levels", "gaps_scanned"):
+        assert getattr(got, field) == getattr(want, field)
+
+
+@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_energies_route_matches_diagonalize(name, geometry):
+    seeds = range(4) if name != "mixed-field-ising" else [0]
+    # a one-site ring has no bond between distinct sites
+    for n in range(1 if geometry == "chain-open" else 2, 12):
+        for seed in seeds:
+            lat = LatticeSpec(n, 2, geometry)
+            _check_energies_route(lambda: build_model(name, lat, seed=seed))
+
+
+def test_energies_route_matches_diagonalize_on_custom_terms():
+    # one sector and no mirror, so one whole block; and complex sectors
+    for n in (2, 5, 8):
+        _check_energies_route(lambda: _lopsided_ising(n))
+        _check_energies_route(lambda: _complex_xx_chain(n))
 
 
 def _swapped_factor_chain(n=6):
