@@ -64,7 +64,6 @@ from .hamiltonians import (  # noqa: E402
     build_model,
     check_gibbs_identities,
     diagonalize,
-    energy_spectrum,
     gap_report,
     gap_tolerance,
     inverse_temperature,
@@ -170,7 +169,7 @@ def _profile_csv(prof) -> str:
 
 
 def _run_spectrum(config: dict):
-    spec = energy_spectrum(_model(config))
+    spec = diagonalize(_model(config), vectors=False)
     ham = spec.hamiltonian
     result = {
         "dim": spec.dim,

@@ -296,7 +296,7 @@ def _reflection(h: LocalHamiltonian) -> np.ndarray | None:
 def _sector_bases(
     sectors: list[np.ndarray], mirror: np.ndarray | None
 ) -> list[tuple[np.ndarray, np.ndarray | None, float]]:
-    """The bases ``_diagonalize_sectors`` factorises, as (p, q, sign).
+    """The bases ``_solve_blocks`` gathers the blocks of H on, as (p, q, sign).
 
     A sector that the reflection `mirror` maps onto itself, moving some of
     its states, splits into its even and odd parity blocks.  Their basis
@@ -340,22 +340,25 @@ def _parity_block(raw: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) ->
     return block
 
 
-def _solve_blocks(raw: np.ndarray, bases: list, solve: Callable) -> list:
+def _solve_blocks(raw: np.ndarray, bases: list, solve: Callable, join: Callable):
     """``solve(block, p, q)`` of the block of `raw` on each of its bases
-    (p, q, sign) (see ``_sector_bases``), in order.
+    (p, q, sign) (see ``_sector_bases``), joined by ``join(parts)``.
 
-    A single basis is the whole space, and ``solve`` gets `raw` itself.
-    Otherwise a magnetisation-type block is gathered as ``raw[np.ix_(p, p)]``
-    and a parity block by ``_parity_block``; each is freed once ``solve``
-    returns.
+    A single basis is the whole space: ``solve`` gets `raw` itself, and
+    its result is returned as it is.  Otherwise a magnetisation-type block
+    is gathered as ``raw[np.ix_(p, p)]`` and a parity block by
+    ``_parity_block``; each is freed once ``solve`` returns, and ``join``
+    gets the results in basis order.
     """
     if len(bases) == 1:
         p, q, _ = bases[0]
-        return [solve(raw, p, q)]
-    return [
-        solve(raw[np.ix_(p, p)] if q is None else _parity_block(raw, p, q, sign), p, q)
-        for p, q, sign in bases
-    ]
+        return solve(raw, p, q)
+    return join(
+        [
+            solve(raw[np.ix_(p, p)] if q is None else _parity_block(raw, p, q, sign), p, q)
+            for p, q, sign in bases
+        ]
+    )
 
 
 def _basis_eigh(block: np.ndarray, p: np.ndarray, q: np.ndarray | None) -> tuple:
@@ -386,18 +389,15 @@ def _placed_vectors(
     raw: np.ndarray, bases: list, parts: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending energies and eigenvectors of `raw` from the
-    ``_basis_eigh`` of each basis's block.
+    ``_basis_eigh`` of each of its split bases' blocks.
 
-    A whole-space basis gives them as they are.  Otherwise each basis's
-    vectors are kept until the energies of every basis give the columns
-    they go to, and are then put on its basis states.  The dim x dim
-    output is allocated while `raw` is still alive.  Allocated after `raw`
-    is freed, it comes from the heap instead of a mapping of its own,
-    since glibc raises its mmap threshold on a large free; that raises the
-    peak RSS of a 10-site `theorem1` by 5 MB.
+    Each basis's vectors are kept until the energies of every basis give
+    the columns they go to, and are then put on its basis states.  The
+    dim x dim output is allocated while `raw` is still alive.  Allocated
+    after `raw` is freed, it comes from the heap instead of a mapping of
+    its own, since glibc raises its mmap threshold on a large free; that
+    raises the peak RSS of a 10-site `theorem1` by 5 MB.
     """
-    if len(bases) == 1:
-        return parts[0]
     energies = np.concatenate([e for e, _ in parts])
     order = np.argsort(energies, kind="stable")
     column = np.empty_like(order)
@@ -416,8 +416,9 @@ def _placed_vectors(
     return energies[order], vectors
 
 
-def diagonalize(h: LocalHamiltonian) -> SpectralData:
-    """Dense eigendecomposition with the ground energy shifted to zero.
+def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
+    """Dense eigendecomposition, a ``SpectralData`` with the ground energy
+    shifted to zero.
 
     Each decoupled sector of H (see ``_sectors``) is diagonalised on its
     own, and its eigenvectors are placed on its basis states.  When the
@@ -425,28 +426,27 @@ def diagonalize(h: LocalHamiltonian) -> SpectralData:
     the reflection maps onto itself is split further into its even and odd
     parity blocks, so every eigenvector is a parity eigenvector.  A model
     with one sector and no reflection goes to ``eigh`` whole.
+
+    With ``vectors=False`` each block goes to ``eigvalsh`` instead, and a
+    ``Spectrum`` of the sorted energies alone is returned, so no dim x dim
+    matrix outlives the assembled H.  Its energies agree with those of the
+    eigenvector route to rounding (LAPACK finds eigenvalues alone by
+    another algorithm).
     """
     raw = h.assemble(shifted=False)
     bases = _sector_bases(_sectors(raw), _reflection(h))
-    energies, vectors = _placed_vectors(raw, bases, _solve_blocks(raw, bases, _basis_eigh))
+    if not vectors:
+        energies = _solve_blocks(
+            raw, bases, lambda block, p, q: np.linalg.eigvalsh(block),
+            lambda parts: np.sort(np.concatenate(parts)),
+        )
+        del raw
+        return Spectrum(h.lattice, h, _shifted_to_ground(h, energies))
+    energies, v = _solve_blocks(
+        raw, bases, _basis_eigh, lambda parts: _placed_vectors(raw, bases, parts)
+    )
     del raw
-    return SpectralData(h.lattice, h, _shifted_to_ground(h, energies), vectors)
-
-
-def energy_spectrum(h: LocalHamiltonian) -> Spectrum:
-    """The energies of ``diagonalize`` without its eigenvectors: one
-    ``eigvalsh`` per block of the same bases, ground energy shifted to
-    zero.
-
-    The energies agree with those of ``diagonalize`` to rounding (LAPACK
-    finds eigenvalues alone by another algorithm), and no dim x dim matrix
-    outlives the assembled H.
-    """
-    raw = h.assemble(shifted=False)
-    bases = _sector_bases(_sectors(raw), _reflection(h))
-    parts = _solve_blocks(raw, bases, lambda block, p, q: np.linalg.eigvalsh(block))
-    del raw
-    return Spectrum(h.lattice, h, _shifted_to_ground(h, np.sort(np.concatenate(parts))))
+    return SpectralData(h.lattice, h, _shifted_to_ground(h, energies), v)
 
 
 def trace_energy_density(h: LocalHamiltonian) -> float:
@@ -492,10 +492,10 @@ def gap_report(s: Spectrum, tolerance: float | None = None) -> GapReport:
     """Scan the positive energy gaps E_j - E_i (unordered pairs, i < j of
     the sorted energies) for coincidences, exactly.
 
-    Only the energies are read, so a ``Spectrum`` from ``energy_spectrum``
-    serves as well as a ``SpectralData``.  The dim(dim-1)/2 gaps are sorted
-    in place once, so the peak is about dim^2 doubles.  The
-    default tolerance scales with the Hamiltonian norm; absolute spacings
+    Only the energies are read, so the ``Spectrum`` of
+    ``diagonalize(h, vectors=False)`` serves as well as a ``SpectralData``.
+    The dim(dim-1)/2 gaps are sorted in place once, so the peak is about
+    dim^2 doubles.  The default tolerance scales with the Hamiltonian norm; absolute spacings
     shrink quickly with system size, so certification at large N needs an
     explicit, tighter tolerance.
     """

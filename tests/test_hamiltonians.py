@@ -24,7 +24,6 @@ from ergolab.hamiltonians import (
     check_gibbs_identities,
     degenerate_groups,
     diagonalize,
-    energy_spectrum,
     free_energy,
     gap_report,
     gibbs_populations,
@@ -524,11 +523,11 @@ def test_parity_route_calls_eigh_once_per_parity(monkeypatch):
 
 
 def _check_energies_route(make):
-    """energy_spectrum against diagonalize, each on a fresh Hamiltonian from
-    `make`: energies within 1e-12 max(1, ||H||), the same ground shift and
-    the same integer fields of the default gap report."""
+    """diagonalize without vectors against with them, each on a fresh
+    Hamiltonian from `make`: energies within 1e-12 max(1, ||H||), the same
+    ground shift and the same integer fields of the default gap report."""
     full_h, energies_h = make(), make()
-    full, spec = diagonalize(full_h), energy_spectrum(energies_h)
+    full, spec = diagonalize(full_h), diagonalize(energies_h, vectors=False)
     assert type(spec) is Spectrum and not hasattr(spec, "eigenvectors")
     assert spec.energies[0] == 0.0 and np.all(np.diff(spec.energies) >= 0)
     norm = np.abs(full.energies + full_h.ground_shift).max()
