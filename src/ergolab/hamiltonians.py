@@ -8,7 +8,8 @@ is kept on the model for unit bookkeeping.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import itertools
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ from .tolerances import TOL
 DENSE_DIM_GUARD = 2**14
 
 MODEL_NAMES = ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field")
+
+_GAP_BAND = 2**16  # neighbour differences per band of the gap scan
 
 
 @dataclass
@@ -75,18 +78,12 @@ class LocalHamiltonian:
         return n - max(gaps) + 1
 
     def assemble(self, shifted: bool = True) -> np.ndarray:
-        """Dense matrix of the term sum, real whenever every term is real."""
-        if self.lattice.dim > DENSE_DIM_GUARD:
-            raise ResourceGuardError(
-                f"dimension {self.lattice.dim} exceeds dense guard {DENSE_DIM_GUARD}"
-            )
-        real = all(np.abs(t.matrix.imag).max() < 1e-15 for t in self.terms if np.iscomplexobj(t.matrix))
-        dtype = float if real else complex
-        h = np.zeros((self.lattice.dim, self.lattice.dim), dtype=dtype)
-        for t in self.terms:
-            block = t.matrix.real if real and np.iscomplexobj(t.matrix) else t.matrix
-            rows, cols = _support_index(t.sites, self.lattice)
-            h[rows, cols] += block[:, :, None]
+        """Dense matrix of the term sum, its entries scattered from
+        ``_entries``: real whenever every term is real."""
+        _dense_guard(self.lattice.dim)
+        i, j, values = _entries(self)
+        h = np.zeros((self.lattice.dim, self.lattice.dim), dtype=values.dtype)
+        h[i, j] = values
         if shifted:
             if self.ground_shift is None:
                 raise ValueError("ground shift unknown; diagonalize first")
@@ -102,6 +99,47 @@ class LocalHamiltonian:
             if hit and set(t.sites) - inside:
                 out.append(t)
         return out
+
+
+def _dense_guard(dim: int) -> None:
+    """Refuse a dense dim x dim matrix above ``DENSE_DIM_GUARD``; called
+    before anything of that size is built."""
+    if dim > DENSE_DIM_GUARD:
+        raise ResourceGuardError(f"dimension {dim} exceeds dense guard {DENSE_DIM_GUARD}")
+
+
+def _entries(h: LocalHamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero entries of the term sum, in
+    row-major order.
+
+    Each entry is summed from zero over the terms that touch it, in term
+    order, so it has the bits of a dense ``+=`` of the terms; an entry that
+    sums to exactly zero is dropped, so the pattern is that of the dense
+    matrix's nonzeros.  The values are real whenever every term is real
+    (imaginary parts below 1e-15 are dropped).
+    """
+    dim = h.lattice.dim
+    real = all(np.abs(t.matrix.imag).max() < 1e-15 for t in h.terms if np.iscomplexobj(t.matrix))
+    keys, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for t in h.terms:
+        block = t.matrix.real if real and np.iscomplexobj(t.matrix) else t.matrix
+        rows, cols = _support_index(t.sites, h.lattice)
+        a, b = np.nonzero(block)
+        keys.append((rows[a, 0] * dim + cols[0, b]).ravel())
+        values.append(np.repeat(block[a, b], rows.shape[-1]))
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")  # equal keys keep their term order
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    # np.add.at adds in index order, one term after another; a pairwise
+    # reduction would round the many-term diagonal differently
+    total = np.zeros(np.count_nonzero(first), dtype=float if real else complex)
+    np.add.at(total, np.cumsum(first) - 1, np.concatenate(values)[order])
+    keep = total != 0
+    i, j = np.divmod(key[first][keep], dim)
+    return i, j, total[keep]
 
 
 def _bonds(lattice: LatticeSpec) -> list[tuple[int, int]]:
@@ -241,21 +279,18 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sectors(raw: np.ndarray) -> list[np.ndarray]:
-    """Basis indices of each decoupled sector of ``raw``, ascending within
-    a sector, the sectors in order of their lowest index.
+def _sectors(i: np.ndarray, j: np.ndarray, size: int) -> list[np.ndarray]:
+    """Indices of each decoupled sector of a pattern of `size` indices
+    given by its nonzero index pairs (i, j), ascending within a sector,
+    the sectors in order of their lowest index.
 
-    The sectors are the connected components of the pattern ``raw != 0``
-    read as an undirected graph, so every entry between two sectors is
-    exactly zero.
+    The sectors are the connected components of the pattern read as an
+    undirected graph, so every entry between two sectors is exactly zero.
     """
-    dim = raw.shape[0]
-    # the dim^2-byte pattern is freed before eigh allocates its workspace
-    i, j = np.divmod(np.flatnonzero(raw != 0), dim)
     # every index takes the lowest label among its neighbours, then the
     # label of that label, until nothing changes; a label never exceeds its
     # index, so each sector ends up labelled by its lowest index
-    label = np.arange(dim)
+    label = np.arange(size)
     while True:
         low = label.copy()
         np.minimum.at(low, i, label[j])
@@ -266,6 +301,24 @@ def _sectors(raw: np.ndarray) -> list[np.ndarray]:
         label = low
     order = np.argsort(label, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _sector_matrices(entries: tuple, sectors: list[np.ndarray]) -> Iterator[tuple]:
+    """Each sector's s x s block of H with its indices, (block, idx), the
+    block scattered from the `entries` of ``_entries`` on the sector's own
+    indices 0..s-1, one sector at a time."""
+    i, j, values = entries
+    owner, local = np.empty((2, sum(idx.size for idx in sectors)), dtype=np.intp)
+    for k, idx in enumerate(sectors):
+        owner[idx] = k
+        local[idx] = np.arange(idx.size)
+    order = np.argsort(owner[i], kind="stable")
+    cuts = np.searchsorted(owner[i][order], np.arange(1, len(sectors)))
+    for idx, at in zip(sectors, np.split(order, cuts)):
+        block = np.zeros((idx.size, idx.size), dtype=values.dtype)
+        block[local[i[at]], local[j[at]]] = values[at]
+        yield block, idx
+        del block  # freed before the next sector's block is allocated
 
 
 def _reflection(h: LocalHamiltonian) -> np.ndarray | None:
@@ -296,7 +349,7 @@ def _reflection(h: LocalHamiltonian) -> np.ndarray | None:
 def _sector_bases(
     sectors: list[np.ndarray], mirror: np.ndarray | None
 ) -> list[tuple[np.ndarray, np.ndarray | None, float]]:
-    """The bases ``_solve_blocks`` gathers the blocks of H on, as (p, q, sign).
+    """The bases ``_solve_blocks`` solves the blocks of H on, as (p, q, sign).
 
     A sector that the reflection `mirror` maps onto itself, moving some of
     its states, splits into its even and odd parity blocks.  Their basis
@@ -315,19 +368,20 @@ def _sector_bases(
     return bases
 
 
-def _parity_block(raw: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> np.ndarray:
+def _parity_block(m: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> np.ndarray:
     """<b_k|H|b_l> over the parity basis b_k = c_k (e_p + sign e_q), gathered
-    from `raw` as c_k c_l (H_pp + H_qq + sign (H_pq + H_qp)).
+    from the sector's matrix `m` as c_k c_l (H_pp + H_qq + sign (H_pq + H_qp)),
+    with p and q the sector's own indices of the basis states.
 
     That sum equals the block of (H + RHR)/2, so the rounding that breaks
-    the reflection in the assembled H couples no two parities.  A pair has
+    the reflection in H couples no two parities.  A pair has
     c_k = 1/sqrt(2).  A palindrome (p == q) is e_p itself, but its four
     gathered entries are one entry counted four times, so it takes 1/2.
     """
-    block = raw[np.ix_(p, p)]
-    block += raw[np.ix_(q, q)]
-    cross = raw[np.ix_(p, q)]
-    cross += raw[np.ix_(q, p)]
+    block = m[np.ix_(p, p)]
+    block += m[np.ix_(q, q)]
+    cross = m[np.ix_(p, q)]
+    cross += m[np.ix_(q, p)]
     if sign > 0:
         block += cross
     else:
@@ -340,25 +394,31 @@ def _parity_block(raw: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) ->
     return block
 
 
-def _solve_blocks(raw: np.ndarray, bases: list, solve: Callable, join: Callable):
-    """``solve(block, p, q)`` of the block of `raw` on each of its bases
-    (p, q, sign) (see ``_sector_bases``), joined by ``join(parts)``.
+def _solve_blocks(matrices: Iterable, mirror: np.ndarray | None, solve: Callable, join: Callable):
+    """``solve(block, p, q)`` of the block of each basis (p, q, sign) of
+    each sector (see ``_sector_bases``), joined by ``join(parts)``.
 
-    A single basis is the whole space: ``solve`` gets `raw` itself, and
-    its result is returned as it is.  Otherwise a magnetisation-type block
-    is gathered as ``raw[np.ix_(p, p)]`` and a parity block by
-    ``_parity_block``; each is freed once ``solve`` returns, and ``join``
-    gets the results in basis order.
+    `matrices` yields each sector's matrix with its ascending indices,
+    (m, idx), m on the sector's own indices.  A basis of the whole sector
+    gets `m` itself; a parity basis gets its ``_parity_block`` of `m`.
+    Each block is freed once ``solve`` returns, and each sector's matrix
+    once its bases are solved.  A single basis is the whole space: its
+    result is returned as it is, and otherwise ``join`` gets the results
+    in basis order.
     """
-    if len(bases) == 1:
-        p, q, _ = bases[0]
-        return solve(raw, p, q)
-    return join(
-        [
-            solve(raw[np.ix_(p, p)] if q is None else _parity_block(raw, p, q, sign), p, q)
-            for p, q, sign in bases
-        ]
-    )
+
+    def blocks():
+        for m, idx in matrices:
+            for p, q, sign in _sector_bases([idx], mirror):
+                if q is None:
+                    yield m, p, q
+                else:
+                    local = np.searchsorted(idx, p), np.searchsorted(idx, q)
+                    yield _parity_block(m, *local, sign), p, q
+            del m
+
+    parts = list(itertools.starmap(solve, blocks()))
+    return parts[0] if len(parts) == 1 else join(parts)
 
 
 def _basis_eigh(block: np.ndarray, p: np.ndarray, q: np.ndarray | None) -> tuple:
@@ -385,24 +445,18 @@ def _shifted_to_ground(h: LocalHamiltonian, energies: np.ndarray) -> np.ndarray:
     return energies
 
 
-def _placed_vectors(
-    raw: np.ndarray, bases: list, parts: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending energies and eigenvectors of `raw` from the
-    ``_basis_eigh`` of each of its split bases' blocks.
+def _placed_vectors(bases: list, parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending energies and eigenvectors of H from the ``_basis_eigh`` of
+    each of its bases' blocks, two or more.
 
     Each basis's vectors are kept until the energies of every basis give
-    the columns they go to, and are then put on its basis states.  The
-    dim x dim output is allocated while `raw` is still alive.  Allocated
-    after `raw` is freed, it comes from the heap instead of a mapping of
-    its own, since glibc raises its mmap threshold on a large free; that
-    raises the peak RSS of a 10-site `theorem1` by 5 MB.
+    the columns they go to, and are then put on its basis states.
     """
     energies = np.concatenate([e for e, _ in parts])
     order = np.argsort(energies, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    vectors = np.zeros_like(raw)
+    vectors = np.zeros((order.size, order.size), dtype=np.result_type(*(v for _, v in parts)))
     start = 0
     for k, (p, q, sign) in enumerate(bases):
         e, v = parts[k]
@@ -420,32 +474,49 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     """Dense eigendecomposition, a ``SpectralData`` with the ground energy
     shifted to zero.
 
-    Each decoupled sector of H (see ``_sectors``) is diagonalised on its
-    own, and its eigenvectors are placed on its basis states.  When the
-    term list is mirror-symmetric (see ``_reflection``), each sector that
-    the reflection maps onto itself is split further into its even and odd
-    parity blocks, so every eigenvector is a parity eigenvector.  A model
-    with one sector and no reflection goes to ``eigh`` whole.
+    H is split into its decoupled sectors (see ``_sectors``), read from
+    the pattern of its nonzero entries (``_entries``), and each sector is
+    diagonalised on its own, its eigenvectors placed on its basis states.
+    With two or more sectors, each sector's block is scattered from the
+    entries into an s x s matrix of its own, so no dim x dim H is built;
+    a one-sector model takes its one block, the whole H, from ``assemble``.
+    When the term list is mirror-symmetric (see ``_reflection``), each
+    sector that the reflection maps onto itself is split further into its
+    even and odd parity blocks, so every eigenvector is a parity
+    eigenvector.  A model with one sector and no reflection goes to
+    ``eigh`` whole.
 
     With ``vectors=False`` each block goes to ``eigvalsh`` instead, and a
     ``Spectrum`` of the sorted energies alone is returned, so no dim x dim
-    matrix outlives the assembled H.  Its energies agree with those of the
-    eigenvector route to rounding (LAPACK finds eigenvalues alone by
-    another algorithm).
+    matrix is formed for a model with two or more sectors.  Its energies
+    agree with those of the eigenvector route to rounding (LAPACK finds
+    eigenvalues alone by another algorithm).
     """
-    raw = h.assemble(shifted=False)
-    bases = _sector_bases(_sectors(raw), _reflection(h))
+    dim = h.lattice.dim
+    _dense_guard(dim)
+    entries = _entries(h)
+    sectors = _sectors(entries[0], entries[1], dim)
+    if len(sectors) == 1:
+        del entries  # freed before the dense H is assembled
+        # the list keeps H alive until the dim x dim output is allocated:
+        # allocated after H is freed, the output comes from the heap instead
+        # of a mapping of its own, since glibc raises its mmap threshold on a
+        # large free; that raises the peak RSS of a 10-site `theorem1` by 5 MB
+        matrices = [(h.assemble(shifted=False), sectors[0])]
+    else:
+        matrices = _sector_matrices(entries, sectors)
+        del entries  # held by the generator until it is exhausted
+    mirror = _reflection(h)
     if not vectors:
         energies = _solve_blocks(
-            raw, bases, lambda block, p, q: np.linalg.eigvalsh(block),
+            matrices, mirror, lambda block, p, q: np.linalg.eigvalsh(block),
             lambda parts: np.sort(np.concatenate(parts)),
         )
-        del raw
         return Spectrum(h.lattice, h, _shifted_to_ground(h, energies))
     energies, v = _solve_blocks(
-        raw, bases, _basis_eigh, lambda parts: _placed_vectors(raw, bases, parts)
+        matrices, mirror, _basis_eigh,
+        lambda parts: _placed_vectors(_sector_bases(sectors, mirror), parts),
     )
-    del raw
     return SpectralData(h.lattice, h, _shifted_to_ground(h, energies), v)
 
 
@@ -467,17 +538,28 @@ class GapReport:
     gaps_scanned: int
 
 
-def _coincidence_pairs(sorted_vals: np.ndarray, tol: float) -> int:
-    """Number of index pairs within tol of each other, by adjacent runs.
+def _gap_scan(sorted_vals: np.ndarray, tol: float) -> tuple[float, int]:
+    """Smallest difference of neighbours in `sorted_vals` (inf for fewer
+    than two values) and the number of index pairs within tol of each
+    other, in one pass over bands of ``_GAP_BAND`` neighbour differences.
 
     A run of L consecutive close neighbours holds L(L+1)/2 such pairs.  The
     runs are read from the indices of the close neighbours alone, which
     break wherever two successive indices are not adjacent.
     """
-    hits = np.flatnonzero(np.diff(sorted_vals) <= tol)
+    n = sorted_vals.size - 1
+    diff = np.empty(min(max(n, 0), _GAP_BAND))
+    low, hits = np.inf, [np.empty(0, dtype=np.intp)]
+    for start in range(0, n, _GAP_BAND):
+        stop = min(start + _GAP_BAND, n)
+        d = diff[: stop - start]
+        np.subtract(sorted_vals[start + 1 : stop + 1], sorted_vals[start:stop], out=d)
+        low = min(low, float(d.min()))
+        hits.append(np.flatnonzero(d <= tol) + start)
+    hits = np.concatenate(hits)
     breaks = np.flatnonzero(np.diff(hits) != 1) + 1
     runs = np.diff(np.concatenate(([0], breaks, [hits.size])))
-    return int(np.sum(runs * (runs + 1) // 2))
+    return low, int(np.sum(runs * (runs + 1) // 2))
 
 
 def gap_tolerance(tolerance: float | None) -> float | None:
@@ -494,10 +576,11 @@ def gap_report(s: Spectrum, tolerance: float | None = None) -> GapReport:
 
     Only the energies are read, so the ``Spectrum`` of
     ``diagonalize(h, vectors=False)`` serves as well as a ``SpectralData``.
-    The dim(dim-1)/2 gaps are sorted in place once, so the peak is about
-    dim^2 doubles.  The default tolerance scales with the Hamiltonian norm; absolute spacings
-    shrink quickly with system size, so certification at large N needs an
-    explicit, tighter tolerance.
+    The dim(dim-1)/2 gaps are sorted in place once and their neighbour
+    differences walked once in bands (``_gap_scan``), so the peak is about
+    dim^2/2 doubles.  The default tolerance scales with the Hamiltonian
+    norm; absolute spacings shrink quickly with system size, so
+    certification at large N needs an explicit, tighter tolerance.
     """
     energies = np.sort(s.energies)
     dim = energies.size
@@ -511,8 +594,7 @@ def gap_report(s: Spectrum, tolerance: float | None = None) -> GapReport:
         np.subtract(energies[i + 1 :], energies[i], out=gaps[start:stop])
         start = stop
     gaps.sort()
-    min_diff = float(np.diff(gaps).min()) if gaps.size > 1 else np.inf
-    pairs = _coincidence_pairs(gaps, tol)
+    min_diff, pairs = _gap_scan(gaps, tol)
     return GapReport(
         tolerance=tol,
         min_gap_difference=min_diff,

@@ -354,7 +354,7 @@ class QuasiLocalUnitary:
         link = np.zeros((lat.num_sites, lat.num_sites), dtype=bool)
         for t in terms:
             link[np.ix_(t.sites, t.sites)] = True
-        for c in _sectors(link):
+        for c in _sectors(*np.nonzero(link), lat.num_sites):
             own = [LocalTerm(np.searchsorted(c, t.sites), t.matrix)
                    for t in terms if t.sites[0] in c]
             sub = LocalHamiltonian(LatticeSpec(len(c), lat.local_dim), own, locality=len(c))

@@ -619,6 +619,22 @@ def test_spectrum_forms_no_eigenvectors(monkeypatch):
     assert calls == []
 
 
+def test_spectrum_of_a_sector_model_builds_no_dense_matrix():
+    import tracemalloc
+
+    # tracemalloc peak of one run at 10 sites, in units of dim^2 doubles:
+    # the sector blocks are scattered from the entries, so the gap scan's
+    # dim^2/2 gaps set the peak; the parent assembled H first, 1.13
+    tracemalloc.start()
+    try:
+        code, _ = run({"experiment": "spectrum", "sites": 10, "model": "xxz-disordered"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.75 * 1024**2 * 8, peak / (1024**2 * 8)
+
+
 def test_run_api_in_process():
     code, rep = run({"experiment": "gibbs", "sites": 6, "betas": [1.0]})
     assert code == 0

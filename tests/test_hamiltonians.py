@@ -9,14 +9,19 @@ import pytest
 from scipy.special import logsumexp
 
 from ergolab.hamiltonians import (
+    _GAP_BAND,
     DENSE_DIM_GUARD,
     MODEL_NAMES,
     LocalHamiltonian,
     LocalTerm,
     ResourceGuardError,
     Spectrum,
-    _coincidence_pairs,
+    _basis_eigh,
+    _entries,
     _fix_phases,
+    _gap_scan,
+    _parity_block,
+    _placed_vectors,
     _reflection,
     _sector_bases,
     _sectors,
@@ -32,8 +37,51 @@ from ergolab.hamiltonians import (
     log_partition,
     trace_energy_density,
 )
-from ergolab.operators import pauli
+from ergolab.operators import _support_index, pauli
 from ergolab.states import LatticeSpec
+
+
+GEOMETRIES = ("chain-open", "chain-periodic")
+
+
+def _routes(make):
+    """diagonalize with and without vectors, each on a fresh model from
+    `make`, so each route sets its own ground shift."""
+    return diagonalize(make()), diagonalize(make(), vectors=False)
+
+
+class _CatalogSpectra(dict):
+    """(n, seed) -> (make, full, energies) of one catalog model on one
+    geometry: `make` builds a fresh model, `full` and `energies` are its two
+    ``_routes``, computed on first use."""
+
+    def __init__(self, name, geometry):
+        super().__init__()
+        self.name, self.geometry = name, geometry
+
+    def cases(self):
+        """Every size, 1-11 sites (2-11 on a ring, where one site has no bond
+        between distinct sites), and seeds 0-3 for the random-field models."""
+        seeds = range(4) if self.name != "mixed-field-ising" else [0]
+        sizes = range(1 if self.geometry == "chain-open" else 2, 12)
+        return [self[n, seed] for n in sizes for seed in seeds]
+
+    def __missing__(self, key):
+        n, seed = key
+        lat = LatticeSpec(n, 2, self.geometry)
+
+        def make():
+            return build_model(self.name, lat, seed=seed)
+
+        self[key] = (make, *_routes(make))
+        return self[key]
+
+
+@pytest.fixture(scope="module", params=[(m, g) for m in MODEL_NAMES for g in GEOMETRIES], ids="-".join)
+def catalog_spectra(request):
+    """One reference spectrum of each route per model, geometry, size and
+    seed, shared by the module's tests of that model and geometry."""
+    return _CatalogSpectra(*request.param)
 
 
 def two_site_ising(j=1.0, hx=0.6):
@@ -134,6 +182,18 @@ def test_dense_guard():
     assert lat.dim > DENSE_DIM_GUARD
     with pytest.raises(ResourceGuardError):
         diagonalize(h)
+
+
+def test_dense_guard_trips_before_any_entry_is_built():
+    h = build_model("xxz-disordered", LatticeSpec(15, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            diagonalize(h, vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_boundary_terms(lat6):
@@ -240,8 +300,23 @@ def test_gap_report_peak_memory(dim, spec6):
     assert peak < 1.25 * dim * dim * 8
 
 
+def test_gap_report_holds_no_array_of_gap_differences(spec6):
+    # the dim(dim-1)/2 gaps and one band of their differences: the parent
+    # held a second dim^2/2 array of differences, 1.06 dim^2 doubles in all
+    dim = 2048
+    energies = np.sort(np.random.default_rng(dim).normal(size=dim))
+    spec = dataclasses.replace(spec6, energies=energies)
+    tracemalloc.start()
+    try:
+        gap_report(spec, tolerance=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * dim * dim * 8
+
+
 def _reference_coincidence_pairs(sorted_vals, tol):
-    # the former per-element loop of _coincidence_pairs
+    # the former per-element loop of the coincidence count
     if sorted_vals.size < 2:
         return 0
     close = np.diff(sorted_vals) <= tol
@@ -287,7 +362,9 @@ GAP_PIN_VALUES = {
 def test_gap_counts_match_reference_loops(name, spec6):
     tol = 1e-10
     vals = np.sort(np.asarray(GAP_PIN_VALUES[name], dtype=float))
-    assert _coincidence_pairs(vals, tol) == _reference_coincidence_pairs(vals, tol)
+    low, pairs = _gap_scan(vals, tol)
+    assert pairs == _reference_coincidence_pairs(vals, tol)
+    assert low == (np.diff(vals).min() if vals.size > 1 else np.inf)
     rep = gap_report(dataclasses.replace(spec6, energies=vals), tolerance=tol)
     assert rep.degenerate_gap_pairs == _reference_coincidence_pairs(_brute_force_gaps(vals), tol)
     assert rep.degenerate_levels == _reference_degenerate_levels(vals, tol)
@@ -296,8 +373,24 @@ def test_gap_counts_match_reference_loops(name, spec6):
 def test_coincidence_pairs_match_reference_loop_at_scale():
     # long sorted arrays with many runs of ties
     vals = np.sort(np.round(np.random.default_rng(6).normal(size=100_000), 3))
-    pairs = _coincidence_pairs(vals, 1e-10)
+    low, pairs = _gap_scan(vals, 1e-10)
     assert pairs == _reference_coincidence_pairs(vals, 1e-10) > 0
+    assert low == np.diff(vals).min()
+
+
+def test_gap_scan_runs_cross_band_borders():
+    size = 3 * _GAP_BAND + 5
+    assert _gap_scan(np.zeros(size), 0.0) == (0.0, size * (size - 1) // 2)
+    # five equal values across the first border, and one tie whose
+    # difference is the last of the second band
+    vals = np.arange(size, dtype=float)
+    vals[_GAP_BAND - 2 : _GAP_BAND + 3] = _GAP_BAND - 2
+    vals[2 * _GAP_BAND] = 2 * _GAP_BAND - 1
+    assert _gap_scan(vals, 0.0) == (0.0, 10 + 1) == (0.0, _reference_coincidence_pairs(vals, 0.0))
+    # the smallest difference in the last band
+    steps = np.arange(size, dtype=float)
+    steps[-1] -= 0.75
+    assert _gap_scan(steps, 0.5) == (0.25, 1)
 
 
 def test_gap_report_refuses_nan_or_negative_tolerance(spec6):
@@ -497,12 +590,15 @@ def _check_parity_spectrum(h, spec):
     return parity
 
 
-@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
+@pytest.mark.parametrize(
+    "catalog_spectra", [("mixed-field-ising", g) for g in GEOMETRIES], ids=GEOMETRIES, indirect=True
+)
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 11])
-def test_parity_route_matches_full_eigh(n, geometry):
-    h = build_model("mixed-field-ising", LatticeSpec(n, 2, geometry))
+def test_parity_route_matches_full_eigh(n, catalog_spectra):
+    _, spec, _ = catalog_spectra[n, 0]
+    h = spec.hamiltonian
     assert _reflection(h) is not None
-    parity = _check_parity_spectrum(h, diagonalize(h))
+    parity = _check_parity_spectrum(h, spec)
     # the even block holds the 2^ceil(n/2) palindromes and half the rest
     palindromes = 2 ** ((n + 1) // 2)
     assert np.count_nonzero(parity > 0) == palindromes + (2**n - palindromes) // 2
@@ -522,12 +618,11 @@ def test_parity_route_calls_eigh_once_per_parity(monkeypatch):
     assert sizes == [136, 120]
 
 
-def _check_energies_route(make):
-    """diagonalize without vectors against with them, each on a fresh
-    Hamiltonian from `make`: energies within 1e-12 max(1, ||H||), the same
+def _check_energies_route(full, spec):
+    """diagonalize without vectors (`spec`) against with them (`full`), each
+    on a model of its own: energies within 1e-12 max(1, ||H||), the same
     ground shift and the same integer fields of the default gap report."""
-    full_h, energies_h = make(), make()
-    full, spec = diagonalize(full_h), diagonalize(energies_h, vectors=False)
+    full_h, energies_h = full.hamiltonian, spec.hamiltonian
     assert type(spec) is Spectrum and not hasattr(spec, "eigenvectors")
     assert spec.energies[0] == 0.0 and np.all(np.diff(spec.energies) >= 0)
     norm = np.abs(full.energies + full_h.ground_shift).max()
@@ -538,22 +633,111 @@ def _check_energies_route(make):
         assert getattr(got, field) == getattr(want, field)
 
 
-@pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_energies_route_matches_diagonalize(name, geometry):
-    seeds = range(4) if name != "mixed-field-ising" else [0]
-    # a one-site ring has no bond between distinct sites
-    for n in range(1 if geometry == "chain-open" else 2, 12):
-        for seed in seeds:
-            lat = LatticeSpec(n, 2, geometry)
-            _check_energies_route(lambda: build_model(name, lat, seed=seed))
+def test_energies_route_matches_diagonalize(catalog_spectra):
+    for _, full, spec in catalog_spectra.cases():
+        _check_energies_route(full, spec)
 
 
 def test_energies_route_matches_diagonalize_on_custom_terms():
     # one sector and no mirror, so one whole block; and complex sectors
     for n in (2, 5, 8):
-        _check_energies_route(lambda: _lopsided_ising(n))
-        _check_energies_route(lambda: _complex_xx_chain(n))
+        _check_energies_route(*_routes(lambda: _lopsided_ising(n)))
+        _check_energies_route(*_routes(lambda: _complex_xx_chain(n)))
+
+
+def _dense_assemble(h):
+    """The former ``assemble``: each term added into the dense matrix with
+    ``+=``, in term order."""
+    real = all(np.abs(t.matrix.imag).max() < 1e-15 for t in h.terms if np.iscomplexobj(t.matrix))
+    raw = np.zeros((h.lattice.dim, h.lattice.dim), dtype=float if real else complex)
+    for t in h.terms:
+        block = t.matrix.real if real and np.iscomplexobj(t.matrix) else t.matrix
+        rows, cols = _support_index(t.sites, h.lattice)
+        raw[rows, cols] += block[:, :, None]
+    return raw
+
+
+def _dense_gather(h, vectors):
+    """The former ``diagonalize`` up to its ground shift: the sectors of the
+    dense H's nonzero pattern, each block gathered from H as
+    ``raw[np.ix_(p, p)]`` or ``_parity_block(raw, p, q, sign)``; the
+    unshifted energies and vectors, or energies alone."""
+    raw = _dense_assemble(h)
+    bases = _sector_bases(_sectors(*np.nonzero(raw), len(raw)), _reflection(h))
+    solve = _basis_eigh if vectors else (lambda block, p, q: np.linalg.eigvalsh(block))
+    if len(bases) == 1:
+        return solve(raw, *bases[0][:2])
+    parts = [
+        solve(raw[np.ix_(p, p)] if q is None else _parity_block(raw, p, q, sign), p, q)
+        for p, q, sign in bases
+    ]
+    return _placed_vectors(bases, parts) if vectors else np.sort(np.concatenate(parts))
+
+
+def _check_dense_gather_bits(make, full, spec):
+    """Both routes equal, bit for bit, to the former dense gather on a fresh
+    model from `make`: ground shift, energies and eigenvectors."""
+    e, v = _dense_gather(make(), vectors=True)
+    assert full.hamiltonian.ground_shift == e[0]
+    assert np.array_equal(full.energies, e - e[0])
+    assert np.array_equal(full.eigenvectors, v)
+    e = _dense_gather(make(), vectors=False)
+    assert spec.hamiltonian.ground_shift == e[0]
+    assert np.array_equal(spec.energies, e - e[0])
+
+
+def test_sector_blocks_keep_the_bits_of_the_dense_gather(catalog_spectra):
+    for case in catalog_spectra.cases():
+        _check_dense_gather_bits(*case)
+
+
+def _cancelling_chain(n=6):
+    """xxz-disordered with an X field on site 1 and its negative: the two
+    terms cancel exactly on every entry they touch, so the magnetisation
+    sectors stay apart."""
+    h = build_model("xxz-disordered", LatticeSpec(n, 2), seed=1)
+    x = 0.3 * pauli("X")
+    h.terms[:0] = [LocalTerm((1,), x, "+x"), LocalTerm((1,), -x, "-x")]
+    return h
+
+
+def test_sector_blocks_keep_the_bits_of_the_dense_gather_on_custom_terms():
+    # the sectors of the entries are those of the dense pattern, also where
+    # terms cancel exactly
+    h = _cancelling_chain()
+    raw = _dense_assemble(h)
+    assert np.array_equal(h.assemble(shifted=False), raw)
+    i, j, _ = _entries(h)
+    sectors = _sectors(i, j, len(raw))
+    assert len(sectors) == 6 + 1
+    want = _sectors(*np.nonzero(raw), len(raw))
+    assert all(np.array_equal(a, b) for a, b in zip(sectors, want, strict=True))
+    makes = [
+        _cancelling_chain,
+        _swapped_factor_chain,
+        *(
+            lambda g=g: build_model("heisenberg-random-field", LatticeSpec(8, 2, g), params={"W": 0.0})
+            for g in GEOMETRIES
+        ),
+        *(lambda n=n: _lopsided_ising(n) for n in (2, 5, 8)),
+        *(lambda n=n: _complex_xx_chain(n) for n in (2, 5, 8)),
+    ]
+    for make in makes:
+        _check_dense_gather_bits(make, *_routes(make))
+
+
+def test_energies_route_builds_no_dense_matrix():
+    # the 12 magnetisation sectors are scattered from the entries one at a
+    # time; the parent assembled H and its nonzero mask, 1.13 dim^2 doubles
+    h = build_model("xxz-disordered", LatticeSpec(11, 2))
+    dim = h.lattice.dim
+    tracemalloc.start()
+    try:
+        diagonalize(h, vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * dim * dim * 8
 
 
 def _swapped_factor_chain(n=6):
@@ -608,7 +792,7 @@ def test_clean_heisenberg_chain_splits_sectors_by_parity():
     # without fields each magnetisation sector is mapped onto itself
     h = build_model("heisenberg-random-field", LatticeSpec(8, 2), params={"W": 0.0})
     raw = h.assemble(shifted=False)
-    bases = _sector_bases(_sectors(raw), _reflection(h))
+    bases = _sector_bases(_sectors(*np.nonzero(raw), len(raw)), _reflection(h))
     assert sum(p.size for p, _, _ in bases) == 2**8
     spec = diagonalize(h)
     _check_parity_spectrum(h, spec)
@@ -618,7 +802,8 @@ def test_clean_heisenberg_chain_splits_sectors_by_parity():
 @pytest.mark.parametrize("n", [5, 8])
 def test_xxz_sectors_are_the_magnetisation_sectors(n):
     h = build_model("xxz-disordered", LatticeSpec(n, 2), seed=1)
-    sectors = _sectors(h.assemble(shifted=False))
+    raw = h.assemble(shifted=False)
+    sectors = _sectors(*np.nonzero(raw), len(raw))
     m = _magnetisation(n)
     assert len(sectors) == n + 1
     assert sorted(idx.size for idx in sectors) == sorted(math.comb(n, k) for k in range(n + 1))
@@ -628,7 +813,7 @@ def test_xxz_sectors_are_the_magnetisation_sectors(n):
 
 def test_mixed_field_ising_is_one_sector():
     raw = build_model("mixed-field-ising", LatticeSpec(7, 2)).assemble(shifted=False)
-    (sector,) = _sectors(raw)
+    (sector,) = _sectors(*np.nonzero(raw), len(raw))
     assert np.array_equal(sector, np.arange(2**7))
 
 
@@ -640,7 +825,7 @@ def test_tiny_entry_joins_sectors():
     raw[120:, 120:] = a[120:, 120:] + a[120:, 120:].T
     perm = rng.permutation(200)
     raw = raw[np.ix_(perm, perm)]
-    apart = _sectors(raw)
+    apart = _sectors(*np.nonzero(raw), len(raw))
     assert sorted(idx.size for idx in apart) == [80, 120]
     assert all(np.array_equal(idx, np.sort(idx)) for idx in apart)
     # one entry in either triangle joins them
@@ -648,7 +833,7 @@ def test_tiny_entry_joins_sectors():
     for entry in ((max(i, j), min(i, j)), (min(i, j), max(i, j))):
         joined = raw.copy()
         joined[entry] = 1e-14
-        (sector,) = _sectors(joined)
+        (sector,) = _sectors(*np.nonzero(joined), len(joined))
         assert np.array_equal(sector, np.arange(200))
 
 
