@@ -606,7 +606,8 @@ def test_spectrum_forms_no_eigenvectors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     # tracemalloc peak of one run at 10 sites, in units of dim^2 doubles:
-    # the assembled H and one gathered block, then the gap scan
+    # the assembled H and one gathered block of the one-sector model, and
+    # the gap scan of the sector model, which builds no dense H
     for model, limit in (("mixed-field-ising", 2.0), ("xxz-disordered", 1.5)):
         tracemalloc.start()
         try:
@@ -624,7 +625,7 @@ def test_spectrum_of_a_sector_model_builds_no_dense_matrix():
 
     # tracemalloc peak of one run at 10 sites, in units of dim^2 doubles:
     # the sector blocks are scattered from the entries, so the gap scan's
-    # dim^2/2 gaps set the peak; the parent assembled H first, 1.13
+    # dim^2/2 gaps set the peak; an assembled H would bring it to 1.13
     tracemalloc.start()
     try:
         code, _ = run({"experiment": "spectrum", "sites": 10, "model": "xxz-disordered"})

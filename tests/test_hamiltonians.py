@@ -189,7 +189,7 @@ def test_dense_guard_trips_before_any_entry_is_built():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceGuardError):
-            diagonalize(h, vectors=False)
+            diagonalize(h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,8 +301,8 @@ def test_gap_report_peak_memory(dim, spec6):
 
 
 def test_gap_report_holds_no_array_of_gap_differences(spec6):
-    # the dim(dim-1)/2 gaps and one band of their differences: the parent
-    # held a second dim^2/2 array of differences, 1.06 dim^2 doubles in all
+    # the dim(dim-1)/2 gaps and one band of their differences; a second
+    # dim^2/2 array of differences would bring the peak to 1.06 dim^2
     dim = 2048
     energies = np.sort(np.random.default_rng(dim).normal(size=dim))
     spec = dataclasses.replace(spec6, energies=energies)
@@ -728,7 +728,7 @@ def test_sector_blocks_keep_the_bits_of_the_dense_gather_on_custom_terms():
 
 def test_energies_route_builds_no_dense_matrix():
     # the 12 magnetisation sectors are scattered from the entries one at a
-    # time; the parent assembled H and its nonzero mask, 1.13 dim^2 doubles
+    # time; the assembled H and its nonzero mask alone are 1.13 dim^2 doubles
     h = build_model("xxz-disordered", LatticeSpec(11, 2))
     dim = h.lattice.dim
     tracemalloc.start()
