@@ -60,11 +60,18 @@ class _CatalogSpectra(dict):
         self.name, self.geometry = name, geometry
 
     def cases(self):
-        """Every size, 1-11 sites (2-11 on a ring, where one site has no bond
-        between distinct sites), and seeds 0-3 for the random-field models."""
+        """Every (n, seed): 1-11 sites (2-11 on a ring, where one site has no
+        bond between distinct sites), seeds 0-3 for the random-field models."""
         seeds = range(4) if self.name != "mixed-field-ising" else [0]
         sizes = range(1 if self.geometry == "chain-open" else 2, 12)
-        return [self[n, seed] for n in sizes for seed in seeds]
+        return [(n, seed) for n in sizes for seed in seeds]
+
+    def drop_vectors(self, key):
+        """Keep `full` as its energies alone.  The tests of one model and
+        geometry run in file order, and the bits test, the last to read the
+        eigenvectors, drops them, so the cache holds energies only."""
+        make, full, spec = self[key]
+        self[key] = make, Spectrum(full.lattice, full.hamiltonian, full.energies), spec
 
     def __missing__(self, key):
         n, seed = key
@@ -618,33 +625,6 @@ def test_parity_route_calls_eigh_once_per_parity(monkeypatch):
     assert sizes == [136, 120]
 
 
-def _check_energies_route(full, spec):
-    """diagonalize without vectors (`spec`) against with them (`full`), each
-    on a model of its own: energies within 1e-12 max(1, ||H||), the same
-    ground shift and the same integer fields of the default gap report."""
-    full_h, energies_h = full.hamiltonian, spec.hamiltonian
-    assert type(spec) is Spectrum and not hasattr(spec, "eigenvectors")
-    assert spec.energies[0] == 0.0 and np.all(np.diff(spec.energies) >= 0)
-    norm = np.abs(full.energies + full_h.ground_shift).max()
-    assert np.abs(spec.energies - full.energies).max() <= 1e-12 * max(1.0, norm)
-    assert abs(energies_h.ground_shift - full_h.ground_shift) <= 1e-12
-    want, got = gap_report(full), gap_report(spec)
-    for field in ("degenerate_gap_pairs", "degenerate_levels", "gaps_scanned"):
-        assert getattr(got, field) == getattr(want, field)
-
-
-def test_energies_route_matches_diagonalize(catalog_spectra):
-    for _, full, spec in catalog_spectra.cases():
-        _check_energies_route(full, spec)
-
-
-def test_energies_route_matches_diagonalize_on_custom_terms():
-    # one sector and no mirror, so one whole block; and complex sectors
-    for n in (2, 5, 8):
-        _check_energies_route(*_routes(lambda: _lopsided_ising(n)))
-        _check_energies_route(*_routes(lambda: _complex_xx_chain(n)))
-
-
 def _dense_assemble(h):
     """The former ``assemble``: each term added into the dense matrix with
     ``+=``, in term order."""
@@ -687,8 +667,37 @@ def _check_dense_gather_bits(make, full, spec):
 
 
 def test_sector_blocks_keep_the_bits_of_the_dense_gather(catalog_spectra):
-    for case in catalog_spectra.cases():
-        _check_dense_gather_bits(*case)
+    for key in catalog_spectra.cases():
+        _check_dense_gather_bits(*catalog_spectra[key])
+        catalog_spectra.drop_vectors(key)
+
+
+def _check_energies_route(full, spec):
+    """diagonalize without vectors (`spec`) against with them (`full`), each
+    on a model of its own: energies within 1e-12 max(1, ||H||), the same
+    ground shift and the same integer fields of the default gap report."""
+    full_h, energies_h = full.hamiltonian, spec.hamiltonian
+    assert type(spec) is Spectrum and not hasattr(spec, "eigenvectors")
+    assert spec.energies[0] == 0.0 and np.all(np.diff(spec.energies) >= 0)
+    norm = np.abs(full.energies + full_h.ground_shift).max()
+    assert np.abs(spec.energies - full.energies).max() <= 1e-12 * max(1.0, norm)
+    assert abs(energies_h.ground_shift - full_h.ground_shift) <= 1e-12
+    want, got = gap_report(full), gap_report(spec)
+    for field in ("degenerate_gap_pairs", "degenerate_levels", "gaps_scanned"):
+        assert getattr(got, field) == getattr(want, field)
+
+
+def test_energies_route_matches_diagonalize(catalog_spectra):
+    for key in catalog_spectra.cases():
+        _, full, spec = catalog_spectra[key]
+        _check_energies_route(full, spec)
+
+
+def test_energies_route_matches_diagonalize_on_custom_terms():
+    # one sector and no mirror, so one whole block; and complex sectors
+    for n in (2, 5, 8):
+        _check_energies_route(*_routes(lambda: _lopsided_ising(n)))
+        _check_energies_route(*_routes(lambda: _complex_xx_chain(n)))
 
 
 def _cancelling_chain(n=6):
