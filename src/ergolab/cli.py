@@ -88,10 +88,10 @@ from .overlaps import (  # noqa: E402
 )
 from .rates import (  # noqa: E402
     QuasiLocalUnitary,
-    _integrated_bound_check,
     boundary_rate,
     check_rate_bound,
     entangling_rate_fd,
+    integrated_bound_check,
     stability_experiment,
 )
 from .states import LatticeSpec, PureState, SiteSet, site_set  # noqa: E402
@@ -105,6 +105,11 @@ SCOPE_NOTE = (
 
 class ConfigError(ValueError):
     pass
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 def _clean(obj):
@@ -156,10 +161,6 @@ def _model(config: dict):
     return build_model(config["model"], lat, seed=config["seed"])
 
 
-def _spectrum(config: dict):
-    return diagonalize(_model(config))
-
-
 def _profile_csv(prof) -> str:
     """One row per eigenstate: index, density, S_2/N and the best subsystem
     as a hex site bitmask."""
@@ -189,7 +190,7 @@ def _run_spectrum(config: dict):
 
 
 def _run_scan(config: dict):
-    spec = _spectrum(config)
+    spec = diagonalize(_model(config))
     prof = build_profile(spec, _policy_from(config), num_bins=config["bins"])
     result = {
         "model": prof.model,
@@ -204,7 +205,7 @@ def _run_scan(config: dict):
 
 
 def _run_equilibrate(config: dict):
-    spec = _spectrum(config)
+    spec = diagonalize(_model(config))
     lat = spec.lattice
     ens = DiagonalEnsemble(spec, initial_state(config["recipe"], lat, config["seed"]))
     target = config["site"] if config["site"] is not None else lat.num_sites // 2
@@ -270,7 +271,7 @@ def _run_prop1(config: dict):
 
 
 def _run_overlap(config: dict):
-    spec = _spectrum(config)
+    spec = diagonalize(_model(config))
     lat = spec.lattice
     idx = config["state_index"]
     idx = spec.dim // 2 if idx is None else idx
@@ -308,7 +309,7 @@ def _run_rates(config: dict):
     region = tuple(range(lat.num_sites // 2))
     t_grid = np.linspace(0.0, config["t_max"], config["t_points"])
     spectral = diagonalize(ham)
-    integ = _integrated_bound_check(psi, spectral, region, t_grid)
+    integ = integrated_bound_check(psi, spectral, region, t_grid)
     # at t = 0 a product state's S_2 sits at its minimum, where every rate is 0
     bnd = boundary_rate(evolve(spectral, psi, config["t_max"]), region, ham)
     passed = bool(
@@ -380,30 +381,69 @@ def _run_mps(config: dict):
 
 
 def _run_gibbs(config: dict):
-    spec = _spectrum(config)
+    spec = diagonalize(_model(config))
     reports = [check_gibbs_identities(spec, b) for b in config["betas"]]
     passed = all(r.passed for r in reports)
     return {"identities": reports}, passed, {}
 
 
-def _mps_rings(config: dict) -> tuple[int, ...]:
-    # ring sizes of the decay fit, in the spec's local dimension: no lattice
-    decay_sizes(config["sizes"])
-    return ()
+def _phases(time: float | None, config: dict, lat: LatticeSpec) -> None:
+    """exp(-iEt) needs a finite t E; catalog terms have norm <= 1, so
+    E - E_0 <= 2 x (number of terms).  None picks a finite default."""
+    if time is not None:
+        e_bound = 2 * len(build_model(config["model"], lat, seed=config["seed"]).terms)
+        _require(math.isfinite(time * e_bound),
+                 f"time {time!r} times the energy bound {e_bound} is not finite")
+
+
+def _check_policy(config: dict, lattices) -> None:
+    policy = _policy_from(config)
+    for lat in lattices:
+        policy.max_size(lat.num_sites)
+
+
+def _check_equilibrate(config: dict, lattices) -> None:
+    # both time averages run over the one horizon
+    check_sampling(config["samples"], config["horizon"], 2)
+    check_sampling(config["subsystem_samples"], config["horizon"], 1)
+    _phases(config["horizon"], config, lattices[0])
+
+
+def _check_rates(config: dict, lattices) -> None:
+    CHECKS["region"](None, lattices[0])  # the runner's half-chain region
+    _require(min(config["samples"], config["t_points"]) >= 1,
+             "rates needs at least one sample and one time point")
+    _phases(config["t_max"], config, lattices[0])
+
+
+def _check_stability(config: dict, lattices) -> None:
+    CHECKS["region"](None, lattices[0])  # the half chain whose S_2 shift is bounded
+    _phases(config["time"], config, lattices[0])
+
+
+def _check_mps(config: dict) -> None:
+    decay_sizes(config["sizes"])  # ring sizes in the spec's local dimension
+    if config["spec_json"] and not config["ghz"]:
+        spec = MPSSpec.from_json(Path(config["spec_json"]).read_text())
+        # mps_overlap_decay optimises qubit factors through 2x2 bond matrices
+        _require(spec.local_dim == 2, f"mps needs a spec with local_dim 2, not {spec.local_dim}")
+        _require(spec.bond_dim <= 2, f"mps needs a spec with bond_dim 1 or 2, not {spec.bond_dim}")
 
 
 @dataclasses.dataclass(frozen=True)
 class Experiment:
     """One subcommand: its help line, runner and default config.
 
-    `chains` checks the size grid and returns the chain sizes the runner
-    builds lattices for; `aliases` adds flag spellings for a config key.
+    `chains` checks the size grid and returns the lattices the runner
+    builds; `check` raises on values that are invalid only in combination
+    with other keys; `aliases` adds flag spellings for a config key.
     """
 
     help: str
     runner: Callable[[dict], tuple[object, bool, dict]]
     defaults: dict
-    chains: Callable[[dict], tuple[int, ...]] = lambda config: (int(config["sites"]),)
+    chains: Callable[[dict], tuple] = lambda c: (LatticeSpec(c["sites"], 2, c["geometry"]),)
+    check: Callable[[dict, tuple], None] = lambda config, lattices: None
     aliases: Mapping[str, tuple[str, ...]] = dataclasses.field(default_factory=dict)
 
 
@@ -418,25 +458,29 @@ EXPERIMENT_TABLE: dict[str, Experiment] = {
     "spectrum": Experiment(
         "diagonalize a catalog model", _run_spectrum, {**_LATTICE, "gap_tolerance": None}
     ),
-    "scan": Experiment("per-eigenstate entanglement scan", _run_scan, {**_LATTICE, **_POLICY}),
+    "scan": Experiment(
+        "per-eigenstate entanglement scan", _run_scan, {**_LATTICE, **_POLICY}, check=_check_policy
+    ),
     "equilibrate": Experiment(
         "variance and subsystem bounds",
         _run_equilibrate,
         {**_LATTICE, "recipe": "random-product", "site": None, "axis": "Z", "samples": 2000,
          "horizon": None, "subsystem_samples": 200},
+        check=_check_equilibrate,
     ),
     "theorem1": Experiment(
         "min-entropy growth trend",
         _run_theorem1,
         {**_MODEL, "sizes": [6, 8, 10, 12], "recipe": "neel", **_POLICY},
-        chains=lambda config: growth_sizes(config["sizes"]),
+        chains=lambda c: tuple(LatticeSpec(n, 2, c["geometry"]) for n in growth_sizes(c["sizes"])),
+        check=_check_policy,
         aliases=_N_GRID,
     ),
     "prop1": Experiment(
         "interpolation family profile",
         _run_prop1,
         {"epsilon": 0.3, "sizes": [6, 8, 10, 12], "local_dim": 2, "seed": 0},
-        chains=lambda config: family_sizes(config["sizes"]),
+        chains=lambda c: tuple(LatticeSpec(n, c["local_dim"]) for n in family_sizes(c["sizes"])),
         aliases=_N_GRID,
     ),
     "overlap": Experiment(
@@ -444,23 +488,27 @@ EXPERIMENT_TABLE: dict[str, Experiment] = {
         _run_overlap,
         {**_LATTICE, "state_index": None, "region": None, "samples": 200,
          "alphas": [2.0, 3.0, "inf"]},
+        check=lambda c, _: _require(c["samples"] >= 0, "overlap needs a non-negative sample count"),
     ),
     "rates": Experiment(
         "entangling-rate bounds",
         _run_rates,
         {**_LATTICE, "samples": 2000, "recipe": "random-product", "t_max": 5.0, "t_points": 11},
+        check=_check_rates,
     ),
     "stability": Experiment(
         "scan stability under conjugation",
         _run_stability,
         {**_LATTICE, "sites": 10, "generator": "layer", "time": None},
+        check=_check_stability,
     ),
     "mps": Experiment(
         "product-overlap decay of a TI MPS",
         _run_mps,
         {"spec_json": None, "ghz": False, "seed": 0, "sizes": list(range(8, 65, 4)),
          "refine": True},
-        chains=_mps_rings,
+        chains=lambda config: (),
+        check=lambda c, _: _check_mps(c),
     ),
     "gibbs": Experiment(
         "thermal identities", _run_gibbs, {**_LATTICE, "betas": [0.2, 1.0, 5.0]}
@@ -500,17 +548,46 @@ FLAGS: dict[str, dict] = {
 }
 
 
+def _betas(betas: list) -> None:
+    _require(len(betas) > 0, "gibbs needs at least one inverse temperature")
+    for beta in betas:
+        inverse_temperature(beta)
+
+
+# Check of each config key's own value on the experiment's first lattice
+# (None for mps): the library check that would refuse it at run time, if any.
+CHECKS: dict[str, Callable[[object, LatticeSpec | None], object]] = {
+    "seed": lambda v, _: _require(v >= 0, "seed must be non-negative"),
+    "model": lambda v, _: _require(v in MODEL_NAMES, f"unknown model {v!r}; catalog: {MODEL_NAMES}"),
+    "bins": lambda v, _: envelope_bins(v),
+    "recipe": lambda v, _: _require(
+        v in STATE_RECIPES, f"unknown state recipe {v!r}; one of {STATE_RECIPES}"
+    ),
+    "axis": lambda v, _: pauli(v),
+    "site": lambda v, lat: v is None or SiteSet(lat, (v,)),
+    "region": lambda v, lat: site_set(lat, v or range(lat.num_sites // 2)),
+    "state_index": lambda v, lat: v is None or _require(
+        0 <= v < lat.dim, f"state index {v} outside spectrum"
+    ),
+    "epsilon": lambda v, _: constant_entropy_bound(v, math.inf),
+    "betas": lambda v, _: _betas(v),
+    "gap_tolerance": lambda v, _: gap_tolerance(v),
+    "generator": lambda v, _: _require(
+        v in ("layer", *MODEL_NAMES), f"generator must be 'layer' or one of {MODEL_NAMES}"
+    ),
+}
+
+
 def build_config(experiment: str, overrides: dict) -> dict:
-    if experiment not in EXPERIMENT_TABLE:
-        raise ConfigError(f"unknown experiment {experiment!r}")
+    _require(experiment in EXPERIMENT_TABLE, f"unknown experiment {experiment!r}")
     config = dict(EXPERIMENT_TABLE[experiment].defaults)
     unknown = set(overrides) - set(config)
-    if unknown:
-        raise ConfigError(
-            f"unknown keys for {experiment}: {sorted(unknown)}; "
-            f"allowed: {sorted(config)}"
-        )
-    config.update({k: _typed(k, v, config[k]) for k, v in overrides.items()})
+    _require(not unknown,
+             f"unknown keys for {experiment}: {sorted(unknown)}; allowed: {sorted(config)}")
+    try:
+        config.update({k: _typed(k, v, config[k]) for k, v in overrides.items()})
+    except OverflowError as exc:  # a JSON integer beyond the float range for a number key
+        raise ConfigError(str(exc)) from None
     _validate(experiment, config)
     config["experiment"] = experiment
     return config
@@ -539,8 +616,7 @@ def _typed(key: str, value, default):
     element = _ELEMENT_TYPE.get(kind)
     if element is None:
         return _typed_scalar(key, value, kind)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
+    _require(isinstance(value, (list, tuple)), f"{key} must be a list, got {value!r}")
     return [_typed_scalar(key, v, element) for v in value]
 
 
@@ -551,90 +627,29 @@ def _alpha(value) -> float | str:
         alpha = float(value) if type(value) in (int, float, str) else np.nan
     except ValueError:
         alpha = np.nan
-    if not alpha > 1:
-        raise ConfigError(f"the overlap bound holds for alpha > 1 only, got {value!r}")
+    _require(alpha > 1, f"the overlap bound holds for alpha > 1 only, got {value!r}")
     return "inf" if alpha == np.inf else alpha
 
 
 def _typed_scalar(key: str, value, kind: type):
-    if type(value) not in _ACCEPTS[kind]:
-        raise ConfigError(f"{key} must be {_TYPE_NAME[kind]}, got {value!r}")
+    _require(type(value) in _ACCEPTS[kind], f"{key} must be {_TYPE_NAME[kind]}, got {value!r}")
     return float(value) if kind is float else value
 
 
 def _validate(experiment: str, config: dict) -> None:
-    """Reject values the runners cannot use, before any of them starts.
-
-    Each value goes through the library check that would reject it at run
-    time; the sample loop and time grid of `rates` and the conjugation of
-    `stability` are the runners' own, so they are checked here.  A lattice
-    beyond the index range still raises ResourceGuardError.  ERGOLAB_THREADS
-    is read here too: BLAS and the scan's pool take their size from it.
-    """
+    """Reject values the runners cannot use, before any of them starts: the
+    experiment's `chains`, each key's entry of CHECKS in table order, then
+    the experiment's `check`.  A lattice beyond the index range raises
+    ResourceGuardError.  ERGOLAB_THREADS, which sizes BLAS and the scan's
+    pool, is read here too."""
+    entry = EXPERIMENT_TABLE[experiment]
     try:
         worker_count()
-        sizes = EXPERIMENT_TABLE[experiment].chains(config)
-        lattices = [
-            LatticeSpec(n, config.get("local_dim", 2), config.get("geometry", "chain-open"))
-            for n in sizes
-        ]
-        if config["seed"] < 0:
-            raise ConfigError("seed must be non-negative")
-        if "model" in config and config["model"] not in MODEL_NAMES:
-            raise ConfigError(f"unknown model {config['model']!r}; catalog: {MODEL_NAMES}")
-        if "mode" in config:
-            policy = _policy_from(config)
-            for n in sizes:
-                policy.max_size(n)
-        if "bins" in config:
-            envelope_bins(config["bins"])
-        if "recipe" in config and config["recipe"] not in STATE_RECIPES:
-            raise ConfigError(
-                f"unknown state recipe {config['recipe']!r}; one of {STATE_RECIPES}"
-            )
-        if "axis" in config:
-            pauli(config["axis"])
-        if config.get("site") is not None:
-            SiteSet(lattices[0], (config["site"],))
-        if "horizon" in config:  # equilibrate: both time averages use it
-            check_sampling(config["samples"], config["horizon"], 2)
-            check_sampling(config["subsystem_samples"], config["horizon"], 1)
-        if config.get("region"):
-            SiteSet(lattices[0], tuple(config["region"]))
-        elif experiment in ("overlap", "rates", "stability"):  # the default half-chain region
-            site_set(lattices[0], range(lattices[0].num_sites // 2))
-        if config.get("state_index") is not None:
-            idx = config["state_index"]
-            if not 0 <= idx < lattices[0].dim:
-                raise ConfigError(f"state index {idx} outside spectrum")
-        if "alphas" in config and config["samples"] < 0:  # overlap
-            raise ConfigError("overlap needs a non-negative sample count")
-        if "epsilon" in config:
-            constant_entropy_bound(config["epsilon"], float("inf"))
-        if "betas" in config and not config["betas"]:  # gibbs
-            raise ConfigError("gibbs needs at least one inverse temperature")
-        for beta in config.get("betas", ()):
-            inverse_temperature(beta)
-        if "gap_tolerance" in config:
-            gap_tolerance(config["gap_tolerance"])
-        if "t_points" in config:  # rates
-            if min(config["samples"], config["t_points"]) < 1:
-                raise ConfigError("rates needs at least one sample and one time point")
-        time = config.get("horizon", config.get("t_max", config.get("time")))
-        if time is not None:  # equilibrate, rates, stability: exp(-iEt) needs a finite t E
-            # catalog terms have norm <= 1, so E - E_0 <= 2 x (number of terms)
-            e_bound = 2 * len(build_model(config["model"], lattices[0], seed=config["seed"]).terms)
-            if not math.isfinite(time * e_bound):
-                raise ConfigError(f"time {time!r} times the energy bound {e_bound} is not finite")
-        if "generator" in config:  # stability
-            if config["generator"] not in ("layer", *MODEL_NAMES):
-                raise ConfigError(f"generator must be 'layer' or one of {MODEL_NAMES}")
-        if config.get("spec_json") and not config.get("ghz"):
-            spec = MPSSpec.from_json(Path(config["spec_json"]).read_text())
-            if spec.local_dim != 2:  # mps_overlap_decay optimises qubit factors only
-                raise ConfigError(f"mps needs a spec with local_dim 2, not {spec.local_dim}")
-            if spec.bond_dim > 2:  # through the eigenvalues of 2x2 bond matrices
-                raise ConfigError(f"mps needs a spec with bond_dim 1 or 2, not {spec.bond_dim}")
+        lattices = entry.chains(config)
+        first = next(iter(lattices), None)
+        for key in filter(config.__contains__, CHECKS):
+            CHECKS[key](config[key], first)
+        entry.check(config, lattices)
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -643,8 +658,7 @@ def run(config: dict) -> tuple[int, dict]:
     """Execute one experiment; deterministic under (config, seed)."""
     config = dict(config)
     experiment = config.pop("experiment", None)
-    if experiment not in EXPERIMENT_TABLE:
-        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENT_TABLE)}")
+    _require(experiment in EXPERIMENT_TABLE, f"experiment must be one of {tuple(EXPERIMENT_TABLE)}")
     config = build_config(experiment, config)
     del config["experiment"]
     resolved = _clean(config)  # the report's config, hashed as written
@@ -691,8 +705,7 @@ def _config_file(path: str | None) -> dict:
         config = json.loads(Path(path).read_text())
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
-    if not isinstance(config, dict):
-        raise ConfigError("config file must hold a JSON object")
+    _require(isinstance(config, dict), "config file must hold a JSON object")
     return config
 
 

@@ -77,17 +77,13 @@ class LocalHamiltonian:
         gaps = [b - a for a, b in zip(s, s[1:])] + [s[0] + n - s[-1]]
         return n - max(gaps) + 1
 
-    def assemble(self, shifted: bool = True) -> np.ndarray:
-        """Dense matrix of the term sum, its entries scattered from
-        ``_entries``: real whenever every term is real."""
+    def assemble(self) -> np.ndarray:
+        """Dense matrix of the term sum, without ``ground_shift``, scattered
+        from ``_entries``: real whenever every term is real."""
         _dense_guard(self.lattice.dim)
         i, j, values = _entries(self)
         h = np.zeros((self.lattice.dim, self.lattice.dim), dtype=values.dtype)
         h[i, j] = values
-        if shifted:
-            if self.ground_shift is None:
-                raise ValueError("ground shift unknown; diagonalize first")
-            h[np.diag_indices_from(h)] -= self.ground_shift
         return h
 
     def boundary_terms(self, region_sites: tuple[int, ...]) -> list[LocalTerm]:
@@ -502,7 +498,7 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
         # allocated after H is freed, the output comes from the heap instead
         # of a mapping of its own, since glibc raises its mmap threshold on a
         # large free; that raises the peak RSS of a 10-site `theorem1` by 5 MB
-        matrices = [(h.assemble(shifted=False), sectors[0])]
+        matrices = [(h.assemble(), sectors[0])]
     else:
         matrices = _sector_matrices(entries, sectors)
         del entries  # held by the generator until it is exhausted

@@ -235,7 +235,7 @@ def boundary_rate(
         _pure_region_rate(state, keep, apply_local(t.matrix, t.sites, state.lattice, psi))
         for t in terms
     ]
-    direct = _pure_region_rate(state, keep, h.assemble(shifted=False) @ psi)
+    direct = _pure_region_rate(state, keep, h.assemble() @ psi)
     total = float(sum(rates))
     diff = abs(total - direct)
     return BoundaryRateReport(
@@ -287,22 +287,13 @@ class IntegratedBoundReport:
 
 def integrated_bound_check(
     psi0: PureState,
-    h: LocalHamiltonian,
-    region: SiteSet | tuple[int, ...],
-    t_grid: Sequence[float],
-) -> IntegratedBoundReport:
-    """|S_2(t) - S_2(0)| of the region against the linear envelope
-    4 t |boundary| max_x ||C_x||_1 on every grid time."""
-    return _integrated_bound_check(psi0, diagonalize(h), region, t_grid)
-
-
-def _integrated_bound_check(
-    psi0: PureState,
     spectral: SpectralData,
     region: SiteSet | tuple[int, ...],
     t_grid: Sequence[float],
 ) -> IntegratedBoundReport:
-    """integrated_bound_check on the spectrum of its Hamiltonian."""
+    """|S_2(t) - S_2(0)| of the region against the linear envelope
+    4 t |boundary| max_x ||C_x||_1 on every grid time, evolving psi0 in
+    the spectrum of its Hamiltonian."""
     times = [float(t) for t in t_grid]
     if not times:
         raise ValueError("time grid is empty")
@@ -358,7 +349,7 @@ class QuasiLocalUnitary:
             own = [LocalTerm(np.searchsorted(c, t.sites), t.matrix)
                    for t in terms if t.sites[0] in c]
             sub = LocalHamiltonian(LatticeSpec(len(c), lat.local_dim), own, locality=len(c))
-            vectors = apply_local(_unitary(sub.assemble(shifted=False), self.time), c, lat, vectors)
+            vectors = apply_local(_unitary(sub.assemble(), self.time), c, lat, vectors)
         return vectors
 
 

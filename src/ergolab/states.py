@@ -48,7 +48,7 @@ class LatticeSpec:
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         # total dimension must stay addressable as a platform integer
-        if self.num_sites * np.log2(self.local_dim) > 62:
+        if self.num_sites > float(62 / np.log2(self.local_dim)):  # no overflow on a huge int
             raise ResourceGuardError(
                 "total Hilbert-space dimension exceeds index range"
             )

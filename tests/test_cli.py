@@ -12,13 +12,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ergolab
 from ergolab import CATALOG_VERSION
 from ergolab import cli
 from ergolab.cli import ConfigError, build_config, build_parser, main, run
 from ergolab.ergodicity import SearchPolicy, build_profile
-from ergolab.hamiltonians import build_model, diagonalize
+from ergolab.hamiltonians import ResourceGuardError, build_model, diagonalize
 from ergolab.mps import random_injective_spec
 from ergolab.states import LatticeSpec
 
@@ -183,6 +185,16 @@ def test_run_api_rejects_unknown_experiment():
         (["stability", "--time", "1e308"], 2),  # t E overflows the phases
         (["stability", "--sites", "4", "--time", "1e308"], 2),  # t E overflows the phases
         (["stability", "--generator", "mixed-field-ising", "--sites", "6", "--time", "1e308"], 2),
+        (["scan", "--max-fraction", "0"], 2),  # admits no subsystem
+        (["scan", "--max-fraction", "0.6"], 2),  # beyond half the chain
+        (["scan", "--budget", "0"], 2),  # candidate budget
+        (["scan", "--sites", "1"], 2),  # no subsystem to scan
+        (["theorem1", "--sizes", "6"], 2),  # growth grid of one size
+        (["theorem1", "--recipe", "bogus"], 2),  # state recipe
+        (["rates", "--recipe", "bogus"], 2),  # state recipe
+        (["prop1", "--local-dim", "1"], 2),  # family local dimension
+        (["theorem1", "--geometry", "ring"], 2),  # lattice geometry of every size
+        (["spectrum", "--sites", str(10**400)], 3),  # a lattice size with no float
     ],
 )
 def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeypatch):
@@ -224,6 +236,8 @@ def test_invalid_value_rejected_before_run(args, code, tmp_path, capsys, monkeyp
         ("equilibrate", {"horizon": 5e307}),  # t E overflows the phases
         ("rates", {"t_max": 1e308}),  # t E overflows the phases
         ("stability", {"time": 1e308}),  # t E overflows the phases
+        ("spectrum", {"model": "bogus"}),  # argparse choices catch the flag, not the file
+        ("rates", {"t_max": 10**400}),  # an integer with no float
     ],
 )
 def test_invalid_config_file_value_rejected_before_run(
@@ -244,6 +258,46 @@ def test_invalid_config_file_value_rejected_before_run(
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
     assert not out.exists()
+
+
+_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(-(10**400), 10**400),  # beyond the float range, as JSON can spell them
+    st.floats(),  # nan, +-inf and subnormals included
+    st.sampled_from([1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]),
+    st.text(max_size=8),
+    st.none(),
+    st.booleans(),
+)
+_KEYS = [
+    (name, key)
+    for name, entry in cli.EXPERIMENT_TABLE.items()
+    for key in (*entry.defaults, "unknown_key")
+]
+
+
+def _runner_started(config):
+    raise AssertionError("a runner started on a config under validation")
+
+
+_NO_RUNNERS = {
+    name: dataclasses.replace(entry, runner=_runner_started)
+    for name, entry in cli.EXPERIMENT_TABLE.items()
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_KEYS), st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4)))
+def test_any_single_override_is_accepted_or_exits_2_or_3(case, value):
+    # the exit-code contract for invalid values: every refusal is a
+    # ConfigError (exit 2) or a ResourceGuardError (exit 3)
+    experiment, key = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "EXPERIMENT_TABLE", _NO_RUNNERS)
+        try:
+            build_config(experiment, {key: value})
+        except (ConfigError, ResourceGuardError):
+            pass
 
 
 def test_config_file_and_flag_write_the_same_report(tmp_path):

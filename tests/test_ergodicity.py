@@ -430,7 +430,7 @@ def test_parity_route_keeps_best_s2_on_nondegenerate_levels(n, geometry):
     lattice = LatticeSpec(n, 2, geometry)
     h = build_model("mixed-field-ising", lattice)
     spec = diagonalize(h)
-    full = np.linalg.eigh(h.assemble(shifted=False))[1]
+    full = np.linalg.eigh(h.assemble())[1]
     cands = candidate_subsets(lattice, SearchPolicy(mode="random-sample", budget=60, seed=1))
     gaps = np.diff(spec.energies)
     separation = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
@@ -480,8 +480,8 @@ def test_integrated_bound_s2_unchanged(spec6):
         [spec6.eigenvectors @ (np.exp(-1j * spec6.energies * ti) * c) for ti in t], axis=1
     )
     for region in [(0, 1, 2), (1, 4)]:
-        new = integrated_bound_check(psi, spec6.hamiltonian, region, t)
+        new = integrated_bound_check(psi, spec6, region, t)
         old = _reference_renyi2(cols, spec6.lattice, region)
         np.testing.assert_allclose(new.s2_values, old, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="empty"):
-        integrated_bound_check(psi, spec6.hamiltonian, (0, 1, 2), [])
+        integrated_bound_check(psi, spec6, (0, 1, 2), [])

@@ -123,19 +123,16 @@ def test_eigenvector_phase_convention():
         assert abs(lead.imag) <= 1e-10 * abs(lead)
 
 
+def _shifted_matrix(h):
+    """The assembled H with the ground shift taken off its diagonal."""
+    return h.assemble() - h.ground_shift * np.eye(h.lattice.dim)
+
+
 def test_diagonalize_orthonormal(spec6):
     v = spec6.eigenvectors
     assert np.allclose(v.conj().T @ v, np.eye(spec6.dim), atol=1e-10)
-    h = spec6.hamiltonian.assemble(shifted=True)
+    h = _shifted_matrix(spec6.hamiltonian)
     assert np.allclose(v.conj().T @ h @ v, np.diag(spec6.energies), atol=1e-8)
-
-
-def test_assemble_shift_is_scalar(lat6):
-    h = build_model("mixed-field-ising", lat6)
-    diagonalize(h)
-    raw = h.assemble(shifted=False)
-    shifted = h.assemble(shifted=True)
-    assert np.allclose(shifted - raw, -h.ground_shift * np.eye(lat6.dim), atol=1e-12)
 
 
 def test_term_hermiticity_enforced():
@@ -485,11 +482,11 @@ SECTOR_MODELS = [
 @pytest.mark.parametrize("name,params", SECTOR_MODELS)
 def test_sector_diagonalization_matches_full_eigh(name, params, geometry):
     h = build_model(name, LatticeSpec(8, 2, geometry), params=params, seed=3)
-    full = np.linalg.eigh(h.assemble(shifted=False))[0]
+    full = np.linalg.eigh(h.assemble())[0]
     spec = diagonalize(h)
     v, e = spec.eigenvectors, spec.energies
     assert np.abs(e + h.ground_shift - full).max() <= 1e-12
-    assert np.abs(h.assemble(shifted=True) @ v - v * e).max() <= 1e-12
+    assert np.abs(_shifted_matrix(h) @ v - v * e).max() <= 1e-12
     assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
     assert _sector_pure(v, 8)
 
@@ -503,7 +500,7 @@ def test_heisenberg_is_the_isotropic_xxz_chain(num_sites, geometry):
         xxz = build_model("xxz-disordered", lat, params={"delta": 1.0}, seed=seed)
         assert heis.name == "heisenberg-random-field" and heis.params["delta"] == 1.0
         assert heis.norm_rescale == xxz.norm_rescale
-        assert np.array_equal(heis.assemble(shifted=False), xxz.assemble(shifted=False))
+        assert np.array_equal(heis.assemble(), xxz.assemble())
 
 
 @pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
@@ -513,7 +510,7 @@ def test_sector_diagonalization_with_levels_degenerate_across_sectors(geometry):
     h = build_model("heisenberg-random-field", LatticeSpec(8, 2, geometry), params={"W": 0.0})
     spec = diagonalize(h)
     v, e = spec.eigenvectors, spec.energies
-    assert np.abs(h.assemble(shifted=True) @ v - v * e).max() <= 1e-12
+    assert np.abs(_shifted_matrix(h) @ v - v * e).max() <= 1e-12
     assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
     assert _sector_pure(v, 8)
 
@@ -535,9 +532,9 @@ def test_complex_sector_diagonalization():
     spec = diagonalize(h)
     v, e = spec.eigenvectors, spec.energies
     assert np.iscomplexobj(v)
-    full = np.linalg.eigh(h.assemble(shifted=False))[0]
+    full = np.linalg.eigh(h.assemble())[0]
     assert np.abs(e + h.ground_shift - full).max() <= 1e-12
-    assert np.abs(h.assemble(shifted=True) @ v - v * e).max() <= 1e-12
+    assert np.abs(_shifted_matrix(h) @ v - v * e).max() <= 1e-12
     assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
     assert _sector_pure(v, n)
     lead = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(spec.dim)]
@@ -557,7 +554,7 @@ def _lopsided_ising(n, geometry="chain-open"):
 def test_one_sector_model_is_diagonalized_whole(geometry):
     h = _lopsided_ising(8, geometry)
     spec = diagonalize(h)
-    energies, vectors = np.linalg.eigh(h.assemble(shifted=False))
+    energies, vectors = np.linalg.eigh(h.assemble())
     assert np.array_equal(spec.energies, energies - h.ground_shift)
     assert np.array_equal(spec.eigenvectors, _fix_phases(vectors))
 
@@ -586,10 +583,10 @@ def test_one_sector_model_calls_eigh_once_on_the_assembled_matrix(monkeypatch):
 def _check_parity_spectrum(h, spec):
     """Energies of one full eigh, residual, orthonormality and R v = +-v,
     all within 1e-12."""
-    full = np.linalg.eigh(h.assemble(shifted=False))[0]
+    full = np.linalg.eigh(h.assemble())[0]
     v, e = spec.eigenvectors, spec.energies
     assert np.abs(e + h.ground_shift - full).max() <= 1e-12
-    assert np.abs(h.assemble(shifted=True) @ v - v * e).max() <= 1e-12
+    assert np.abs(_shifted_matrix(h) @ v - v * e).max() <= 1e-12
     assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
     mirrored = v[_reflection(h)]
     parity = np.sign(np.einsum("ij,ij->j", mirrored.conj(), v).real)
@@ -715,7 +712,7 @@ def test_sector_blocks_keep_the_bits_of_the_dense_gather_on_custom_terms():
     # terms cancel exactly
     h = _cancelling_chain()
     raw = _dense_assemble(h)
-    assert np.array_equal(h.assemble(shifted=False), raw)
+    assert np.array_equal(h.assemble(), raw)
     i, j, _ = _entries(h)
     sectors = _sectors(i, j, len(raw))
     assert len(sectors) == 6 + 1
@@ -800,7 +797,7 @@ def test_random_field_models_are_not_mirror_symmetric(name, geometry):
 def test_clean_heisenberg_chain_splits_sectors_by_parity():
     # without fields each magnetisation sector is mapped onto itself
     h = build_model("heisenberg-random-field", LatticeSpec(8, 2), params={"W": 0.0})
-    raw = h.assemble(shifted=False)
+    raw = h.assemble()
     bases = _sector_bases(_sectors(*np.nonzero(raw), len(raw)), _reflection(h))
     assert sum(p.size for p, _, _ in bases) == 2**8
     spec = diagonalize(h)
@@ -811,7 +808,7 @@ def test_clean_heisenberg_chain_splits_sectors_by_parity():
 @pytest.mark.parametrize("n", [5, 8])
 def test_xxz_sectors_are_the_magnetisation_sectors(n):
     h = build_model("xxz-disordered", LatticeSpec(n, 2), seed=1)
-    raw = h.assemble(shifted=False)
+    raw = h.assemble()
     sectors = _sectors(*np.nonzero(raw), len(raw))
     m = _magnetisation(n)
     assert len(sectors) == n + 1
@@ -821,7 +818,7 @@ def test_xxz_sectors_are_the_magnetisation_sectors(n):
 
 
 def test_mixed_field_ising_is_one_sector():
-    raw = build_model("mixed-field-ising", LatticeSpec(7, 2)).assemble(shifted=False)
+    raw = build_model("mixed-field-ising", LatticeSpec(7, 2)).assemble()
     (sector,) = _sectors(*np.nonzero(raw), len(raw))
     assert np.array_equal(sector, np.arange(2**7))
 

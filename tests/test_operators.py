@@ -123,7 +123,7 @@ def test_assemble_matches_kron_reference(name, geometry, n):
     want = np.zeros((lat.dim, lat.dim))
     for t in ham.terms:
         want += _reference_embed(t.matrix.astype(float), t.sites, lat)
-    got = ham.assemble(shifted=False)
+    got = ham.assemble()
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -139,7 +139,7 @@ def test_assemble_complex_terms_match_kron_reference(rng):
     want = np.zeros((lat.dim, lat.dim), dtype=complex)
     for t in terms:
         want += _reference_embed(t.matrix.astype(complex), t.sites, lat)
-    got = LocalHamiltonian(lat, terms).assemble(shifted=False)
+    got = LocalHamiltonian(lat, terms).assemble()
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 

@@ -203,7 +203,7 @@ def test_boundary_rate_no_straddling_terms():
 def test_integrated_bound(spec6):
     psi = random_product_state(spec6.lattice, 9)
     t = np.linspace(0.0, 3.0, 7)
-    rep = integrated_bound_check(psi, spec6.hamiltonian, (0, 1, 2), t)
+    rep = integrated_bound_check(psi, spec6, (0, 1, 2), t)
     assert rep.passed
     assert rep.max_excess <= 1e-9
     assert rep.s2_values[0] == pytest.approx(0.0, abs=1e-10)
@@ -368,7 +368,7 @@ def test_mixed_and_pure_rate_routes_agree(model, geometry):
     # time reversal, which both routes would give
     lat = LatticeSpec(6, 2, geometry)
     h = build_model(model, lat, seed=0)
-    v = h.assemble(shifted=False)
+    v = h.assemble()
     rng = np.random.default_rng(5)
     for _ in range(3):
         amps = rng.normal(size=lat.dim) + 1j * rng.normal(size=lat.dim)
