@@ -578,6 +578,15 @@ CHECKS: dict[str, Callable[[object, LatticeSpec | None], object]] = {
 }
 
 
+# The one spelling stored of a value that several spellings run alike
+# (`alphas` is spelt once by _alpha): pauli reads either case, SiteSet
+# sorts and deduplicates, and an empty region is the half chain, as None.
+SPELLINGS: dict[str, Callable] = {
+    "axis": str.upper,
+    "region": lambda v: sorted(set(v or ())) or None,
+}
+
+
 def build_config(experiment: str, overrides: dict) -> dict:
     _require(experiment in EXPERIMENT_TABLE, f"unknown experiment {experiment!r}")
     config = dict(EXPERIMENT_TABLE[experiment].defaults)
@@ -589,6 +598,7 @@ def build_config(experiment: str, overrides: dict) -> dict:
     except OverflowError as exc:  # a JSON integer beyond the float range for a number key
         raise ConfigError(str(exc)) from None
     _validate(experiment, config)
+    config.update({k: SPELLINGS[k](config[k]) for k in SPELLINGS if k in config})
     config["experiment"] = experiment
     return config
 

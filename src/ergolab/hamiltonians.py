@@ -8,8 +8,7 @@ is kept on the model for unit bookkeeping.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,7 +313,6 @@ def _sector_matrices(entries: tuple, sectors: list[np.ndarray]) -> Iterator[tupl
         block = np.zeros((idx.size, idx.size), dtype=values.dtype)
         block[local[i[at]], local[j[at]]] = values[at]
         yield block, idx
-        del block  # freed before the next sector's block is allocated
 
 
 def _reflection(h: LocalHamiltonian) -> np.ndarray | None:
@@ -345,7 +343,7 @@ def _reflection(h: LocalHamiltonian) -> np.ndarray | None:
 def _sector_bases(
     sectors: list[np.ndarray], mirror: np.ndarray | None
 ) -> list[tuple[np.ndarray, np.ndarray | None, float]]:
-    """The bases ``_solve_blocks`` solves the blocks of H on, as (p, q, sign).
+    """The bases ``diagonalize`` solves the blocks of H on, as (p, q, sign).
 
     A sector that the reflection `mirror` maps onto itself, moving some of
     its states, splits into its even and odd parity blocks.  Their basis
@@ -388,33 +386,6 @@ def _parity_block(m: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> n
     block[fixed] *= np.sqrt(0.5)
     block[:, fixed] *= np.sqrt(0.5)
     return block
-
-
-def _solve_blocks(matrices: Iterable, mirror: np.ndarray | None, solve: Callable, join: Callable):
-    """``solve(block, p, q)`` of the block of each basis (p, q, sign) of
-    each sector (see ``_sector_bases``), joined by ``join(parts)``.
-
-    `matrices` yields each sector's matrix with its ascending indices,
-    (m, idx), m on the sector's own indices.  A basis of the whole sector
-    gets `m` itself; a parity basis gets its ``_parity_block`` of `m`.
-    Each block is freed once ``solve`` returns, and each sector's matrix
-    once its bases are solved.  A single basis is the whole space: its
-    result is returned as it is, and otherwise ``join`` gets the results
-    in basis order.
-    """
-
-    def blocks():
-        for m, idx in matrices:
-            for p, q, sign in _sector_bases([idx], mirror):
-                if q is None:
-                    yield m, p, q
-                else:
-                    local = np.searchsorted(idx, p), np.searchsorted(idx, q)
-                    yield _parity_block(m, *local, sign), p, q
-            del m
-
-    parts = list(itertools.starmap(solve, blocks()))
-    return parts[0] if len(parts) == 1 else join(parts)
 
 
 def _basis_eigh(block: np.ndarray, p: np.ndarray, q: np.ndarray | None) -> tuple:
@@ -471,16 +442,16 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     shifted to zero.
 
     H is split into its decoupled sectors (see ``_sectors``), read from
-    the pattern of its nonzero entries (``_entries``), and each sector is
-    diagonalised on its own, its eigenvectors placed on its basis states.
-    With two or more sectors, each sector's block is scattered from the
-    entries into an s x s matrix of its own, so no dim x dim H is built;
-    a one-sector model takes its one block, the whole H, from ``assemble``.
-    When the term list is mirror-symmetric (see ``_reflection``), each
-    sector that the reflection maps onto itself is split further into its
-    even and odd parity blocks, so every eigenvector is a parity
-    eigenvector.  A model with one sector and no reflection goes to
-    ``eigh`` whole.
+    the pattern of its nonzero entries (``_entries``), and each sector's
+    block is scattered from those entries into an s x s matrix of its own
+    (``_sector_matrices``), so a one-sector model is one sector of size
+    dim.  When the term list is mirror-symmetric (see ``_reflection``),
+    each sector that the reflection maps onto itself is split further into
+    its even and odd parity blocks (see ``_sector_bases``), so every
+    eigenvector is a parity eigenvector.  Each basis's block goes to
+    ``eigh`` and its eigenvectors are placed on its basis states; a model
+    with one sector and no reflection is one basis, and its ``eigh`` is
+    the result.
 
     With ``vectors=False`` each block goes to ``eigvalsh`` instead, and a
     ``Spectrum`` of the sorted energies alone is returned, so no dim x dim
@@ -492,27 +463,24 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     _dense_guard(dim)
     entries = _entries(h)
     sectors = _sectors(entries[0], entries[1], dim)
-    if len(sectors) == 1:
-        del entries  # freed before the dense H is assembled
-        # the list keeps H alive until the dim x dim output is allocated:
-        # allocated after H is freed, the output comes from the heap instead
-        # of a mapping of its own, since glibc raises its mmap threshold on a
-        # large free; that raises the peak RSS of a 10-site `theorem1` by 5 MB
-        matrices = [(h.assemble(), sectors[0])]
-    else:
-        matrices = _sector_matrices(entries, sectors)
-        del entries  # held by the generator until it is exhausted
+    matrices = _sector_matrices(entries, sectors)
+    del entries  # held by the generator until it is exhausted
     mirror = _reflection(h)
+    bases, parts = [], []
+    # `m` stays bound after the loop, so the last sector's matrix lives
+    # until the dim x dim output is allocated: allocated after it is freed,
+    # the output comes from the heap instead of a mapping of its own, since
+    # glibc raises its mmap threshold on a large free; that raises the
+    # peak RSS of a 10-site `theorem1` by 5 MB
+    for m, idx in matrices:
+        for p, q, sign in _sector_bases([idx], mirror):
+            block = m if q is None else _parity_block(m, *np.searchsorted(idx, (p, q)), sign)
+            parts.append(_basis_eigh(block, p, q) if vectors else np.linalg.eigvalsh(block))
+            bases.append((p, q, sign))
+            del block  # a parity block is freed once solved
     if not vectors:
-        energies = _solve_blocks(
-            matrices, mirror, lambda block, p, q: np.linalg.eigvalsh(block),
-            lambda parts: np.sort(np.concatenate(parts)),
-        )
-        return Spectrum(h.lattice, h, _shifted_to_ground(h, energies))
-    energies, v = _solve_blocks(
-        matrices, mirror, _basis_eigh,
-        lambda parts: _placed_vectors(_sector_bases(sectors, mirror), parts),
-    )
+        return Spectrum(h.lattice, h, _shifted_to_ground(h, np.sort(np.concatenate(parts))))
+    energies, v = parts[0] if len(parts) == 1 else _placed_vectors(bases, parts)
     return SpectralData(h.lattice, h, _shifted_to_ground(h, energies), v)
 
 

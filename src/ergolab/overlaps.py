@@ -11,11 +11,10 @@ import numpy as np
 
 from .entropy import renyi_entropy
 from .fits import fit_line
-from .hamiltonians import DENSE_DIM_GUARD
+from .hamiltonians import _dense_guard
 from .states import (
     LatticeSpec,
     PureState,
-    ResourceGuardError,
     SiteSet,
     _product_rows,
     _random_factors,
@@ -82,10 +81,7 @@ def build_epsilon_state(
     DENSE_DIM_GUARD states is refused before anything is allocated.
     """
     n, d = lattice.num_sites, lattice.local_dim
-    if lattice.dim > DENSE_DIM_GUARD:
-        raise ResourceGuardError(
-            f"epsilon state of dimension {lattice.dim} exceeds dense guard {DENSE_DIM_GUARD}"
-        )
+    _dense_guard(lattice.dim)
     if n % 2:
         raise ValueError("epsilon family needs an even number of sites")
     if not 0.0 <= epsilon <= 1.0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -48,7 +49,7 @@ class LatticeSpec:
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         # total dimension must stay addressable as a platform integer
-        if self.num_sites > float(62 / np.log2(self.local_dim)):  # no overflow on a huge int
+        if self.num_sites > 62 / math.log2(self.local_dim):  # takes any Python int
             raise ResourceGuardError(
                 "total Hilbert-space dimension exceeds index range"
             )

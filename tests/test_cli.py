@@ -104,6 +104,17 @@ def test_prop1_dense_guard_exits_3(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("local_dim", [10**15, 10**30])  # 10**30 is beyond int64
+def test_huge_local_dim_in_config_file_exits_3(local_dim, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"local_dim": local_dim}))
+    out = tmp_path / "out"
+    assert main(["prop1", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("resource guard: "), err
+    assert not out.exists()
+
+
 def test_failed_assertion_exits_1(tmp_path):
     out = tmp_path / "out"
     r = invoke(
@@ -325,6 +336,24 @@ def test_alphas_spellings_write_one_config(tmp_path):
     for rep in reports[1:]:
         assert rep["config"] == reports[0]["config"]
         assert rep["config_sha256"] == reports[0]["config_sha256"]
+
+
+@pytest.mark.parametrize(
+    "experiment, spelling, canonical",
+    [
+        ("equilibrate", {"axis": "x"}, {"axis": "X"}),
+        ("overlap", {"region": [3, 2]}, {"region": [2, 3]}),
+        ("overlap", {"region": [1, 1]}, {"region": [1]}),
+        ("overlap", {"region": []}, {"region": None}),
+    ],
+)
+def test_spellings_of_one_check_write_one_config(experiment, spelling, canonical):
+    # pauli reads either case, SiteSet sorts and deduplicates, and an empty
+    # region is the half chain: the config stores the spelling the check runs
+    want = run({"experiment": experiment, "sites": 4, **canonical})
+    got = run({"experiment": experiment, "sites": 4, **spelling})
+    assert got[1]["config_sha256"] == want[1]["config_sha256"]
+    assert got == want
 
 
 def _refuse_constant(token):

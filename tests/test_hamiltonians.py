@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from ergolab import hamiltonians
 from ergolab.hamiltonians import (
     _GAP_BAND,
     DENSE_DIM_GUARD,
@@ -559,25 +560,38 @@ def test_one_sector_model_is_diagonalized_whole(geometry):
     assert np.array_equal(spec.eigenvectors, _fix_phases(vectors))
 
 
-def test_one_sector_model_calls_eigh_once_on_the_assembled_matrix(monkeypatch):
+def test_one_sector_model_builds_its_entries_once_and_calls_eigh_once(monkeypatch):
     h = _lopsided_ising(6)
-    assembled, factorized = [], []
-    assemble, eigh = LocalHamiltonian.assemble, np.linalg.eigh
+    built, factorized = [], []
+    entries, eigh = hamiltonians._entries, np.linalg.eigh
 
-    def recording_assemble(self, *args, **kwargs):
-        assembled.append(assemble(self, *args, **kwargs))
-        return assembled[-1]
+    def recording_entries(model):
+        built.append(model)
+        return entries(model)
 
     def recording_eigh(a, *args, **kwargs):
-        factorized.append(a)
+        factorized.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(LocalHamiltonian, "assemble", recording_assemble)
+    monkeypatch.setattr(hamiltonians, "_entries", recording_entries)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     diagonalize(h)
-    assert len(assembled) == 1
-    assert len(factorized) == 1
-    assert factorized[0] is assembled[0]
+    assert built == [h]
+    assert factorized == [(h.lattice.dim, h.lattice.dim)]
+
+
+def test_one_sector_model_vectors_peak():
+    # the parity blocks, their vectors and the placed output; the whole
+    # block stays alive until the output is allocated
+    h = build_model("mixed-field-ising", LatticeSpec(10, 2))
+    dim = h.lattice.dim
+    tracemalloc.start()
+    try:
+        diagonalize(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * dim * dim * 8
 
 
 def _check_parity_spectrum(h, spec):

@@ -1,6 +1,7 @@
 """Transfer operators, injectivity, and product-overlap decay."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ergolab.mps import (
     transfer_operator,
 )
 from ergolab.overlaps import product_state_from_factors
+from ergolab.states import ResourceGuardError
 
 
 def cluster_spec():
@@ -71,6 +73,17 @@ def test_ghz_dense_form():
     assert amps[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert amps[-1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert np.abs(amps[1:-1]).max() <= 1e-12
+
+
+def test_dense_mps_refused_above_dense_guard():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match="guard"):
+            mps_to_dense(ghz_spec(), 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_product_mps_dense_form():
