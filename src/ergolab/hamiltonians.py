@@ -79,7 +79,7 @@ class LocalHamiltonian:
     def assemble(self) -> np.ndarray:
         """Dense matrix of the term sum, without ``ground_shift``, scattered
         from ``_entries``: real whenever every term is real."""
-        _dense_guard(self.lattice.dim)
+        dense_guard(self.lattice.dim)
         i, j, values = _entries(self)
         h = np.zeros((self.lattice.dim, self.lattice.dim), dtype=values.dtype)
         h[i, j] = values
@@ -96,7 +96,7 @@ class LocalHamiltonian:
         return out
 
 
-def _dense_guard(dim: int) -> None:
+def dense_guard(dim: int) -> None:
     """Refuse a dense dim x dim matrix above ``DENSE_DIM_GUARD``; called
     before anything of that size is built."""
     if dim > DENSE_DIM_GUARD:
@@ -313,6 +313,7 @@ def _sector_matrices(entries: tuple, sectors: list[np.ndarray]) -> Iterator[tupl
         block = np.zeros((idx.size, idx.size), dtype=values.dtype)
         block[local[i[at]], local[j[at]]] = values[at]
         yield block, idx
+        del block  # freed before the next sector's block is allocated
 
 
 def _reflection(h: LocalHamiltonian) -> np.ndarray | None:
@@ -442,16 +443,17 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     shifted to zero.
 
     H is split into its decoupled sectors (see ``_sectors``), read from
-    the pattern of its nonzero entries (``_entries``), and each sector's
-    block is scattered from those entries into an s x s matrix of its own
-    (``_sector_matrices``), so a one-sector model is one sector of size
-    dim.  When the term list is mirror-symmetric (see ``_reflection``),
-    each sector that the reflection maps onto itself is split further into
-    its even and odd parity blocks (see ``_sector_bases``), so every
-    eigenvector is a parity eigenvector.  Each basis's block goes to
-    ``eigh`` and its eigenvectors are placed on its basis states; a model
-    with one sector and no reflection is one basis, and its ``eigh`` is
-    the result.
+    the pattern of its nonzero entries (``_entries``).  With two or more
+    sectors, each sector's block is scattered from the entries into an
+    s x s matrix of its own (``_sector_matrices``), so no dim x dim H is
+    built; a one-sector model takes its one block, the whole H, from
+    ``assemble``.  When the term list is mirror-symmetric (see
+    ``_reflection``), each sector that the reflection maps onto itself is
+    split further into its even and odd parity blocks (see
+    ``_sector_bases``), so every eigenvector is a parity eigenvector.
+    Each basis's block goes to ``eigh`` and its eigenvectors are placed on
+    its basis states; a model with one sector and no reflection is one
+    basis, and its ``eigh`` is the result.
 
     With ``vectors=False`` each block goes to ``eigvalsh`` instead, and a
     ``Spectrum`` of the sorted energies alone is returned, so no dim x dim
@@ -460,24 +462,28 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     eigenvalues alone by another algorithm).
     """
     dim = h.lattice.dim
-    _dense_guard(dim)
+    dense_guard(dim)
     entries = _entries(h)
     sectors = _sectors(entries[0], entries[1], dim)
-    matrices = _sector_matrices(entries, sectors)
-    del entries  # held by the generator until it is exhausted
+    if len(sectors) == 1:
+        del entries  # freed before the dense H is assembled
+        # the list keeps H alive until the dim x dim output is allocated:
+        # allocated after H is freed, the output comes from the heap instead
+        # of a mapping of its own, since glibc raises its mmap threshold on a
+        # large free; that raises the peak RSS of a 10-site `theorem1` by 5 MB
+        matrices = [(h.assemble(), sectors[0])]
+    else:
+        matrices = _sector_matrices(entries, sectors)
+        del entries  # held by the generator until it is exhausted
     mirror = _reflection(h)
     bases, parts = [], []
-    # `m` stays bound after the loop, so the last sector's matrix lives
-    # until the dim x dim output is allocated: allocated after it is freed,
-    # the output comes from the heap instead of a mapping of its own, since
-    # glibc raises its mmap threshold on a large free; that raises the
-    # peak RSS of a 10-site `theorem1` by 5 MB
     for m, idx in matrices:
         for p, q, sign in _sector_bases([idx], mirror):
             block = m if q is None else _parity_block(m, *np.searchsorted(idx, (p, q)), sign)
             parts.append(_basis_eigh(block, p, q) if vectors else np.linalg.eigvalsh(block))
             bases.append((p, q, sign))
             del block  # a parity block is freed once solved
+        del m  # each sector's matrix is freed before the next is scattered
     if not vectors:
         return Spectrum(h.lattice, h, _shifted_to_ground(h, np.sort(np.concatenate(parts))))
     energies, v = parts[0] if len(parts) == 1 else _placed_vectors(bases, parts)

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .fits import fit_line
-from .hamiltonians import _dense_guard
+from .hamiltonians import dense_guard
 from .states import LatticeSpec, PureState
 
 INJECTIVITY_GAP = 1e-6
@@ -121,7 +121,7 @@ def mps_to_dense(spec: MPSSpec, num_sites: int) -> PureState:
     """Trace-closed chain contraction, normalized; the result must be
     exactly translation invariant on the ring (checked to 1e-9)."""
     d = spec.local_dim
-    _dense_guard(d**num_sites)
+    dense_guard(d**num_sites)
     cur = spec.tensors
     for _ in range(num_sites - 1):
         cur = np.einsum("sab,tbc->stac", cur.reshape(-1, *spec.tensors.shape[1:]), spec.tensors)

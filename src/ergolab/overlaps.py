@@ -11,7 +11,7 @@ import numpy as np
 
 from .entropy import renyi_entropy
 from .fits import fit_line
-from .hamiltonians import _dense_guard
+from .hamiltonians import dense_guard
 from .states import (
     LatticeSpec,
     PureState,
@@ -81,7 +81,7 @@ def build_epsilon_state(
     DENSE_DIM_GUARD states is refused before anything is allocated.
     """
     n, d = lattice.num_sites, lattice.local_dim
-    _dense_guard(lattice.dim)
+    dense_guard(lattice.dim)
     if n % 2:
         raise ValueError("epsilon family needs an even number of sites")
     if not 0.0 <= epsilon <= 1.0:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from ergolab import hamiltonians
 from ergolab.hamiltonians import (
     _GAP_BAND,
     DENSE_DIM_GUARD,
@@ -560,29 +559,30 @@ def test_one_sector_model_is_diagonalized_whole(geometry):
     assert np.array_equal(spec.eigenvectors, _fix_phases(vectors))
 
 
-def test_one_sector_model_builds_its_entries_once_and_calls_eigh_once(monkeypatch):
+def test_one_sector_model_calls_eigh_once_on_the_assembled_matrix(monkeypatch):
     h = _lopsided_ising(6)
-    built, factorized = [], []
-    entries, eigh = hamiltonians._entries, np.linalg.eigh
+    assembled, factorized = [], []
+    assemble, eigh = LocalHamiltonian.assemble, np.linalg.eigh
 
-    def recording_entries(model):
-        built.append(model)
-        return entries(model)
+    def recording_assemble(self, *args, **kwargs):
+        assembled.append(assemble(self, *args, **kwargs))
+        return assembled[-1]
 
     def recording_eigh(a, *args, **kwargs):
-        factorized.append(a.shape)
+        factorized.append(a)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(hamiltonians, "_entries", recording_entries)
+    monkeypatch.setattr(LocalHamiltonian, "assemble", recording_assemble)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     diagonalize(h)
-    assert built == [h]
-    assert factorized == [(h.lattice.dim, h.lattice.dim)]
+    assert len(assembled) == 1
+    assert len(factorized) == 1
+    assert factorized[0] is assembled[0]
 
 
 def test_one_sector_model_vectors_peak():
-    # the parity blocks, their vectors and the placed output; the whole
-    # block stays alive until the output is allocated
+    # the parity blocks, their vectors and the placed output; the
+    # assembled H stays alive until the output is allocated
     h = build_model("mixed-field-ising", LatticeSpec(10, 2))
     dim = h.lattice.dim
     tracemalloc.start()
