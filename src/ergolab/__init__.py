@@ -6,6 +6,7 @@ the command-line entry point can configure thread limits before any heavy
 numerical import happens.
 """
 
+import _thread
 import os
 
 __version__ = "0.1.0"
@@ -14,8 +15,8 @@ CATALOG_VERSION = "1"
 
 
 def worker_count() -> int:
-    """Worker threads for BLAS and the entanglement scan: ERGOLAB_THREADS
-    when set and non-empty, else the CPUs this process may run on.
+    """Worker threads of ``deal``: ERGOLAB_THREADS when set and non-empty,
+    else the CPUs this process may run on.
 
     Raises ValueError unless the variable holds a positive integer.
     """
@@ -27,3 +28,55 @@ def worker_count() -> int:
     if not (value.isascii() and value.isdigit()) or int(value) < 1:
         raise ValueError(f"ERGOLAB_THREADS must be a positive integer, got {value!r}")
     return int(value)
+
+
+def deal(share, items, scratch=None) -> None:
+    """Run ``share(items[k::workers])`` for each worker k, side by side, on
+    min(worker_count(), len(items)) threads, the calling thread as worker 0.
+
+    The deal fixes which thread takes which items, never what an item
+    computes, so results do not depend on the worker count as long as
+    each item writes only its own output.  With `scratch`, the calling
+    thread makes one ``scratch()`` per worker before any worker starts,
+    and each share is called as ``share(part, its_scratch)``: buffers
+    made there live in the caller's malloc arena, not in a worker's.
+    Every worker is waited for; then the first exception, in worker
+    order, is raised in the caller.
+
+    The workers are ``_thread`` threads, each with one lock that it
+    releases when its share is done.  ``threading.Thread`` would also
+    enter every worker in the threading module's registries, whose tables
+    grow and shrink on a cycle over the threads a process has started, so
+    the memory of a call would depend on how many calls came before it.
+    """
+    workers = min(worker_count(), len(items))
+    scratches = [scratch() for _ in range(workers)] if scratch else None
+    errors: list[BaseException | None] = [None] * workers
+    done = [_thread.allocate_lock() for _ in range(1, workers)]
+
+    def work(k: int) -> None:
+        try:
+            if scratches is None:
+                share(items[k::workers])
+            else:
+                share(items[k::workers], scratches[k])
+        except BaseException as exc:  # handed to the caller below
+            errors[k] = exc
+        finally:
+            if k:
+                done[k - 1].release()
+
+    started = []
+    try:
+        for k, lock in enumerate(done, start=1):
+            lock.acquire()
+            _thread.start_new_thread(work, (k,))
+            started.append(lock)
+        if workers:
+            work(0)
+    finally:
+        for lock in started:
+            lock.acquire()
+    first = next((exc for exc in errors if exc is not None), None)
+    if first is not None:
+        raise first

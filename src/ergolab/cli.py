@@ -21,15 +21,10 @@ from . import worker_count
 
 
 def _configure_threads() -> None:
-    # an invalid value leaves BLAS at its default; _validate rejects the run
-    if not os.environ.get("ERGOLAB_THREADS"):
-        return
-    try:
-        value = str(worker_count())
-    except ValueError:
-        return
+    # BLAS runs one thread, whatever ERGOLAB_THREADS says: the threads come
+    # from ergolab.deal, whose deal does not change any product's rounding
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, value)
+        os.environ[var] = "1"
 
 
 _configure_threads()
@@ -94,7 +89,7 @@ from .rates import (  # noqa: E402
     integrated_bound_check,
     stability_experiment,
 )
-from .states import LatticeSpec, PureState, SiteSet, site_set  # noqa: E402
+from .states import LatticeSpec, PureState, SiteSet, _shown, site_set  # noqa: E402
 from .tolerances import TOL  # noqa: E402
 
 SCOPE_NOTE = (
@@ -393,7 +388,7 @@ def _phases(time: float | None, config: dict, lat: LatticeSpec) -> None:
     if time is not None:
         e_bound = 2 * len(build_model(config["model"], lat, seed=config["seed"]).terms)
         _require(math.isfinite(time * e_bound),
-                 f"time {time!r} times the energy bound {e_bound} is not finite")
+                 f"time {_shown(time)} times the energy bound {e_bound} is not finite")
 
 
 def _check_policy(config: dict, lattices) -> None:
@@ -558,16 +553,16 @@ def _betas(betas: list) -> None:
 # (None for mps): the library check that would refuse it at run time, if any.
 CHECKS: dict[str, Callable[[object, LatticeSpec | None], object]] = {
     "seed": lambda v, _: _require(v >= 0, "seed must be non-negative"),
-    "model": lambda v, _: _require(v in MODEL_NAMES, f"unknown model {v!r}; catalog: {MODEL_NAMES}"),
+    "model": lambda v, _: _require(v in MODEL_NAMES, f"unknown model {_shown(v)}; catalog: {MODEL_NAMES}"),
     "bins": lambda v, _: envelope_bins(v),
     "recipe": lambda v, _: _require(
-        v in STATE_RECIPES, f"unknown state recipe {v!r}; one of {STATE_RECIPES}"
+        v in STATE_RECIPES, f"unknown state recipe {_shown(v)}; one of {STATE_RECIPES}"
     ),
     "axis": lambda v, _: pauli(v),
     "site": lambda v, lat: v is None or SiteSet(lat, (v,)),
     "region": lambda v, lat: site_set(lat, v or range(lat.num_sites // 2)),
     "state_index": lambda v, lat: v is None or _require(
-        0 <= v < lat.dim, f"state index {v} outside spectrum"
+        0 <= v < lat.dim, f"state index {_shown(v)} outside spectrum"
     ),
     "epsilon": lambda v, _: constant_entropy_bound(v, math.inf),
     "betas": lambda v, _: _betas(v),
@@ -588,7 +583,7 @@ SPELLINGS: dict[str, Callable] = {
 
 
 def build_config(experiment: str, overrides: dict) -> dict:
-    _require(experiment in EXPERIMENT_TABLE, f"unknown experiment {experiment!r}")
+    _require(experiment in EXPERIMENT_TABLE, f"unknown experiment {_shown(experiment)}")
     config = dict(EXPERIMENT_TABLE[experiment].defaults)
     unknown = set(overrides) - set(config)
     _require(not unknown,
@@ -618,7 +613,7 @@ def _typed(key: str, value, default):
     """
     if key == "alphas":
         if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"alphas must be a non-empty list, got {value!r}")
+            raise ConfigError(f"alphas must be a non-empty list, got {_shown(value)}")
         return [_alpha(a) for a in value]
     if value is None and default is None or key not in FLAGS:
         return value
@@ -626,7 +621,7 @@ def _typed(key: str, value, default):
     element = _ELEMENT_TYPE.get(kind)
     if element is None:
         return _typed_scalar(key, value, kind)
-    _require(isinstance(value, (list, tuple)), f"{key} must be a list, got {value!r}")
+    _require(isinstance(value, (list, tuple)), f"{key} must be a list, got {_shown(value)}")
     return [_typed_scalar(key, v, element) for v in value]
 
 
@@ -637,12 +632,12 @@ def _alpha(value) -> float | str:
         alpha = float(value) if type(value) in (int, float, str) else np.nan
     except ValueError:
         alpha = np.nan
-    _require(alpha > 1, f"the overlap bound holds for alpha > 1 only, got {value!r}")
+    _require(alpha > 1, f"the overlap bound holds for alpha > 1 only, got {_shown(value)}")
     return "inf" if alpha == np.inf else alpha
 
 
 def _typed_scalar(key: str, value, kind: type):
-    _require(type(value) in _ACCEPTS[kind], f"{key} must be {_TYPE_NAME[kind]}, got {value!r}")
+    _require(type(value) in _ACCEPTS[kind], f"{key} must be {_TYPE_NAME[kind]}, got {_shown(value)}")
     return float(value) if kind is float else value
 
 
@@ -650,8 +645,8 @@ def _validate(experiment: str, config: dict) -> None:
     """Reject values the runners cannot use, before any of them starts: the
     experiment's `chains`, each key's entry of CHECKS in table order, then
     the experiment's `check`.  A lattice beyond the index range raises
-    ResourceGuardError.  ERGOLAB_THREADS, which sizes BLAS and the scan's
-    pool, is read here too."""
+    ResourceGuardError.  ERGOLAB_THREADS, which sizes ``ergolab.deal``, is
+    read here too."""
     entry = EXPERIMENT_TABLE[experiment]
     try:
         worker_count()

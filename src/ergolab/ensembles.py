@@ -7,15 +7,18 @@ time average reads it, through V^dag A V and the phase table exp(-iEt) c.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import deal
 from .entropy import renyi_entropy
 from .hamiltonians import LocalTerm, SpectralData, degenerate_groups
 from .operators import _local_support, apply_local, pauli, random_hermitian
-from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _reduced_states, _sublattice, site_set
+from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _reduced_states, _shown, _sublattice, site_set
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
@@ -23,8 +26,12 @@ DEGENERACY_TOL = 1e-10
 # block-matrix rows and block vectors formed at a time
 VARIANCE_BAND_ROWS = 64
 # times per band of the phase table exp(-iEt) c (_trajectory, evolve_rows):
-# the tables formed at a time are TIME_BAND x dim, whatever the time count
-TIME_BAND = 256
+# the tables formed at a time are TIME_BAND x dim per worker, whatever the
+# time count
+TIME_BAND = 128
+# rows per band of V^dag A V (_eigenbasis_matrix): fixed by size, so every
+# row is the same product whatever the worker count
+EIGENBASIS_BAND_ROWS = 256
 
 
 def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> LocalTerm:
@@ -115,24 +122,39 @@ class DiagonalEnsemble:
         return DensityMatrix(_sublattice(lattice, len(keep)), 0.5 * (rho + rho.conj().T))
 
 
-def _phase_table(spectral: SpectralData, coefficients: np.ndarray, times, out=None) -> np.ndarray:
+def _phase_table(
+    spectral: SpectralData, coefficients: np.ndarray, times, out=None, aside=contextlib.nullcontext
+) -> np.ndarray:
     """exp(-iEt) c, one row per time: the eigenbasis amplitudes on a time grid,
     written into `out` (times x dim complex) when given.  The phases are
     -i(tE) as 0 tE - i(tE): a zero that exp reads as -1j * (tE) does, and
-    NaN, like it, where tE is not finite."""
+    NaN, like it, where tE is not finite.  The exponentials run inside
+    ``aside()`` (see ``_deal_bands``)."""
     times = np.asarray(times, dtype=float)
     table = np.empty((times.size, spectral.dim), dtype=complex) if out is None else out
     np.multiply.outer(times, -spectral.energies, out=table.imag)
     np.multiply(table.imag, 0.0, out=table.real)
-    np.exp(table, out=table)
+    with aside():
+        np.exp(table, out=table)
     table *= coefficients
     return table
 
 
 def _eigenbasis_matrix(spectral: SpectralData, observable: LocalTerm) -> np.ndarray:
-    """V^dag A V: the observable between energy eigenstates."""
+    """V^dag A V: the observable between energy eigenstates, one product per
+    band of EIGENBASIS_BAND_ROWS rows, the bands dealt by ``ergolab.deal``
+    and written in place."""
     v = spectral.eigenvectors
-    return v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
+    av = apply_local(observable.matrix, observable.sites, spectral.lattice, v)
+    vh = v.conj().T
+    out = np.empty((vh.shape[0], av.shape[1]), dtype=np.result_type(vh, av))
+
+    def share(starts: range) -> None:
+        for a in starts:
+            np.matmul(vh[a : a + EIGENBASIS_BAND_ROWS], av, out=out[a : a + EIGENBASIS_BAND_ROWS])
+
+    deal(share, range(0, vh.shape[0], EIGENBASIS_BAND_ROWS))
+    return out
 
 
 def _block_bands(ens: DiagonalEnsemble, a_eig: np.ndarray):
@@ -163,43 +185,80 @@ def _sample_times(
     return float(horizon), np.random.default_rng(seed).uniform(0.0, horizon, size=samples)
 
 
-def _time_bands(times: np.ndarray, dim: int):
-    """Per band of TIME_BAND times: its slice of the times, and a phase
-    table, a stacked (x; y) table and a product buffer cut to its length.
-    The three buffers are allocated once per call, so the band loops cost
-    the same however the allocator treats repeated band-sized requests."""
+def _deal_bands(work, times: np.ndarray, dim: int) -> None:
+    """Call work(band, table, xy, prod, aside) for each band of TIME_BAND
+    times: its slice of the times, and a phase table, a stacked (x; y)
+    table and a product buffer cut to its length.
+
+    The bands are dealt by ``ergolab.deal``.  The calling thread allocates
+    each worker's three buffers once per call, so no worker allocates
+    anything large and the band loops cost the same however the allocator
+    treats repeated band-sized requests.  A worker holds one lock through
+    its bands, and lets it go only inside ``aside()``, which `work` wraps
+    around its two long steps, the exponentials and the product with the
+    large matrix.  The short steps, where numpy allocates its iteration
+    buffers and small results, so run one worker at a time, and the peak
+    memory of a call does not depend on how its workers interleave.
+    """
     rows = min(times.size, TIME_BAND)
-    table = np.empty((rows, dim), dtype=complex)
-    xy, prod = np.empty((2 * rows, dim)), np.empty((2 * rows, dim))
-    for a in range(0, times.size, TIME_BAND):
-        m = min(TIME_BAND, times.size - a)
-        yield slice(a, a + m), table[:m], xy[: 2 * m], prod[: 2 * m]
+    turn = threading.Lock()
+
+    @contextlib.contextmanager
+    def aside():
+        turn.release()
+        try:
+            yield
+        finally:
+            turn.acquire()
+
+    def buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.empty((rows, dim), dtype=complex), np.empty((2 * rows, dim)), np.empty((2 * rows, dim))
+
+    def share(starts: range, scratch: tuple) -> None:
+        table, xy, prod = scratch
+        with turn:
+            for a in starts:
+                m = min(TIME_BAND, times.size - a)
+                work(slice(a, a + m), table[:m], xy[: 2 * m], prod[: 2 * m], aside)
+
+    deal(share, range(0, times.size, TIME_BAND), scratch=buffers)
+
+
+def _as_complex(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A real buffer of 2 x prod(shape) doubles read as a complex array of `shape`."""
+    return buffer.reshape(-1).view(complex).reshape(shape)
 
 
 def evolve_rows(spectral: SpectralData, coefficients: np.ndarray, times) -> np.ndarray:
     """Amplitudes V (exp(-iEt) c) of eigenbasis coefficients c at every
     time: one state-major row per time, each norm checked against
-    TOL.normalization.  The rows are written in place a band of TIME_BAND
-    times at a time, so no temporary outgrows one band.  A real V takes
-    one real product of the phase rows' real and imaginary parts stacked."""
+    TOL.normalization band by band.  The rows are written in place a band
+    of TIME_BAND times at a time (``_deal_bands``), so no temporary
+    outgrows one band.  A real V takes one real product of the phase
+    rows' real and imaginary parts stacked."""
     times = np.asarray(times, dtype=float)
     v = spectral.eigenvectors
     rows = np.empty((times.size, spectral.dim), dtype=complex)
-    norms = np.empty(times.size)
-    for band, table, xy, prod in _time_bands(times, spectral.dim):
-        p = _phase_table(spectral, coefficients, times[band], out=table)
+
+    def band_rows(band: slice, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
+        p = _phase_table(spectral, coefficients, times[band], out=table, aside=aside)
         if np.iscomplexobj(v):
-            norms[band] = np.linalg.norm(np.matmul(p, v.T, out=rows[band]), axis=1)
-            continue
-        m = len(p)
-        xy[:m], xy[m:] = p.real, p.imag
-        np.matmul(xy, v.T, out=prod)
-        rows[band].real, rows[band].imag = prod[:m], prod[m:]
-        squares = np.einsum("ti,ti->t", prod, prod)
-        norms[band] = np.sqrt(squares[:m] + squares[m:])
-    drift = np.abs(norms - 1.0)
-    if not np.all(drift <= TOL.normalization):
-        raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
+            with aside():
+                np.matmul(p, v.T, out=rows[band])
+            norms = np.linalg.norm(rows[band], axis=1)
+        else:
+            m = len(p)
+            xy[:m], xy[m:] = p.real, p.imag
+            with aside():
+                np.matmul(xy, v.T, out=prod)
+            rows[band].real, rows[band].imag = prod[:m], prod[m:]
+            squares = np.einsum("ti,ti->t", prod, prod)
+            norms = np.sqrt(squares[:m] + squares[m:])
+        drift = np.abs(norms - 1.0)
+        if not np.all(drift <= TOL.normalization):
+            raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
+
+    _deal_bands(band_rows, times, spectral.dim)
     return rows
 
 
@@ -210,20 +269,28 @@ def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
 
 def _trajectory(ens: DiagonalEnsemble, a_eig: np.ndarray, times) -> np.ndarray:
     """Re p^dag A p of the phase rows p = exp(-iEt) c, a band of TIME_BAND
-    times at a time.  For a real A that is x^T A x + y^T A y of p = x + iy:
-    one real product with x and y stacked, a quarter of the multiplications
-    of the complex one."""
+    times at a time (``_deal_bands``).  For a real A that is
+    x^T A x + y^T A y of p = x + iy: one real product with x and y
+    stacked, a quarter of the multiplications of the complex one."""
     times = np.asarray(times, dtype=float)
     out = np.empty(times.size)
-    for band, table, xy, prod in _time_bands(times, ens.spectral.dim):
-        p = _phase_table(ens.spectral, ens.coefficients, times[band], out=table)
+
+    def band_values(band: slice, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
+        p = _phase_table(ens.spectral, ens.coefficients, times[band], out=table, aside=aside)
         if np.iscomplexobj(a_eig):
-            out[band] = np.einsum("ti,ti->t", p.conj() @ a_eig, p).real
-            continue
+            conj = np.conjugate(p, out=_as_complex(xy, p.shape))
+            with aside():
+                pa = np.matmul(conj, a_eig, out=_as_complex(prod, p.shape))
+            out[band] = np.einsum("ti,ti->t", pa, p).real
+            return
         m = len(p)
         xy[:m], xy[m:] = p.real, p.imag
-        both = np.einsum("ti,ti->t", np.matmul(xy, a_eig, out=prod), xy)
+        with aside():
+            np.matmul(xy, a_eig, out=prod)
+        both = np.einsum("ti,ti->t", prod, xy)
         out[band] = both[:m] + both[m:]
+
+    _deal_bands(band_values, times, ens.spectral.dim)
     return out
 
 
@@ -265,7 +332,7 @@ def check_sampling(samples: int, horizon: float | None, minimum: int) -> None:
     """Reject a time average over fewer than `minimum` samples, or over a
     horizon that is not positive and finite (None picks the default)."""
     if int(samples) < minimum:
-        raise ValueError(f"need at least {minimum} time samples, got {samples}")
+        raise ValueError(f"need at least {minimum} time samples, got {_shown(samples)}")
     if horizon is not None and not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import worker_count
+from . import deal
 from .ensembles import (
     DiagonalEnsemble,
     VarianceBoundReport,
@@ -31,6 +31,7 @@ from .states import (
     PureState,
     ResourceGuardError,
     _rows_renyi2,
+    _shown,
     basis_product_state,
     random_product_state,
 )
@@ -138,12 +139,11 @@ def _scan(
     whose best S_2 is at most |A| log d + 1e-12: S_2(A) <= |A| log d, so no
     row above that ceiling can be beaten or tied.  A row takes a candidate's
     S_2 when it is larger, or equal with a lower table index.  Each row
-    depends on itself only, so the blocks are dealt round-robin to
-    min(worker_count(), blocks) threads, the calling thread among them
+    depends on itself only, so the blocks are dealt by ``ergolab.deal``
     (numpy releases the GIL in take, matmul and einsum); a single block
-    runs inline, with no pool.  Scanning a share in the calling thread
-    spares one thread's malloc arena, which would otherwise keep its
-    freed blocks resident.
+    runs in the calling thread alone.  Scanning a share in the calling
+    thread spares one thread's malloc arena, which would otherwise keep
+    its freed blocks resident.
     """
     nst = vectors.shape[1]
     best_s2 = np.full(nst, -1.0)
@@ -169,23 +169,11 @@ def _scan(
             block_s2[live[upd]] = s2[upd]
             block_idx[live[upd]] = ci
 
-    starts = range(0, nst, step)
-    workers = min(worker_count(), max(len(starts), 1))
-
-    def scan_share(first: int) -> None:
-        for start in starts[first::workers]:
+    def scan_share(starts: range) -> None:
+        for start in starts:
             scan_block(start)
 
-    if workers <= 1:
-        scan_share(0)
-    else:
-        # imported here: runs that never scan more than one block skip it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            shares = pool.map(scan_share, range(1, workers))
-            scan_share(0)
-            list(shares)
+    deal(scan_share, range(0, nst, step))
     return best_s2, best_idx
 
 
@@ -279,7 +267,7 @@ def envelope_bins(num_bins: int) -> int:
     bins the fit accepts."""
     num_bins = int(num_bins)
     if num_bins < 3:
-        raise ValueError(f"envelope fit needs at least 3 density bins, got {num_bins}")
+        raise ValueError(f"envelope fit needs at least 3 density bins, got {_shown(num_bins)}")
     return num_bins
 
 
@@ -291,7 +279,9 @@ def build_profile(
     """Scan every eigenstate and fit the density-binned lower envelope.
 
     The scan runs over blocks of eigenstates of about SCAN_BLOCK_BYTES
-    each, dealt to up to worker_count() threads (inline for one block).  A
+    each, dealt by ``ergolab.deal`` to up to worker_count() threads; the
+    deal never changes a block's arithmetic, so the bits do not depend on
+    the thread count.  A
     block is copied once into state-major rows, and the candidate subsystems
     are then evaluated on it, largest first: the rows are gathered into the
     candidate's bipartition order with one precomputed index, so the
@@ -472,7 +462,7 @@ def initial_state(recipe: str, lattice: LatticeSpec, seed: int = 0) -> PureState
         return basis_product_state(lattice, (0,) * lattice.num_sites)
     if recipe == "random-product":
         return random_product_state(lattice, seed)
-    raise ValueError(f"unknown state recipe {recipe!r}; one of {STATE_RECIPES}")
+    raise ValueError(f"unknown state recipe {_shown(recipe)}; one of {STATE_RECIPES}")
 
 
 @dataclass(frozen=True)

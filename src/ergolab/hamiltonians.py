@@ -8,11 +8,12 @@ is kept on the model for unit bookkeeping.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import deal
 from .entropy import renyi_entropy
 from .operators import _support_index, is_hermitian, operator_norm, pauli
 from .states import DensityMatrix, LatticeSpec, ResourceGuardError
@@ -23,6 +24,7 @@ DENSE_DIM_GUARD = 2**14
 MODEL_NAMES = ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field")
 
 _GAP_BAND = 2**16  # neighbour differences per band of the gap scan
+_GATHER_ROWS = 64  # rows per band of a gathered parity block
 
 
 @dataclass
@@ -298,22 +300,25 @@ def _sectors(i: np.ndarray, j: np.ndarray, size: int) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _sector_matrices(entries: tuple, sectors: list[np.ndarray]) -> Iterator[tuple]:
-    """Each sector's s x s block of H with its indices, (block, idx), the
-    block scattered from the `entries` of ``_entries`` on the sector's own
-    indices 0..s-1, one sector at a time."""
+def _sector_scatter(entries: tuple, sectors: list[np.ndarray]) -> Callable[[int], np.ndarray]:
+    """A function of k that returns sector k's s x s block of H, scattered
+    from the `entries` of ``_entries`` on the sector's own indices 0..s-1,
+    a new matrix on each call."""
     i, j, values = entries
     owner, local = np.empty((2, sum(idx.size for idx in sectors)), dtype=np.intp)
     for k, idx in enumerate(sectors):
         owner[idx] = k
         local[idx] = np.arange(idx.size)
     order = np.argsort(owner[i], kind="stable")
-    cuts = np.searchsorted(owner[i][order], np.arange(1, len(sectors)))
-    for idx, at in zip(sectors, np.split(order, cuts)):
-        block = np.zeros((idx.size, idx.size), dtype=values.dtype)
+    picks = np.split(order, np.searchsorted(owner[i][order], np.arange(1, len(sectors))))
+
+    def scatter(k: int) -> np.ndarray:
+        at, size = picks[k], sectors[k].size
+        block = np.zeros((size, size), dtype=values.dtype)
         block[local[i[at]], local[j[at]]] = values[at]
-        yield block, idx
-        del block  # freed before the next sector's block is allocated
+        return block
+
+    return scatter
 
 
 def _reflection(h: LocalHamiltonian) -> np.ndarray | None:
@@ -372,16 +377,21 @@ def _parity_block(m: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> n
     the reflection in H couples no two parities.  A pair has
     c_k = 1/sqrt(2).  A palindrome (p == q) is e_p itself, but its four
     gathered entries are one entry counted four times, so it takes 1/2.
+    The block is gathered ``_GATHER_ROWS`` rows at a time, so its
+    temporaries stay small beside the block itself.
     """
-    block = m[np.ix_(p, p)]
-    block += m[np.ix_(q, q)]
-    cross = m[np.ix_(p, q)]
-    cross += m[np.ix_(q, p)]
-    if sign > 0:
-        block += cross
-    else:
-        block -= cross
-    del cross
+    block = np.empty((p.size, p.size), dtype=m.dtype)
+    for a in range(0, p.size, _GATHER_ROWS):
+        rows, rp, rq = block[a : a + _GATHER_ROWS], p[a : a + _GATHER_ROWS], q[a : a + _GATHER_ROWS]
+        rows[...] = m[np.ix_(rp, p)]
+        rows += m[np.ix_(rq, q)]
+        cross = m[np.ix_(rp, q)]
+        cross += m[np.ix_(rq, p)]
+        if sign > 0:
+            rows += cross
+        else:
+            rows -= cross
+        del cross
     block *= 0.5
     fixed = np.flatnonzero(p == q)
     block[fixed] *= np.sqrt(0.5)
@@ -445,7 +455,7 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     H is split into its decoupled sectors (see ``_sectors``), read from
     the pattern of its nonzero entries (``_entries``).  With two or more
     sectors, each sector's block is scattered from the entries into an
-    s x s matrix of its own (``_sector_matrices``), so no dim x dim H is
+    s x s matrix of its own (``_sector_scatter``), so no dim x dim H is
     built; a one-sector model takes its one block, the whole H, from
     ``assemble``.  When the term list is mirror-symmetric (see
     ``_reflection``), each sector that the reflection maps onto itself is
@@ -454,6 +464,11 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     Each basis's block goes to ``eigh`` and its eigenvectors are placed on
     its basis states; a model with one sector and no reflection is one
     basis, and its ``eigh`` is the result.
+
+    The blocks are dealt by ``ergolab.deal``, largest first.  A worker
+    scatters (or gathers, for a parity block) each of its blocks, solves
+    it and frees it before it forms the next, so at most one block per
+    worker is alive; the deal changes no block's arithmetic.
 
     With ``vectors=False`` each block goes to ``eigvalsh`` instead, and a
     ``Spectrum`` of the sorted energies alone is returned, so no dim x dim
@@ -467,25 +482,32 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     sectors = _sectors(entries[0], entries[1], dim)
     if len(sectors) == 1:
         del entries  # freed before the dense H is assembled
-        # the list keeps H alive until the dim x dim output is allocated:
+        # the closure keeps H alive until the dim x dim output is allocated:
         # allocated after H is freed, the output comes from the heap instead
         # of a mapping of its own, since glibc raises its mmap threshold on a
         # large free; that raises the peak RSS of a 10-site `theorem1` by 5 MB
-        matrices = [(h.assemble(), sectors[0])]
+        whole = h.assemble()
+        matrix = lambda k: whole  # noqa: E731
     else:
-        matrices = _sector_matrices(entries, sectors)
-        del entries  # held by the generator until it is exhausted
+        matrix = _sector_scatter(entries, sectors)
+        del entries  # held by the scatter until diagonalize returns
     mirror = _reflection(h)
-    bases, parts = [], []
-    for m, idx in matrices:
-        for p, q, sign in _sector_bases([idx], mirror):
-            block = m if q is None else _parity_block(m, *np.searchsorted(idx, (p, q)), sign)
-            parts.append(_basis_eigh(block, p, q) if vectors else np.linalg.eigvalsh(block))
-            bases.append((p, q, sign))
-            del block  # a parity block is freed once solved
-        del m  # each sector's matrix is freed before the next is scattered
+    blocks = [(k, *basis) for k, idx in enumerate(sectors) for basis in _sector_bases([idx], mirror)]
+    parts = [None] * len(blocks)
+
+    def solve(picks) -> None:
+        for b in picks:
+            k, p, q, sign = blocks[b]
+            block = matrix(k)
+            if q is not None:
+                block = _parity_block(block, *np.searchsorted(sectors[k], (p, q)), sign)
+            parts[b] = _basis_eigh(block, p, q) if vectors else np.linalg.eigvalsh(block)
+            del block  # freed once solved, before the worker forms its next
+
+    deal(solve, sorted(range(len(blocks)), key=lambda b: -blocks[b][1].size))
     if not vectors:
         return Spectrum(h.lattice, h, _shifted_to_ground(h, np.sort(np.concatenate(parts))))
+    bases = [basis for _, *basis in blocks]
     energies, v = parts[0] if len(parts) == 1 else _placed_vectors(bases, parts)
     return SpectralData(h.lattice, h, _shifted_to_ground(h, energies), v)
 

@@ -1,3 +1,4 @@
+import ergolab.cli  # noqa: F401  sets one-thread BLAS, as a run does, before numpy loads
 import numpy as np
 import pytest
 

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import filecmp
 import hashlib
 import json
 import math
@@ -134,6 +135,19 @@ def test_spectrum_csv_rows(tmp_path):
     lines = (out / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "index,energy,density"
     assert len(lines) == 65
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integers_beyond_the_repr_limit_keep_the_exit_contract(sign):
+    # Python refuses the repr of an integer of more than 4300 digits; the
+    # messages show such a value by its size
+    huge = sign * 10**5000
+    with pytest.raises(ConfigError, match="recipe must be a string, got a.* integer of 16610 bits"):
+        build_config("rates", {"recipe": huge})
+    with pytest.raises(ConfigError if sign < 0 else ResourceGuardError):
+        build_config("rates", {"sites": huge})
+    with pytest.raises(ConfigError, match="integer of 16610 bits"):
+        build_config("overlap", {"region": [huge]})
 
 
 def test_run_api_rejects_unknown_experiment():
@@ -506,6 +520,47 @@ def test_unset_thread_count_is_the_affinity_count(monkeypatch):
     assert ergolab.worker_count() == len(os.sched_getaffinity(0))
     monkeypatch.delenv("ERGOLAB_THREADS")
     assert ergolab.worker_count() == len(os.sched_getaffinity(0))
+
+
+# one small run of every experiment; theorem1, stability and gibbs wrote
+# other bytes under ERGOLAB_THREADS=2 while BLAS took its threads from it
+EVERY_EXPERIMENT = [
+    ["spectrum"], ["scan"], ["equilibrate"], ["theorem1", "--sizes", "6,8,10"], ["prop1"],
+    ["overlap"], ["rates", "--samples", "200"], ["stability", "--sites", "10"], ["mps"],
+    ["gibbs", "--sites", "8"],
+]
+
+
+def test_reports_do_not_depend_on_the_thread_count(tmp_path):
+    assert sorted(args[0] for args in EVERY_EXPERIMENT) == sorted(cli.EXPERIMENT_TABLE)
+    code = (
+        "import json, sys\n"
+        "from ergolab import cli\n"
+        "runs = json.loads(sys.argv[1])\n"
+        "print(json.dumps([cli.main([*args, '--out', args[0]]) for args in runs]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(ergolab.__file__).resolve().parents[1])
+    procs = {}
+    for threads in ("1", "2"):  # side by side: the bytes may not depend on the load either
+        (tmp_path / threads).mkdir()
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", code, json.dumps(EVERY_EXPERIMENT)],
+            cwd=tmp_path / threads, env={**env, "ERGOLAB_THREADS": threads},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    codes = {}
+    for threads, proc in procs.items():
+        out, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+        codes[threads] = json.loads(out.splitlines()[-1])
+    assert codes["1"] == codes["2"]
+    for args in EVERY_EXPERIMENT:
+        one, two = (tmp_path / threads / args[0] for threads in ("1", "2"))
+        names = sorted(p.name for p in one.iterdir())
+        assert "report.json" in names and names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert filecmp.cmp(one / name, two / name, shallow=False), (args, name)
 
 
 _COMMON = {"--config": "config", "--out": "out", "--seed": "seed"}

@@ -633,7 +633,8 @@ def test_parity_route_calls_eigh_once_per_parity(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     diagonalize(h)
-    assert sizes == [136, 120]
+    # the two parities are solved side by side, so the call order is a race
+    assert sorted(sizes) == [120, 136]
 
 
 def _dense_assemble(h):
