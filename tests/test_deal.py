@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-import ergolab
 from ergolab import deal
 from ergolab.ensembles import (
     TIME_BAND,
@@ -136,4 +135,3 @@ def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(ens9, monkeypat
     while _thread._count() != running and time.monotonic() < deadline:
         time.sleep(0.01)
     assert _thread._count() == running
-    assert ergolab.worker_count() == 2

@@ -406,7 +406,12 @@ def _complex_spectrum():
     return spec
 
 
-@pytest.mark.parametrize("count", [1, TIME_BAND - 1, TIME_BAND, TIME_BAND + 1, 2000])
+# the edges of the first band, and of the second, where worker 1's bands
+# begin when two workers walk them
+EDGES = [TIME_BAND - 1, TIME_BAND, TIME_BAND + 1, 2 * TIME_BAND - 1, 2 * TIME_BAND, 2 * TIME_BAND + 1]
+
+
+@pytest.mark.parametrize("count", [1, *EDGES, 2000])
 def test_time_band_kernels_match_whole_table_formulas(ensembles8, count):
     # the former formulas over the whole T x dim complex table
     spectra = [ens.spectral for ens in ensembles8[:3]] + [_complex_spectrum()]
@@ -455,7 +460,7 @@ def _per_band_formulas(ens, a_eig, times):
     return rows, traj
 
 
-@pytest.mark.parametrize("count", [1, TIME_BAND - 1, TIME_BAND + 1, 2000])
+@pytest.mark.parametrize("count", [1, TIME_BAND - 1, TIME_BAND + 1, 2 * TIME_BAND - 1, 2 * TIME_BAND + 1, 2000])
 def test_time_band_kernels_keep_the_bits_of_the_per_band_formulas(ensembles8, count):
     # the band buffers are allocated once per call; every byte stays
     ensembles = ensembles8[:2]
