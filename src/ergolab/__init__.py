@@ -7,6 +7,7 @@ numerical import happens.
 """
 
 import _thread
+import contextvars
 import os
 
 __version__ = "0.1.0"
@@ -30,9 +31,11 @@ def worker_count() -> int:
     return int(value)
 
 
-def deal(share, items, scratch=None) -> None:
+def deal(share, items, scratch=None, limit=None) -> None:
     """Run ``share(items[k::workers])`` for each worker k, side by side, on
-    min(worker_count(), len(items)) threads, the calling thread as worker 0.
+    min(worker_count(), len(items), limit) threads, the calling thread as
+    worker 0.  A `limit` caps the workers of a deal whose workers each
+    hold much memory, whatever the number of CPUs.
 
     The deal fixes which thread takes which items, never what an item
     computes, so results do not depend on the worker count as long as
@@ -48,18 +51,21 @@ def deal(share, items, scratch=None) -> None:
     enter every worker in the threading module's registries, whose tables
     grow and shrink on a cycle over the threads a process has started, so
     the memory of a call would depend on how many calls came before it.
+    Each worker runs in a copy of the caller's context (``contextvars``),
+    made by the caller: numpy's error state is the caller's, and a new
+    thread does not make a context of its own, whose memory would depend
+    on when the threads of an earlier call gave theirs back.
     """
-    workers = min(worker_count(), len(items))
-    scratches = [scratch() for _ in range(workers)] if scratch else None
+    workers = min(worker_count(), len(items), limit or len(items))
+    parts = [items[k::workers] for k in range(workers)]
+    args = [(part, scratch()) for part in parts] if scratch else [(part,) for part in parts]
+    contexts = [contextvars.copy_context() for _ in range(1, workers)]
     errors: list[BaseException | None] = [None] * workers
     done = [_thread.allocate_lock() for _ in range(1, workers)]
 
     def work(k: int) -> None:
         try:
-            if scratches is None:
-                share(items[k::workers])
-            else:
-                share(items[k::workers], scratches[k])
+            share(*args[k])
         except BaseException as exc:  # handed to the caller below
             errors[k] = exc
         finally:
@@ -70,7 +76,7 @@ def deal(share, items, scratch=None) -> None:
     try:
         for k, lock in enumerate(done, start=1):
             lock.acquire()
-            _thread.start_new_thread(work, (k,))
+            _thread.start_new_thread(contexts[k - 1].run, (work, k))
             started.append(lock)
         if workers:
             work(0)

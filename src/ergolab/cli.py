@@ -89,7 +89,7 @@ from .rates import (  # noqa: E402
     integrated_bound_check,
     stability_experiment,
 )
-from .states import LatticeSpec, PureState, SiteSet, _shown, site_set  # noqa: E402
+from .states import LatticeSpec, PureState, SiteSet, shown, site_set  # noqa: E402
 from .tolerances import TOL  # noqa: E402
 
 SCOPE_NOTE = (
@@ -388,7 +388,7 @@ def _phases(time: float | None, config: dict, lat: LatticeSpec) -> None:
     if time is not None:
         e_bound = 2 * len(build_model(config["model"], lat, seed=config["seed"]).terms)
         _require(math.isfinite(time * e_bound),
-                 f"time {_shown(time)} times the energy bound {e_bound} is not finite")
+                 f"time {shown(time)} times the energy bound {e_bound} is not finite")
 
 
 def _check_policy(config: dict, lattices) -> None:
@@ -553,16 +553,16 @@ def _betas(betas: list) -> None:
 # (None for mps): the library check that would refuse it at run time, if any.
 CHECKS: dict[str, Callable[[object, LatticeSpec | None], object]] = {
     "seed": lambda v, _: _require(v >= 0, "seed must be non-negative"),
-    "model": lambda v, _: _require(v in MODEL_NAMES, f"unknown model {_shown(v)}; catalog: {MODEL_NAMES}"),
+    "model": lambda v, _: _require(v in MODEL_NAMES, f"unknown model {shown(v)}; catalog: {MODEL_NAMES}"),
     "bins": lambda v, _: envelope_bins(v),
     "recipe": lambda v, _: _require(
-        v in STATE_RECIPES, f"unknown state recipe {_shown(v)}; one of {STATE_RECIPES}"
+        v in STATE_RECIPES, f"unknown state recipe {shown(v)}; one of {STATE_RECIPES}"
     ),
     "axis": lambda v, _: pauli(v),
     "site": lambda v, lat: v is None or SiteSet(lat, (v,)),
     "region": lambda v, lat: site_set(lat, v or range(lat.num_sites // 2)),
     "state_index": lambda v, lat: v is None or _require(
-        0 <= v < lat.dim, f"state index {_shown(v)} outside spectrum"
+        0 <= v < lat.dim, f"state index {shown(v)} outside spectrum"
     ),
     "epsilon": lambda v, _: constant_entropy_bound(v, math.inf),
     "betas": lambda v, _: _betas(v),
@@ -583,7 +583,7 @@ SPELLINGS: dict[str, Callable] = {
 
 
 def build_config(experiment: str, overrides: dict) -> dict:
-    _require(experiment in EXPERIMENT_TABLE, f"unknown experiment {_shown(experiment)}")
+    _require(experiment in EXPERIMENT_TABLE, f"unknown experiment {shown(experiment)}")
     config = dict(EXPERIMENT_TABLE[experiment].defaults)
     unknown = set(overrides) - set(config)
     _require(not unknown,
@@ -613,7 +613,7 @@ def _typed(key: str, value, default):
     """
     if key == "alphas":
         if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"alphas must be a non-empty list, got {_shown(value)}")
+            raise ConfigError(f"alphas must be a non-empty list, got {shown(value)}")
         return [_alpha(a) for a in value]
     if value is None and default is None or key not in FLAGS:
         return value
@@ -621,7 +621,7 @@ def _typed(key: str, value, default):
     element = _ELEMENT_TYPE.get(kind)
     if element is None:
         return _typed_scalar(key, value, kind)
-    _require(isinstance(value, (list, tuple)), f"{key} must be a list, got {_shown(value)}")
+    _require(isinstance(value, (list, tuple)), f"{key} must be a list, got {shown(value)}")
     return [_typed_scalar(key, v, element) for v in value]
 
 
@@ -632,12 +632,12 @@ def _alpha(value) -> float | str:
         alpha = float(value) if type(value) in (int, float, str) else np.nan
     except ValueError:
         alpha = np.nan
-    _require(alpha > 1, f"the overlap bound holds for alpha > 1 only, got {_shown(value)}")
+    _require(alpha > 1, f"the overlap bound holds for alpha > 1 only, got {shown(value)}")
     return "inf" if alpha == np.inf else alpha
 
 
 def _typed_scalar(key: str, value, kind: type):
-    _require(type(value) in _ACCEPTS[kind], f"{key} must be {_TYPE_NAME[kind]}, got {_shown(value)}")
+    _require(type(value) in _ACCEPTS[kind], f"{key} must be {_TYPE_NAME[kind]}, got {shown(value)}")
     return float(value) if kind is float else value
 
 

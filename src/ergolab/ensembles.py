@@ -7,18 +7,18 @@ time average reads it, through V^dag A V and the phase table exp(-iEt) c.
 
 from __future__ import annotations
 
+import _thread
 import contextlib
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import deal
+from . import deal, worker_count
 from .entropy import renyi_entropy
 from .hamiltonians import LocalTerm, SpectralData, degenerate_groups
 from .operators import _local_support, apply_local, pauli, random_hermitian
-from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _reduced_states, _shown, _sublattice, site_set
+from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _reduced_states, _sublattice, shown, site_set
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
@@ -29,9 +29,10 @@ VARIANCE_BAND_ROWS = 64
 # the tables formed at a time are TIME_BAND x dim per worker, whatever the
 # time count
 TIME_BAND = 128
-# rows per band of V^dag A V (_eigenbasis_matrix): fixed by size, so every
-# row is the same product whatever the worker count
-EIGENBASIS_BAND_ROWS = 256
+# workers that walk the time bands at most: their buffers, 6 TIME_BAND dim
+# doubles each, together take what one band of 2 TIME_BAND times took when
+# one thread walked them, whatever the number of CPUs
+BAND_WORKERS = 2
 
 
 def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> LocalTerm:
@@ -123,38 +124,27 @@ class DiagonalEnsemble:
 
 
 def _phase_table(
-    spectral: SpectralData, coefficients: np.ndarray, times, out=None, aside=contextlib.nullcontext
+    spectral: SpectralData, coefficients: np.ndarray, times, out=None, aside=contextlib.nullcontext()
 ) -> np.ndarray:
     """exp(-iEt) c, one row per time: the eigenbasis amplitudes on a time grid,
     written into `out` (times x dim complex) when given.  The phases are
     -i(tE) as 0 tE - i(tE): a zero that exp reads as -1j * (tE) does, and
     NaN, like it, where tE is not finite.  The exponentials run inside
-    ``aside()`` (see ``_deal_bands``)."""
+    `aside` (see ``_deal_bands``)."""
     times = np.asarray(times, dtype=float)
     table = np.empty((times.size, spectral.dim), dtype=complex) if out is None else out
     np.multiply.outer(times, -spectral.energies, out=table.imag)
     np.multiply(table.imag, 0.0, out=table.real)
-    with aside():
+    with aside:
         np.exp(table, out=table)
     table *= coefficients
     return table
 
 
 def _eigenbasis_matrix(spectral: SpectralData, observable: LocalTerm) -> np.ndarray:
-    """V^dag A V: the observable between energy eigenstates, one product per
-    band of EIGENBASIS_BAND_ROWS rows, the bands dealt by ``ergolab.deal``
-    and written in place."""
+    """V^dag A V: the observable between energy eigenstates."""
     v = spectral.eigenvectors
-    av = apply_local(observable.matrix, observable.sites, spectral.lattice, v)
-    vh = v.conj().T
-    out = np.empty((vh.shape[0], av.shape[1]), dtype=np.result_type(vh, av))
-
-    def share(starts: range) -> None:
-        for a in starts:
-            np.matmul(vh[a : a + EIGENBASIS_BAND_ROWS], av, out=out[a : a + EIGENBASIS_BAND_ROWS])
-
-    deal(share, range(0, vh.shape[0], EIGENBASIS_BAND_ROWS))
-    return out
+    return v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
 
 
 def _block_bands(ens: DiagonalEnsemble, a_eig: np.ndarray):
@@ -185,43 +175,80 @@ def _sample_times(
     return float(horizon), np.random.default_rng(seed).uniform(0.0, horizon, size=samples)
 
 
+class _Turn:
+    """Worker k's turn among the workers of ``_deal_bands``, which come in
+    the order 0, 1, ..., 0, 1, ..., skipping those that are done.  The
+    worker starts by ``take()`` and ends by ``done()``; ``with turn:``
+    hands the turn on for its block and takes it back after, so whatever
+    the worker allocates outside the block, it allocates in its turn."""
+
+    def __init__(self, k: int, locks: list, finished: list[bool]):
+        self.k, self.locks, self.finished = k, locks, finished
+
+    def take(self) -> None:
+        self.locks[self.k].acquire()
+
+    def hand_on(self) -> None:
+        # in worker k's turn, so `finished` does not change meanwhile
+        n = len(self.locks)
+        j = (self.k + 1) % n
+        while self.finished[j] and j != self.k:
+            j = (j + 1) % n
+        self.locks[j].release()
+
+    def done(self) -> None:
+        self.finished[self.k] = True
+        self.hand_on()
+
+    __enter__ = hand_on
+    # the with statement fixes the signature
+    __exit__ = lambda self, kind, value, traceback: self.take()  # noqa: E731
+
+
 def _deal_bands(work, times: np.ndarray, dim: int) -> None:
     """Call work(band, table, xy, prod, aside) for each band of TIME_BAND
     times: its slice of the times, and a phase table, a stacked (x; y)
     table and a product buffer cut to its length.
 
-    The bands are dealt by ``ergolab.deal``.  The calling thread allocates
-    each worker's three buffers once per call, so no worker allocates
-    anything large and the band loops cost the same however the allocator
-    treats repeated band-sized requests.  A worker holds one lock through
-    its bands, and lets it go only inside ``aside()``, which `work` wraps
-    around its two long steps, the exponentials and the product with the
-    large matrix.  The short steps, where numpy allocates its iteration
-    buffers and small results, so run one worker at a time, and the peak
-    memory of a call does not depend on how its workers interleave.
+    The bands are dealt round-robin to at most BAND_WORKERS workers
+    (``ergolab.deal``).  The calling thread allocates each worker's three
+    buffers once per call, so no worker allocates anything large and the
+    band loops cost the same however the allocator treats repeated
+    band-sized requests.  The workers take turns in a fixed order
+    (``_Turn``): a worker runs its steps only in its turn, and hands the
+    turn on only inside ``with aside:``, which `work` wraps around its two
+    long steps, the exponentials and the product with the large matrix,
+    in-place calls that allocate nothing of their own (the product is
+    ``ndarray.dot`` with `out`, whose bits ``np.matmul`` and ``np.dot``
+    share, but the first allocates its iterator and the second its
+    dispatch arguments).  The short steps, where numpy allocates its
+    iteration buffers and small results, so run one at a time and always
+    in the same order, and the peak memory of a call does not depend on
+    how its workers are scheduled.
     """
+    starts = range(0, times.size, TIME_BAND)
+    workers = min(worker_count(), len(starts), BAND_WORKERS)
     rows = min(times.size, TIME_BAND)
-    turn = threading.Lock()
-
-    @contextlib.contextmanager
-    def aside():
-        turn.release()
-        try:
-            yield
-        finally:
-            turn.acquire()
+    locks, finished = [_thread.allocate_lock() for _ in range(workers)], [False] * workers
+    for lock in locks[1:]:
+        lock.acquire()
+    turns = [_Turn(k, locks, finished) for k in range(workers)]
 
     def buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.empty((rows, dim), dtype=complex), np.empty((2 * rows, dim)), np.empty((2 * rows, dim))
 
-    def share(starts: range, scratch: tuple) -> None:
+    def walk(mine: list[_Turn], scratch: tuple) -> None:
+        (turn,) = mine
         table, xy, prod = scratch
-        with turn:
-            for a in starts:
+        turn.take()
+        try:
+            for a in starts[turn.k :: workers]:
                 m = min(TIME_BAND, times.size - a)
-                work(slice(a, a + m), table[:m], xy[: 2 * m], prod[: 2 * m], aside)
+                work(slice(a, a + m), table[:m], xy[: 2 * m], prod[: 2 * m], turn)
+        finally:
+            turn.done()
 
-    deal(share, range(0, times.size, TIME_BAND), scratch=buffers)
+    deal(walk, turns, scratch=buffers)
 
 
 def _as_complex(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -237,20 +264,20 @@ def evolve_rows(spectral: SpectralData, coefficients: np.ndarray, times) -> np.n
     outgrows one band.  A real V takes one real product of the phase
     rows' real and imaginary parts stacked."""
     times = np.asarray(times, dtype=float)
-    v = spectral.eigenvectors
+    vt = spectral.eigenvectors.T
     rows = np.empty((times.size, spectral.dim), dtype=complex)
 
     def band_rows(band: slice, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
         p = _phase_table(spectral, coefficients, times[band], out=table, aside=aside)
-        if np.iscomplexobj(v):
-            with aside():
-                np.matmul(p, v.T, out=rows[band])
+        if np.iscomplexobj(vt):
+            with aside:
+                p.dot(vt, out=rows[band])
             norms = np.linalg.norm(rows[band], axis=1)
         else:
             m = len(p)
             xy[:m], xy[m:] = p.real, p.imag
-            with aside():
-                np.matmul(xy, v.T, out=prod)
+            with aside:
+                xy.dot(vt, out=prod)
             rows[band].real, rows[band].imag = prod[:m], prod[m:]
             squares = np.einsum("ti,ti->t", prod, prod)
             norms = np.sqrt(squares[:m] + squares[m:])
@@ -279,14 +306,14 @@ def _trajectory(ens: DiagonalEnsemble, a_eig: np.ndarray, times) -> np.ndarray:
         p = _phase_table(ens.spectral, ens.coefficients, times[band], out=table, aside=aside)
         if np.iscomplexobj(a_eig):
             conj = np.conjugate(p, out=_as_complex(xy, p.shape))
-            with aside():
-                pa = np.matmul(conj, a_eig, out=_as_complex(prod, p.shape))
+            with aside:
+                pa = conj.dot(a_eig, out=_as_complex(prod, p.shape))
             out[band] = np.einsum("ti,ti->t", pa, p).real
             return
         m = len(p)
         xy[:m], xy[m:] = p.real, p.imag
-        with aside():
-            np.matmul(xy, a_eig, out=prod)
+        with aside:
+            xy.dot(a_eig, out=prod)
         both = np.einsum("ti,ti->t", prod, xy)
         out[band] = both[:m] + both[m:]
 
@@ -332,7 +359,7 @@ def check_sampling(samples: int, horizon: float | None, minimum: int) -> None:
     """Reject a time average over fewer than `minimum` samples, or over a
     horizon that is not positive and finite (None picks the default)."""
     if int(samples) < minimum:
-        raise ValueError(f"need at least {minimum} time samples, got {_shown(samples)}")
+        raise ValueError(f"need at least {minimum} time samples, got {shown(samples)}")
     if horizon is not None and not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
 

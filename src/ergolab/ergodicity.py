@@ -31,9 +31,9 @@ from .states import (
     PureState,
     ResourceGuardError,
     _rows_renyi2,
-    _shown,
     basis_product_state,
     random_product_state,
+    shown,
 )
 
 SEARCH_MODES = ("exhaustive", "random-sample", "half-cut-only")
@@ -267,7 +267,7 @@ def envelope_bins(num_bins: int) -> int:
     bins the fit accepts."""
     num_bins = int(num_bins)
     if num_bins < 3:
-        raise ValueError(f"envelope fit needs at least 3 density bins, got {_shown(num_bins)}")
+        raise ValueError(f"envelope fit needs at least 3 density bins, got {shown(num_bins)}")
     return num_bins
 
 
@@ -462,7 +462,7 @@ def initial_state(recipe: str, lattice: LatticeSpec, seed: int = 0) -> PureState
         return basis_product_state(lattice, (0,) * lattice.num_sites)
     if recipe == "random-product":
         return random_product_state(lattice, seed)
-    raise ValueError(f"unknown state recipe {_shown(recipe)}; one of {STATE_RECIPES}")
+    raise ValueError(f"unknown state recipe {shown(recipe)}; one of {STATE_RECIPES}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,12 @@ DENSE_DIM_GUARD = 2**14
 
 MODEL_NAMES = ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field")
 
+# workers that solve the blocks of diagonalize at most, each with one block,
+# its eigenvectors and its eigh workspace alive: a parity-split model has
+# two blocks, and more workers on a sector model only add blocks, in malloc
+# arenas of their own, to its peak, whatever the number of CPUs
+BLOCK_WORKERS = 2
+
 _GAP_BAND = 2**16  # neighbour differences per band of the gap scan
 _GATHER_ROWS = 64  # rows per band of a gathered parity block
 
@@ -465,16 +471,18 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     its basis states; a model with one sector and no reflection is one
     basis, and its ``eigh`` is the result.
 
-    The blocks are dealt by ``ergolab.deal``, largest first.  A worker
-    scatters (or gathers, for a parity block) each of its blocks, solves
-    it and frees it before it forms the next, so at most one block per
-    worker is alive; the deal changes no block's arithmetic.
+    The blocks are dealt by ``ergolab.deal``, largest first, to at most
+    BLOCK_WORKERS workers.  A worker scatters (or gathers, for a parity
+    block) each of its blocks, solves it and frees it before it forms the
+    next, so at most one block per worker is alive; the deal changes no
+    block's arithmetic.
 
-    With ``vectors=False`` each block goes to ``eigvalsh`` instead, and a
-    ``Spectrum`` of the sorted energies alone is returned, so no dim x dim
-    matrix is formed for a model with two or more sectors.  Its energies
-    agree with those of the eigenvector route to rounding (LAPACK finds
-    eigenvalues alone by another algorithm).
+    With ``vectors=False`` each block goes to ``eigvalsh`` instead, one
+    after the other in the calling thread, and a ``Spectrum`` of the
+    sorted energies alone is returned, so no dim x dim matrix is formed
+    for a model with two or more sectors.  Its energies agree with those
+    of the eigenvector route to rounding (LAPACK finds eigenvalues alone
+    by another algorithm).
     """
     dim = h.lattice.dim
     dense_guard(dim)
@@ -504,9 +512,13 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
             parts[b] = _basis_eigh(block, p, q) if vectors else np.linalg.eigvalsh(block)
             del block  # freed once solved, before the worker forms its next
 
-    deal(solve, sorted(range(len(blocks)), key=lambda b: -blocks[b][1].size))
+    order = sorted(range(len(blocks)), key=lambda b: -blocks[b][1].size)
     if not vectors:
+        # dealt, the workers' malloc arenas kept the blocks they freed:
+        # +3% to +8% peak RSS on `dense`, for 5 ms of its 11-site spectrum
+        solve(order)
         return Spectrum(h.lattice, h, _shifted_to_ground(h, np.sort(np.concatenate(parts))))
+    deal(solve, order, limit=BLOCK_WORKERS)
     bases = [basis for _, *basis in blocks]
     energies, v = parts[0] if len(parts) == 1 else _placed_vectors(bases, parts)
     return SpectralData(h.lattice, h, _shifted_to_ground(h, energies), v)

@@ -30,7 +30,7 @@ class ResourceGuardError(RuntimeError):
     """Raised when a request exceeds the dense-representation budget."""
 
 
-def _shown(value) -> str:
+def shown(value) -> str:
     """repr(value) for a message, with an integer beyond 128 bits, also
     inside a list or tuple, shown by its size: Python refuses the repr of
     an integer of more than 4300 digits, and a message may be formatted
@@ -38,7 +38,7 @@ def _shown(value) -> str:
     if isinstance(value, int) and abs(value).bit_length() > 128:
         return f"{'a negative' if value < 0 else 'an'} integer of {abs(value).bit_length()} bits"
     if isinstance(value, (list, tuple)):
-        inner = ", ".join(map(_shown, value)) + ("," if type(value) is tuple and len(value) == 1 else "")
+        inner = ", ".join(map(shown, value)) + ("," if type(value) is tuple and len(value) == 1 else "")
         return f"[{inner}]" if isinstance(value, list) else f"({inner})"
     return repr(value)
 
@@ -85,7 +85,7 @@ class SiteSet:
         if not sites:
             raise ValueError("site set must be non-empty")
         if sites[0] < 0 or sites[-1] >= self.lattice.num_sites:
-            raise ValueError(f"sites {_shown(sites)} outside lattice of {self.lattice.num_sites}")
+            raise ValueError(f"sites {shown(sites)} outside lattice of {self.lattice.num_sites}")
         object.__setattr__(self, "sites", sites)
 
     def __len__(self) -> int:

@@ -1,18 +1,22 @@
 import _thread
+import contextvars
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ergolab import deal
+from ergolab import deal, ensembles
 from ergolab.ensembles import (
     TIME_BAND,
     DiagonalEnsemble,
+    _deal_bands,
     evolve_rows,
     expectation_trajectory,
     random_local_observable,
     site_observable,
+    variance_sampled,
 )
 from ergolab.ergodicity import SearchPolicy, _scan, candidate_subsets, random_product_state
 from ergolab.hamiltonians import build_model, diagonalize
@@ -65,6 +69,18 @@ def test_deal_makes_each_scratch_in_the_calling_thread(monkeypatch):
     deal(lambda part, s: seen.append((list(part), s)), range(5), scratch=scratch)
     assert makers == [threading.get_ident()] * 3
     assert sorted(seen) == [([0, 3], 1), ([1, 4], 2), ([2], 3)]
+
+
+def test_workers_run_in_a_copy_of_the_callers_context(monkeypatch):
+    monkeypatch.setenv("ERGOLAB_THREADS", "2")
+    var, seen = contextvars.ContextVar("var"), []
+    var.set("caller")
+    deal(lambda part: seen.append((threading.get_ident(), var.get(None))), range(2))
+    assert len({ident for ident, _ in seen}) == 2
+    assert [value for _, value in seen] == ["caller", "caller"]
+    # numpy's error state is the caller's in every worker
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        deal(lambda part: np.exp(np.full(1, 1e3 * part[0])), range(2))
 
 
 def test_deal_raises_the_first_error_in_worker_order(monkeypatch):
@@ -135,3 +151,58 @@ def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(ens9, monkeypat
     while _thread._count() != running and time.monotonic() < deadline:
         time.sleep(0.01)
     assert _thread._count() == running
+
+
+def test_band_turns_come_round_in_a_fixed_order(monkeypatch):
+    # each band takes its turn three times (before, between and after its
+    # two asides); a worker that is done drops out of the round
+    monkeypatch.setattr(ensembles, "BAND_WORKERS", 3)
+    times = np.zeros(4 * TIME_BAND)
+    for workers, want in (
+        ("1", [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]),
+        ("3", [0, 1, 2, 0, 1, 2, 0, 3, 1, 2, 3, 3]),
+    ):
+        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+        order = []
+
+        def work(band, table, xy, prod, aside):
+            order.append(band.start // TIME_BAND)
+            for _ in range(2):
+                with aside:
+                    time.sleep(0.002 * (3 - band.start // TIME_BAND))
+                order.append(band.start // TIME_BAND)
+
+        _deal_bands(work, times, 4)
+        assert order == want, workers
+
+
+def _band_peaks(ens, obs):
+    # test_ensembles.test_time_band_peak_memory's measurement: the peak of
+    # variance_sampled, and the peak growth of a trajectory on 8000 times
+    # against 2000
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sampled = peak(lambda: variance_sampled(ens, obs, samples=2000))
+    grids = [np.linspace(0.0, 100.0, n) for n in (2000, 8000)]
+    small, large = (peak(lambda: expectation_trajectory(ens, obs, t)) for t in grids)
+    return sampled, large - small
+
+
+def test_band_peak_memory_holds_on_every_worker_count(ens9, monkeypatch):
+    # at most BAND_WORKERS workers walk the bands, so more CPUs add no band
+    # buffers, and the turns keep the peak to the output's growth
+    obs = site_observable(ens9.spectral.lattice, 4)
+    ens9._eigenbasis(obs)
+    peaks = {}
+    for workers in ("2", "3", "4"):
+        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+        peaks[workers], growth = _band_peaks(ens9, obs)
+        assert growth <= (8000 - 2000) * 8, workers
+    one_worker_buffers = 6 * TIME_BAND * ens9.spectral.dim * 8
+    assert max(peaks.values()) < peaks["2"] + one_worker_buffers / 2
