@@ -171,7 +171,7 @@ def _run_spectrum(config: dict):
         "dim": spec.dim,
         "e_max": spec.e_max,
         "spectral_norm": spec.norm,
-        "ground_shift": ham.ground_shift,
+        "ground_shift": spec.ground_shift,
         "norm_rescale": ham.norm_rescale,
         "trace_energy_density": trace_energy_density(ham),
         "gap_report": gap_report(spec, tolerance=config["gap_tolerance"]),
@@ -232,8 +232,7 @@ def _run_equilibrate(config: dict):
 
 
 def _run_theorem1(config: dict):
-    materials: list = []
-    report = diagonal_entropy_growth(
+    report, runs = diagonal_entropy_growth(
         sizes=tuple(config["sizes"]),
         model=config["model"],
         recipe=config["recipe"],
@@ -241,15 +240,11 @@ def _run_theorem1(config: dict):
         num_bins=config["bins"],
         seed=config["seed"],
         geometry=config["geometry"],
-        _materials=materials,
     )
     csv = _csv_text(
         ["N", "s_inf", "e_center"], zip(report.sizes, report.s_inf, report.e_centers)
     )
-    files = {"trend.csv": csv}
-    if materials:
-        files["profile.csv"] = _profile_csv(materials[-1][3])
-    return report, report.passed, files
+    return report, report.passed, {"trend.csv": csv, "profile.csv": _profile_csv(runs[-1][3])}
 
 
 def _run_prop1(config: dict):

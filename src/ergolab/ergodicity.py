@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import deal
+from . import deal, worker_count
 from .ensembles import (
     DiagonalEnsemble,
     VarianceBoundReport,
@@ -46,7 +46,8 @@ BULK_SLACK = 10.0
 # its log-Var slope may sit above -k(e)
 TREND_GAP_TOLERANCE = 1e-12
 TREND_FIT_TOLERANCE = 0.1
-# bytes of state-major rows per scan block: small enough to stay in L2
+# bytes of state-major rows per scan block of one or two workers: small
+# enough to stay in L2; more workers share two blocks' worth of bytes
 SCAN_BLOCK_BYTES = 1 << 20
 
 
@@ -132,23 +133,27 @@ def _scan(
     """Largest S_2 over `cands` for every column, and the index of the first
     candidate (in table order) that reaches it.
 
-    States go in blocks of about SCAN_BLOCK_BYTES: each block is copied once
-    into state-major rows, which stay cache-resident while the candidates
-    are evaluated on them.  Candidates are visited largest first, ties by
-    table index, and a candidate of size |A| is evaluated only on the rows
-    whose best S_2 is at most |A| log d + 1e-12: S_2(A) <= |A| log d, so no
-    row above that ceiling can be beaten or tied.  A row takes a candidate's
-    S_2 when it is larger, or equal with a lower table index.  Each row
-    depends on itself only, so the blocks are dealt by ``ergolab.deal``
-    (numpy releases the GIL in take, matmul and einsum); a single block
-    runs in the calling thread alone.  Scanning a share in the calling
-    thread spares one thread's malloc arena, which would otherwise keep
-    its freed blocks resident.
+    States go in blocks of about SCAN_BLOCK_BYTES · min(1, 2/workers), for
+    the worker_count() workers of the deal, so the blocks alive at once
+    hold at most two blocks' worth of bytes whatever the number of CPUs.
+    Each block is copied once into state-major rows, which stay
+    cache-resident while the candidates are evaluated on them.  Candidates
+    are visited largest first, ties by table index, and a candidate of size
+    |A| is evaluated only on the rows whose best S_2 is at most
+    |A| log d + 1e-12: S_2(A) <= |A| log d, so no row above that ceiling
+    can be beaten or tied.  A row takes a candidate's S_2 when it is
+    larger, or equal with a lower table index.  Each row depends on itself
+    only, so the blocks are dealt by ``ergolab.deal`` (numpy releases the
+    GIL in take, matmul and einsum); a single block runs in the calling
+    thread alone.  Scanning a share in the calling thread spares one
+    thread's malloc arena, which would otherwise keep its freed blocks
+    resident.
     """
     nst = vectors.shape[1]
     best_s2 = np.full(nst, -1.0)
     best_idx = np.zeros(nst, dtype=int)
-    step = max(1, SCAN_BLOCK_BYTES // (vectors.shape[0] * vectors.itemsize))
+    block_bytes = SCAN_BLOCK_BYTES * 2 // max(2, worker_count())
+    step = max(1, block_bytes // (vectors.shape[0] * vectors.itemsize))
     log_d = math.log(lattice.local_dim)
     visit = sorted(range(len(cands)), key=lambda ci: (-len(cands[ci]), ci))
 
@@ -278,15 +283,16 @@ def build_profile(
 ) -> ErgodicityProfile:
     """Scan every eigenstate and fit the density-binned lower envelope.
 
-    The scan runs over blocks of eigenstates of about SCAN_BLOCK_BYTES
-    each, dealt by ``ergolab.deal`` to up to worker_count() threads; the
-    deal never changes a block's arithmetic, so the bits do not depend on
-    the thread count.  A
-    block is copied once into state-major rows, and the candidate subsystems
-    are then evaluated on it, largest first: the rows are gathered into the
-    candidate's bipartition order with one precomputed index, so the
-    eigenvector matrix is read once per profile rather than transposed once
-    per candidate.  A candidate of size |A| skips the rows whose best S_2
+    The scan runs over blocks of eigenstates, dealt by ``ergolab.deal`` to
+    up to worker_count() threads, each block of about SCAN_BLOCK_BYTES for
+    one or two workers and 2/workers of that for more, so the scan's
+    memory does not grow with the thread count; neither the deal nor the
+    block size changes a state's arithmetic, so the bits do not depend on
+    the thread count.  A block is copied once into state-major rows, and
+    the candidate subsystems are then evaluated on it, largest first: the
+    rows are gathered into the candidate's bipartition order with one
+    precomputed index, so the eigenvector matrix is read once per profile
+    rather than transposed once per candidate.  A candidate of size |A| skips the rows whose best S_2
     already exceeds its ceiling |A| log d.  Real eigenvectors stay real;
     ties keep the candidate that comes first in table order.
     """
@@ -584,10 +590,12 @@ def diagonal_entropy_growth(
     num_bins: int = 20,
     seed: int = 0,
     geometry: str = "chain-open",
-    _materials: list | None = None,
-) -> EntropyGrowthReport:
+) -> tuple[EntropyGrowthReport, list]:
     """Grow the chain with a fixed product-state recipe and verify that
     the dephased state's min-entropy rises at least linearly.
+
+    Returns the report and the runs it was computed from, one
+    (N, spectral data, diagonal ensemble, profile) per size.
 
     Also evaluates the full constant chain on the same data: envelope g
     and Lipschitz K per size, window delta = g/(2K), tail constant m from
@@ -609,8 +617,6 @@ def diagonal_entropy_growth(
         ens = DiagonalEnsemble(spec, psi)
         prof = build_profile(spec, policy, num_bins)
         runs.append((n, spec, ens, prof))
-    if _materials is not None:
-        _materials.extend(runs)
     s_inf = tuple(float(ens.entropy(np.inf)) for _, _, ens, _ in runs)
     e_centers = tuple(
         float(np.dot(ens.populations, ens.block_energies)) / n
@@ -670,4 +676,4 @@ def diagonal_entropy_growth(
         variance_trend=trend,
         applicable=applicable,
         passed=passed,
-    )
+    ), runs

@@ -1,7 +1,8 @@
 """Strictly local chain Hamiltonians: catalog, dense spectra, Gibbs data.
 
-Energies are shifted so the ground energy is exactly zero and are labelled
-by density e_i = E_i / num_sites.  Catalog terms are divided by the largest
+Each spectrum's energies are shifted so its own ground energy is exactly
+zero, the shift kept on the spectrum, and are labelled by density
+e_i = E_i / num_sites.  Catalog terms are divided by the largest
 single-term spectral norm, so the strongest term has norm one; the factor
 is kept on the model for unit bookkeeping.
 """
@@ -17,7 +18,6 @@ from . import deal
 from .entropy import renyi_entropy
 from .operators import _support_index, is_hermitian, operator_norm, pauli
 from .states import DensityMatrix, LatticeSpec, ResourceGuardError
-from .tolerances import TOL
 
 DENSE_DIM_GUARD = 2**14
 
@@ -60,7 +60,6 @@ class LocalHamiltonian:
     terms: list[LocalTerm]
     locality: int = 2
     norm_rescale: float = 1.0
-    ground_shift: float | None = None
     name: str = ""
     params: dict = field(default_factory=dict)
 
@@ -85,8 +84,8 @@ class LocalHamiltonian:
         return n - max(gaps) + 1
 
     def assemble(self) -> np.ndarray:
-        """Dense matrix of the term sum, without ``ground_shift``, scattered
-        from ``_entries``: real whenever every term is real."""
+        """Dense matrix of the unshifted term sum, scattered from
+        ``_entries``: real whenever every term is real."""
         dense_guard(self.lattice.dim)
         i, j, values = _entries(self)
         h = np.zeros((self.lattice.dim, self.lattice.dim), dtype=values.dtype)
@@ -219,11 +218,16 @@ def build_model(
 
 @dataclass
 class Spectrum:
-    """Energies of a chain Hamiltonian, ground energy shifted to zero."""
+    """Energies of a chain Hamiltonian, ground energy shifted to zero: the
+    eigenvalues of H are ``energies + ground_shift``."""
 
-    lattice: LatticeSpec
     hamiltonian: LocalHamiltonian
     energies: np.ndarray  # ascending, energies[0] == 0
+    ground_shift: float  # the lowest eigenvalue of H
+
+    @property
+    def lattice(self) -> LatticeSpec:
+        return self.hamiltonian.lattice
 
     @property
     def dim(self) -> int:
@@ -415,20 +419,6 @@ def _basis_eigh(block: np.ndarray, p: np.ndarray, q: np.ndarray | None) -> tuple
     return e, _fix_phases(v)
 
 
-def _shifted_to_ground(h: LocalHamiltonian, energies: np.ndarray) -> np.ndarray:
-    """Ascending energies of H less its ground shift, which the first
-    spectrum of H sets to its lowest energy; a stale shift raises."""
-    if h.ground_shift is None:
-        h.ground_shift = float(energies[0])
-    energies = energies - h.ground_shift
-    if abs(energies.min()) > TOL.ground_shift:
-        raise ValueError(
-            f"ground energy {energies.min()!r} not zero after shift; "
-            "stored shift is stale"
-        )
-    return energies
-
-
 def _placed_vectors(bases: list, parts: list) -> tuple[np.ndarray, np.ndarray]:
     """Ascending energies and eigenvectors of H from the ``_basis_eigh`` of
     each of its bases' blocks, two or more.
@@ -456,7 +446,8 @@ def _placed_vectors(bases: list, parts: list) -> tuple[np.ndarray, np.ndarray]:
 
 def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     """Dense eigendecomposition, a ``SpectralData`` with the ground energy
-    shifted to zero.
+    shifted to zero: its ``ground_shift`` is the lowest eigenvalue that this
+    call found, and `h` is left as it was.
 
     H is split into its decoupled sectors (see ``_sectors``), read from
     the pattern of its nonzero entries (``_entries``).  With two or more
@@ -517,11 +508,12 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
         # dealt, the workers' malloc arenas kept the blocks they freed:
         # +3% to +8% peak RSS on `dense`, for 5 ms of its 11-site spectrum
         solve(order)
-        return Spectrum(h.lattice, h, _shifted_to_ground(h, np.sort(np.concatenate(parts))))
+        energies = np.sort(np.concatenate(parts))
+        return Spectrum(h, energies - energies[0], float(energies[0]))
     deal(solve, order, limit=BLOCK_WORKERS)
     bases = [basis for _, *basis in blocks]
     energies, v = parts[0] if len(parts) == 1 else _placed_vectors(bases, parts)
-    return SpectralData(h.lattice, h, _shifted_to_ground(h, energies), v)
+    return SpectralData(h, energies - energies[0], float(energies[0]), v)
 
 
 def trace_energy_density(h: LocalHamiltonian) -> float:

@@ -212,7 +212,7 @@ def test_05_eigenstate_product_overlap_audit():
 def test_06_min_entropy_growth_trend():
     budget = 1800.0
     t0 = time.monotonic()
-    rep = diagonal_entropy_growth(sizes=(6, 8, 10, 12), recipe="neel", seed=0)
+    rep, _ = diagonal_entropy_growth(sizes=(6, 8, 10, 12), recipe="neel", seed=0)
     elapsed = time.monotonic() - t0
     bulk_viol = sum(b.violations for b in rep.bulk)
     trend = rep.variance_trend

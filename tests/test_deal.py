@@ -206,3 +206,22 @@ def test_band_peak_memory_holds_on_every_worker_count(ens9, monkeypatch):
         assert growth <= (8000 - 2000) * 8, workers
     one_worker_buffers = 6 * TIME_BAND * ens9.spectral.dim * 8
     assert max(peaks.values()) < peaks["2"] + one_worker_buffers / 2
+
+
+def test_scan_peak_memory_holds_on_every_worker_count(monkeypatch):
+    # the blocks of more than two workers share two blocks' worth of bytes,
+    # so the scan's peak does not grow with the CPU count
+    lat = LatticeSpec(10, 2)
+    vectors = diagonalize(build_model("mixed-field-ising", lat)).eigenvectors
+    cands = candidate_subsets(lat, SearchPolicy(budget=30))
+    _scan(vectors, lat, cands)  # fills the caches of the site-index maps
+    peaks = {}
+    for workers in ("2", "3", "4", "8"):
+        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+        tracemalloc.start()
+        try:
+            _scan(vectors, lat, cands)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 1.1 * peaks["2"], peaks

@@ -203,8 +203,7 @@ def test_initial_state_recipes():
 
 @pytest.fixture(scope="module")
 def growth68():
-    runs = []
-    rep = diagonal_entropy_growth(sizes=(6, 8), seed=0, _materials=runs)
+    rep, runs = diagonal_entropy_growth(sizes=(6, 8), seed=0)
     return rep, [ens for _, _, ens, _ in runs]
 
 

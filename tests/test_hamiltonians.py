@@ -44,16 +44,14 @@ from ergolab.states import LatticeSpec
 GEOMETRIES = ("chain-open", "chain-periodic")
 
 
-def _routes(make):
-    """diagonalize with and without vectors, each on a fresh model from
-    `make`, so each route sets its own ground shift."""
-    return diagonalize(make()), diagonalize(make(), vectors=False)
+def _routes(h):
+    """diagonalize of one model with and without vectors."""
+    return diagonalize(h), diagonalize(h, vectors=False)
 
 
 class _CatalogSpectra(dict):
-    """(n, seed) -> (make, full, energies) of one catalog model on one
-    geometry: `make` builds a fresh model, `full` and `energies` are its two
-    ``_routes``, computed on first use."""
+    """(n, seed) -> (full, energies) of one catalog model on one geometry:
+    its two ``_routes``, computed on first use."""
 
     def __init__(self, name, geometry):
         super().__init__()
@@ -70,17 +68,12 @@ class _CatalogSpectra(dict):
         """Keep `full` as its energies alone.  The tests of one model and
         geometry run in file order, and the bits test, the last to read the
         eigenvectors, drops them, so the cache holds energies only."""
-        make, full, spec = self[key]
-        self[key] = make, Spectrum(full.lattice, full.hamiltonian, full.energies), spec
+        full, spec = self[key]
+        self[key] = Spectrum(full.hamiltonian, full.energies, full.ground_shift), spec
 
     def __missing__(self, key):
         n, seed = key
-        lat = LatticeSpec(n, 2, self.geometry)
-
-        def make():
-            return build_model(self.name, lat, seed=seed)
-
-        self[key] = (make, *_routes(make))
+        self[key] = _routes(build_model(self.name, LatticeSpec(n, 2, self.geometry), seed=seed))
         return self[key]
 
 
@@ -109,7 +102,7 @@ def test_two_site_ising_spectrum_oracle():
     spec = diagonalize(two_site_ising(j, hx))
     r = math.sqrt(j * j + 4 * hx * hx)
     want = np.sort(np.array([-j, j, -r, r]))
-    got = np.sort(spec.energies + spec.hamiltonian.ground_shift)
+    got = np.sort(spec.energies + spec.ground_shift)
     assert np.allclose(got, want, atol=1e-12)
     assert spec.energies[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -123,15 +116,16 @@ def test_eigenvector_phase_convention():
         assert abs(lead.imag) <= 1e-10 * abs(lead)
 
 
-def _shifted_matrix(h):
-    """The assembled H with the ground shift taken off its diagonal."""
-    return h.assemble() - h.ground_shift * np.eye(h.lattice.dim)
+def _shifted_matrix(spec):
+    """The assembled H of a spectrum with its ground shift taken off the
+    diagonal."""
+    return spec.hamiltonian.assemble() - spec.ground_shift * np.eye(spec.dim)
 
 
 def test_diagonalize_orthonormal(spec6):
     v = spec6.eigenvectors
     assert np.allclose(v.conj().T @ v, np.eye(spec6.dim), atol=1e-10)
-    h = _shifted_matrix(spec6.hamiltonian)
+    h = _shifted_matrix(spec6)
     assert np.allclose(v.conj().T @ h @ v, np.diag(spec6.energies), atol=1e-8)
 
 
@@ -485,8 +479,8 @@ def test_sector_diagonalization_matches_full_eigh(name, params, geometry):
     full = np.linalg.eigh(h.assemble())[0]
     spec = diagonalize(h)
     v, e = spec.eigenvectors, spec.energies
-    assert np.abs(e + h.ground_shift - full).max() <= 1e-12
-    assert np.abs(_shifted_matrix(h) @ v - v * e).max() <= 1e-12
+    assert np.abs(e + spec.ground_shift - full).max() <= 1e-12
+    assert np.abs(_shifted_matrix(spec) @ v - v * e).max() <= 1e-12
     assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
     assert _sector_pure(v, 8)
 
@@ -510,7 +504,7 @@ def test_sector_diagonalization_with_levels_degenerate_across_sectors(geometry):
     h = build_model("heisenberg-random-field", LatticeSpec(8, 2, geometry), params={"W": 0.0})
     spec = diagonalize(h)
     v, e = spec.eigenvectors, spec.energies
-    assert np.abs(_shifted_matrix(h) @ v - v * e).max() <= 1e-12
+    assert np.abs(_shifted_matrix(spec) @ v - v * e).max() <= 1e-12
     assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
     assert _sector_pure(v, 8)
 
@@ -533,8 +527,8 @@ def test_complex_sector_diagonalization():
     v, e = spec.eigenvectors, spec.energies
     assert np.iscomplexobj(v)
     full = np.linalg.eigh(h.assemble())[0]
-    assert np.abs(e + h.ground_shift - full).max() <= 1e-12
-    assert np.abs(_shifted_matrix(h) @ v - v * e).max() <= 1e-12
+    assert np.abs(e + spec.ground_shift - full).max() <= 1e-12
+    assert np.abs(_shifted_matrix(spec) @ v - v * e).max() <= 1e-12
     assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
     assert _sector_pure(v, n)
     lead = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(spec.dim)]
@@ -555,7 +549,7 @@ def test_one_sector_model_is_diagonalized_whole(geometry):
     h = _lopsided_ising(8, geometry)
     spec = diagonalize(h)
     energies, vectors = np.linalg.eigh(h.assemble())
-    assert np.array_equal(spec.energies, energies - h.ground_shift)
+    assert np.array_equal(spec.energies, energies - spec.ground_shift)
     assert np.array_equal(spec.eigenvectors, _fix_phases(vectors))
 
 
@@ -599,8 +593,8 @@ def _check_parity_spectrum(h, spec):
     all within 1e-12."""
     full = np.linalg.eigh(h.assemble())[0]
     v, e = spec.eigenvectors, spec.energies
-    assert np.abs(e + h.ground_shift - full).max() <= 1e-12
-    assert np.abs(_shifted_matrix(h) @ v - v * e).max() <= 1e-12
+    assert np.abs(e + spec.ground_shift - full).max() <= 1e-12
+    assert np.abs(_shifted_matrix(spec) @ v - v * e).max() <= 1e-12
     assert np.abs(v.conj().T @ v - np.eye(spec.dim)).max() <= 1e-12
     mirrored = v[_reflection(h)]
     parity = np.sign(np.einsum("ij,ij->j", mirrored.conj(), v).real)
@@ -613,7 +607,7 @@ def _check_parity_spectrum(h, spec):
 )
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 11])
 def test_parity_route_matches_full_eigh(n, catalog_spectra):
-    _, spec, _ = catalog_spectra[n, 0]
+    spec, _ = catalog_spectra[n, 0]
     h = spec.hamiltonian
     assert _reflection(h) is not None
     parity = _check_parity_spectrum(h, spec)
@@ -666,15 +660,17 @@ def _dense_gather(h, vectors):
     return _placed_vectors(bases, parts) if vectors else np.sort(np.concatenate(parts))
 
 
-def _check_dense_gather_bits(make, full, spec):
-    """Both routes equal, bit for bit, to the former dense gather on a fresh
-    model from `make`: ground shift, energies and eigenvectors."""
-    e, v = _dense_gather(make(), vectors=True)
-    assert full.hamiltonian.ground_shift == e[0]
+def _check_dense_gather_bits(full, spec):
+    """Both routes of one model equal, bit for bit, to the former dense
+    gather on that model: ground shift, energies and eigenvectors."""
+    h = full.hamiltonian
+    assert spec.hamiltonian is h
+    e, v = _dense_gather(h, vectors=True)
+    assert full.ground_shift == e[0]
     assert np.array_equal(full.energies, e - e[0])
     assert np.array_equal(full.eigenvectors, v)
-    e = _dense_gather(make(), vectors=False)
-    assert spec.hamiltonian.ground_shift == e[0]
+    e = _dense_gather(h, vectors=False)
+    assert spec.ground_shift == e[0]
     assert np.array_equal(spec.energies, e - e[0])
 
 
@@ -685,15 +681,14 @@ def test_sector_blocks_keep_the_bits_of_the_dense_gather(catalog_spectra):
 
 
 def _check_energies_route(full, spec):
-    """diagonalize without vectors (`spec`) against with them (`full`), each
-    on a model of its own: energies within 1e-12 max(1, ||H||), the same
-    ground shift and the same integer fields of the default gap report."""
-    full_h, energies_h = full.hamiltonian, spec.hamiltonian
+    """diagonalize without vectors (`spec`) against with them (`full`):
+    energies within 1e-12 max(1, ||H||), the same ground shift and the same
+    integer fields of the default gap report."""
     assert type(spec) is Spectrum and not hasattr(spec, "eigenvectors")
     assert spec.energies[0] == 0.0 and np.all(np.diff(spec.energies) >= 0)
-    norm = np.abs(full.energies + full_h.ground_shift).max()
+    norm = np.abs(full.energies + full.ground_shift).max()
     assert np.abs(spec.energies - full.energies).max() <= 1e-12 * max(1.0, norm)
-    assert abs(energies_h.ground_shift - full_h.ground_shift) <= 1e-12
+    assert abs(spec.ground_shift - full.ground_shift) <= 1e-12
     want, got = gap_report(full), gap_report(spec)
     for field in ("degenerate_gap_pairs", "degenerate_levels", "gaps_scanned"):
         assert getattr(got, field) == getattr(want, field)
@@ -701,15 +696,35 @@ def _check_energies_route(full, spec):
 
 def test_energies_route_matches_diagonalize(catalog_spectra):
     for key in catalog_spectra.cases():
-        _, full, spec = catalog_spectra[key]
-        _check_energies_route(full, spec)
+        _check_energies_route(*catalog_spectra[key])
 
 
 def test_energies_route_matches_diagonalize_on_custom_terms():
     # one sector and no mirror, so one whole block; and complex sectors
     for n in (2, 5, 8):
-        _check_energies_route(*_routes(lambda: _lopsided_ising(n)))
-        _check_energies_route(*_routes(lambda: _complex_xx_chain(n)))
+        _check_energies_route(*_routes(_lopsided_ising(n)))
+        _check_energies_route(*_routes(_complex_xx_chain(n)))
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["vectors-first", "energies-first"])
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_each_spectrum_subtracts_its_own_ground_energy(name, geometry, vectors):
+    # one model diagonalised by both routes: the second spectrum, of route
+    # `vectors`, is shifted by that route's own lowest eigenvalue and has
+    # the bits of the same route on a freshly built model
+    lat = LatticeSpec(8, 2, geometry)
+    h = build_model(name, lat, seed=1)
+    diagonalize(h, vectors=not vectors)
+    second = diagonalize(h, vectors=vectors)
+    fresh = diagonalize(build_model(name, lat, seed=1), vectors=vectors)
+    raw = _dense_gather(h, vectors=vectors)
+    lowest = (raw[0] if vectors else raw)[0]
+    assert second.energies[0] == 0.0
+    assert second.ground_shift == lowest == fresh.ground_shift
+    assert np.array_equal(second.energies, fresh.energies)
+    if vectors:
+        assert np.array_equal(second.eigenvectors, fresh.eigenvectors)
 
 
 def _cancelling_chain(n=6):
@@ -733,18 +748,18 @@ def test_sector_blocks_keep_the_bits_of_the_dense_gather_on_custom_terms():
     assert len(sectors) == 6 + 1
     want = _sectors(*np.nonzero(raw), len(raw))
     assert all(np.array_equal(a, b) for a, b in zip(sectors, want, strict=True))
-    makes = [
-        _cancelling_chain,
-        _swapped_factor_chain,
+    models = [
+        h,
+        _swapped_factor_chain(),
         *(
-            lambda g=g: build_model("heisenberg-random-field", LatticeSpec(8, 2, g), params={"W": 0.0})
+            build_model("heisenberg-random-field", LatticeSpec(8, 2, g), params={"W": 0.0})
             for g in GEOMETRIES
         ),
-        *(lambda n=n: _lopsided_ising(n) for n in (2, 5, 8)),
-        *(lambda n=n: _complex_xx_chain(n) for n in (2, 5, 8)),
+        *(_lopsided_ising(n) for n in (2, 5, 8)),
+        *(_complex_xx_chain(n) for n in (2, 5, 8)),
     ]
-    for make in makes:
-        _check_dense_gather_bits(make, *_routes(make))
+    for model in models:
+        _check_dense_gather_bits(*_routes(model))
 
 
 def test_energies_route_builds_no_dense_matrix():

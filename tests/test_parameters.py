@@ -108,3 +108,30 @@ def test_every_parameter_is_read():
             }
             unread += [f"{path.stem}.{fn.name}({p})" for p in _parameters(fn) if p not in read]
     assert not unread, "parameters that the body never reads: " + ", ".join(unread)
+
+
+def _argument_stores(fn, method):
+    """Each assignment in `fn` to an attribute of one of its own
+    parameters, at any depth (``p.x = ...``, ``p.x.y += ...``,
+    ``p[i].x = ...``), as "p.x (line n)"; a method's self and an ``out``
+    buffer are exempt."""
+    params = set(_parameters(fn)[1:] if method else _parameters(fn)) - {"out"}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            base = node.value
+            while isinstance(base, (ast.Attribute, ast.Subscript)):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in params:
+                yield f"{base.id}.{node.attr} (line {node.lineno})"
+
+
+def test_no_function_stores_into_its_arguments():
+    # results travel as return values: a function that stores into its
+    # argument leaves state behind for every later caller of that object
+    stores = [
+        f"{path.stem}.{fn.name}: {store}"
+        for path, tree in _modules(LIBRARY)
+        for fn, method in _functions(tree)
+        for store in _argument_stores(fn, method)
+    ]
+    assert not stores, "functions that store into their arguments: " + ", ".join(stores)
