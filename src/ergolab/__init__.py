@@ -15,36 +15,30 @@ __version__ = "0.1.0"
 CATALOG_VERSION = "1"
 
 
+# workers that a deal whose workers each hold much memory takes at most,
+# whatever the number of CPUs: the blocks of diagonalize and the time bands,
+# while the blocks of the scan share this many blocks' worth of bytes
+MEMORY_WORKERS = 2
+
+
 def worker_count() -> int:
-    """Worker threads of ``deal``: ERGOLAB_THREADS when set and non-empty,
-    else the CPUs this process may run on.
-
-    Raises ValueError unless the variable holds a positive integer.
-    """
-    value = os.environ.get("ERGOLAB_THREADS", "")
-    if not value:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not (value.isascii() and value.isdigit()) or int(value) < 1:
-        raise ValueError(f"ERGOLAB_THREADS must be a positive integer, got {value!r}")
-    return int(value)
+    """Worker threads of ``deal``: the CPUs this process may run on, so
+    ``taskset -c 0 ergolab ...`` runs one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def deal(share, items, scratch=None, limit=None) -> None:
+def deal(share, items, limit=None) -> None:
     """Run ``share(items[k::workers])`` for each worker k, side by side, on
     min(worker_count(), len(items), limit) threads, the calling thread as
-    worker 0.  A `limit` caps the workers of a deal whose workers each
-    hold much memory, whatever the number of CPUs.
+    worker 0.  A `limit`, MEMORY_WORKERS, caps the workers of a deal whose
+    workers each hold much memory, whatever the number of CPUs.
 
     The deal fixes which thread takes which items, never what an item
     computes, so results do not depend on the worker count as long as
-    each item writes only its own output.  With `scratch`, the calling
-    thread makes one ``scratch()`` per worker before any worker starts,
-    and each share is called as ``share(part, its_scratch)``: buffers
-    made there live in the caller's malloc arena, not in a worker's.
-    Every worker is waited for; then the first exception, in worker
-    order, is raised in the caller.
+    each item writes only its own output.  Every worker is waited for;
+    then the first exception, in worker order, is raised in the caller.
 
     The workers are ``_thread`` threads, each with one lock that it
     releases when its share is done.  ``threading.Thread`` would also
@@ -58,14 +52,13 @@ def deal(share, items, scratch=None, limit=None) -> None:
     """
     workers = min(worker_count(), len(items), limit or len(items))
     parts = [items[k::workers] for k in range(workers)]
-    args = [(part, scratch()) for part in parts] if scratch else [(part,) for part in parts]
     contexts = [contextvars.copy_context() for _ in range(1, workers)]
     errors: list[BaseException | None] = [None] * workers
     done = [_thread.allocate_lock() for _ in range(1, workers)]
 
     def work(k: int) -> None:
         try:
-            share(*args[k])
+            share(parts[k])
         except BaseException as exc:  # handed to the caller below
             errors[k] = exc
         finally:

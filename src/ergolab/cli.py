@@ -17,12 +17,10 @@ import sys
 from collections.abc import Callable, Mapping
 from pathlib import Path
 
-from . import worker_count
-
 
 def _configure_threads() -> None:
-    # BLAS runs one thread, whatever ERGOLAB_THREADS says: the threads come
-    # from ergolab.deal, whose deal does not change any product's rounding
+    # BLAS runs one thread: the threads come from ergolab.deal, one per CPU,
+    # whose deal does not change any product's rounding
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
 
@@ -589,7 +587,6 @@ def build_config(experiment: str, overrides: dict) -> dict:
         raise ConfigError(str(exc)) from None
     _validate(experiment, config)
     config.update({k: SPELLINGS[k](config[k]) for k in SPELLINGS if k in config})
-    config["experiment"] = experiment
     return config
 
 
@@ -640,11 +637,9 @@ def _validate(experiment: str, config: dict) -> None:
     """Reject values the runners cannot use, before any of them starts: the
     experiment's `chains`, each key's entry of CHECKS in table order, then
     the experiment's `check`.  A lattice beyond the index range raises
-    ResourceGuardError.  ERGOLAB_THREADS, which sizes ``ergolab.deal``, is
-    read here too."""
+    ResourceGuardError."""
     entry = EXPERIMENT_TABLE[experiment]
     try:
-        worker_count()
         lattices = entry.chains(config)
         first = next(iter(lattices), None)
         for key in filter(config.__contains__, CHECKS):
@@ -660,7 +655,6 @@ def run(config: dict) -> tuple[int, dict]:
     experiment = config.pop("experiment", None)
     _require(experiment in EXPERIMENT_TABLE, f"experiment must be one of {tuple(EXPERIMENT_TABLE)}")
     config = build_config(experiment, config)
-    del config["experiment"]
     resolved = _clean(config)  # the report's config, hashed as written
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     result, passed, files = EXPERIMENT_TABLE[experiment].runner(config)

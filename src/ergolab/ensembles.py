@@ -8,13 +8,12 @@ time average reads it, through V^dag A V and the phase table exp(-iEt) c.
 from __future__ import annotations
 
 import _thread
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import deal, worker_count
+from . import MEMORY_WORKERS, deal, worker_count
 from .entropy import renyi_entropy
 from .hamiltonians import LocalTerm, SpectralData, degenerate_groups
 from .operators import _local_support, apply_local, pauli, random_hermitian
@@ -27,12 +26,9 @@ DEGENERACY_TOL = 1e-10
 VARIANCE_BAND_ROWS = 64
 # times per band of the phase table exp(-iEt) c (_trajectory, evolve_rows):
 # the tables formed at a time are TIME_BAND x dim per worker, whatever the
-# time count
+# time count; MEMORY_WORKERS workers hold 6 TIME_BAND dim doubles each,
+# what one band of 2 TIME_BAND times took when one thread walked them
 TIME_BAND = 128
-# workers that walk the time bands at most: their buffers, 6 TIME_BAND dim
-# doubles each, together take what one band of 2 TIME_BAND times took when
-# one thread walked them, whatever the number of CPUs
-BAND_WORKERS = 2
 
 
 def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> LocalTerm:
@@ -123,22 +119,18 @@ class DiagonalEnsemble:
         return DensityMatrix(_sublattice(lattice, len(keep)), 0.5 * (rho + rho.conj().T))
 
 
-def _phase_table(
-    spectral: SpectralData, coefficients: np.ndarray, times, out=None, aside=contextlib.nullcontext()
-) -> np.ndarray:
+def _phase_table(spectral: SpectralData, coefficients: np.ndarray, times, out, aside) -> np.ndarray:
     """exp(-iEt) c, one row per time: the eigenbasis amplitudes on a time grid,
-    written into `out` (times x dim complex) when given.  The phases are
+    written into `out` (times x dim complex).  The phases are
     -i(tE) as 0 tE - i(tE): a zero that exp reads as -1j * (tE) does, and
     NaN, like it, where tE is not finite.  The exponentials run inside
     `aside` (see ``_deal_bands``)."""
-    times = np.asarray(times, dtype=float)
-    table = np.empty((times.size, spectral.dim), dtype=complex) if out is None else out
-    np.multiply.outer(times, -spectral.energies, out=table.imag)
-    np.multiply(table.imag, 0.0, out=table.real)
+    np.multiply.outer(times, -spectral.energies, out=out.imag)
+    np.multiply(out.imag, 0.0, out=out.real)
     with aside:
-        np.exp(table, out=table)
-    table *= coefficients
-    return table
+        np.exp(out, out=out)
+    out *= coefficients
+    return out
 
 
 def _eigenbasis_matrix(spectral: SpectralData, observable: LocalTerm) -> np.ndarray:
@@ -210,9 +202,10 @@ def _deal_bands(work, times: np.ndarray, dim: int) -> None:
     times: its slice of the times, and a phase table, a stacked (x; y)
     table and a product buffer cut to its length.
 
-    The bands are dealt round-robin to at most BAND_WORKERS workers
+    The bands are dealt round-robin to at most MEMORY_WORKERS workers
     (``ergolab.deal``).  The calling thread allocates each worker's three
-    buffers once per call, so no worker allocates anything large and the
+    buffers once per call, before the deal, and deals each worker its turn
+    and its buffers, so no worker allocates anything large and the
     band loops cost the same however the allocator treats repeated
     band-sized requests.  The workers take turns in a fixed order
     (``_Turn``): a worker runs its steps only in its turn, and hands the
@@ -227,19 +220,19 @@ def _deal_bands(work, times: np.ndarray, dim: int) -> None:
     how its workers are scheduled.
     """
     starts = range(0, times.size, TIME_BAND)
-    workers = min(worker_count(), len(starts), BAND_WORKERS)
+    workers = min(worker_count(), len(starts), MEMORY_WORKERS)
     rows = min(times.size, TIME_BAND)
     locks, finished = [_thread.allocate_lock() for _ in range(workers)], [False] * workers
     for lock in locks[1:]:
         lock.acquire()
-    turns = [_Turn(k, locks, finished) for k in range(workers)]
+    stacked = (2 * rows, dim)
+    dealt = [
+        (_Turn(k, locks, finished), np.empty((rows, dim), dtype=complex), np.empty(stacked), np.empty(stacked))
+        for k in range(workers)
+    ]
 
-    def buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.empty((rows, dim), dtype=complex), np.empty((2 * rows, dim)), np.empty((2 * rows, dim))
-
-    def walk(mine: list[_Turn], scratch: tuple) -> None:
-        (turn,) = mine
-        table, xy, prod = scratch
+    def walk(mine: list) -> None:
+        ((turn, table, xy, prod),) = mine
         turn.take()
         try:
             for a in starts[turn.k :: workers]:
@@ -248,7 +241,7 @@ def _deal_bands(work, times: np.ndarray, dim: int) -> None:
         finally:
             turn.done()
 
-    deal(walk, turns, scratch=buffers)
+    deal(walk, dealt)
 
 
 def _as_complex(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

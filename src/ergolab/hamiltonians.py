@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import deal
+from . import MEMORY_WORKERS, deal
 from .entropy import renyi_entropy
 from .operators import _support_index, is_hermitian, operator_norm, pauli
 from .states import DensityMatrix, LatticeSpec, ResourceGuardError
@@ -22,12 +22,6 @@ from .states import DensityMatrix, LatticeSpec, ResourceGuardError
 DENSE_DIM_GUARD = 2**14
 
 MODEL_NAMES = ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field")
-
-# workers that solve the blocks of diagonalize at most, each with one block,
-# its eigenvectors and its eigh workspace alive: a parity-split model has
-# two blocks, and more workers on a sector model only add blocks, in malloc
-# arenas of their own, to its peak, whatever the number of CPUs
-BLOCK_WORKERS = 2
 
 _GAP_BAND = 2**16  # neighbour differences per band of the gap scan
 _GATHER_ROWS = 64  # rows per band of a gathered parity block
@@ -463,10 +457,12 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
     basis, and its ``eigh`` is the result.
 
     The blocks are dealt by ``ergolab.deal``, largest first, to at most
-    BLOCK_WORKERS workers.  A worker scatters (or gathers, for a parity
+    MEMORY_WORKERS workers: a parity-split model has two blocks, and more
+    workers on a sector model would only add blocks, in malloc arenas of
+    their own, to its peak.  A worker scatters (or gathers, for a parity
     block) each of its blocks, solves it and frees it before it forms the
-    next, so at most one block per worker is alive; the deal changes no
-    block's arithmetic.
+    next, so at most one block, its eigenvectors and its ``eigh`` workspace
+    are alive per worker; the deal changes no block's arithmetic.
 
     With ``vectors=False`` each block goes to ``eigvalsh`` instead, one
     after the other in the calling thread, and a ``Spectrum`` of the
@@ -510,7 +506,7 @@ def diagonalize(h: LocalHamiltonian, vectors: bool = True) -> Spectrum:
         solve(order)
         energies = np.sort(np.concatenate(parts))
         return Spectrum(h, energies - energies[0], float(energies[0]))
-    deal(solve, order, limit=BLOCK_WORKERS)
+    deal(solve, order, limit=MEMORY_WORKERS)
     bases = [basis for _, *basis in blocks]
     energies, v = parts[0] if len(parts) == 1 else _placed_vectors(bases, parts)
     return SpectralData(h, energies - energies[0], float(energies[0]), v)

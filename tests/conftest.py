@@ -1,3 +1,5 @@
+import os
+
 import ergolab.cli  # noqa: F401  sets one-thread BLAS, as a run does, before numpy loads
 import numpy as np
 import pytest
@@ -45,3 +47,14 @@ def spec8():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) shows this process n CPUs to run on, on any host, so that
+    ergolab.deal takes n workers."""
+
+    def fake(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return fake

@@ -400,33 +400,6 @@ def test_reports_are_strict_json(args, tmp_path):
     assert rep["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "abc"])
-def test_invalid_thread_count_rejected_before_run(value, tmp_path, capsys, monkeypatch):
-    def runner_started(config):
-        raise AssertionError("a runner started on an invalid thread count")
-
-    table = {
-        name: dataclasses.replace(entry, runner=runner_started)
-        for name, entry in cli.EXPERIMENT_TABLE.items()
-    }
-    monkeypatch.setattr(cli, "EXPERIMENT_TABLE", table)
-    monkeypatch.setenv("ERGOLAB_THREADS", value)
-    out = tmp_path / "out"
-    assert main(["spectrum", "--sites", "4", "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: ERGOLAB_THREADS")
-    assert not out.exists()
-
-
-def test_invalid_thread_count_exits_2_from_a_fresh_process(tmp_path, monkeypatch):
-    # the value is read before numpy loads, too; it must not crash the import
-    monkeypatch.setenv("ERGOLAB_THREADS", "abc")
-    proc = invoke(["spectrum", "--sites", "4", "--out", str(tmp_path / "out")], tmp_path)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("config error: ERGOLAB_THREADS")
-    assert "Traceback" not in proc.stderr
-
-
 def test_mps_spec_of_other_local_dim_rejected_before_run(tmp_path, capsys, monkeypatch):
     # the overlap optimiser handles qubit factors only; a qutrit spec used
     # to reach it and exit 1 with a NotImplementedError traceback
@@ -508,22 +481,16 @@ def test_fits_and_decay_runs_do_not_import_numpy_ma(tmp_path):
     assert proc.stdout.splitlines() == ["False"]
 
 
-@pytest.mark.parametrize("value", ["1", "2"])
-def test_valid_thread_count_sizes_workers(value, tmp_path, monkeypatch):
-    monkeypatch.setenv("ERGOLAB_THREADS", value)
-    assert ergolab.worker_count() == int(value)
-    assert main(["spectrum", "--sites", "4", "--out", str(tmp_path / "out")]) == 0
-
-
-def test_unset_thread_count_is_the_affinity_count(monkeypatch):
-    monkeypatch.setenv("ERGOLAB_THREADS", "")
+def test_worker_count_is_the_affinity_count(cpus, monkeypatch):
     assert ergolab.worker_count() == len(os.sched_getaffinity(0))
-    monkeypatch.delenv("ERGOLAB_THREADS")
-    assert ergolab.worker_count() == len(os.sched_getaffinity(0))
+    cpus(3)
+    assert ergolab.worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert ergolab.worker_count() == (os.cpu_count() or 1)
 
 
 # one small run of every experiment; theorem1, stability and gibbs wrote
-# other bytes under ERGOLAB_THREADS=2 while BLAS took its threads from it
+# other bytes on two workers while BLAS took its threads from their count
 EVERY_EXPERIMENT = [
     ["spectrum"], ["scan"], ["equilibrate"], ["theorem1", "--sizes", "6,8,10"], ["prop1"],
     ["overlap"], ["rates", "--samples", "200"], ["stability", "--sites", "10"], ["mps"],
@@ -533,8 +500,11 @@ EVERY_EXPERIMENT = [
 
 def test_reports_do_not_depend_on_the_thread_count(tmp_path):
     assert sorted(args[0] for args in EVERY_EXPERIMENT) == sorted(cli.EXPERIMENT_TABLE)
+    # each child shows itself 1 or 2 CPUs before ergolab loads, so the
+    # deals take 1 or 2 workers on any host
     code = (
-        "import json, sys\n"
+        "import json, os, sys\n"
+        "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))\n"
         "from ergolab import cli\n"
         "runs = json.loads(sys.argv[1])\n"
         "print(json.dumps([cli.main([*args, '--out', args[0]]) for args in runs]))\n"
@@ -545,8 +515,8 @@ def test_reports_do_not_depend_on_the_thread_count(tmp_path):
     for threads in ("1", "2"):  # side by side: the bytes may not depend on the load either
         (tmp_path / threads).mkdir()
         procs[threads] = subprocess.Popen(
-            [sys.executable, "-c", code, json.dumps(EVERY_EXPERIMENT)],
-            cwd=tmp_path / threads, env={**env, "ERGOLAB_THREADS": threads},
+            [sys.executable, "-c", code, json.dumps(EVERY_EXPERIMENT), threads],
+            cwd=tmp_path / threads, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
     codes = {}
@@ -636,7 +606,6 @@ def test_cli_surface_and_defaults_pinned():
         flags = {s: a.dest for a in p._actions if a.dest != "help" for s in a.option_strings}
         assert flags == CLI_SURFACE[name], name
         config = build_config(name, {})
-        del config["experiment"]
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(canonical.encode()).hexdigest() == CONFIG_SHA256[name], name
 

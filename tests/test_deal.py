@@ -22,21 +22,21 @@ from ergolab.ergodicity import SearchPolicy, _scan, candidate_subsets, random_pr
 from ergolab.hamiltonians import build_model, diagonalize
 from ergolab.states import LatticeSpec
 
-WORKERS = ("1", "2", "3")
+WORKERS = (1, 2, 3)
 
 
-def _each_worker_count(monkeypatch, compute):
-    """compute() under 1, 2 and 3 workers, as bytes."""
+def _each_worker_count(cpus, compute):
+    """compute() on 1, 2 and 3 CPUs, as bytes."""
     out = []
     for workers in WORKERS:
-        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+        cpus(workers)
         out.append([np.asarray(a).tobytes() for a in compute()])
     return out
 
 
-def test_deal_hands_out_round_robin_shares_with_the_caller_as_worker_0(monkeypatch):
+def test_deal_hands_out_round_robin_shares_with_the_caller_as_worker_0(cpus):
     for workers, want in ((1, [range(0, 7)]), (2, [range(0, 7, 2), range(1, 7, 2)])):
-        monkeypatch.setenv("ERGOLAB_THREADS", str(workers))
+        cpus(workers)
         shares, lock = {}, threading.Lock()
 
         def share(part):
@@ -49,8 +49,8 @@ def test_deal_hands_out_round_robin_shares_with_the_caller_as_worker_0(monkeypat
         assert all(ident != threading.get_ident() for k, (_, ident) in shares.items() if k)
 
 
-def test_deal_uses_no_more_workers_than_items(monkeypatch):
-    monkeypatch.setenv("ERGOLAB_THREADS", "8")
+def test_deal_uses_no_more_workers_than_items(cpus):
+    cpus(8)
     parts = []
     deal(parts.append, ["a", "b", "c"])
     assert sorted(parts) == [["a"], ["b"], ["c"]]
@@ -58,21 +58,8 @@ def test_deal_uses_no_more_workers_than_items(monkeypatch):
     assert len(parts) == 3
 
 
-def test_deal_makes_each_scratch_in_the_calling_thread(monkeypatch):
-    monkeypatch.setenv("ERGOLAB_THREADS", "3")
-    makers, seen = [], []
-
-    def scratch():
-        makers.append(threading.get_ident())
-        return len(makers)
-
-    deal(lambda part, s: seen.append((list(part), s)), range(5), scratch=scratch)
-    assert makers == [threading.get_ident()] * 3
-    assert sorted(seen) == [([0, 3], 1), ([1, 4], 2), ([2], 3)]
-
-
-def test_workers_run_in_a_copy_of_the_callers_context(monkeypatch):
-    monkeypatch.setenv("ERGOLAB_THREADS", "2")
+def test_workers_run_in_a_copy_of_the_callers_context(cpus):
+    cpus(2)
     var, seen = contextvars.ContextVar("var"), []
     var.set("caller")
     deal(lambda part: seen.append((threading.get_ident(), var.get(None))), range(2))
@@ -83,8 +70,8 @@ def test_workers_run_in_a_copy_of_the_callers_context(monkeypatch):
         deal(lambda part: np.exp(np.full(1, 1e3 * part[0])), range(2))
 
 
-def test_deal_raises_the_first_error_in_worker_order(monkeypatch):
-    monkeypatch.setenv("ERGOLAB_THREADS", "3")
+def test_deal_raises_the_first_error_in_worker_order(cpus):
+    cpus(3)
 
     def share(part):
         if part[0] > 0:
@@ -96,14 +83,14 @@ def test_deal_raises_the_first_error_in_worker_order(monkeypatch):
 
 @pytest.mark.parametrize("vectors", [True, False])
 @pytest.mark.parametrize("model", ["mixed-field-ising", "xxz-disordered"])
-def test_diagonalize_keeps_its_bits_on_every_worker_count(model, vectors, monkeypatch):
+def test_diagonalize_keeps_its_bits_on_every_worker_count(model, vectors, cpus):
     # parity blocks (mixed-field-ising) and magnetisation sectors
     # (xxz-disordered) are solved side by side, largest first
     def compute():
         spec = diagonalize(build_model(model, LatticeSpec(9, 2), seed=3), vectors=vectors)
         return [spec.energies, *([spec.eigenvectors] if vectors else [])]
 
-    first, *rest = _each_worker_count(monkeypatch, compute)
+    first, *rest = _each_worker_count(cpus, compute)
     assert all(other == first for other in rest)
 
 
@@ -113,7 +100,7 @@ def ens9():
     return DiagonalEnsemble(diagonalize(build_model("mixed-field-ising", lat)), random_product_state(lat, 4))
 
 
-def test_time_bands_keep_their_bits_on_every_worker_count(ens9, monkeypatch):
+def test_time_bands_keep_their_bits_on_every_worker_count(ens9, cpus):
     # several bands and a short last one, for a real and a complex V^dag A V
     lat = ens9.spectral.lattice
     times = np.random.default_rng(2).uniform(0.0, 1e3, size=5 * TIME_BAND + 17)
@@ -123,23 +110,23 @@ def test_time_bands_keep_their_bits_on_every_worker_count(ens9, monkeypatch):
         rows = evolve_rows(ens9.spectral, ens9.coefficients, times)
         return [rows, *(expectation_trajectory(ens9, obs, times) for obs in observables)]
 
-    first, *rest = _each_worker_count(monkeypatch, compute)
+    first, *rest = _each_worker_count(cpus, compute)
     assert all(other == first for other in rest)
 
 
-def test_scan_keeps_its_bits_on_every_worker_count(ens9, monkeypatch):
+def test_scan_keeps_its_bits_on_every_worker_count(ens9, monkeypatch, cpus):
     from ergolab import ergodicity
 
     lat = ens9.spectral.lattice
     vectors = ens9.spectral.eigenvectors
     monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", 37 * vectors[:, 0].nbytes)
     cands = candidate_subsets(lat, SearchPolicy(mode="random-sample", budget=80, seed=1))
-    first, *rest = _each_worker_count(monkeypatch, lambda: _scan(vectors, lat, cands))
+    first, *rest = _each_worker_count(cpus, lambda: _scan(vectors, lat, cands))
     assert all(other == first for other in rest)
 
 
-def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(ens9, monkeypatch):
-    monkeypatch.setenv("ERGOLAB_THREADS", "2")
+def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(ens9, cpus):
+    cpus(2)
     threads, running = threading.active_count(), _thread._count()
     times = np.linspace(0.0, 10.0, 4 * TIME_BAND)
     times[TIME_BAND + 5] = np.nan  # in band 1, which worker 1 walks
@@ -153,16 +140,16 @@ def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(ens9, monkeypat
     assert _thread._count() == running
 
 
-def test_band_turns_come_round_in_a_fixed_order(monkeypatch):
+def test_band_turns_come_round_in_a_fixed_order(monkeypatch, cpus):
     # each band takes its turn three times (before, between and after its
     # two asides); a worker that is done drops out of the round
-    monkeypatch.setattr(ensembles, "BAND_WORKERS", 3)
+    monkeypatch.setattr(ensembles, "MEMORY_WORKERS", 3)
     times = np.zeros(4 * TIME_BAND)
     for workers, want in (
-        ("1", [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]),
-        ("3", [0, 1, 2, 0, 1, 2, 0, 3, 1, 2, 3, 3]),
+        (1, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]),
+        (3, [0, 1, 2, 0, 1, 2, 0, 3, 1, 2, 3, 3]),
     ):
-        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+        cpus(workers)
         order = []
 
         def work(band, table, xy, prod, aside):
@@ -194,21 +181,21 @@ def _band_peaks(ens, obs):
     return sampled, large - small
 
 
-def test_band_peak_memory_holds_on_every_worker_count(ens9, monkeypatch):
-    # at most BAND_WORKERS workers walk the bands, so more CPUs add no band
-    # buffers, and the turns keep the peak to the output's growth
+def test_band_peak_memory_holds_on_every_worker_count(ens9, cpus):
+    # at most MEMORY_WORKERS workers walk the bands, so more CPUs add no
+    # band buffers, and the turns keep the peak to the output's growth
     obs = site_observable(ens9.spectral.lattice, 4)
     ens9._eigenbasis(obs)
     peaks = {}
-    for workers in ("2", "3", "4"):
-        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+    for workers in (2, 3, 4):
+        cpus(workers)
         peaks[workers], growth = _band_peaks(ens9, obs)
         assert growth <= (8000 - 2000) * 8, workers
     one_worker_buffers = 6 * TIME_BAND * ens9.spectral.dim * 8
-    assert max(peaks.values()) < peaks["2"] + one_worker_buffers / 2
+    assert max(peaks.values()) < peaks[2] + one_worker_buffers / 2
 
 
-def test_scan_peak_memory_holds_on_every_worker_count(monkeypatch):
+def test_scan_peak_memory_holds_on_every_worker_count(cpus):
     # the blocks of more than two workers share two blocks' worth of bytes,
     # so the scan's peak does not grow with the CPU count
     lat = LatticeSpec(10, 2)
@@ -216,12 +203,12 @@ def test_scan_peak_memory_holds_on_every_worker_count(monkeypatch):
     cands = candidate_subsets(lat, SearchPolicy(budget=30))
     _scan(vectors, lat, cands)  # fills the caches of the site-index maps
     peaks = {}
-    for workers in ("2", "3", "4", "8"):
-        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+    for workers in (2, 3, 4, 8):
+        cpus(workers)
         tracemalloc.start()
         try:
             _scan(vectors, lat, cands)
             peaks[workers] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert max(peaks.values()) <= 1.1 * peaks["2"], peaks
+    assert max(peaks.values()) <= 1.1 * peaks[2], peaks

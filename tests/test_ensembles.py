@@ -11,7 +11,6 @@ from conftest import _reference_embed
 from ergolab.ensembles import (
     TIME_BAND,
     DiagonalEnsemble,
-    _phase_table,
     bond_observable,
     check_variance_bounds,
     ensemble_expectation,
@@ -423,7 +422,7 @@ def test_time_band_kernels_match_whole_table_formulas(ensembles8, count):
         np.testing.assert_allclose(c, v.conj().T @ psi.amplitudes, rtol=1e-12, atol=1e-14)
         ens = DiagonalEnsemble(spec, psi)
         times = np.random.default_rng(count).uniform(0.0, 1e4 * spec.dim / spec.norm, size=count)
-        table = _phase_table(spec, c, times)
+        table = np.exp(-1j * np.outer(times, spec.energies)) * c
         rows = evolve_rows(spec, c, times)
         np.testing.assert_allclose(rows, table @ v.T, rtol=1e-12, atol=1e-14)
         observables = [site_observable(lat, 3, axis) for axis in "ZXY"]

@@ -389,14 +389,14 @@ def _pinned_scan(vectors, lattice, cands):
     return best_s2, best_idx
 
 
-def _assert_pinned(vectors, lattice, cands, monkeypatch):
+def _assert_pinned(vectors, lattice, cands, monkeypatch, cpus):
     """The scan equals the pinned one in blocks of 37 states (several, with
-    a remainder), on 1 and 2 threads."""
+    a remainder), on 1 and 2 CPUs."""
     ref_s2, ref_idx = _pinned_scan(vectors, lattice, cands)
     monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", 37 * vectors[:, 0].nbytes)
     assert vectors.shape[1] > 37 and vectors.shape[1] % 37
-    for workers in ("1", "2"):
-        monkeypatch.setenv("ERGOLAB_THREADS", workers)
+    for workers in (1, 2):
+        cpus(workers)
         best_s2, best_idx = _scan(vectors, lattice, cands)
         assert np.array_equal(best_s2, ref_s2), workers
         assert np.array_equal(best_idx, ref_idx), workers
@@ -405,19 +405,19 @@ def _assert_pinned(vectors, lattice, cands, monkeypatch):
 @pytest.mark.parametrize("mode", ["exhaustive", "random-sample"])
 @pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
 @pytest.mark.parametrize("model", MODEL_NAMES)
-def test_scan_pinned_on_eigenvectors(model, geometry, mode, monkeypatch):
+def test_scan_pinned_on_eigenvectors(model, geometry, mode, monkeypatch, cpus):
     lattice = LatticeSpec(8, 2, geometry)
     spec = diagonalize(build_model(model, lattice))
     cands = candidate_subsets(lattice, SearchPolicy(mode=mode, budget=60, seed=2))
-    _assert_pinned(spec.eigenvectors, lattice, cands, monkeypatch)
+    _assert_pinned(spec.eigenvectors, lattice, cands, monkeypatch, cpus)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random-sample"])
 @pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])
-def test_scan_pinned_on_complex_columns(geometry, mode, monkeypatch):
+def test_scan_pinned_on_complex_columns(geometry, mode, monkeypatch, cpus):
     lattice = LatticeSpec(8, 2, geometry)
     cands = candidate_subsets(lattice, SearchPolicy(mode=mode, budget=60, seed=4))
-    _assert_pinned(_unit_columns(lattice.dim, 90, 5), lattice, cands, monkeypatch)
+    _assert_pinned(_unit_columns(lattice.dim, 90, 5), lattice, cands, monkeypatch, cpus)
 
 
 @pytest.mark.parametrize("geometry", ["chain-open", "chain-periodic"])

@@ -135,3 +135,34 @@ def test_no_function_stores_into_its_arguments():
         for store in _argument_stores(fn, method)
     ]
     assert not stores, "functions that store into their arguments: " + ", ".join(stores)
+
+
+def _environment_reads(tree):
+    """The line of each read of the environment: every ``os.getenv`` and
+    every ``os.environ`` that is not the target of a plain key store
+    (``os.environ[k] = v``), so ``.get``, a subscript load and ``in`` all
+    count."""
+    stores = {
+        id(target.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Subscript)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "environb", "getenv", "getenvb")
+            and id(node) not in stores
+        ):
+            yield node.lineno
+
+
+def test_the_library_reads_no_environment_variable():
+    # a run is fixed by its config and the CPUs it may use: a variable that
+    # the library read would be a knob outside the config; storing the BLAS
+    # thread caps (cli._configure_threads) reads nothing
+    reads = [f"{path.name}:{line}" for path, tree in _modules(LIBRARY) for line in _environment_reads(tree)]
+    assert not reads, "reads of the environment: " + ", ".join(reads)
