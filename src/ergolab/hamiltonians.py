@@ -9,12 +9,14 @@ is kept on the model for unit bookkeeping.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import MEMORY_WORKERS, deal
+from . import MEMORY_WORKERS, deal, worker_count
 from .entropy import renyi_entropy
 from .operators import _support_index, is_hermitian, operator_norm, pauli
 from .states import DensityMatrix, LatticeSpec, ResourceGuardError
@@ -23,7 +25,7 @@ DENSE_DIM_GUARD = 2**14
 
 MODEL_NAMES = ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field")
 
-_GAP_BAND = 2**16  # neighbour differences per band of the gap scan
+_GAP_BAND = 2**16  # gaps per band of gap_report, filled, sorted and walked at once
 _GATHER_ROWS = 64  # rows per band of a gathered parity block
 
 
@@ -530,28 +532,139 @@ class GapReport:
     gaps_scanned: int
 
 
-def _gap_scan(sorted_vals: np.ndarray, tol: float) -> tuple[float, int]:
-    """Smallest difference of neighbours in `sorted_vals` (inf for fewer
-    than two values) and the number of index pairs within tol of each
-    other, in one pass over bands of ``_GAP_BAND`` neighbour differences.
+class _BandScan(NamedTuple):
+    """One sorted band of gaps: its size, first and last gap, smallest
+    neighbour difference (inf for one gap), the index pairs within the
+    tolerance counted inside the band alone, and its leading and trailing
+    runs of close neighbour differences."""
 
-    A run of L consecutive close neighbours holds L(L+1)/2 such pairs.  The
-    runs are read from the indices of the close neighbours alone, which
-    break wherever two successive indices are not adjacent.
+    size: int
+    first: float
+    last: float
+    low: float
+    pairs: int
+    head: int
+    tail: int
+
+
+def _band_scan(vals: np.ndarray, tol: float, diff: np.ndarray) -> _BandScan:
+    """The ``_BandScan`` of the sorted, non-empty `vals`; their neighbour
+    differences are written into `diff`.
+
+    A run of L consecutive close neighbours holds L(L+1)/2 index pairs
+    within tol.  The runs are read from the indices of the close
+    neighbours alone, which break wherever two successive indices are not
+    adjacent.
     """
-    n = sorted_vals.size - 1
-    diff = np.empty(min(max(n, 0), _GAP_BAND))
-    low, hits = np.inf, [np.empty(0, dtype=np.intp)]
-    for start in range(0, n, _GAP_BAND):
-        stop = min(start + _GAP_BAND, n)
-        d = diff[: stop - start]
-        np.subtract(sorted_vals[start + 1 : stop + 1], sorted_vals[start:stop], out=d)
-        low = min(low, float(d.min()))
-        hits.append(np.flatnonzero(d <= tol) + start)
-    hits = np.concatenate(hits)
+    n = vals.size
+    d = diff[: n - 1]
+    np.subtract(vals[1:], vals[:-1], out=d)
+    low = float(d.min()) if n > 1 else np.inf
+    if low > tol:  # no close neighbours
+        return _BandScan(n, float(vals[0]), float(vals[-1]), low, 0, 0, 0)
+    hits = np.flatnonzero(d <= tol)
     breaks = np.flatnonzero(np.diff(hits) != 1) + 1
     runs = np.diff(np.concatenate(([0], breaks, [hits.size])))
-    return low, int(np.sum(runs * (runs + 1) // 2))
+    head = int(runs[0]) if hits.size and hits[0] == 0 else 0
+    tail = int(runs[-1]) if hits.size and hits[-1] == n - 2 else 0
+    return _BandScan(n, float(vals[0]), float(vals[-1]), low, int(np.sum(runs * (runs + 1) // 2)), head, tail)
+
+
+def _joined_scan(bands: list[_BandScan], tol: float) -> tuple[float, int]:
+    """Smallest neighbour difference and index pairs within tol of the
+    bands laid end to end in order, as if they were one sorted array: each
+    border adds the difference of its two sides, and a run of close
+    neighbours that reaches a border goes on into the next band."""
+    low, pairs, run, last = np.inf, 0, 0, None
+    for b in bands:
+        if last is not None:
+            border = b.first - last
+            low = min(low, border)
+            run = run + 1 if border <= tol else 0
+            pairs += run
+        # the band's leading run goes on from the open one
+        low, pairs = min(low, b.low), pairs + b.pairs + b.head * run
+        run = run + b.size - 1 if b.head == b.size - 1 else b.tail
+        last = b.last
+    return low, pairs
+
+
+def _row_ends(energies: np.ndarray, t: float) -> np.ndarray:
+    """For each row i of the sorted energies, the first j > i whose gap
+    fl(E_j - E_i) is at least t, or dim.
+
+    The gaps of a row are monotone in j, so the gaps below t are one
+    leading range.  ``searchsorted`` finds its end from E_i + t; the end
+    is then moved, one energy value at a time, until the computed gaps
+    agree, so that every gap falls on the side of t that its own value
+    puts it.
+    """
+    dim = energies.size
+    first = np.arange(1, dim + 1)
+    padded = np.append(energies, np.inf)  # the gap at j = dim is never below t
+    j = np.maximum(np.searchsorted(energies, energies + t), first)
+    while True:
+        up = padded[j] - energies < t
+        down = (j > first) & (padded[j - 1] - energies >= t)
+        if not (up.any() or down.any()):
+            return j
+        # past every level of the energy whose gap is below t, or back to the
+        # first level of the energy whose gap is not
+        j[up] = np.searchsorted(energies, padded[j[up]], side="right")
+        j[down] = np.maximum(np.searchsorted(energies, energies[j[down] - 1]), first[down])
+
+
+def _gap_edges(energies: np.ndarray) -> list[float]:
+    """Cuts of gap value, -inf first and inf last, between which the gaps of
+    the sorted energies fall about 3/4 of ``_GAP_BAND`` to a band: the
+    quantiles of the gaps among about sqrt(_GAP_BAND/2) evenly spread
+    levels.  A spectrum of at most _GAP_BAND gaps is one band."""
+    dim = energies.size
+    total = dim * (dim - 1) // 2
+    if total <= _GAP_BAND:
+        return [-np.inf, np.inf]
+    thinned = energies[:: -(-dim // max(2, math.isqrt(_GAP_BAND // 2)))]
+    # the gaps of the thinned levels: the top half of their differences
+    sample = np.sort(np.subtract.outer(thinned, thinned), axis=None)[thinned.size * (thinned.size + 1) // 2 :]
+    parts = min(-(-4 * total // (3 * _GAP_BAND)), sample.size)
+    return [-np.inf, *dict.fromkeys(sample[np.arange(1, parts) * sample.size // parts].tolist()), np.inf]
+
+
+def _band_scans(energies, start, stop, tol, ramp, index, vals) -> list[_BandScan]:
+    """The ``_BandScan`` of each band, in order, of the gaps whose row i
+    runs over the columns start[i]:stop[i], a range of gap value.
+
+    A band of at most ``_GAP_BAND`` gaps is filled, sorted and walked in
+    the first entries of the buffers `index` (np.intp) and `vals`
+    (doubles), and the neighbour differences go into `index`'s memory;
+    `ramp` holds 0, 1, 2, ...  The column of each gap is its place in the
+    band shifted by its row's, and the gap is fl(E_j - E_i), as when the
+    gaps were formed whole.  More gaps are halved in value between the smallest and the
+    largest, until they fit or are of one value v, whose band is not
+    filled: its sorted gaps are v, ..., v.
+    """
+    lengths = stop - start
+    count = int(lengths.sum())
+    if not count:
+        return []
+    rows = np.flatnonzero(lengths)
+    if count <= _GAP_BAND:
+        lengths = lengths[rows]
+        index, vals = index[:count], vals[:count]
+        np.add(np.repeat(start[rows] - (np.cumsum(lengths) - lengths), lengths), ramp[:count], out=index)
+        np.take(energies, index, out=vals, mode="clip")  # the clip mode takes no copy of `out`
+        np.subtract(vals, np.repeat(energies[rows], lengths), out=vals)
+        vals.sort()
+        return [_band_scan(vals, tol, index.view(np.float64))]
+    least = float(np.min(energies[start[rows]] - energies[rows]))
+    most = float(np.max(energies[stop[rows] - 1] - energies[rows]))
+    if least == most:
+        return [_BandScan(count, least, least, 0.0, count * (count - 1) // 2, count - 1, count - 1)]
+    # least < t <= most, so both halves hold a gap
+    t = min(max(least + (most - least) / 2, float(np.nextafter(least, np.inf))), most)
+    middle = _row_ends(energies, t)
+    below = _band_scans(energies, start, middle, tol, ramp, index, vals)
+    return below + _band_scans(energies, middle, stop, tol, ramp, index, vals)
 
 
 def gap_tolerance(tolerance: float | None) -> float | None:
@@ -568,31 +681,50 @@ def gap_report(s: Spectrum, tolerance: float | None = None) -> GapReport:
 
     Only the energies are read, so the ``Spectrum`` of
     ``diagonalize(h, vectors=False)`` serves as well as a ``SpectralData``.
-    The dim(dim-1)/2 gaps are sorted in place once and their neighbour
-    differences walked once in bands (``_gap_scan``), so the peak is about
-    dim^2/2 doubles.  The default tolerance scales with the Hamiltonian
-    norm; absolute spacings shrink quickly with system size, so
-    certification at large N needs an explicit, tighter tolerance.
+    The dim(dim-1)/2 gaps are never formed at once.  They are cut into
+    bands of gap value (``_gap_edges``), and each band is filled, sorted
+    and walked on its own, in bands of at most ``_GAP_BAND`` gaps
+    (``_band_scans``).  The bands are dealt by ``ergolab.deal`` to at most
+    MEMORY_WORKERS workers, each walking neighbouring bands in buffers of
+    one band that the calling thread makes before the deal; a spectrum of
+    one band is walked in the calling thread.  The bands are then joined
+    in order (``_joined_scan``), so the report is that of the whole sorted
+    gap array, bit for bit, whatever the worker count.  The peak is a few
+    band-sized arrays per worker and a few arrays of dim, not dim^2/2
+    doubles.  The default tolerance scales with the Hamiltonian norm;
+    absolute spacings shrink quickly with system size, so certification
+    at large N needs an explicit, tighter tolerance.
     """
     energies = np.sort(s.energies)
     dim = energies.size
     tol = 1e-10 * max(s.norm, 1.0) if tolerance is None else gap_tolerance(tolerance)
     # level degeneracies first
     degen_levels = sum(b - a for a, b in degenerate_groups(energies, tol) if b - a > 1)
-    gaps = np.empty(dim * (dim - 1) // 2)
-    start = 0
-    for i in range(dim - 1):
-        stop = start + dim - 1 - i
-        np.subtract(energies[i + 1 :], energies[i], out=gaps[start:stop])
-        start = stop
-    gaps.sort()
-    min_diff, pairs = _gap_scan(gaps, tol)
+    edges = _gap_edges(energies)
+    bands = len(edges) - 1
+    scans = [None] * bands
+    workers = min(worker_count(), bands, MEMORY_WORKERS)
+    size = min(_GAP_BAND, dim * (dim - 1) // 2)
+    ramp = np.arange(size)
+
+    def walk(mine: list) -> None:
+        # a worker's bands are neighbours, so each band starts where the last stopped
+        ((k, index, vals),) = mine
+        own = range(k * bands // workers, (k + 1) * bands // workers)
+        start = _row_ends(energies, edges[own.start])
+        for b in own:
+            stop = _row_ends(energies, edges[b + 1])
+            scans[b] = _band_scans(energies, start, stop, tol, ramp, index, vals)
+            start = stop
+
+    deal(walk, [(k, np.empty(size, dtype=np.intp), np.empty(size)) for k in range(workers)])
+    min_diff, pairs = _joined_scan([scan for band in scans for scan in band], tol)
     return GapReport(
         tolerance=tol,
         min_gap_difference=min_diff,
         degenerate_gap_pairs=pairs,
         degenerate_levels=degen_levels,
-        gaps_scanned=int(gaps.size),
+        gaps_scanned=dim * (dim - 1) // 2,
     )
 
 

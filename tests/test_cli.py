@@ -732,7 +732,8 @@ def test_spectrum_of_a_sector_model_builds_no_dense_matrix():
 
     # tracemalloc peak of one run at 10 sites, in units of dim^2 doubles:
     # the sector blocks are scattered from the entries, so the gap scan's
-    # dim^2/2 gaps set the peak; an assembled H would bring it to 1.13
+    # band buffers set the peak, about 0.44; an assembled H would bring it
+    # to 1.13
     tracemalloc.start()
     try:
         code, _ = run({"experiment": "spectrum", "sites": 10, "model": "xxz-disordered"})

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ergolab import deal, ensembles
+from ergolab import deal, ensembles, hamiltonians
 from ergolab.ensembles import (
     TIME_BAND,
     DiagonalEnsemble,
@@ -19,7 +19,7 @@ from ergolab.ensembles import (
     variance_sampled,
 )
 from ergolab.ergodicity import SearchPolicy, _scan, candidate_subsets, random_product_state
-from ergolab.hamiltonians import build_model, diagonalize
+from ergolab.hamiltonians import build_model, diagonalize, gap_report
 from ergolab.states import LatticeSpec
 
 WORKERS = (1, 2, 3)
@@ -123,6 +123,31 @@ def test_scan_keeps_its_bits_on_every_worker_count(ens9, monkeypatch, cpus):
     cands = candidate_subsets(lat, SearchPolicy(mode="random-sample", budget=80, seed=1))
     first, *rest = _each_worker_count(cpus, lambda: _scan(vectors, lat, cands))
     assert all(other == first for other in rest)
+
+
+def test_gap_bands_keep_their_bits_on_every_worker_count(monkeypatch, cpus):
+    # 44850 gaps in bands of at most 500, levels on a grid of 0.1 moved by
+    # less than 1e-14, so runs of close gaps cross the edges of bands
+    monkeypatch.setattr(hamiltonians, "_GAP_BAND", 500)
+    rng = np.random.default_rng(5)
+    spec = diagonalize(build_model("xxz-disordered", LatticeSpec(4, 2)), vectors=False)
+    spec.energies = np.round(rng.uniform(0.0, 3.0, 300), 1) + rng.uniform(0.0, 1e-14, 300)
+    threads, running = threading.active_count(), _thread._count()
+
+    def compute():
+        return [gap_report(spec, tolerance=tol) for tol in (0.0, 1e-12, None)]
+
+    reports = []
+    for workers in WORKERS:
+        cpus(workers)
+        reports.append(compute())
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0][1].degenerate_gap_pairs > reports[0][0].degenerate_gap_pairs > 0
+    assert threading.active_count() == threads
+    deadline = time.monotonic() + 5.0
+    while _thread._count() != running and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _thread._count() == running
 
 
 def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(ens9, cpus):

@@ -8,21 +8,25 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from ergolab import MEMORY_WORKERS, hamiltonians
 from ergolab.hamiltonians import (
     _GAP_BAND,
     DENSE_DIM_GUARD,
     MODEL_NAMES,
+    GapReport,
     LocalHamiltonian,
     LocalTerm,
     ResourceGuardError,
     Spectrum,
+    _band_scan,
     _basis_eigh,
     _entries,
     _fix_phases,
-    _gap_scan,
+    _joined_scan,
     _parity_block,
     _placed_vectors,
     _reflection,
+    _row_ends,
     _sector_bases,
     _sectors,
     build_model,
@@ -286,7 +290,7 @@ def test_gap_report_finds_one_planted_pair_among_1e7_gaps(spec6):
 
 @pytest.mark.parametrize("dim", [1024, 2048])
 def test_gap_report_peak_memory(dim, spec6):
-    # the dim(dim-1)/2 gaps plus one difference array, about dim^2 doubles
+    # the bound of the walk that formed all dim(dim-1)/2 gaps at once
     energies = np.sort(np.random.default_rng(dim).normal(size=dim))
     spec = dataclasses.replace(spec6, energies=energies)
     tracemalloc.start()
@@ -299,8 +303,9 @@ def test_gap_report_peak_memory(dim, spec6):
 
 
 def test_gap_report_holds_no_array_of_gap_differences(spec6):
-    # the dim(dim-1)/2 gaps and one band of their differences; a second
-    # dim^2/2 array of differences would bring the peak to 1.06 dim^2
+    # the bound of the walk that formed all dim(dim-1)/2 gaps and one band
+    # of their differences; a second dim^2/2 array of differences would
+    # have brought its peak to 1.06 dim^2
     dim = 2048
     energies = np.sort(np.random.default_rng(dim).normal(size=dim))
     spec = dataclasses.replace(spec6, energies=energies)
@@ -311,6 +316,14 @@ def test_gap_report_holds_no_array_of_gap_differences(spec6):
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * dim * dim * 8
+
+
+def _scan_in_bands(sorted_vals, tol):
+    """(smallest neighbour difference, index pairs within tol) of the sorted
+    values, walked in bands of _GAP_BAND values and joined."""
+    diff = np.empty(_GAP_BAND)
+    bands = range(0, sorted_vals.size, _GAP_BAND)
+    return _joined_scan([_band_scan(sorted_vals[a : a + _GAP_BAND], tol, diff) for a in bands], tol)
 
 
 def _reference_coincidence_pairs(sorted_vals, tol):
@@ -360,7 +373,7 @@ GAP_PIN_VALUES = {
 def test_gap_counts_match_reference_loops(name, spec6):
     tol = 1e-10
     vals = np.sort(np.asarray(GAP_PIN_VALUES[name], dtype=float))
-    low, pairs = _gap_scan(vals, tol)
+    low, pairs = _scan_in_bands(vals, tol)
     assert pairs == _reference_coincidence_pairs(vals, tol)
     assert low == (np.diff(vals).min() if vals.size > 1 else np.inf)
     rep = gap_report(dataclasses.replace(spec6, energies=vals), tolerance=tol)
@@ -371,24 +384,24 @@ def test_gap_counts_match_reference_loops(name, spec6):
 def test_coincidence_pairs_match_reference_loop_at_scale():
     # long sorted arrays with many runs of ties
     vals = np.sort(np.round(np.random.default_rng(6).normal(size=100_000), 3))
-    low, pairs = _gap_scan(vals, 1e-10)
+    low, pairs = _scan_in_bands(vals, 1e-10)
     assert pairs == _reference_coincidence_pairs(vals, 1e-10) > 0
     assert low == np.diff(vals).min()
 
 
 def test_gap_scan_runs_cross_band_borders():
     size = 3 * _GAP_BAND + 5
-    assert _gap_scan(np.zeros(size), 0.0) == (0.0, size * (size - 1) // 2)
+    assert _scan_in_bands(np.zeros(size), 0.0) == (0.0, size * (size - 1) // 2)
     # five equal values across the first border, and one tie whose
     # difference is the last of the second band
     vals = np.arange(size, dtype=float)
     vals[_GAP_BAND - 2 : _GAP_BAND + 3] = _GAP_BAND - 2
     vals[2 * _GAP_BAND] = 2 * _GAP_BAND - 1
-    assert _gap_scan(vals, 0.0) == (0.0, 10 + 1) == (0.0, _reference_coincidence_pairs(vals, 0.0))
+    assert _scan_in_bands(vals, 0.0) == (0.0, 10 + 1) == (0.0, _reference_coincidence_pairs(vals, 0.0))
     # the smallest difference in the last band
     steps = np.arange(size, dtype=float)
     steps[-1] -= 0.75
-    assert _gap_scan(steps, 0.5) == (0.25, 1)
+    assert _scan_in_bands(steps, 0.5) == (0.25, 1)
 
 
 def test_gap_report_refuses_nan_or_negative_tolerance(spec6):
@@ -396,6 +409,122 @@ def test_gap_report_refuses_nan_or_negative_tolerance(spec6):
         with pytest.raises(ValueError):
             gap_report(spec6, tolerance=tol)
     assert gap_report(spec6, tolerance=0.0).tolerance == 0.0
+
+
+def _dense_gap_reports(spec, tolerances):
+    """The walk that gap_report replaced, one report per tolerance: all
+    dim(dim-1)/2 gaps formed row by row, sorted in place at once, and their
+    neighbour differences walked whole."""
+    energies = np.sort(spec.energies)
+    dim = energies.size
+    gaps = np.empty(dim * (dim - 1) // 2)
+    start = 0
+    for i in range(dim - 1):
+        stop = start + dim - 1 - i
+        np.subtract(energies[i + 1 :], energies[i], out=gaps[start:stop])
+        start = stop
+    gaps.sort()
+    diff = np.diff(gaps)
+    reports = []
+    for tolerance in tolerances:
+        tol = 1e-10 * max(spec.norm, 1.0) if tolerance is None else tolerance
+        hits = np.flatnonzero(diff <= tol)
+        runs = np.diff(np.concatenate(([0], np.flatnonzero(np.diff(hits) != 1) + 1, [hits.size])))
+        levels = sum(b - a for a, b in degenerate_groups(energies, tol) if b - a > 1)
+        low = float(diff.min()) if diff.size else np.inf
+        reports.append(GapReport(tol, low, int(np.sum(runs * (runs + 1) // 2)), levels, gaps.size))
+    return reports
+
+
+def _check_gap_report(spec, tolerances):
+    """gap_report against the dense walk and the brute-force gaps."""
+    want = _dense_gap_reports(spec, tolerances)
+    assert [gap_report(spec, tolerance=tol) for tol in tolerances] == want
+    gaps = _brute_force_gaps(spec.energies)
+    for rep in want:
+        assert rep.degenerate_gap_pairs == _reference_coincidence_pairs(gaps, rep.tolerance)
+        assert rep.min_gap_difference == (np.diff(gaps).min() if gaps.size > 1 else np.inf)
+
+
+def _jittered_levels(n, seed):
+    """n levels on a grid of 0.1, each moved by less than 1e-14, so many
+    gaps differ by less than 1e-12 without being equal."""
+    rng = np.random.default_rng(seed)
+    return np.round(rng.uniform(0.0, 3.0, n), 1) + rng.uniform(0.0, 1e-14, n)
+
+
+@pytest.mark.parametrize("band", [1, 2, 7, 64])
+def test_gap_bands_keep_coincidences_across_their_edges(band, monkeypatch, spec6):
+    monkeypatch.setattr(hamiltonians, "_GAP_BAND", band)
+    joined = []
+
+    def recording(bands, tol):
+        joined.append(bands)
+        return _joined_scan(bands, tol)
+
+    monkeypatch.setattr(hamiltonians, "_joined_scan", recording)
+    paramagnet = [LocalTerm((i,), 0.7 * pauli("X"), f"x{i}") for i in range(5)]
+    spectra = {
+        "jittered": dataclasses.replace(spec6, energies=_jittered_levels(50, band)),
+        "all-equal": dataclasses.replace(spec6, energies=np.full(40, 0.3)),
+        "ladder": dataclasses.replace(spec6, energies=0.25 * np.arange(45)),
+        "paramagnet": diagonalize(LocalHamiltonian(LatticeSpec(5, 2), paramagnet)),
+    }
+    for name, spec in spectra.items():
+        joined.clear()
+        _check_gap_report(spec, (0.0, 1e-12, None, 0.05))
+        if name == "jittered":
+            # some run of close neighbours goes on across the edge of two bands
+            straddles = [b.first != a.last and b.first - a.last <= 1e-12 for a, b in zip(joined[1], joined[1][1:])]
+            assert any(straddles), name
+        assert all(b.size <= band or b.first == b.last for bands in joined for b in bands), name
+
+
+def test_gap_report_matches_the_dense_walk_at_12_sites():
+    # the sector models, whose 12-site energies take 0.35 s; the bands of
+    # the smallest gaps no longer fit and are halved
+    for name in ("xxz-disordered", "heisenberg-random-field"):
+        for geometry in GEOMETRIES:
+            spec = diagonalize(build_model(name, LatticeSpec(12, 2, geometry)), vectors=False)
+            assert [gap_report(spec), gap_report(spec, tolerance=1e-12)] == _dense_gap_reports(spec, (None, 1e-12))
+
+
+def test_row_ends_agree_with_the_computed_gaps():
+    # levels of mixed magnitudes, so E_i + t and E_j - E_i round apart, and
+    # thresholds on and next to the gaps themselves
+    rng = np.random.default_rng(8)
+    for energies in (
+        np.sort(np.concatenate([rng.normal(size=30), 1e-17 * rng.normal(size=5), 1e8 + rng.normal(size=10)])),
+        np.sort(1e3 + rng.integers(0, 40, 60) * 2.0**-40),
+        np.zeros(7),
+    ):
+        gaps = np.subtract.outer(energies, energies).T  # gaps[i, j] = E_j - E_i
+        values = np.unique(gaps[np.triu_indices(energies.size, 1)])
+        thresholds = [-np.inf, 0.0, np.inf, *values, *np.nextafter(values, np.inf), *np.nextafter(values, -np.inf)]
+        rows = np.arange(energies.size)
+        upper = rows > rows[:, None]
+        for t in thresholds:
+            ends = _row_ends(energies, t)
+            assert np.all((ends > rows) & (ends <= energies.size))
+            below = upper & (rows < ends[:, None])
+            assert np.all(gaps[below] < t) and np.all(gaps[upper & ~below] >= t), t
+
+
+@pytest.mark.parametrize("dim", [2048, 4096])
+def test_gap_report_peak_is_bands_not_gaps(dim, spec6, cpus):
+    # per worker an index and a gap buffer of _GAP_BAND entries and one
+    # band-sized temporary, one shared ramp, and a few arrays of dim; the
+    # dim(dim-1)/2 gaps would take 16 and 64 MiB
+    cpus(MEMORY_WORKERS)
+    energies = np.sort(np.random.default_rng(dim).normal(size=dim))
+    spec = dataclasses.replace(spec6, energies=energies)
+    tracemalloc.start()
+    try:
+        gap_report(spec, tolerance=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _GAP_BAND * (3 * MEMORY_WORKERS + 2) + 64 * 8 * dim, peak
 
 
 def test_degenerate_groups():
@@ -697,6 +826,13 @@ def _check_energies_route(full, spec):
 def test_energies_route_matches_diagonalize(catalog_spectra):
     for key in catalog_spectra.cases():
         _check_energies_route(*catalog_spectra[key])
+
+
+def test_gap_report_matches_the_dense_walk(catalog_spectra):
+    # 6 to 11 sites, energies of both routes, at the default tolerance and 1e-12
+    for n in range(6, 12):
+        for spec in catalog_spectra[n, 0]:
+            assert [gap_report(spec), gap_report(spec, tolerance=1e-12)] == _dense_gap_reports(spec, (None, 1e-12))
 
 
 def test_energies_route_matches_diagonalize_on_custom_terms():
