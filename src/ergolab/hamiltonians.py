@@ -639,9 +639,9 @@ def _band_scans(energies, start, stop, tol, ramp, index, vals) -> list[_BandScan
     (doubles), and the neighbour differences go into `index`'s memory;
     `ramp` holds 0, 1, 2, ...  The column of each gap is its place in the
     band shifted by its row's, and the gap is fl(E_j - E_i), as when the
-    gaps were formed whole.  More gaps are halved in value between the smallest and the
-    largest, until they fit or are of one value v, whose band is not
-    filled: its sorted gaps are v, ..., v.
+    gaps were formed whole.  More gaps are halved in value between the
+    smallest and the largest, until they fit or are of one value v, whose
+    band is not filled: its sorted gaps are v, ..., v.
     """
     lengths = stop - start
     count = int(lengths.sum())
@@ -682,9 +682,9 @@ def gap_report(s: Spectrum, tolerance: float | None = None) -> GapReport:
     Only the energies are read, so the ``Spectrum`` of
     ``diagonalize(h, vectors=False)`` serves as well as a ``SpectralData``.
     The dim(dim-1)/2 gaps are never formed at once.  They are cut into
-    bands of gap value (``_gap_edges``), and each band is filled, sorted
-    and walked on its own, in bands of at most ``_GAP_BAND`` gaps
-    (``_band_scans``).  The bands are dealt by ``ergolab.deal`` to at most
+    bands of gap value, of at most ``_GAP_BAND`` gaps or of one value
+    (``_gap_edges``, ``_band_scans``), and each band is filled, sorted and
+    walked on its own.  The bands are dealt by ``ergolab.deal`` to at most
     MEMORY_WORKERS workers, each walking neighbouring bands in buffers of
     one band that the calling thread makes before the deal; a spectrum of
     one band is walked in the calling thread.  The bands are then joined

@@ -481,8 +481,9 @@ def test_gap_bands_keep_coincidences_across_their_edges(band, monkeypatch, spec6
 
 
 def test_gap_report_matches_the_dense_walk_at_12_sites():
-    # the sector models, whose 12-site energies take 0.35 s; the bands of
-    # the smallest gaps no longer fit and are halved
+    # the sector models, whose 12-site energies come from small blocks (a
+    # 12-site mixed-field-ising takes two 2000-state blocks); at 12 sites
+    # the bands of the smallest gaps overflow and are halved
     for name in ("xxz-disordered", "heisenberg-random-field"):
         for geometry in GEOMETRIES:
             spec = diagonalize(build_model(name, LatticeSpec(12, 2, geometry)), vectors=False)
