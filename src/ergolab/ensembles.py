@@ -2,7 +2,8 @@
 
 A quench is one `DiagonalEnsemble`: the spectrum and the initial state's
 eigenbasis coefficients c, projected once.  Every ensemble quantity and
-time average reads it, through V^dag A V and the phase table exp(-iEt) c.
+time average reads it a band of levels or of times at a time, so no
+dim x dim matrix of an observable is formed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ DEGENERACY_TOL = 1e-10
 # levels per band of whole energy blocks (DiagonalEnsemble._bands): the
 # block-matrix rows and block vectors formed at a time
 VARIANCE_BAND_ROWS = 64
-# times per band of the phase table exp(-iEt) c (_trajectory, evolve_rows):
+# times per band of the phase table exp(-iEt) c (evolve_rows, expectation_trajectory):
 # the tables formed at a time are TIME_BAND x dim per worker, whatever the
 # time count; MEMORY_WORKERS workers hold 6 TIME_BAND dim doubles each,
 # what one band of 2 TIME_BAND times took when one thread walked them
@@ -72,7 +73,6 @@ class DiagonalEnsemble:
         self.populations = pops / total
         sizes = np.diff([*self._starts, spectral.dim])
         self.block_energies = np.add.reduceat(spectral.energies, self._starts) / sizes
-        self._a_eig: tuple[LocalTerm, np.ndarray] | None = None
 
     @property
     def is_pure(self) -> bool:
@@ -99,13 +99,6 @@ class DiagonalEnsemble:
         levels = self.coefficients[a:b, None] * self.spectral.eigenvectors[:, a:b].T
         return np.add.reduceat(levels, np.subtract(self._starts[first:stop], a), axis=0)
 
-    def _eigenbasis(self, observable: LocalTerm) -> np.ndarray:
-        """V^dag A V of `observable`.  The last one asked for is kept, so the
-        checks of one quench on one observable build it once."""
-        if self._a_eig is None or self._a_eig[0] is not observable:
-            self._a_eig = (observable, _eigenbasis_matrix(self.spectral, observable))
-        return self._a_eig[1]
-
     def reduced(self, region: SiteSet | tuple[int, ...]) -> DensityMatrix:
         """Dephased state on `region`: sum_k M_k M_k^dag over the block
         vectors' bipartition matrices, without the dim x dim state.  The
@@ -131,28 +124,6 @@ def _phase_table(spectral: SpectralData, coefficients: np.ndarray, times, out, a
         np.exp(out, out=out)
     out *= coefficients
     return out
-
-
-def _eigenbasis_matrix(spectral: SpectralData, observable: LocalTerm) -> np.ndarray:
-    """V^dag A V: the observable between energy eigenstates."""
-    v = spectral.eigenvectors
-    return v.conj().T @ apply_local(observable.matrix, observable.sites, spectral.lattice, v)
-
-
-def _block_bands(ens: DiagonalEnsemble, a_eig: np.ndarray):
-    """Per band of ens._bands(), its blocks and its rows of the K x K matrix
-    w_k^dag A w_l, summed from conj(c_i) (V^dag A V)_ij c_j over the levels
-    of blocks k and l.  With one level per block there is nothing to sum."""
-    c = ens.coefficients
-    for first, stop in ens._bands():
-        a, b = ens.blocks[first][0], ens.blocks[stop - 1][1]
-        m = a_eig[a:b] * c
-        m *= c.conj()[a:b, None]
-        if len(ens.blocks) < c.size:
-            m = np.add.reduceat(m, np.subtract(ens._starts[first:stop], a), axis=0)
-            m = np.add.reduceat(m, ens._starts, axis=1)
-        yield slice(first, stop), m
-        del m  # released before the next band is formed
 
 
 def _sample_times(
@@ -197,88 +168,98 @@ class _Turn:
     __exit__ = lambda self, kind, value, traceback: self.take()  # noqa: E731
 
 
-def _deal_bands(work, times: np.ndarray, dim: int) -> None:
-    """Call work(band, table, xy, prod, aside) for each band of TIME_BAND
-    times: its slice of the times, and a phase table, a stacked (x; y)
-    table and a product buffer cut to its length.
+def _deal_bands(work, bands: range, buffers) -> None:
+    """Call work(band, *scratch, aside) for each of `bands`, with the
+    scratch arrays of the worker that walks it.
 
     The bands are dealt round-robin to at most MEMORY_WORKERS workers
-    (``ergolab.deal``).  The calling thread allocates each worker's three
-    buffers once per call, before the deal, and deals each worker its turn
-    and its buffers, so no worker allocates anything large and the
-    band loops cost the same however the allocator treats repeated
+    (``ergolab.deal``).  The calling thread makes each worker's scratch,
+    ``buffers()``, once per call, before the deal, and deals each worker
+    its turn and its scratch, so no worker allocates anything large and
+    the band loops cost the same however the allocator treats repeated
     band-sized requests.  The workers take turns in a fixed order
     (``_Turn``): a worker runs its steps only in its turn, and hands the
-    turn on only inside ``with aside:``, which `work` wraps around its two
-    long steps, the exponentials and the product with the large matrix,
-    in-place calls that allocate nothing of their own (the product is
+    turn on only inside ``with aside:``, which `work` wraps around its
+    long steps, the exponentials and the products with the large matrix,
+    in-place calls that allocate nothing of their own (a product is
     ``ndarray.dot`` with `out`, whose bits ``np.matmul`` and ``np.dot``
     share, but the first allocates its iterator and the second its
-    dispatch arguments).  The short steps, where numpy allocates its
-    iteration buffers and small results, so run one at a time and always
-    in the same order, and the peak memory of a call does not depend on
-    how its workers are scheduled.
+    dispatch arguments; ``np.matmul`` serves where ``ndarray.dot`` would
+    copy an operand that is a slice of columns).  The short steps, where
+    numpy allocates its iteration buffers and small results, so run one
+    at a time and always in the same order, and the peak memory of a call
+    does not depend on how its workers are scheduled.
     """
-    starts = range(0, times.size, TIME_BAND)
-    workers = min(worker_count(), len(starts), MEMORY_WORKERS)
-    rows = min(times.size, TIME_BAND)
+    workers = min(worker_count(), len(bands), MEMORY_WORKERS)
     locks, finished = [_thread.allocate_lock() for _ in range(workers)], [False] * workers
     for lock in locks[1:]:
         lock.acquire()
-    stacked = (2 * rows, dim)
-    dealt = [
-        (_Turn(k, locks, finished), np.empty((rows, dim), dtype=complex), np.empty(stacked), np.empty(stacked))
-        for k in range(workers)
-    ]
+    dealt = [(_Turn(k, locks, finished), buffers()) for k in range(workers)]
 
     def walk(mine: list) -> None:
-        ((turn, table, xy, prod),) = mine
+        ((turn, scratch),) = mine
         turn.take()
         try:
-            for a in starts[turn.k :: workers]:
-                m = min(TIME_BAND, times.size - a)
-                work(slice(a, a + m), table[:m], xy[: 2 * m], prod[: 2 * m], turn)
+            for band in bands[turn.k :: workers]:
+                work(band, *scratch, turn)
         finally:
             turn.done()
 
     deal(walk, dealt)
 
 
-def _as_complex(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A real buffer of 2 x prod(shape) doubles read as a complex array of `shape`."""
-    return buffer.reshape(-1).view(complex).reshape(shape)
+def _deal_times(work, times: np.ndarray, dim: int) -> None:
+    """``_deal_bands`` over bands of TIME_BAND times, each worker with a
+    phase table (times x dim complex), a stacked (x; y) table and a
+    product buffer (2 times x dim) of one band."""
+    rows = min(times.size, TIME_BAND)
+    _deal_bands(
+        lambda a, *scratch: work(slice(a, a + TIME_BAND), *scratch),
+        range(0, times.size, TIME_BAND),
+        lambda: (np.empty((rows, dim), dtype=complex), np.empty((2 * rows, dim)), np.empty((2 * rows, dim))),
+    )
+
+
+def _band_states(spectral: SpectralData, coefficients, times, table, xy, prod, aside) -> np.ndarray:
+    """The evolved rows V (exp(-iEt) c) of one band of times, each norm
+    checked against TOL.normalization: complex rows in `prod` for a
+    complex V; for a real V, the rows' real parts stacked over their
+    imaginary parts, from one real product of the phase rows' parts
+    stacked."""
+    m = times.size
+    p = _phase_table(spectral, coefficients, times, out=table[:m], aside=aside)
+    vt = spectral.eigenvectors.T
+    if np.iscomplexobj(vt):
+        rows = prod[: 2 * m].reshape(-1).view(complex).reshape(p.shape)
+        with aside:
+            p.dot(vt, out=rows)
+        norms = np.linalg.norm(rows, axis=1)
+    else:
+        xy, rows = xy[: 2 * m], prod[: 2 * m]
+        xy[:m], xy[m:] = p.real, p.imag
+        with aside:
+            xy.dot(vt, out=rows)
+        squares = np.einsum("ti,ti->t", rows, rows)
+        norms = np.sqrt(squares[:m] + squares[m:])
+    drift = np.abs(norms - 1.0)
+    if not np.all(drift <= TOL.normalization):
+        raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
+    return rows
 
 
 def evolve_rows(spectral: SpectralData, coefficients: np.ndarray, times) -> np.ndarray:
     """Amplitudes V (exp(-iEt) c) of eigenbasis coefficients c at every
-    time: one state-major row per time, each norm checked against
-    TOL.normalization band by band.  The rows are written in place a band
-    of TIME_BAND times at a time (``_deal_bands``), so no temporary
-    outgrows one band.  A real V takes one real product of the phase
-    rows' real and imaginary parts stacked."""
+    time: one state-major row per time, each norm checked.  The rows are
+    written in place a band of TIME_BAND times at a time
+    (``_band_states``), so no temporary outgrows one band."""
     times = np.asarray(times, dtype=float)
-    vt = spectral.eigenvectors.T
     rows = np.empty((times.size, spectral.dim), dtype=complex)
 
-    def band_rows(band: slice, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
-        p = _phase_table(spectral, coefficients, times[band], out=table, aside=aside)
-        if np.iscomplexobj(vt):
-            with aside:
-                p.dot(vt, out=rows[band])
-            norms = np.linalg.norm(rows[band], axis=1)
-        else:
-            m = len(p)
-            xy[:m], xy[m:] = p.real, p.imag
-            with aside:
-                xy.dot(vt, out=prod)
-            rows[band].real, rows[band].imag = prod[:m], prod[m:]
-            squares = np.einsum("ti,ti->t", prod, prod)
-            norms = np.sqrt(squares[:m] + squares[m:])
-        drift = np.abs(norms - 1.0)
-        if not np.all(drift <= TOL.normalization):
-            raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
+    def band_rows(band: slice, *scratch) -> None:
+        psi = _band_states(spectral, coefficients, times[band], *scratch)
+        rows[band].real, rows[band].imag = (psi.real, psi.imag) if np.iscomplexobj(psi) else np.split(psi, 2)
 
-    _deal_bands(band_rows, times, spectral.dim)
+    _deal_times(band_rows, times, spectral.dim)
     return rows
 
 
@@ -287,65 +268,84 @@ def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
     return PureState(spectral.lattice, evolve_rows(spectral, c, [time])[0])
 
 
-def _trajectory(ens: DiagonalEnsemble, a_eig: np.ndarray, times) -> np.ndarray:
-    """Re p^dag A p of the phase rows p = exp(-iEt) c, a band of TIME_BAND
-    times at a time (``_deal_bands``).  For a real A that is
-    x^T A x + y^T A y of p = x + iy: one real product with x and y
-    stacked, a quarter of the multiplications of the complex one."""
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.size)
-
-    def band_values(band: slice, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
-        p = _phase_table(ens.spectral, ens.coefficients, times[band], out=table, aside=aside)
-        if np.iscomplexobj(a_eig):
-            conj = np.conjugate(p, out=_as_complex(xy, p.shape))
-            with aside:
-                pa = conj.dot(a_eig, out=_as_complex(prod, p.shape))
-            out[band] = np.einsum("ti,ti->t", pa, p).real
-            return
-        m = len(p)
-        xy[:m], xy[m:] = p.real, p.imag
-        with aside:
-            xy.dot(a_eig, out=prod)
-        both = np.einsum("ti,ti->t", prod, xy)
-        out[band] = both[:m] + both[m:]
-
-    _deal_bands(band_values, times, ens.spectral.dim)
-    return out
-
-
-def _dephased_mean(ens: DiagonalEnsemble, a_eig: np.ndarray) -> float:
-    """sum_k w_k^dag A w_k: the trace of the block matrix, a band at a time."""
-    diag = [m[:, blocks].diagonal().copy() for blocks, m in _block_bands(ens, a_eig)]
-    return float(np.real(np.concatenate(diag).sum()))
-
-
 def expectation_trajectory(
     ens: DiagonalEnsemble, observable: LocalTerm, times: np.ndarray
 ) -> np.ndarray:
-    """<A>(t) on a grid of times, via the eigenbasis."""
-    return _trajectory(ens, ens._eigenbasis(observable), times)
+    """<A>(t) = tr(rho_S(t) A) on a grid of times, rho_S(t) the reduced
+    state on A's support of the evolved rows of ``_band_states``, the
+    kernel of ``evolve_rows``.  For a real A and a real V that is the sum
+    of the traces of the stacked real and imaginary rows' reduced states."""
+    times = np.asarray(times, dtype=float)
+    spectral, a = ens.spectral, observable.matrix
+    sites = _local_support(a, observable.sites, spectral.lattice)
+    out = np.empty(times.size)
+
+    def band_values(band: slice, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
+        psi = _band_states(spectral, ens.coefficients, times[band], table, xy, prod, aside)
+        m = len(out[band])
+        if np.iscomplexobj(a) and not np.iscomplexobj(psi):
+            parts, psi = psi, xy[: 2 * m].reshape(-1).view(complex).reshape(m, -1)
+            psi.real, psi.imag = parts[:m], parts[m:]
+        traces = np.einsum("tab,ba->t", _reduced_states(psi, sites, spectral.lattice), a).real
+        out[band] = traces[:m] + traces[m:] if len(traces) > m else traces
+
+    _deal_times(band_values, times, spectral.dim)
+    return out
 
 
 def ensemble_expectation(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
-    return _dephased_mean(ens, ens._eigenbasis(observable))
+    """tr(omega_S A) of the dephased state on A's support (``reduced``)."""
+    omega = ens.reduced(observable.sites).matrix
+    return float(np.einsum("ab,ba->", omega, observable.matrix).real)
 
 
 def variance_exact(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
     """Infinite-time variance of <A>(t), exact under non-degenerate gaps.
 
     Computed as the off-diagonal weight of A between energy blocks,
-    sum_{k != l} |w_k^dag A w_l|^2.  Validity requires the differences of
-    distinct block energies to be non-coincident; certify with gap_report.
+    sum_{k != l} |w_k^dag A w_l|^2 = 2 sum_{k < l} |w_k^dag A w_l|^2.
+    Validity requires the differences of distinct block energies to be
+    non-coincident; certify with gap_report.
+
+    The blocks are walked a band at a time (``DiagonalEnsemble._bands``),
+    dealt by ``_deal_bands``.  The band's rows of V^dag A V, from its first
+    level a on and transposed, are one product V[:, a:]^T conj(A V_band),
+    a real one for a real V, which reads a complex conj(A V_band) as real
+    and imaginary columns side by side.  Scaled by conj(c_i) c_j and summed
+    over the levels of each block, they are the band's rows of the block
+    matrix.  Each band's weight has its own slot and the slots are added in
+    band order, so the value does not depend on the worker count.
     """
-    a_eig = ens._eigenbasis(observable)
-    off = np.empty((len(ens.blocks),) * 2)
-    for blocks, m in _block_bands(ens, a_eig):
-        np.abs(m, out=off[blocks])
-        del m
-    off **= 2
-    np.fill_diagonal(off, 0.0)
-    return float(off.sum())
+    spectral, c, starts = ens.spectral, ens.coefficients, np.asarray(ens._starts)
+    v, dim = spectral.eigenvectors, spectral.dim
+    bands = list(ens._bands())
+    weights = np.zeros(len(bands))
+    levels = max(ens.blocks[stop - 1][1] - ens.blocks[first][0] for first, stop in bands)
+    dtype, p = np.result_type(v, observable.matrix), np.abs(c) ** 2
+    flat = (lambda x: x) if np.iscomplexobj(v) else (lambda x: x.view(float))
+
+    def band_weight(j: int, scratch: np.ndarray, aside) -> None:
+        first, stop = bands[j]
+        a, b = ens.blocks[first][0], ens.blocks[stop - 1][1]
+        av = apply_local(observable.matrix, observable.sites, spectral.lattice, v[:, a:b])
+        np.conjugate(av, out=av)
+        cols = scratch[: (dim - a) * (b - a)].reshape(dim - a, b - a)
+        with aside:
+            np.matmul(v[:, a:].T, flat(av), out=flat(cols))
+        if len(ens.blocks) < dim:
+            cols = cols * c[a:, None]
+            cols *= c[a:b].conj()
+            cols = np.add.reduceat(cols, starts[first:] - a, axis=0)
+            cols = np.add.reduceat(cols, starts[first:stop] - a, axis=1)
+        weight = np.abs(cols, out=None if np.iscomplexobj(cols) else cols)
+        weight *= weight
+        if len(ens.blocks) == dim:  # |conj(c_i) A_ij c_j|^2 = p_i |A_ij|^2 p_j
+            weight *= p[a:, None]
+            weight *= p[a:b]
+        weights[j] = weight[stop - first :].sum() + np.tril(weight[: stop - first], -1).sum()
+
+    _deal_bands(band_weight, range(len(bands)), lambda: (np.empty(levels * dim, dtype=dtype),))
+    return float(2.0 * weights.sum())
 
 
 def check_sampling(samples: int, horizon: float | None, minimum: int) -> None:
@@ -378,8 +378,7 @@ def variance_sampled(
     _sample_times).  The standard error needs at least two samples.
     """
     horizon, times = _sample_times(ens.spectral, samples, horizon, seed, 2)
-    a_eig = ens._eigenbasis(observable)
-    dev = (_trajectory(ens, a_eig, times) - _dephased_mean(ens, a_eig)) ** 2
+    dev = (expectation_trajectory(ens, observable, times) - ensemble_expectation(ens, observable)) ** 2
     return SampledVariance(
         value=float(dev.mean()),
         stderr=float(dev.std(ddof=1) / np.sqrt(samples)),

@@ -656,7 +656,7 @@ def test_equilibrate_builds_one_ensemble(monkeypatch):
     from ergolab.ensembles import DiagonalEnsemble
     from ergolab.hamiltonians import SpectralData
 
-    calls = {"__init__": 0, "coefficients": 0, "reduced": 0, "_eigenbasis_matrix": 0}
+    calls = {"__init__": 0, "coefficients": 0, "reduced": 0}
 
     def counted(cls, name):
         method = getattr(cls, name)
@@ -670,14 +670,31 @@ def test_equilibrate_builds_one_ensemble(monkeypatch):
     counted(DiagonalEnsemble, "__init__")
     counted(DiagonalEnsemble, "reduced")
     counted(SpectralData, "coefficients")
-    counted(ensembles, "_eigenbasis_matrix")
+    columns, shapes = [], set()
+    apply_local, reduced_states = ensembles.apply_local, ensembles._reduced_states
+
+    def applied(op, sites, lattice, amps):
+        columns.append(amps.shape[1])
+        return apply_local(op, sites, lattice, amps)
+
+    def reduced(amplitudes, keep, lattice):
+        rho = reduced_states(amplitudes, keep, lattice)
+        shapes.add(rho.shape[1:])
+        return rho
+
+    monkeypatch.setattr(ensembles, "apply_local", applied)
+    monkeypatch.setattr(ensembles, "_reduced_states", reduced)
     code, _ = run({"experiment": "equilibrate", "sites": 9, "recipe": "random-product"})
     assert code == 0
     assert calls["__init__"] == 1
     assert calls["coefficients"] == 1
-    assert calls["reduced"] == 1  # the dephased state of the subsystem check
-    # one V^dag A V serves the exact variance, the sampled one and the trajectory
-    assert calls["_eigenbasis_matrix"] == 1
+    # the dephased states of the subsystem check and of the sampled mean
+    assert calls["reduced"] == 2
+    # no dim x dim matrix of the observable: it meets the eigenvectors a
+    # band of levels at a time, each level once (the exact variance), and
+    # every other quantity reads reduced states on its one site
+    assert sum(columns) == 512 and max(columns) == ensembles.VARIANCE_BAND_ROWS
+    assert shapes == {(2, 2)}
 
 
 def test_theorem1_diagonalizes_once_per_size(monkeypatch):

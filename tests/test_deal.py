@@ -11,11 +11,12 @@ from ergolab import deal, ensembles, hamiltonians
 from ergolab.ensembles import (
     TIME_BAND,
     DiagonalEnsemble,
-    _deal_bands,
+    _deal_times,
     evolve_rows,
     expectation_trajectory,
     random_local_observable,
     site_observable,
+    variance_exact,
     variance_sampled,
 )
 from ergolab.ergodicity import SearchPolicy, _scan, candidate_subsets, random_product_state
@@ -101,7 +102,7 @@ def ens9():
 
 
 def test_time_bands_keep_their_bits_on_every_worker_count(ens9, cpus):
-    # several bands and a short last one, for a real and a complex V^dag A V
+    # several bands and a short last one, for a real and a complex observable
     lat = ens9.spectral.lattice
     times = np.random.default_rng(2).uniform(0.0, 1e3, size=5 * TIME_BAND + 17)
     observables = [site_observable(lat, 4), site_observable(lat, 2, "Y"), random_local_observable(lat, (3, 4), 1)]
@@ -109,6 +110,21 @@ def test_time_bands_keep_their_bits_on_every_worker_count(ens9, cpus):
     def compute():
         rows = evolve_rows(ens9.spectral, ens9.coefficients, times)
         return [rows, *(expectation_trajectory(ens9, obs, times) for obs in observables)]
+
+    first, *rest = _each_worker_count(cpus, compute)
+    assert all(other == first for other in rest)
+
+
+def test_variance_bands_keep_their_bits_on_every_worker_count(ens9, cpus):
+    # each band's weight has its own slot, added in band order; W = 0 has
+    # bands of several whole blocks
+    lat = ens9.spectral.lattice
+    w0 = diagonalize(build_model("heisenberg-random-field", lat, params={"W": 0.0}))
+    ensembles = [ens9, DiagonalEnsemble(w0, random_product_state(lat, 2))]
+    observables = [site_observable(lat, 4), site_observable(lat, 2, "Y"), random_local_observable(lat, (3, 4), 1)]
+
+    def compute():
+        return [variance_exact(ens, obs) for ens in ensembles for obs in observables]
 
     first, *rest = _each_worker_count(cpus, compute)
     assert all(other == first for other in rest)
@@ -184,7 +200,7 @@ def test_band_turns_come_round_in_a_fixed_order(monkeypatch, cpus):
                     time.sleep(0.002 * (3 - band.start // TIME_BAND))
                 order.append(band.start // TIME_BAND)
 
-        _deal_bands(work, times, 4)
+        _deal_times(work, times, 4)
         assert order == want, workers
 
 
@@ -210,7 +226,6 @@ def test_band_peak_memory_holds_on_every_worker_count(ens9, cpus):
     # at most MEMORY_WORKERS workers walk the bands, so more CPUs add no
     # band buffers, and the turns keep the peak to the output's growth
     obs = site_observable(ens9.spectral.lattice, 4)
-    ens9._eigenbasis(obs)
     peaks = {}
     for workers in (2, 3, 4):
         cpus(workers)

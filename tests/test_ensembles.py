@@ -23,11 +23,13 @@ from ergolab.ensembles import (
     variance_exact,
     variance_sampled,
 )
-from ergolab.hamiltonians import LocalHamiltonian, LocalTerm, build_model, diagonalize
+from ergolab.hamiltonians import MODEL_NAMES, LocalHamiltonian, LocalTerm, build_model, diagonalize
 from ergolab.operators import apply_local, operator_norm, pauli
 from ergolab.states import (
+    GEOMETRIES,
     LatticeSpec,
     PureState,
+    _reduced_states,
     basis_product_state,
     partial_trace,
     random_product_state,
@@ -277,9 +279,10 @@ def _peak_doubles(fn, ens, obs):
     return _peak_bytes(lambda: fn(ens, obs)) / (ens.spectral.dim**2 * 8)
 
 
-def test_block_matrix_peak_memory():
-    # the block matrix is walked a band of whole blocks at a time, so no
-    # dim x dim level matrix is formed next to the kept V^dag A V
+def test_block_matrix_peak_memory(cpus):
+    # the block matrix is walked a band of whole blocks at a time, and each
+    # band meets the eigenvectors through A applied to its own levels, so
+    # no dim x dim matrix of the observable is formed
     lat = LatticeSpec(9, 2)
     spec = diagonalize(build_model("mixed-field-ising", lat))
     ens = DiagonalEnsemble(spec, random_product_state(lat, 3))
@@ -287,24 +290,19 @@ def test_block_matrix_peak_memory():
     obs = site_observable(lat, 4)
     for fn in (variance_exact, ensemble_expectation):
         assert _peak_doubles(fn, ens, obs) <= 4, fn.__name__
-    # at 10 sites, V^dag A V cached: one level per block, where the mean
-    # formed the whole level matrix (2.03 dim^2) and the variance, which
-    # keeps the K x K |.|^2 matrix, held two bands at once (1.28 dim^2), and
-    # W = 0, 252 degenerate blocks, where both reduced the whole level
-    # matrix (2.61 dim^2)
+    # at 10 sites, one level per block and W = 0 with 252 degenerate blocks,
+    # on 1, 2 and 8 CPUs: the variance peaked at 1.2 and 0.5 dim^2 with
+    # V^dag A V cached, which took 2 dim^2 more to form
     lat = LatticeSpec(10, 2)
     w0 = build_model("heisenberg-random-field", lat, params={"W": 0.0})
-    cases = [
-        (build_model("mixed-field-ising", lat), 1024, {ensemble_expectation: 0.5, variance_exact: 1.2}),
-        (w0, 252, {variance_exact: 0.5, ensemble_expectation: 0.5}),
-    ]
-    for ham, blocks, bounds in cases:
+    for ham, blocks in ((build_model("mixed-field-ising", lat), 1024), (w0, 252)):
         ens = DiagonalEnsemble(diagonalize(ham), random_product_state(lat, 5))
         assert len(ens.blocks) == blocks
         obs = site_observable(lat, 4)
-        ens._eigenbasis(obs)
-        for fn, bound in bounds.items():
-            assert _peak_doubles(fn, ens, obs) < bound, (blocks, fn.__name__)
+        for workers in (1, 2, 8):
+            cpus(workers)
+            assert _peak_doubles(variance_exact, ens, obs) < 0.6, (blocks, workers)
+            assert _peak_doubles(ensemble_expectation, ens, obs) < 0.5, (blocks, workers)
 
 
 def test_time_band_peak_memory():
@@ -314,7 +312,6 @@ def test_time_band_peak_memory():
     spec = diagonalize(build_model("mixed-field-ising", lat))
     ens = DiagonalEnsemble(spec, random_product_state(lat, 3))
     obs = site_observable(lat, 4)
-    ens._eigenbasis(obs)
     table = 2000 * spec.dim * 16
     assert _peak_bytes(lambda: variance_sampled(ens, obs, samples=2000)) < 0.5 * table
     grids = [np.linspace(0.0, 100.0, n) for n in (2000, 8000)]
@@ -322,8 +319,8 @@ def test_time_band_peak_memory():
     assert large - small <= (8000 - 2000) * 8
 
 
-def test_sampled_variance_reuses_eigenbasis_matrix(ens6, spec6_module):
-    # one V^dag A V for the trajectory and the mean: same bits as the two calls
+def test_sampled_variance_is_the_trajectory_about_the_mean(ens6, spec6_module):
+    # same bits as the trajectory and the ensemble mean called on their own
     a = site_observable(spec6_module.lattice, 2, "Y")
     sam = variance_sampled(ens6, a, samples=300, seed=4)
     times = np.random.default_rng(4).uniform(0.0, sam.horizon, size=300)
@@ -433,9 +430,61 @@ def test_time_band_kernels_match_whole_table_formulas(ensembles8, count):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=obs.label)
 
 
-def _per_band_formulas(ens, a_eig, times):
-    """Rows and trajectory from the per-band formulas that allocated every
-    table afresh in each band."""
+def _dense_observable_formulas(ens, obs, times):
+    """Variance, mean and trajectory from the dense v^dag A v: the block
+    matrix sums conj(c_i) (V^dag A V)_ij c_j over the levels of blocks k
+    and l, and the trajectory is Re p^dag (V^dag A V) p of p = exp(-iEt) c."""
+    spec, c = ens.spectral, ens.coefficients
+    v = spec.eigenvectors
+    a_eig = v.conj().T @ _reference_embed(obs.matrix, obs.sites, spec.lattice) @ v
+    starts = [a for a, _ in ens.blocks]
+    m = np.add.reduceat(np.add.reduceat(c.conj()[:, None] * a_eig * c, starts, axis=0), starts, axis=1)
+    off = np.abs(m) ** 2
+    np.fill_diagonal(off, 0.0)
+    table = np.exp(-1j * np.outer(times, spec.energies)) * c
+    traj = np.real(np.einsum("ti,ij,tj->t", table.conj(), a_eig, table, optimize=True))
+    return float(off.sum()), float(np.real(np.trace(m))), traj
+
+
+def _assert_observables_match_the_dense_formulas(ens):
+    lat = ens.spectral.lattice
+    times = np.random.default_rng(1).uniform(0.0, 1e4 * lat.dim / ens.spectral.norm, size=2 * TIME_BAND + 5)
+    observables = [site_observable(lat, 3, axis) for axis in "ZXY"] + [random_local_observable(lat, (1, 4), seed=3)]
+    for obs in observables:
+        var, mean, traj = _dense_observable_formulas(ens, obs, times)
+        assert variance_exact(ens, obs) == pytest.approx(var, rel=1e-12, abs=1e-14), obs.label
+        assert ensemble_expectation(ens, obs) == pytest.approx(mean, rel=1e-12, abs=1e-14), obs.label
+        got = expectation_trajectory(ens, obs, times)
+        np.testing.assert_allclose(got, traj, rtol=1e-12, atol=1e-14, err_msg=obs.label)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_observables_match_the_dense_formulas(model, geometry):
+    lat = LatticeSpec(8, 2, geometry)
+    spec = diagonalize(build_model(model, lat, seed=3))
+    _assert_observables_match_the_dense_formulas(DiagonalEnsemble(spec, random_product_state(lat, 2)))
+
+
+def test_observables_match_the_dense_formulas_on_degenerate_blocks():
+    # W = 0: SU(2)-symmetric, bands of whole blocks of several levels
+    lat = LatticeSpec(10, 2)
+    spec = diagonalize(build_model("heisenberg-random-field", lat, params={"W": 0.0}))
+    ens = DiagonalEnsemble(spec, random_product_state(lat, 4))
+    assert len(ens.blocks) == 252
+    _assert_observables_match_the_dense_formulas(ens)
+
+
+def test_observables_match_the_dense_formulas_on_complex_eigenvectors():
+    spec = _complex_spectrum()
+    _assert_observables_match_the_dense_formulas(DiagonalEnsemble(spec, random_product_state(spec.lattice, 8)))
+
+
+def _per_band_formulas(ens, obs, times):
+    """Rows from the per-band formulas that allocated every table afresh in
+    each band, and the trajectory tr(rho_S(t) A) from the reduced states of
+    the band's rows on A's support, or for a real A and a real V of the
+    rows' real parts stacked over their imaginary parts."""
     spec, c = ens.spectral, ens.coefficients
     rows = np.empty((times.size, spec.dim), dtype=complex)
     traj = np.empty(times.size)
@@ -450,12 +499,11 @@ def _per_band_formulas(ens, a_eig, times):
         else:
             parts = (np.stack((p.real, p.imag)).reshape(-1, spec.dim) @ v.T).reshape(2, len(p), -1)
             rows[band].real, rows[band].imag = parts
-        if np.iscomplexobj(a_eig):
-            traj[band] = np.einsum("ti,ti->t", p.conj() @ a_eig, p).real
-        else:
-            xy = np.concatenate((p.real, p.imag))
-            both = np.einsum("ti,ti->t", xy @ a_eig, xy)
-            traj[band] = both[: len(p)] + both[len(p) :]
+        psi = rows[band]
+        if not np.iscomplexobj(v) and not np.iscomplexobj(obs.matrix):
+            psi = np.concatenate((psi.real, psi.imag))
+        traces = np.einsum("tab,ba->t", _reduced_states(psi, obs.sites, spec.lattice), obs.matrix).real
+        traj[band] = traces[: len(p)] + traces[len(p) :] if len(traces) > len(p) else traces
     return rows, traj
 
 
@@ -469,8 +517,7 @@ def test_time_band_kernels_keep_the_bits_of_the_per_band_formulas(ensembles8, co
         times = np.random.default_rng(count).uniform(0.0, 1e4 * spec.dim / spec.norm, size=count)
         times[0] = 0.0  # the ground level's phase is exactly zero
         for obs in [site_observable(spec.lattice, 3, axis) for axis in "ZY"]:
-            a_eig = ens._eigenbasis(obs)
-            rows, traj = _per_band_formulas(ens, a_eig, times)
+            rows, traj = _per_band_formulas(ens, obs, times)
             assert evolve_rows(spec, ens.coefficients, times).tobytes() == rows.tobytes()
             assert expectation_trajectory(ens, obs, times).tobytes() == traj.tobytes()
 
