@@ -10,22 +10,25 @@ from __future__ import annotations
 
 import _thread
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import MEMORY_WORKERS, deal, worker_count
 from .entropy import renyi_entropy
-from .hamiltonians import LocalTerm, SpectralData, degenerate_groups
+from .hamiltonians import LocalTerm, SpectralData, _matmul, degenerate_groups
 from .operators import _local_support, apply_local, pauli, random_hermitian
-from .states import DensityMatrix, LatticeSpec, PureState, SiteSet, _reduced_states, _sublattice, shown, site_set
+from .states import (
+    DensityMatrix, LatticeSpec, PureState, SiteSet, _reduced_states, _sublattice, bipartition_matrix, shown, site_set
+)
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
 # levels per band of whole energy blocks (DiagonalEnsemble._bands): the
 # block-matrix rows and block vectors formed at a time
 VARIANCE_BAND_ROWS = 64
-# times per band of the phase table exp(-iEt) c (evolve_rows, expectation_trajectory):
+# times per band of the phase table exp(-iEt) c (reduced_trajectory):
 # the tables formed at a time are TIME_BAND x dim per worker, whatever the
 # time count; MEMORY_WORKERS workers hold 6 TIME_BAND dim doubles each,
 # what one band of 2 TIME_BAND times took when one thread walked them
@@ -208,89 +211,79 @@ def _deal_bands(work, bands: range, buffers) -> None:
     deal(walk, dealt)
 
 
-def _deal_times(work, times: np.ndarray, dim: int) -> None:
-    """``_deal_bands`` over bands of TIME_BAND times, each worker with a
-    phase table (times x dim complex), a stacked (x; y) table and a
-    product buffer (2 times x dim) of one band."""
+def reduced_trajectory(spectral: SpectralData, coefficients: np.ndarray, times, keep: tuple[int, ...], f) -> np.ndarray:
+    """f(rho_S(t)) at every time, rho_S(t) the reduced state on `keep` of
+    V (exp(-iEt) c) for eigenbasis coefficients c; f maps a stack of
+    reduced states to one value each and runs in the worker's turn.
+
+    The times are walked in bands of TIME_BAND (``_deal_bands``), each
+    worker with a complex phase table and two real tables of 2 TIME_BAND
+    rows.  A band's rows are one product against V, each norm checked
+    against TOL.normalization; for a real V, a real product of the phase
+    rows' real parts stacked over their imaginary parts, and rho_S =
+    X X^T + Y Y^T + i (K - K^T), K = Y X^T, from one real bipartition
+    copy (X; Y) of the result, so no complex row is formed."""
+    times = np.asarray(times, dtype=float)
+    lattice, dim, vt = spectral.lattice, spectral.dim, spectral.eigenvectors.T
+    out = np.empty(times.size)
+
+    def band_values(a: int, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
+        band = slice(a, a + TIME_BAND)
+        m = len(out[band])
+        p = _phase_table(spectral, coefficients, times[band], out=table[:m], aside=aside)
+        if np.iscomplexobj(vt):
+            psi = prod[: 2 * m].reshape(-1).view(complex).reshape(p.shape)
+            with aside:
+                p.dot(vt, out=psi)
+            norms = np.linalg.norm(psi, axis=1)
+        else:
+            xy, psi = xy[: 2 * m], prod[: 2 * m]
+            xy[:m], xy[m:] = p.real, p.imag
+            with aside:
+                xy.dot(vt, out=psi)
+            squares = np.einsum("ti,ti->t", psi, psi)
+            norms = np.sqrt(squares[:m] + squares[m:])
+        drift = np.abs(norms - 1.0)
+        if not np.all(drift <= TOL.normalization):
+            raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
+        if np.iscomplexobj(psi):
+            rho = _reduced_states(psi, keep, lattice)
+        else:
+            parts = bipartition_matrix(psi, keep, lattice)
+            x, y = parts[:m], parts[m:]
+            k = y @ x.swapaxes(-1, -2)
+            rho = np.empty(k.shape, dtype=complex)
+            rho.real = x @ x.swapaxes(-1, -2)
+            rho.real += y @ y.swapaxes(-1, -2)
+            rho.imag = k
+            rho.imag -= k.swapaxes(-1, -2)
+        out[band] = f(rho)
+
     rows = min(times.size, TIME_BAND)
     _deal_bands(
-        lambda a, *scratch: work(slice(a, a + TIME_BAND), *scratch),
+        band_values,
         range(0, times.size, TIME_BAND),
         lambda: (np.empty((rows, dim), dtype=complex), np.empty((2 * rows, dim)), np.empty((2 * rows, dim))),
     )
-
-
-def _band_states(spectral: SpectralData, coefficients, times, table, xy, prod, aside) -> np.ndarray:
-    """The evolved rows V (exp(-iEt) c) of one band of times, each norm
-    checked against TOL.normalization: complex rows in `prod` for a
-    complex V; for a real V, the rows' real parts stacked over their
-    imaginary parts, from one real product of the phase rows' parts
-    stacked."""
-    m = times.size
-    p = _phase_table(spectral, coefficients, times, out=table[:m], aside=aside)
-    vt = spectral.eigenvectors.T
-    if np.iscomplexobj(vt):
-        rows = prod[: 2 * m].reshape(-1).view(complex).reshape(p.shape)
-        with aside:
-            p.dot(vt, out=rows)
-        norms = np.linalg.norm(rows, axis=1)
-    else:
-        xy, rows = xy[: 2 * m], prod[: 2 * m]
-        xy[:m], xy[m:] = p.real, p.imag
-        with aside:
-            xy.dot(vt, out=rows)
-        squares = np.einsum("ti,ti->t", rows, rows)
-        norms = np.sqrt(squares[:m] + squares[m:])
-    drift = np.abs(norms - 1.0)
-    if not np.all(drift <= TOL.normalization):
-        raise ValueError(f"evolved state norm drifts by {drift.max()!r}")
-    return rows
-
-
-def evolve_rows(spectral: SpectralData, coefficients: np.ndarray, times) -> np.ndarray:
-    """Amplitudes V (exp(-iEt) c) of eigenbasis coefficients c at every
-    time: one state-major row per time, each norm checked.  The rows are
-    written in place a band of TIME_BAND times at a time
-    (``_band_states``), so no temporary outgrows one band."""
-    times = np.asarray(times, dtype=float)
-    rows = np.empty((times.size, spectral.dim), dtype=complex)
-
-    def band_rows(band: slice, *scratch) -> None:
-        psi = _band_states(spectral, coefficients, times[band], *scratch)
-        rows[band].real, rows[band].imag = (psi.real, psi.imag) if np.iscomplexobj(psi) else np.split(psi, 2)
-
-    _deal_times(band_rows, times, spectral.dim)
-    return rows
+    return out
 
 
 def evolve(spectral: SpectralData, state: PureState, time: float) -> PureState:
-    c = spectral.coefficients(state.amplitudes)
-    return PureState(spectral.lattice, evolve_rows(spectral, c, [time])[0])
+    """The state at `time`, V (exp(-iEt) c), in the bits of a band of one
+    time of ``reduced_trajectory``; ``PureState`` checks its norm."""
+    p = np.empty((1, spectral.dim), dtype=complex)
+    _phase_table(spectral, spectral.coefficients(state.amplitudes), np.array([time], dtype=float), p, nullcontext())
+    return PureState(spectral.lattice, _matmul(p, spectral.eigenvectors.T, np.empty_like(p))[0])
 
 
-def expectation_trajectory(
-    ens: DiagonalEnsemble, observable: LocalTerm, times: np.ndarray
-) -> np.ndarray:
+def expectation_trajectory(ens: DiagonalEnsemble, observable: LocalTerm, times: np.ndarray) -> np.ndarray:
     """<A>(t) = tr(rho_S(t) A) on a grid of times, rho_S(t) the reduced
-    state on A's support of the evolved rows of ``_band_states``, the
-    kernel of ``evolve_rows``.  For a real A and a real V that is the sum
-    of the traces of the stacked real and imaginary rows' reduced states."""
-    times = np.asarray(times, dtype=float)
-    spectral, a = ens.spectral, observable.matrix
-    sites = _local_support(a, observable.sites, spectral.lattice)
-    out = np.empty(times.size)
-
-    def band_values(band: slice, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
-        psi = _band_states(spectral, ens.coefficients, times[band], table, xy, prod, aside)
-        m = len(out[band])
-        if np.iscomplexobj(a) and not np.iscomplexobj(psi):
-            parts, psi = psi, xy[: 2 * m].reshape(-1).view(complex).reshape(m, -1)
-            psi.real, psi.imag = parts[:m], parts[m:]
-        traces = np.einsum("tab,ba->t", _reduced_states(psi, sites, spectral.lattice), a).real
-        out[band] = traces[:m] + traces[m:] if len(traces) > m else traces
-
-    _deal_times(band_values, times, spectral.dim)
-    return out
+    state on A's support (``reduced_trajectory``)."""
+    a = observable.matrix
+    keep = _local_support(a, observable.sites, ens.spectral.lattice)
+    return reduced_trajectory(
+        ens.spectral, ens.coefficients, times, keep, lambda rho: np.einsum("tab,ba->t", rho, a).real
+    )
 
 
 def ensemble_expectation(ens: DiagonalEnsemble, observable: LocalTerm) -> float:
@@ -465,8 +458,10 @@ def subsystem_equilibration(
     spectral = ens.spectral
     horizon, times = _sample_times(spectral, samples, horizon, seed, 1)
     keep = site_set(spectral.lattice, region)
-    rho_s = _reduced_states(evolve_rows(spectral, ens.coefficients, times), keep.sites, spectral.lattice)
-    dists = np.abs(np.linalg.eigvalsh(rho_s - ens.reduced(keep).matrix)).sum(axis=1)
+    omega = ens.reduced(keep).matrix
+    dists = reduced_trajectory(
+        spectral, ens.coefficients, times, keep.sites, lambda rho: np.abs(np.linalg.eigvalsh(rho - omega)).sum(axis=1)
+    )
     s2 = ens.entropy(2.0)
     bound = 2.0 * keep.dim * float(np.exp(-0.5 * s2))
     mean = float(dists.mean())

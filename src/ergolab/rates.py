@@ -11,11 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import evolve_rows
+from .ensembles import reduced_trajectory
 from .ergodicity import SearchPolicy, build_profile
 from .hamiltonians import LocalHamiltonian, LocalTerm, SpectralData, _sectors, diagonalize
 from .operators import apply_local, hermitian_site_basis, is_hermitian
-from .states import LatticeSpec, PureState, SiteSet, _as_matrix, _rows_renyi2, bipartition_matrix, site_set
+from .states import LatticeSpec, PureState, SiteSet, _as_matrix, _renyi2, _rows_renyi2, bipartition_matrix, site_set
 from .tolerances import TOL
 
 IMAG_RESIDUE = 1e-10
@@ -299,8 +299,7 @@ def integrated_bound_check(
         raise ValueError("time grid is empty")
     keep = site_set(psi0.lattice, region)
     boundary, max_l1, bounds = _cut_bounds(spectral.hamiltonian, keep, times)
-    rows = evolve_rows(spectral, spectral.coefficients(psi0.amplitudes), times)
-    s2 = _rows_renyi2(rows, psi0.lattice, keep.sites)
+    s2 = reduced_trajectory(spectral, spectral.coefficients(psi0.amplitudes), times, keep.sites, _renyi2)
     base = float(_rows_renyi2(psi0.amplitudes[None, :], psi0.lattice, keep.sites)[0])
     max_excess = max(abs(v - base) - b for v, b in zip(s2, bounds))
     return IntegratedBoundReport(

@@ -7,7 +7,7 @@ this convention: bipartitions, local-operator application (gates,
 observables and boundary terms), Hamiltonian assembly and the maximally
 entangled state all take their basis indices from it.  ``_reduced_states``
 is the one reduced-state kernel (M M^dag of the bipartition matrices) and
-``_rows_renyi2`` the one Renyi-2 kernel built on it.  ``_product_rows``
+``_renyi2`` the one Renyi-2 kernel of reduced states.  ``_product_rows``
 is the one product-state factory: random, basis and factor-built product
 states, and the product vectors an overlap optimisation contracts
 against, are all built by it.
@@ -127,7 +127,7 @@ class PureState:
                 f"lattice dimension {self.lattice.dim}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOL.normalization:
+        if not abs(norm - 1.0) <= TOL.normalization:  # NaN too
             raise ValueError(f"state norm {norm!r} is not 1 within tolerance")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -211,12 +211,16 @@ def _reduced_states(amplitudes: np.ndarray, keep: tuple[int, ...], lattice: Latt
     return m @ m.conj().swapaxes(-1, -2)
 
 
-def _rows_renyi2(rows: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
-    """S_2 of the reduced state on `keep`, for every state-major row."""
-    # conj() and .real return real input itself, so real rows stay real
-    g = _reduced_states(rows, keep, lattice)
+def _renyi2(g: np.ndarray) -> np.ndarray:
+    """S_2 of each reduced state of a stack (n, d, d)."""
+    # conj() and .real return real input itself, so real states stay real
     purity = np.einsum("nab,nab->n", g, g.conj()).real
     return -np.log(np.clip(purity, 1e-300, 1.0))
+
+
+def _rows_renyi2(rows: np.ndarray, lattice: LatticeSpec, keep: tuple[int, ...]) -> np.ndarray:
+    """S_2 of the reduced state on `keep`, for every state-major row."""
+    return _renyi2(_reduced_states(rows, keep, lattice))
 
 
 def partial_trace(state: PureState, keep: SiteSet | Iterable[int]) -> DensityMatrix:

@@ -11,10 +11,10 @@ from ergolab import deal, ensembles, hamiltonians
 from ergolab.ensembles import (
     TIME_BAND,
     DiagonalEnsemble,
-    _deal_times,
-    evolve_rows,
+    _deal_bands,
     expectation_trajectory,
     random_local_observable,
+    reduced_trajectory,
     site_observable,
     variance_exact,
     variance_sampled,
@@ -107,9 +107,12 @@ def test_time_bands_keep_their_bits_on_every_worker_count(ens9, cpus):
     times = np.random.default_rng(2).uniform(0.0, 1e3, size=5 * TIME_BAND + 17)
     observables = [site_observable(lat, 4), site_observable(lat, 2, "Y"), random_local_observable(lat, (3, 4), 1)]
 
+    def purities(rho):
+        return np.einsum("tab,tba->t", rho, rho).real
+
     def compute():
-        rows = evolve_rows(ens9.spectral, ens9.coefficients, times)
-        return [rows, *(expectation_trajectory(ens9, obs, times) for obs in observables)]
+        purity = reduced_trajectory(ens9.spectral, ens9.coefficients, times, (1, 4, 7), purities)
+        return [purity, *(expectation_trajectory(ens9, obs, times) for obs in observables)]
 
     first, *rest = _each_worker_count(cpus, compute)
     assert all(other == first for other in rest)
@@ -172,7 +175,7 @@ def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(ens9, cpus):
     times = np.linspace(0.0, 10.0, 4 * TIME_BAND)
     times[TIME_BAND + 5] = np.nan  # in band 1, which worker 1 walks
     with pytest.raises(ValueError, match="norm drifts"):
-        evolve_rows(ens9.spectral, ens9.coefficients, times)
+        reduced_trajectory(ens9.spectral, ens9.coefficients, times, (4,), lambda rho: rho[:, 0, 0].real)
     assert threading.active_count() == threads
     # a worker ends right after it signals that its share is done
     deadline = time.monotonic() + 5.0
@@ -185,7 +188,6 @@ def test_band_turns_come_round_in_a_fixed_order(monkeypatch, cpus):
     # each band takes its turn three times (before, between and after its
     # two asides); a worker that is done drops out of the round
     monkeypatch.setattr(ensembles, "MEMORY_WORKERS", 3)
-    times = np.zeros(4 * TIME_BAND)
     for workers, want in (
         (1, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]),
         (3, [0, 1, 2, 0, 1, 2, 0, 3, 1, 2, 3, 3]),
@@ -193,14 +195,14 @@ def test_band_turns_come_round_in_a_fixed_order(monkeypatch, cpus):
         cpus(workers)
         order = []
 
-        def work(band, table, xy, prod, aside):
-            order.append(band.start // TIME_BAND)
+        def work(band, aside):
+            order.append(band)
             for _ in range(2):
                 with aside:
-                    time.sleep(0.002 * (3 - band.start // TIME_BAND))
-                order.append(band.start // TIME_BAND)
+                    time.sleep(0.002 * (3 - band))
+                order.append(band)
 
-        _deal_times(work, times, 4)
+        _deal_bands(work, range(4), tuple)
         assert order == want, workers
 
 

@@ -15,9 +15,9 @@ from ergolab.ensembles import (
     check_variance_bounds,
     ensemble_expectation,
     evolve,
-    evolve_rows,
     expectation_trajectory,
     random_local_observable,
+    reduced_trajectory,
     site_observable,
     subsystem_equilibration,
     variance_exact,
@@ -31,6 +31,7 @@ from ergolab.states import (
     PureState,
     _reduced_states,
     basis_product_state,
+    bipartition_matrix,
     partial_trace,
     random_product_state,
     trace_distance,
@@ -298,25 +299,39 @@ def test_block_matrix_peak_memory(cpus):
     for ham, blocks in ((build_model("mixed-field-ising", lat), 1024), (w0, 252)):
         ens = DiagonalEnsemble(diagonalize(ham), random_product_state(lat, 5))
         assert len(ens.blocks) == blocks
-        obs = site_observable(lat, 4)
+        obs, y = site_observable(lat, 4), site_observable(lat, 4, "Y")
         for workers in (1, 2, 8):
             cpus(workers)
             assert _peak_doubles(variance_exact, ens, obs) < 0.6, (blocks, workers)
             assert _peak_doubles(ensemble_expectation, ens, obs) < 0.5, (blocks, workers)
+            # a complex block on real eigenvectors: complex band products,
+            # 0.57 and 0.82 dim^2 doubles on one worker and on two
+            assert _peak_doubles(variance_exact, ens, y) < (0.62 if workers == 1 else 0.88), (blocks, workers)
 
 
 def test_time_band_peak_memory():
     # the phase table is formed TIME_BAND times at a time, where the whole
-    # T x dim complex table, its conjugate and a complex product were held
+    # T x dim complex table, its conjugate and a complex product were held;
+    # a site Y reads the same reduced states as a site Z
     lat = LatticeSpec(9, 2)
     spec = diagonalize(build_model("mixed-field-ising", lat))
     ens = DiagonalEnsemble(spec, random_product_state(lat, 3))
-    obs = site_observable(lat, 4)
     table = 2000 * spec.dim * 16
-    assert _peak_bytes(lambda: variance_sampled(ens, obs, samples=2000)) < 0.5 * table
-    grids = [np.linspace(0.0, 100.0, n) for n in (2000, 8000)]
-    small, large = (_peak_bytes(lambda: expectation_trajectory(ens, obs, t)) for t in grids)
-    assert large - small <= (8000 - 2000) * 8
+    for obs in (site_observable(lat, 4), site_observable(lat, 4, "Y")):
+        assert _peak_bytes(lambda: variance_sampled(ens, obs, samples=2000)) < 0.5 * table, obs.label
+        grids = [np.linspace(0.0, 100.0, n) for n in (2000, 8000)]
+        small, large = (_peak_bytes(lambda: expectation_trajectory(ens, obs, t)) for t in grids)
+        assert large - small <= (8000 - 2000) * 8, obs.label
+
+
+def test_subsystem_equilibration_peak_memory():
+    # both calls fill whole bands, and each time keeps 16 bytes, its time
+    # and its distance; the T x dim rows and their bipartition copy took
+    # 32 bytes per time and amplitude
+    lat = LatticeSpec(9, 2)
+    ens = DiagonalEnsemble(diagonalize(build_model("mixed-field-ising", lat)), random_product_state(lat, 3))
+    small, large = (_peak_bytes(lambda: subsystem_equilibration(ens, (4,), samples=n)) for n in (200, 2000))
+    assert large - small <= (2000 - 200) * 32
 
 
 def test_sampled_variance_is_the_trajectory_about_the_mean(ens6, spec6_module):
@@ -372,21 +387,17 @@ def test_subsystem_equilibration_matches_time_loop(spec6_module, region):
     assert rep.max_distance == pytest.approx(float(want.max()), rel=0, abs=1e-12)
 
 
-def test_evolve_rows_matches_single_time_kernel(spec6_module):
+def test_evolve_matches_single_time_kernel(spec6_module):
     psi = random_product_state(spec6_module.lattice, 9)
-    times = np.array([0.0, 0.3, 7.5, 1e3])
-    c = spec6_module.coefficients(psi.amplitudes)
-    rows = evolve_rows(spectral=spec6_module, coefficients=c, times=times)
-    assert rows.shape == (4, spec6_module.dim)
-    for row, t in zip(rows, times):
-        np.testing.assert_allclose(row, _reference_evolve(spec6_module, psi, t), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(evolve(spec6_module, psi, t).amplitudes, row, rtol=0, atol=1e-15)
-    # eigenvectors that are not orthonormal break the norm of every row
+    for t in (0.0, 0.3, 7.5, 1e3):
+        got = evolve(spec6_module, psi, t).amplitudes
+        np.testing.assert_allclose(got, _reference_evolve(spec6_module, psi, t), rtol=0, atol=1e-13)
+    # eigenvectors that are not orthonormal break the norm of every state
     skewed = dataclasses.replace(spec6_module, eigenvectors=1.01 * spec6_module.eigenvectors)
     with pytest.raises(ValueError, match="norm"):
-        evolve_rows(skewed, c, times)
+        evolve(skewed, psi, 0.3)
     with pytest.raises(ValueError, match="norm"):
-        evolve_rows(spec6_module, c, [math.nan])
+        evolve(spec6_module, psi, math.nan)
 
 
 def _complex_spectrum():
@@ -400,6 +411,23 @@ def _complex_spectrum():
     spec = diagonalize(LocalHamiltonian(lat, terms))
     assert np.abs(spec.eigenvectors.imag).max() > 0.1
     return spec
+
+
+def _reference_reduced_states(rows, keep, lattice):
+    # the reduced states of complex rows by an axis transpose of each row
+    d, n = lattice.local_dim, lattice.num_sites
+    rest = [s for s in range(n) if s not in keep]
+    m = rows.reshape(-1, *[d] * n).transpose(0, *(1 + s for s in [*keep, *rest])).reshape(len(rows), d ** len(keep), -1)
+    return np.einsum("tak,tbk->tab", m, m.conj())
+
+
+# purities and the Pauli traces tr(rho Y(x)X), tr(rho Z(x)Y) of reduced
+# states on two sites: the second and third read the imaginary parts
+_REDUCED_VALUES = [
+    lambda rho: np.einsum("tab,tba->t", rho, rho).real,
+    lambda rho: np.einsum("tab,ba->t", rho, np.kron(pauli("Y"), pauli("X"))).real,
+    lambda rho: np.einsum("tab,ba->t", rho, np.kron(pauli("Z"), pauli("Y"))).real,
+]
 
 
 # the edges of the first band, and of the second, where worker 1's bands
@@ -420,8 +448,10 @@ def test_time_band_kernels_match_whole_table_formulas(ensembles8, count):
         ens = DiagonalEnsemble(spec, psi)
         times = np.random.default_rng(count).uniform(0.0, 1e4 * spec.dim / spec.norm, size=count)
         table = np.exp(-1j * np.outer(times, spec.energies)) * c
-        rows = evolve_rows(spec, c, times)
-        np.testing.assert_allclose(rows, table @ v.T, rtol=1e-12, atol=1e-14)
+        rho = _reference_reduced_states(table @ v.T, (1, 4), lat)
+        for f in _REDUCED_VALUES:
+            got = reduced_trajectory(spec, c, times, (1, 4), f)
+            np.testing.assert_allclose(got, f(rho), rtol=1e-12, atol=1e-14)
         observables = [site_observable(lat, 3, axis) for axis in "ZXY"]
         for obs in observables + [random_local_observable(lat, (1, 4), seed=3)]:
             a_eig = v.conj().T @ _reference_embed(obs.matrix, obs.sites, lat) @ v
@@ -480,31 +510,31 @@ def test_observables_match_the_dense_formulas_on_complex_eigenvectors():
     _assert_observables_match_the_dense_formulas(DiagonalEnsemble(spec, random_product_state(spec.lattice, 8)))
 
 
-def _per_band_formulas(ens, obs, times):
-    """Rows from the per-band formulas that allocated every table afresh in
-    each band, and the trajectory tr(rho_S(t) A) from the reduced states of
-    the band's rows on A's support, or for a real A and a real V of the
-    rows' real parts stacked over their imaginary parts."""
-    spec, c = ens.spectral, ens.coefficients
-    rows = np.empty((times.size, spec.dim), dtype=complex)
-    traj = np.empty(times.size)
+def _per_band_formulas(spec, c, times, keep, fs):
+    """f(rho_S(t)) for each of `fs` from the per-band formulas that
+    allocated every table afresh in each band: the reduced states on `keep`
+    of the band's complex rows for a complex V, and for a real V
+    X X^T + Y Y^T + i (K - K^T), K = Y X^T, of the bipartition matrices of
+    the rows' real parts X stacked over their imaginary parts Y."""
+    out = np.empty((len(fs), times.size))
+    v = spec.eigenvectors
     for a in range(0, times.size, TIME_BAND):
         band = slice(a, a + TIME_BAND)
         p = -1j * np.outer(times[band], spec.energies)
         np.exp(p, out=p)
         p *= c
-        v = spec.eigenvectors
         if np.iscomplexobj(v):
-            np.matmul(p, v.T, out=rows[band])
+            rho = _reduced_states(p @ v.T, keep, spec.lattice)
         else:
-            parts = (np.stack((p.real, p.imag)).reshape(-1, spec.dim) @ v.T).reshape(2, len(p), -1)
-            rows[band].real, rows[band].imag = parts
-        psi = rows[band]
-        if not np.iscomplexobj(v) and not np.iscomplexobj(obs.matrix):
-            psi = np.concatenate((psi.real, psi.imag))
-        traces = np.einsum("tab,ba->t", _reduced_states(psi, obs.sites, spec.lattice), obs.matrix).real
-        traj[band] = traces[: len(p)] + traces[len(p) :] if len(traces) > len(p) else traces
-    return rows, traj
+            parts = bipartition_matrix(np.concatenate((p.real, p.imag)) @ v.T, keep, spec.lattice)
+            x, y = parts[: len(p)], parts[len(p) :]
+            k = y @ x.swapaxes(-1, -2)
+            rho = np.empty(k.shape, dtype=complex)
+            rho.real = x @ x.swapaxes(-1, -2) + y @ y.swapaxes(-1, -2)
+            rho.imag = k - k.swapaxes(-1, -2)
+        for j, f in enumerate(fs):
+            out[j, band] = f(rho)
+    return out
 
 
 @pytest.mark.parametrize("count", [1, TIME_BAND - 1, TIME_BAND + 1, 2 * TIME_BAND - 1, 2 * TIME_BAND + 1, 2000])
@@ -513,12 +543,15 @@ def test_time_band_kernels_keep_the_bits_of_the_per_band_formulas(ensembles8, co
     ensembles = ensembles8[:2]
     ensembles.append(DiagonalEnsemble(_complex_spectrum(), random_product_state(LatticeSpec(6, 2), 7)))
     for ens in ensembles:
-        spec = ens.spectral
+        spec, c = ens.spectral, ens.coefficients
         times = np.random.default_rng(count).uniform(0.0, 1e4 * spec.dim / spec.norm, size=count)
         times[0] = 0.0  # the ground level's phase is exactly zero
-        for obs in [site_observable(spec.lattice, 3, axis) for axis in "ZY"]:
-            rows, traj = _per_band_formulas(ens, obs, times)
-            assert evolve_rows(spec, ens.coefficients, times).tobytes() == rows.tobytes()
+        want = _per_band_formulas(spec, c, times, (1, 4), _REDUCED_VALUES)
+        for f, values in zip(_REDUCED_VALUES, want):
+            assert reduced_trajectory(spec, c, times, (1, 4), f).tobytes() == values.tobytes()
+        observables = [site_observable(spec.lattice, 3, axis) for axis in "ZY"]
+        traces = [lambda rho, a=obs.matrix: np.einsum("tab,ba->t", rho, a).real for obs in observables]
+        for obs, traj in zip(observables, _per_band_formulas(spec, c, times, (3,), traces)):
             assert expectation_trajectory(ens, obs, times).tobytes() == traj.tobytes()
 
 

@@ -1,5 +1,7 @@
 """Entangling rates, interaction decompositions, stability bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import _reference_embed
@@ -211,6 +213,23 @@ def test_integrated_bound(spec6):
     assert rep.bounds[-1] == pytest.approx(4.0 * 3.0 * rep.boundary_size * rep.max_c_l1, rel=1e-12)
     # entanglement must actually build up, otherwise the check is vacuous
     assert max(rep.s2_values) > 0.1
+
+
+def test_integrated_bound_peak_memory(spec8):
+    # both grids fill whole time bands, and each time keeps about 80 bytes,
+    # its time, bound and S_2 as floats of the report; the T x dim rows and
+    # their bipartition copy took 32 bytes per time and amplitude
+    psi = random_product_state(spec8.lattice, 9)
+    peaks = []
+    for n in (200, 2000):
+        t = np.linspace(0.0, 3.0, n)
+        tracemalloc.start()
+        try:
+            integrated_bound_check(psi, spec8, (0, 1, 2, 3), t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= (2000 - 200) * 128
 
 
 def test_quasi_local_unitary_validation():
