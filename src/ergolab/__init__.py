@@ -17,8 +17,12 @@ CATALOG_VERSION = "1"
 
 # workers that a deal whose workers each hold much memory takes at most,
 # whatever the number of CPUs: the blocks of diagonalize and the time bands,
-# while the blocks of the scan share this many blocks' worth of bytes
+# while the blocks of the scan share this many blocks' worth of rows
 MEMORY_WORKERS = 2
+
+# rows of a dim-wide table that one worker forms at a time: scan blocks,
+# bands of levels, times and parity gathers, the overlap check's samples
+BAND_ROWS = 64
 
 
 def worker_count() -> int:

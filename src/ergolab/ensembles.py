@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import MEMORY_WORKERS, deal, worker_count
+from . import BAND_ROWS, MEMORY_WORKERS, deal, worker_count
 from .entropy import renyi_entropy
 from .hamiltonians import LocalTerm, SpectralData, _matmul, degenerate_groups
 from .operators import _local_support, apply_local, pauli, random_hermitian
@@ -25,14 +25,6 @@ from .states import (
 from .tolerances import TOL
 
 DEGENERACY_TOL = 1e-10
-# levels per band of whole energy blocks (DiagonalEnsemble._bands): the
-# block-matrix rows and block vectors formed at a time
-VARIANCE_BAND_ROWS = 64
-# times per band of the phase table exp(-iEt) c (reduced_trajectory):
-# the tables formed at a time are TIME_BAND x dim per worker, whatever the
-# time count; MEMORY_WORKERS workers hold 6 TIME_BAND dim doubles each,
-# what one band of 2 TIME_BAND times took when one thread walked them
-TIME_BAND = 128
 
 
 def site_observable(lattice: LatticeSpec, site: int, axis: str = "Z") -> LocalTerm:
@@ -90,9 +82,9 @@ class DiagonalEnsemble:
 
     def _bands(self):
         """(first, stop) of each band of whole blocks.  A band starts at each
-        block that holds a level index divisible by VARIANCE_BAND_ROWS, where
+        block that holds a level index divisible by BAND_ROWS, where
         band(level before the block) < band(the block's last level)."""
-        before = np.subtract([*self._starts, self.spectral.dim], 1) // VARIANCE_BAND_ROWS
+        before = np.subtract([*self._starts, self.spectral.dim], 1) // BAND_ROWS
         firsts = np.flatnonzero(np.diff(before))
         return zip(firsts, [*firsts[1:], len(self.blocks)])
 
@@ -216,19 +208,19 @@ def reduced_trajectory(spectral: SpectralData, coefficients: np.ndarray, times, 
     V (exp(-iEt) c) for eigenbasis coefficients c; f maps a stack of
     reduced states to one value each and runs in the worker's turn.
 
-    The times are walked in bands of TIME_BAND (``_deal_bands``), each
-    worker with a complex phase table and two real tables of 2 TIME_BAND
-    rows.  A band's rows are one product against V, each norm checked
-    against TOL.normalization; for a real V, a real product of the phase
-    rows' real parts stacked over their imaginary parts, and rho_S =
-    X X^T + Y Y^T + i (K - K^T), K = Y X^T, from one real bipartition
-    copy (X; Y) of the result, so no complex row is formed."""
+    The times are walked in bands of BAND_ROWS (``_deal_bands``), each
+    worker with a complex phase table and two real tables of 2 BAND_ROWS
+    rows, 6 BAND_ROWS dim doubles whatever the time count.  A band's rows
+    are one product against V, each norm checked against TOL.normalization;
+    for a real V, a real product of the phase rows' real parts stacked over
+    their imaginary parts, and rho_S = X X^T + Y Y^T + i (K - K^T), K =
+    Y X^T, from one real bipartition copy (X; Y): no complex row is formed."""
     times = np.asarray(times, dtype=float)
     lattice, dim, vt = spectral.lattice, spectral.dim, spectral.eigenvectors.T
     out = np.empty(times.size)
 
     def band_values(a: int, table: np.ndarray, xy: np.ndarray, prod: np.ndarray, aside) -> None:
-        band = slice(a, a + TIME_BAND)
+        band = slice(a, a + BAND_ROWS)
         m = len(out[band])
         p = _phase_table(spectral, coefficients, times[band], out=table[:m], aside=aside)
         if np.iscomplexobj(vt):
@@ -259,10 +251,10 @@ def reduced_trajectory(spectral: SpectralData, coefficients: np.ndarray, times, 
             rho.imag -= k.swapaxes(-1, -2)
         out[band] = f(rho)
 
-    rows = min(times.size, TIME_BAND)
+    rows = min(times.size, BAND_ROWS)
     _deal_bands(
         band_values,
-        range(0, times.size, TIME_BAND),
+        range(0, times.size, BAND_ROWS),
         lambda: (np.empty((rows, dim), dtype=complex), np.empty((2 * rows, dim)), np.empty((2 * rows, dim))),
     )
     return out

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import MEMORY_WORKERS, deal, worker_count
+from . import BAND_ROWS, MEMORY_WORKERS, deal, worker_count
 from .ensembles import (
     DiagonalEnsemble,
     VarianceBoundReport,
@@ -46,9 +46,6 @@ BULK_SLACK = 10.0
 # its log-Var slope may sit above -k(e)
 TREND_GAP_TOLERANCE = 1e-12
 TREND_FIT_TOLERANCE = 0.1
-# bytes of state-major rows per scan block of up to MEMORY_WORKERS workers:
-# small enough to stay in L2; more workers share MEMORY_WORKERS blocks' worth
-SCAN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -133,10 +130,10 @@ def _scan(
     """Largest S_2 over `cands` for every column, and the index of the first
     candidate (in table order) that reaches it.
 
-    States go in blocks of about SCAN_BLOCK_BYTES · min(1, MEMORY_WORKERS /
-    workers), for the worker_count() workers of the deal, one per CPU, so
-    the blocks alive at once hold at most MEMORY_WORKERS blocks' worth of
-    bytes whatever the number of CPUs.
+    States go in blocks of BAND_ROWS · min(1, MEMORY_WORKERS / workers)
+    rows, for the worker_count() workers of the deal, one per CPU, so the
+    blocks alive at once hold at most MEMORY_WORKERS blocks' worth of rows
+    whatever the number of CPUs.
     Each block is copied once into state-major rows, which stay
     cache-resident while the candidates are evaluated on them.  Candidates
     are visited largest first, ties by table index, and a candidate of size
@@ -153,8 +150,7 @@ def _scan(
     nst = vectors.shape[1]
     best_s2 = np.full(nst, -1.0)
     best_idx = np.zeros(nst, dtype=int)
-    block_bytes = SCAN_BLOCK_BYTES * MEMORY_WORKERS // max(MEMORY_WORKERS, worker_count())
-    step = max(1, block_bytes // (vectors.shape[0] * vectors.itemsize))
+    step = max(1, BAND_ROWS * MEMORY_WORKERS // max(MEMORY_WORKERS, worker_count()))
     log_d = math.log(lattice.local_dim)
     visit = sorted(range(len(cands)), key=lambda ci: (-len(cands[ci]), ci))
 
@@ -284,19 +280,17 @@ def build_profile(
 ) -> ErgodicityProfile:
     """Scan every eigenstate and fit the density-binned lower envelope.
 
-    The scan runs over blocks of eigenstates, dealt by ``ergolab.deal`` to
-    one thread per CPU, each block of about SCAN_BLOCK_BYTES for up to
-    MEMORY_WORKERS workers and MEMORY_WORKERS/workers of that for more, so
-    the scan's memory does not grow with the CPU count; neither the deal
-    nor the block size changes a state's arithmetic, so the bits do not
-    depend on the CPU count.  A block is copied once into state-major
-    rows, and the candidate subsystems are then evaluated on it, largest
-    first: the rows are gathered into the candidate's bipartition order
-    with one precomputed index, so the eigenvector matrix is read once per
-    profile rather than transposed once per candidate.  A candidate of
-    size |A| skips the rows whose best S_2 already exceeds its ceiling
-    |A| log d.  Real eigenvectors stay real; ties keep the candidate that
-    comes first in table order.
+    The scan runs over blocks of eigenstates (``_scan``), dealt by
+    ``ergolab.deal`` to one thread per CPU; neither the deal nor the block
+    size changes a state's arithmetic, so the bits do not depend on the
+    CPU count.  A block is copied once into state-major rows, and the
+    candidate subsystems are then evaluated on it, largest first: the rows
+    are gathered into the candidate's bipartition order with one
+    precomputed index, so the eigenvector matrix is read once per profile
+    rather than transposed once per candidate.  A candidate of size |A|
+    skips the rows whose best S_2 already exceeds its ceiling |A| log d.
+    Real eigenvectors stay real; ties keep the candidate that comes first
+    in table order.
     """
     num_bins = envelope_bins(num_bins)
     policy = policy or SearchPolicy()

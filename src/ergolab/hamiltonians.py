@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import MEMORY_WORKERS, deal, worker_count
+from . import BAND_ROWS, MEMORY_WORKERS, deal, worker_count
 from .entropy import renyi_entropy
 from .operators import _support_index, is_hermitian, operator_norm, pauli
 from .states import DensityMatrix, LatticeSpec, ResourceGuardError
@@ -26,7 +26,6 @@ DENSE_DIM_GUARD = 2**14
 MODEL_NAMES = ("mixed-field-ising", "xxz-disordered", "heisenberg-random-field")
 
 _GAP_BAND = 2**16  # gaps per band of gap_report, filled, sorted and walked at once
-_GATHER_ROWS = 64  # rows per band of a gathered parity block
 
 
 @dataclass
@@ -383,12 +382,12 @@ def _parity_block(m: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> n
     the reflection in H couples no two parities.  A pair has
     c_k = 1/sqrt(2).  A palindrome (p == q) is e_p itself, but its four
     gathered entries are one entry counted four times, so it takes 1/2.
-    The block is gathered ``_GATHER_ROWS`` rows at a time, so its
+    The block is gathered BAND_ROWS rows at a time, so its
     temporaries stay small beside the block itself.
     """
     block = np.empty((p.size, p.size), dtype=m.dtype)
-    for a in range(0, p.size, _GATHER_ROWS):
-        rows, rp, rq = block[a : a + _GATHER_ROWS], p[a : a + _GATHER_ROWS], q[a : a + _GATHER_ROWS]
+    for a in range(0, p.size, BAND_ROWS):
+        rows, rp, rq = block[a : a + BAND_ROWS], p[a : a + BAND_ROWS], q[a : a + BAND_ROWS]
         rows[...] = m[np.ix_(rp, p)]
         rows += m[np.ix_(rq, q)]
         cross = m[np.ix_(rp, q)]

@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import BAND_ROWS
 from .entropy import renyi_entropy
 from .fits import fit_line
 from .hamiltonians import dense_guard
@@ -352,8 +353,9 @@ def overlap_bound_check(
 
     Checks `samples` random product states plus the alternating-sweep
     optimum; any product state must obey the bound, so sampling cannot
-    produce false failures.  On violation the offending product state is
-    serialized into the report.
+    produce false failures.  The factors are drawn once, the product rows
+    formed BAND_ROWS samples at a time, the optimum as the last row of the
+    last band.  On violation the offending product state is serialized.
     """
     if any(a <= 1 for a in alphas):
         raise ValueError("bound holds for alpha > 1 only")
@@ -365,10 +367,15 @@ def overlap_bound_check(
         factor = 1.0 if a == INF else (a - 1.0) / a
         bounds.append(math.exp(-factor * s))
     limit = min(bounds)
-    randoms = _product_rows(_random_factors(phi.lattice, np.random.default_rng(seed), samples))
+    factors = _random_factors(phi.lattice, np.random.default_rng(seed), samples)
     opt_state, _ = max_product_overlap(phi, restarts=4, sweeps=30, seed=seed)
-    candidates = np.vstack([randoms, opt_state.amplitudes])  # the optimum is the last row
-    sq = np.abs(candidates.conj() @ phi.amplitudes) ** 2
+    sq = np.empty(samples + 1)
+    for a in range(0, max(samples, 1), BAND_ROWS):
+        rows = _product_rows(factors[a : a + BAND_ROWS])
+        if a + BAND_ROWS >= samples:
+            rows = np.concatenate([rows, opt_state.amplitudes[None]])
+        np.conjugate(rows, out=rows)
+        sq[a : a + len(rows)] = np.abs(rows @ phi.amplitudes) ** 2
     ratios = sq / limit if limit > 0 else np.full(len(sq), math.inf)
     # the first maximal ratio names the tightest case; all-zero ratios name none
     top = int(np.argmax(ratios))
@@ -376,12 +383,14 @@ def overlap_bound_check(
     violators = np.flatnonzero(sq > limit + 1e-12)
     offender = None
     if violators.size:
-        offender = state_to_json(PureState(phi.lattice, candidates[violators[0]]))
+        first = violators[0]
+        amps = _product_rows(factors[first]) if first < samples else opt_state.amplitudes
+        offender = state_to_json(PureState(phi.lattice, amps))
     return OverlapBoundReport(
         region=tuple(keep.sites),
         alphas=tuple(float(a) for a in alphas),
         bounds=tuple(bounds),
-        num_checked=len(candidates),
+        num_checked=samples + 1,
         max_overlap_sq=float(sq.max()),
         max_ratio=float(ratios[top]),
         tightest_case=tightest,

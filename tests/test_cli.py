@@ -693,7 +693,7 @@ def test_equilibrate_builds_one_ensemble(monkeypatch):
     # no dim x dim matrix of the observable: it meets the eigenvectors a
     # band of levels at a time, each level once (the exact variance), and
     # every other quantity reads reduced states on its one site
-    assert sum(columns) == 512 and max(columns) == ensembles.VARIANCE_BAND_ROWS
+    assert sum(columns) == 512 and max(columns) == ergolab.BAND_ROWS
     assert shapes == {(2, 2)}
 
 

@@ -7,9 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ergolab import deal, ensembles, hamiltonians
+from ergolab import BAND_ROWS, deal, ensembles, hamiltonians
 from ergolab.ensembles import (
-    TIME_BAND,
     DiagonalEnsemble,
     _deal_bands,
     expectation_trajectory,
@@ -104,7 +103,7 @@ def ens9():
 def test_time_bands_keep_their_bits_on_every_worker_count(ens9, cpus):
     # several bands and a short last one, for a real and a complex observable
     lat = ens9.spectral.lattice
-    times = np.random.default_rng(2).uniform(0.0, 1e3, size=5 * TIME_BAND + 17)
+    times = np.random.default_rng(2).uniform(0.0, 1e3, size=5 * BAND_ROWS + 17)
     observables = [site_observable(lat, 4), site_observable(lat, 2, "Y"), random_local_observable(lat, (3, 4), 1)]
 
     def purities(rho):
@@ -138,7 +137,7 @@ def test_scan_keeps_its_bits_on_every_worker_count(ens9, monkeypatch, cpus):
 
     lat = ens9.spectral.lattice
     vectors = ens9.spectral.eigenvectors
-    monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", 37 * vectors[:, 0].nbytes)
+    monkeypatch.setattr(ergodicity, "BAND_ROWS", 37)
     cands = candidate_subsets(lat, SearchPolicy(mode="random-sample", budget=80, seed=1))
     first, *rest = _each_worker_count(cpus, lambda: _scan(vectors, lat, cands))
     assert all(other == first for other in rest)
@@ -172,8 +171,8 @@ def test_gap_bands_keep_their_bits_on_every_worker_count(monkeypatch, cpus):
 def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(ens9, cpus):
     cpus(2)
     threads, running = threading.active_count(), _thread._count()
-    times = np.linspace(0.0, 10.0, 4 * TIME_BAND)
-    times[TIME_BAND + 5] = np.nan  # in band 1, which worker 1 walks
+    times = np.linspace(0.0, 10.0, 4 * BAND_ROWS)
+    times[BAND_ROWS + 5] = np.nan  # in band 1, which worker 1 walks
     with pytest.raises(ValueError, match="norm drifts"):
         reduced_trajectory(ens9.spectral, ens9.coefficients, times, (4,), lambda rho: rho[:, 0, 0].real)
     assert threading.active_count() == threads
@@ -233,12 +232,12 @@ def test_band_peak_memory_holds_on_every_worker_count(ens9, cpus):
         cpus(workers)
         peaks[workers], growth = _band_peaks(ens9, obs)
         assert growth <= (8000 - 2000) * 8, workers
-    one_worker_buffers = 6 * TIME_BAND * ens9.spectral.dim * 8
+    one_worker_buffers = 6 * BAND_ROWS * ens9.spectral.dim * 8
     assert max(peaks.values()) < peaks[2] + one_worker_buffers / 2
 
 
 def test_scan_peak_memory_holds_on_every_worker_count(cpus):
-    # the blocks of more than two workers share two blocks' worth of bytes,
+    # the blocks of more than two workers share two blocks' worth of rows,
     # so the scan's peak does not grow with the CPU count
     lat = LatticeSpec(10, 2)
     vectors = diagonalize(build_model("mixed-field-ising", lat)).eigenvectors

@@ -345,8 +345,7 @@ def test_scan_matches_transpose_reference(case, mode, block_rows, spec8, monkeyp
     lattice, vectors = SCAN_CASES[case](spec8)
     if block_rows is not None:
         # blocks of 7 leave a remainder on every case; 1 is one state per block
-        row_bytes = vectors.shape[0] * vectors.itemsize
-        monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", block_rows * row_bytes)
+        monkeypatch.setattr(ergodicity, "BAND_ROWS", block_rows)
         assert vectors.shape[1] % block_rows or block_rows == 1
     cands = candidate_subsets(lattice, SearchPolicy(mode=mode, budget=60, seed=3))
     best_s2, best_idx = _scan(vectors, lattice, cands)
@@ -355,8 +354,7 @@ def test_scan_matches_transpose_reference(case, mode, block_rows, spec8, monkeyp
 
 @pytest.mark.parametrize("mode", SEARCH_MODES)
 def test_profile_matches_transpose_reference(mode, spec8, monkeypatch):
-    row_bytes = spec8.eigenvectors[:, 0].nbytes
-    monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", 13 * row_bytes)
+    monkeypatch.setattr(ergodicity, "BAND_ROWS", 13)
     policy = SearchPolicy(mode=mode, budget=80, seed=1)
     prof = build_profile(spec8, policy)
     cands = candidate_subsets(spec8.lattice, policy)
@@ -393,7 +391,7 @@ def _assert_pinned(vectors, lattice, cands, monkeypatch, cpus):
     """The scan equals the pinned one in blocks of 37 states (several, with
     a remainder), on 1 and 2 CPUs."""
     ref_s2, ref_idx = _pinned_scan(vectors, lattice, cands)
-    monkeypatch.setattr(ergodicity, "SCAN_BLOCK_BYTES", 37 * vectors[:, 0].nbytes)
+    monkeypatch.setattr(ergodicity, "BAND_ROWS", 37)
     assert vectors.shape[1] > 37 and vectors.shape[1] % 37
     for workers in (1, 2):
         cpus(workers)

@@ -790,6 +790,25 @@ def _dense_gather(h, vectors):
     return _placed_vectors(bases, parts) if vectors else np.sort(np.concatenate(parts))
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_parity_block_bands_keep_the_bits_of_the_whole_block(n, monkeypatch):
+    # bands of 7 rows leave a remainder on three of the four blocks (72 and
+    # 56 rows at 7 sites, 136 and 120 at 8); bands of 256 rows hold a whole
+    # block
+    h = build_model("mixed-field-ising", LatticeSpec(n, 2))
+    m = _dense_assemble(h)
+    bases = _sector_bases([np.arange(len(m))], _reflection(h))
+    assert len(bases) == 2 and any(np.any(p == q) for p, q, _ in bases)
+    for rows in (7, 256):
+        monkeypatch.setattr(hamiltonians, "BAND_ROWS", rows)
+        for p, q, sign in bases:
+            cross = m[np.ix_(p, q)] + m[np.ix_(q, p)]
+            whole = m[np.ix_(p, p)] + m[np.ix_(q, q)]
+            whole = 0.5 * (whole + cross if sign > 0 else whole - cross)
+            c = np.where(p == q, np.sqrt(0.5), 1.0)
+            assert np.array_equal(_parity_block(m, p, q, sign), whole * c[:, None] * c), (rows, sign)
+
+
 def _check_dense_gather_bits(full, spec):
     """Both routes of one model equal, bit for bit, to the former dense
     gather on that model: ground shift, energies and eigenvectors."""

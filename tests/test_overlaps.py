@@ -1,11 +1,14 @@
 """Product-overlap bounds and the interpolation family."""
 
+import functools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ergolab import overlaps
 from ergolab.entropy import INF, renyi_entropy
 from ergolab.ergodicity import SearchPolicy, build_profile
 from ergolab.hamiltonians import MODEL_NAMES, SpectralData, build_model, diagonalize
@@ -296,6 +299,45 @@ def test_overlap_bound_check_random_state():
     assert only.max_overlap_sq == pytest.approx(float(abs(np.vdot(opt.amplitudes, psi.amplitudes)) ** 2), rel=1e-12)
     with pytest.raises(ValueError):
         overlap_bound_check(psi, (0, 1), samples=-1)
+
+
+def test_overlap_bound_check_serializes_the_first_offender(monkeypatch):
+    # an entropy far above any product overlap's: every candidate violates
+    lat = LatticeSpec(5, 2)
+    rng = np.random.default_rng(12)
+    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+    psi = PureState(lat, amps / np.linalg.norm(amps))
+    monkeypatch.setattr(overlaps, "renyi_entropy", lambda sigma, order: 1e3)
+
+    def offender(samples):
+        rep = overlap_bound_check(psi, (0, 1), samples=samples, seed=0)
+        assert not rep.passed and rep.violations == samples + 1
+        pairs = json.loads(rep.offender_json)["amplitudes"]
+        return np.array([complex(re, im) for re, im in pairs])
+
+    # the first draw's factors, multiplied as drawn
+    first = functools.reduce(np.kron, _reference_factors(lat, np.random.default_rng(0)))
+    assert np.array_equal(offender(100), first)
+    opt, _ = max_product_overlap(psi, restarts=4, sweeps=30, seed=0)
+    assert np.array_equal(offender(0), opt.amplitudes)
+
+
+def test_overlap_bound_check_peak_does_not_grow_with_samples():
+    # the product rows are formed a band of samples at a time; the whole
+    # samples x dim table, its copy with the optimum and its conjugate took
+    # 48 dim bytes per sample
+    lat = LatticeSpec(8, 2)
+    amps = np.random.default_rng(3).normal(size=lat.dim) + 0j
+    psi = PureState(lat, amps / np.linalg.norm(amps))
+    peaks = {}
+    for samples in (200, 2000):
+        tracemalloc.start()
+        try:
+            overlap_bound_check(psi, (0, 1, 2, 3), samples=samples, seed=0)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] - peaks[200] <= (2000 - 200) * 1024, peaks
 
 
 def test_overlap_bound_saturated_by_basis_state():
